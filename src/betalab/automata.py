@@ -1,0 +1,108 @@
+"""One labelled-automaton core: reading, path counting and enumeration.
+
+A presentation is a deterministic labelled graph: an ``initial`` state, an
+``alphabet_bound`` b and ``step(state, sym)``, the target of the edge
+labelled sym in {0..b} or None.  Its words are the labels of paths from
+``initial`` (Lind & Marcus, *Symbolic Dynamics and Coding*, ch. 3-4).
+Counting and enumeration cache each visited state's edges for one call;
+counting groups parallel edges by target with a multiplicity, so k
+back-edges to one vertex cost one big-integer multiply, not k additions.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Optional, Protocol
+
+from .errors import BudgetExceeded
+
+
+class Presentation(Protocol):
+    initial: Hashable
+    alphabet_bound: int
+
+    def step(self, state, sym: int) -> Optional[Hashable]: ...
+
+
+def read(pres: Presentation, digits, start=None):
+    """State reached by reading digits, or None if some edge is missing."""
+    state = pres.initial if start is None else start
+    step = pres.step
+    for s in digits:
+        state = step(state, s)
+        if state is None:
+            return None
+    return state
+
+
+def _edges(pres: Presentation, state) -> list:
+    """(label, target) pairs leaving state, in increasing label order."""
+    step = pres.step
+    out = []
+    for s in range(pres.alphabet_bound + 1):
+        t = step(state, s)
+        if t is not None:
+            out.append((s, t))
+    return out
+
+
+def path_counts(pres: Presentation, n_max: int) -> list[int]:
+    """Exact numbers of words of length 1..n_max (big-integer DP)."""
+    grouped: dict = {}
+    counts = {pres.initial: 1}
+    totals = []
+    for _ in range(n_max):
+        nxt: dict = {}
+        for state, c in counts.items():
+            out = grouped.get(state)
+            if out is None:
+                mult: dict = {}
+                for _, t in _edges(pres, state):
+                    mult[t] = mult.get(t, 0) + 1
+                out = grouped[state] = list(mult.items())
+            for t, m in out:
+                nxt[t] = nxt.get(t, 0) + c * m
+        counts = nxt
+        totals.append(sum(counts.values()))
+    return totals
+
+
+def count(pres: Presentation, n: int) -> int:
+    """Exact number of words of length n."""
+    return path_counts(pres, n)[-1] if n > 0 else 1
+
+
+def enumerate_words(pres: Presentation, n: int,
+                    budget: Optional[int] = None) -> list[tuple[int, ...]]:
+    """All words of length n in lexicographic order, by an iterative DFS.
+
+    Raises BudgetExceeded once more than budget words have been found.
+    """
+    if n == 0:
+        return [()]
+    table: dict = {}
+
+    def edges(state):
+        e = table.get(state)
+        if e is None:
+            e = table[state] = _edges(pres, state)
+        return e
+
+    out: list[tuple[int, ...]] = []
+    word: list[int] = []
+    stack = [iter(edges(pres.initial))]
+    while stack:
+        if len(stack) < n:
+            edge = next(stack[-1], None)
+            if edge is not None:
+                word.append(edge[0])
+                stack.append(iter(edges(edge[1])))
+                continue
+        else:  # the top state's edges end words
+            head = tuple(word)
+            out.extend([head + (s,) for s, _ in stack[-1]])
+            if budget is not None and len(out) > budget:
+                raise BudgetExceeded(f"more than {budget} words")
+        stack.pop()
+        if word:
+            word.pop()
+    return out

@@ -138,11 +138,6 @@ class AlgebraicContext:
             self.refine_to(width)
 
 
-def _shift_range(digits):
-    """Indices whose shift comparisons decide eventual-periodic admissibility."""
-    return range(1, len(digits))
-
-
 class BetaNumber:
     """A real beta > 1 with digit bound and lazily computed expansion of 1."""
 
@@ -279,43 +274,20 @@ class BetaNumber:
 
     def _step_w(self) -> None:
         if self._orbit is None:
-            if self._frac is not None:
-                self._orbit = Fraction(1)
-            else:
-                d = self._ctx.degree
-                self._orbit = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
-        r = self._orbit
-        if self._frac is not None:
-            t = self._frac * r
-            digit = math.floor(t)
-            r_new = t - digit
-            zero = r_new == 0
-        else:
-            t_vec = self._ctx.mul_by_beta(r)
-            if all(c == 0 for c in t_vec[1:]) and t_vec[0].denominator == 1:
-                digit = int(t_vec[0])
-                r_new = tuple(Fraction(0) for _ in t_vec)
-                zero = True
-            else:
-                digit = self._ctx.floor_vector(t_vec)
-                r_new = tuple(c for c in t_vec)
-                r_new = tuple(
-                    c - (digit if i == 0 else 0) for i, c in enumerate(t_vec)
-                )
-                zero = all(c == 0 for c in r_new)
+            self._orbit = _point(self, Fraction(1))
+        digit, r_new = _greedy_step(self, self._orbit)
+        zero = not any(r_new) if self._ctx is not None else r_new == 0
         if zero:
             # finite greedy expansion: switch to the quasi-greedy periodic form
             period = tuple(self._w) + (digit - 1,)
             if all(d == 0 for d in period):
                 raise InvalidBeta("degenerate expansion (beta would be 1)")
             self._w_periodic = (tuple(), period)
-            self._w.append(period[len(self._w) % len(period)] if len(period) == 1
-                           else period[len(self._w)])
+            self._w.append(period[-1])
             self._orbit = None
             return
-        key = r_new
-        if key in self._seen and len(self._seen) < 100000:
-            start = self._seen[key]
+        if r_new in self._seen and len(self._seen) < 100000:
+            start = self._seen[r_new]
             pre = tuple(self._w[:start])
             per = tuple(self._w[start:]) + (digit,)
             self._w_periodic = (pre, per)
@@ -323,12 +295,34 @@ class BetaNumber:
             self._orbit = None
             return
         if len(self._seen) < 100000:
-            self._seen[key] = len(self._w)
+            self._seen[r_new] = len(self._w)
         self._w.append(digit)
         self._orbit = r_new
 
 
 # --- operations -----------------------------------------------------------
+
+def _point(beta: BetaNumber, x: Fraction):
+    """x in the exact representation _greedy_step works on."""
+    if beta.is_rational():
+        return x
+    return (x,) + (Fraction(0),) * (beta._ctx.degree - 1)
+
+
+def _greedy_step(beta: BetaNumber, r):
+    """(digit, remainder) = (floor(beta*r), beta*r - floor(beta*r)), exact.
+
+    r is a Fraction for a rational base and a coefficient vector in
+    Q[x]/(p) for an algebraic one, as built by _point.
+    """
+    if beta._frac is not None:
+        t = beta._frac * r
+        d = math.floor(t)
+        return d, t - d
+    t = beta._ctx.mul_by_beta(r)
+    d = beta._ctx.floor_vector(t)
+    return d, (t[0] - d,) + t[1:]
+
 
 def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
     """First n digits of w(beta) (lexicographic supremum / quasi-greedy form)."""
@@ -337,34 +331,22 @@ def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
     return SymbolWord(beta.digits(n), beta.digit_bound)
 
 
+def _unit_point(x) -> Fraction:
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise UsageError(f"x must lie in [0, 1), got {x}")
+    return x
+
+
 def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
     """Greedy digits of x in [0, 1) under the base-beta partition."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise UsageError(f"x must lie in [0, 1), got {x}")
+    r = _point(beta, _unit_point(x))
     digits = []
-    if beta.is_rational():
-        b = beta._frac
-        r = x
-        for _ in range(n):
-            t = b * r
-            d = math.floor(t)
-            digits.append(d)
-            r = t - d
-    else:
-        ctx = beta._ctx
-        deg = ctx.degree
-        r = tuple(x if i == 0 else Fraction(0) for i in range(deg))
-        for _ in range(n):
-            t = ctx.mul_by_beta(r)
-            if all(c == 0 for c in t[1:]) and t[0].denominator == 1:
-                d = int(t[0])
-            else:
-                d = ctx.floor_vector(t)
-            digits.append(d)
-            r = tuple(c - (d if i == 0 else 0) for i, c in enumerate(t))
+    for _ in range(n):
+        d, r = _greedy_step(beta, r)
+        digits.append(d)
     return SymbolWord(tuple(digits), beta.digit_bound)
 
 
@@ -372,30 +354,15 @@ def beta_orbit(x, beta: BetaNumber, n: int) -> list[tuple[Fraction, Fraction]]:
     """Enclosures of x, f(x), ..., f^{n-1}(x) for f(x) = beta*x mod 1."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise UsageError(f"x must lie in [0, 1), got {x}")
+    r = _point(beta, _unit_point(x))
     out = []
-    if beta.is_rational():
-        b = beta._frac
-        r = x
-        for _ in range(n):
+    for _ in range(n):
+        if beta.is_rational():
             out.append((r, r))
-            r = b * r
-            r -= math.floor(r)
-    else:
-        ctx = beta._ctx
-        deg = ctx.degree
-        r = tuple(x if i == 0 else Fraction(0) for i in range(deg))
-        for _ in range(n):
-            ctx.refine_to(Fraction(1, 2 ** 64))
-            out.append(ctx.eval_vector(r))
-            t = ctx.mul_by_beta(r)
-            if all(c == 0 for c in t[1:]) and t[0].denominator == 1:
-                d = int(t[0])
-            else:
-                d = ctx.floor_vector(t)
-            r = tuple(c - (d if i == 0 else 0) for i, c in enumerate(t))
+        else:
+            beta._ctx.refine_to(Fraction(1, 2 ** 64))
+            out.append(beta._ctx.eval_vector(r))
+        _, r = _greedy_step(beta, r)
     return out
 
 

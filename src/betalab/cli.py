@@ -52,7 +52,7 @@ from .irregular import (
 )
 from .observables import parse_observable
 from .parry import (
-    build_prefix_graph,
+    Automaton,
     count_admissible,
     count_profile,
     enumerate_admissible,
@@ -83,26 +83,30 @@ def _beta_from_args(args) -> BetaNumber:
     if getattr(args, "beta", None):
         return BetaNumber.from_decimal(args.beta)
     if getattr(args, "beta_poly", None):
-        return BetaNumber.from_polynomial(
-            [int(c) for c in args.beta_poly.split(",")])
+        return BetaNumber.from_polynomial(_parse_int_list(args.beta_poly))
     if getattr(args, "beta_digits", None):
         return BetaNumber.from_digit_string(args.beta_digits)
     raise UsageError("one of --beta / --beta-poly / --beta-digits is required")
 
 
+def _parse_list(text: str, kind, items=None) -> list:
+    try:
+        return [kind(v) for v in (text.split(",") if items is None else items)]
+    except ValueError as exc:
+        raise UsageError(f"cannot parse {text!r}") from exc
+
+
 def _parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if "," in text:
-        return tuple(int(c) for c in text.split(","))
-    return tuple(int(c) for c in text)
+    return tuple(_parse_list(text, int, None if "," in text else text))
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    return _parse_list(text, int)
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    return _parse_list(text, float)
 
 
 def _word_str(digits) -> str:
@@ -170,11 +174,11 @@ def cmd_expand(args, started):
 def cmd_expansion_of_one(args, started):
     beta = _beta_from_args(args)
     word = expansion_of_one(beta, args.n)
-    pre, period = beta.periodic_form()
     payload = {"digits": _word_str(word), "beta": beta.value,
                "digit_bound": beta.digit_bound}
-    if period:
-        payload["periodic_form"] = format_periodic(pre, period)
+    form = beta.periodic_form()
+    if form is not None:
+        payload["periodic_form"] = format_periodic(*form)
     return _run(args, payload, [], started)
 
 
@@ -196,11 +200,15 @@ def cmd_admissible(args, started):
 
 def cmd_graph(args, started):
     beta = _beta_from_args(args)
-    g = build_prefix_graph(beta, args.n)
-    payload = {"vertex_count": g.vertex_count,
-               "forward_labels": list(g.forward_labels),
-               "z_distance": list(g.z_distance),
-               "back_edge_counts": [len(b) for b in g.back_edges]}
+    if args.n < 1:
+        raise UsageError("n must be >= 1")
+    labels = list(beta.digits(args.n))
+    auto = Automaton(beta)
+    # vertex i has one forward edge and w_i back-edges to vertex 1
+    payload = {"vertex_count": args.n, "forward_labels": labels,
+               "z_distance": [auto.z_of_state(i)
+                              for i in range(1, args.n + 1)],
+               "back_edge_counts": labels}
     return _run(args, payload, [], started)
 
 

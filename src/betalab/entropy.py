@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -73,9 +75,6 @@ class MistakeFunction:
         if spec.startswith("const:"):
             return cls.constant(int(spec.split(":", 1)[1]))
         raise UsageError(f"unknown mistake function spec {spec!r}")
-
-    def doubled(self) -> "MistakeFunction":
-        return MistakeFunction(f"2*{self.name}", lambda n: 2 * self._fn(n))
 
 
 def _digits_of(word) -> tuple[int, ...]:
@@ -295,24 +294,26 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
         sample = list(sampler(n))
         if not sample:
             raise InsufficientSample(f"sampler produced nothing at n={n}")
-        total = sum(w for _, w in sample)
+        # exact, so that a whole gamma * N of N uniform words is dropped;
+        # weights are grouped first because samplers repeat them
+        total = sum(Fraction(w) * k for w, k in
+                    Counter(w for _, w in sample).items())
         if total <= 0:
             raise InsufficientSample("nonpositive total weight")
-        sample = [(d, w / total) for d, w in sample]
         sample.sort(key=lambda t: (t[1], t[0]))
-        dropped = 0.0
+        budget = Fraction(str(gamma)) * total
+        dropped = Fraction(0)
         keep_from = 0
-        for i, (_, w) in enumerate(sample):
-            if dropped + w <= gamma:
-                dropped += w
-                keep_from = i + 1
-            else:
+        for _, w in sample:
+            if dropped + Fraction(w) > budget:
                 break
+            dropped += Fraction(w)
+            keep_from += 1
         z_words = tuple(d for d, _ in sample[keep_from:])
         if not z_words:
             raise InsufficientSample("mass threshold removed every word")
         row = {"n": n, "kept_words": len(z_words),
-               "kept_mass": round(1.0 - dropped, 12)}
+               "kept_mass": round(float(1 - dropped / total), 12)}
         for label, gg in (("g", g), ("zero", MistakeFunction.zero())):
             inst = SeparationInstance(z_words, window=window, g=gg)
             res = max_separated(inst) if method == "separated" \
@@ -384,8 +385,8 @@ class CylinderTree:
 
     @classmethod
     def from_markov(cls, approx, depth: int) -> "CylinderTree":
-        bound = max(approx.confined_labels)
-        return cls.from_step_function(approx.step, 1, bound, depth)
+        return cls.from_step_function(approx.step, approx.initial,
+                                      approx.alphabet_bound, depth)
 
     @classmethod
     def single_stream(cls, digits) -> "CylinderTree":

@@ -13,13 +13,18 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
+from . import automata
 from .errors import BudgetExceeded, NoSingleEditFound, UsageError
 
 FORBIDDEN_LIST_BUDGET = 10 ** 5
 
 
 class FactorAutomaton:
-    """Aho-Corasick multi-pattern matcher over {0, 1} for forbidden factors."""
+    """Aho-Corasick multi-pattern matcher over {0, 1} for forbidden factors;
+    as a presentation, ``step`` has no edge into a state where one ends."""
+
+    initial = 0
+    alphabet_bound = 1
 
     def __init__(self, patterns: Sequence[tuple[int, ...]]):
         self.patterns = [tuple(p) for p in patterns]
@@ -51,18 +56,19 @@ class FactorAutomaton:
                 self.hit[t] = self.hit[t] or self.hit[self.fail[t]]
                 q.append(t)
 
-    def step(self, state: int, c: int) -> int:
+    def _advance(self, state: int, c: int) -> int:
         while state and c not in self.goto[state]:
             state = self.fail[state]
         return self.goto[state].get(c, 0)
 
-    def clean_states(self) -> list[int]:
-        return [s for s in range(len(self.goto)) if not self.hit[s]]
+    def step(self, state: int, c: int) -> Optional[int]:
+        t = self._advance(state, c)
+        return None if self.hit[t] else t
 
     def contains_forbidden(self, word: Sequence[int]) -> bool:
         s = 0
         for c in word:
-            s = self.step(s, c)
+            s = self._advance(s, c)
             if self.hit[s]:
                 return True
         return False
@@ -71,7 +77,7 @@ class FactorAutomaton:
         """(end_index, pattern) of the earliest forbidden factor, if any."""
         s = 0
         for i, c in enumerate(word):
-            s = self.step(s, c)
+            s = self._advance(s, c)
             if self.hit[s]:
                 for p in self.patterns:
                     if i + 1 >= len(p) and tuple(word[i + 1 - len(p):i + 1]) == p:
@@ -89,16 +95,7 @@ class FactorAutomaton:
         return out
 
     def count_words(self, n: int) -> int:
-        counts = {0: 1}
-        for _ in range(n):
-            nxt: dict[int, int] = {}
-            for s, c in counts.items():
-                for sym in (0, 1):
-                    t = self.step(s, sym)
-                    if not self.hit[t]:
-                        nxt[t] = nxt.get(t, 0) + c
-            counts = nxt
-        return sum(counts.values())
+        return automata.count(self, n)
 
 
 @dataclass
@@ -117,22 +114,7 @@ class NestedShift:
 
     def enumerate(self, n: int, level: Optional[int] = None):
         lvl = self.levels if level is None else level
-        auto = self.automata[lvl - 1]
-        out = []
-
-        def rec(state, acc):
-            if len(acc) == n:
-                out.append(tuple(acc))
-                return
-            for sym in (0, 1):
-                t = auto.step(state, sym)
-                if not auto.hit[t]:
-                    acc.append(sym)
-                    rec(t, acc)
-                    acc.pop()
-
-        rec(0, [])
-        return out
+        return automata.enumerate_words(self.automata[lvl - 1], n)
 
 
 def build_nested(N_seq: Sequence[int], k_max: Optional[int] = None,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
+from .automata import read
 from .errors import (
     BudgetExceeded,
     EmptyPool,
@@ -214,16 +215,11 @@ class GluedPoint:
     def edits(self) -> int:
         return sum(1 for _, _, pos in self.ledger if pos is not None)
 
-    def edits_through_level(self, k: int) -> int:
-        return sum(1 for lvl, _, pos in self.ledger
-                   if pos is not None and lvl <= k)
-
 
 def _needs_repair(beta, horizon: int = 64) -> bool:
     """Gluing is free concatenation exactly when w(beta) has no zeros."""
-    pre, period = beta.periodic_form()
-    probe = pre + period if period else beta.digits(horizon)
-    return 0 in probe
+    form = beta.periodic_form()
+    return 0 in (form[0] + form[1] if form else beta.digits(horizon))
 
 
 def _zero_last_nonzero(word: tuple[int, ...]):
@@ -265,13 +261,10 @@ def glue_blocks(beta, schedule: IrregularSchedule,
             pos = None
             if repair and blk_index < total_blocks:
                 word, pos = _zero_last_nonzero(word)
-            for d in word:
-                nxt = auto.step(state, d)
-                if nxt is None:
-                    raise NotAdmissibleInput(
-                        f"glued prefix inadmissible inside level {k} "
-                        f"slot {slot}")
-                state = nxt
+            state = read(auto, word, start=state)
+            if state is None:
+                raise NotAdmissibleInput(
+                    f"glued prefix inadmissible inside level {k} slot {slot}")
             out.extend(word)
             ledger.append((k, slot, pos))
     return GluedPoint(digits=tuple(out), ledger=ledger, schedule=schedule)

@@ -1,19 +1,21 @@
 """Admissibility, the labelled presentation graph, word counting and repair.
 
-The language of a beta-shift is decided two independent ways: the
-lexicographic shift criterion on w(beta), and path-reading in the labelled
-graph whose vertex i carries one forward edge labelled w_i(beta) plus
-back-edges to vertex 1 labelled 0 .. w_i(beta)-1.  Tests cross-check the
-two on every base in the battery.
+The language of a beta-shift is read in the labelled graph whose vertex i
+carries one forward edge labelled w_i(beta) plus back-edges to vertex 1
+labelled 0 .. w_i(beta)-1 (Parry 1960).  `Automaton` presents that graph
+to the generic reader, counter and enumerator of `betalab.automata`; the
+tests keep Parry's lexicographic shift criterion on w(beta) as an
+independent oracle for it on every base in the battery.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import automata
 from .beta_core import BetaNumber, simple_beta_approx
 from .errors import (
     AlphabetMismatch,
@@ -23,37 +25,35 @@ from .errors import (
     UsageError,
 )
 from .observables import Observable
-from .words import SymbolWord, lex_le_prefix
+from .words import SymbolWord
 
 
 class Automaton:
     """Deterministic reader for the labelled graph of a beta-shift.
 
-    States are 1-based vertex indices; when w(beta) is known to be
+    States are 1-based vertex indices; once w(beta) is known to be
     eventually periodic, states are canonicalized into the periodic window
-    so arbitrarily long words can be read in bounded memory.
+    so arbitrarily long words can be read in bounded memory.  The periodic
+    form is read at each use, because the base finds it lazily while
+    computing digits.
     """
 
-    def __init__(self, beta: BetaNumber, horizon: int = 4096):
+    initial = 1
+
+    def __init__(self, beta: BetaNumber):
         self.beta = beta
-        self.horizon = horizon
-        self._pf = beta.periodic_form()
+        self.alphabet_bound = beta.digit_bound
 
     def digit_at(self, i: int) -> int:
-        if self._pf is not None:
-            pre, per = self._pf
-            if i <= len(pre):
-                return pre[i - 1]
-            return per[(i - len(pre) - 1) % len(per)]
         if len(self.beta._w) < i:
             self.beta.digits(i)
         return self.beta._w[i - 1]
 
     def canon(self, i: int) -> int:
-        if self._pf is None:
+        pf = self.beta.periodic_form()
+        if pf is None:
             return i
-        pre, per = self._pf
-        p, q = len(pre), len(per)
+        p, q = len(pf[0]), len(pf[1])
         if i <= p + q:
             return i
         return p + ((i - p - 1) % q) + 1
@@ -66,14 +66,6 @@ class Automaton:
             return 1
         return None
 
-    def read(self, digits, start: int = 1) -> Optional[int]:
-        state = start
-        for s in digits:
-            state = self.step(state, s)
-            if state is None:
-                return None
-        return state
-
     def is_universal_state(self, state: int) -> bool:
         """True when every admissible word is readable from this state.
 
@@ -83,11 +75,10 @@ class Automaton:
         """
         if state == 1:
             return True
-        if self._pf is None:
+        pf = self.beta.periodic_form()
+        if pf is None:
             return False
-        pre, per = self._pf
-        p, q = len(pre), len(per)
-        horizon = p + 2 * q
+        horizon = len(pf[0]) + 2 * len(pf[1])
         return all(self.digit_at(state + j) == self.digit_at(1 + j)
                    for j in range(horizon))
 
@@ -103,109 +94,26 @@ class Automaton:
         return k
 
 
-@dataclass(frozen=True)
-class PrefixGraph:
-    """Finite truncation of the labelled graph, with per-vertex z-distances."""
-
-    beta: BetaNumber
-    vertex_count: int
-    forward_labels: tuple[int, ...]
-    back_edges: tuple[tuple[int, ...], ...]
-    z_distance: tuple[int, ...]
-
-    def step(self, state: int, symbol: int) -> Optional[int]:
-        if not 1 <= state <= self.vertex_count:
-            raise UsageError(f"state {state} outside graph")
-        w = self.forward_labels[state - 1]
-        if symbol == w:
-            return state + 1
-        if 0 <= symbol < w:
-            return 1
-        return None
-
-    def read(self, digits, start: int = 1) -> Optional[int]:
-        state = start
-        for s in digits:
-            if state > self.vertex_count:
-                raise UsageError("word longer than graph truncation")
-            state = self.step(state, s)
-            if state is None:
-                return None
-        return state
-
-    def accepts(self, digits) -> bool:
-        try:
-            return self.read(digits) is not None
-        except UsageError:
-            return False
-
-
-def build_prefix_graph(beta: BetaNumber, n: int) -> PrefixGraph:
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    digits = beta.digits(n)
-    back = tuple(tuple(range(w)) for w in digits)
-    auto = Automaton(beta)
-    z = tuple(auto.z_of_state(i) for i in range(1, n + 1))
-    return PrefixGraph(beta=beta, vertex_count=n, forward_labels=digits,
-                       back_edges=back, z_distance=z)
-
-
 def is_admissible(word: SymbolWord | tuple, beta: BetaNumber) -> bool:
-    """Parry's criterion: every shift of the word is lexicographically
-    bounded by the matching-length prefix of w(beta)."""
+    """Parry's criterion, decided by one read of the labelled graph."""
     digits = tuple(word.digits if isinstance(word, SymbolWord) else word)
     if any(d > beta.digit_bound or d < 0 for d in digits):
         raise AlphabetMismatch(
             f"word uses digits outside {{0..{beta.digit_bound}}}")
-    n = len(digits)
-    if n == 0:
-        return True
-    w = beta.digits(n)
-    return all(lex_le_prefix(digits[k:], w) for k in range(n))
+    return automata.read(Automaton(beta), digits) is not None
 
 
 def count_admissible(beta: BetaNumber, n: int) -> int:
     """Exact number of admissible words of length n (big-integer DP)."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    auto = Automaton(beta, horizon=n + 2)
-    beta.digits(min(n + 1, _digit_need(auto, n)))
-    counts = {1: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for state, c in counts.items():
-            w = auto.digit_at(state)
-            if w > 0:
-                nxt[1] = nxt.get(1, 0) + c * w
-            fwd = auto.canon(state + 1)
-            nxt[fwd] = nxt.get(fwd, 0) + c
-        counts = nxt
-    return sum(counts.values())
-
-
-def _digit_need(auto: Automaton, n: int) -> int:
-    return n + 1 if auto._pf is None else 1
+    return automata.count(Automaton(beta), n)
 
 
 def count_profile(beta: BetaNumber, n_max: int):
     """(n, count, log(count)/n) rows for n = 1..n_max."""
-    rows = []
-    auto = Automaton(beta)
-    beta.digits(min(n_max + 1, _digit_need(auto, n_max)))
-    counts = {1: 1}
-    for n in range(1, n_max + 1):
-        nxt: dict[int, int] = {}
-        for state, c in counts.items():
-            w = auto.digit_at(state)
-            if w > 0:
-                nxt[1] = nxt.get(1, 0) + c * w
-            fwd = auto.canon(state + 1)
-            nxt[fwd] = nxt.get(fwd, 0) + c
-        counts = nxt
-        total = sum(counts.values())
-        rows.append((n, total, math.log(total) / n))
-    return rows
+    return [(n, c, math.log(c) / n) for n, c in
+            enumerate(automata.path_counts(Automaton(beta), n_max), start=1)]
 
 
 @dataclass
@@ -226,7 +134,6 @@ def z_values_from_digits(digits, n_max: int) -> ZReport:
     """
     digits = tuple(digits)
     z: list[int] = []
-    next_nonzero = None  # absolute 1-based index of next nonzero >= current n
     nz_positions = [i + 1 for i, d in enumerate(digits) if d != 0]
     import bisect
     for n in range(1, n_max + 1):
@@ -289,6 +196,12 @@ class MarkovApprox:
     approx_beta: BetaNumber
     confined_labels: tuple[int, ...]
 
+    initial = 1
+
+    @property
+    def alphabet_bound(self) -> int:
+        return max(self.confined_labels)
+
     def step(self, state: int, symbol: int) -> Optional[int]:
         w = self.confined_labels[state - 1]
         if symbol == w and state < self.effective_order:
@@ -297,26 +210,8 @@ class MarkovApprox:
             return 1
         return None
 
-    def accepts(self, digits) -> bool:
-        state = 1
-        for s in digits:
-            state = self.step(state, s)
-            if state is None:
-                return False
-        return True
-
     def count(self, n: int) -> int:
-        counts = {1: 1}
-        for _ in range(n):
-            nxt: dict[int, int] = {}
-            for state, c in counts.items():
-                w = self.confined_labels[state - 1]
-                if w > 0:
-                    nxt[1] = nxt.get(1, 0) + c * w
-                if state < self.effective_order:
-                    nxt[state + 1] = nxt.get(state + 1, 0) + c
-            counts = nxt
-        return sum(counts.values())
+        return automata.count(self, n)
 
     @property
     def entropy(self) -> float:
@@ -324,22 +219,7 @@ class MarkovApprox:
 
     def enumerate_words(self, n: int):
         """All accepted words of length n, lexicographic order."""
-        out: list[tuple[int, ...]] = []
-
-        def rec(state, acc):
-            if len(acc) == n:
-                out.append(tuple(acc))
-                return
-            w = self.confined_labels[state - 1]
-            for s in range(w + 1):
-                nxt = self.step(state, s)
-                if nxt is not None:
-                    acc.append(s)
-                    rec(nxt, acc)
-                    acc.pop()
-
-        rec(1, [])
-        return out
+        return automata.enumerate_words(self, n)
 
 
 def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
@@ -352,26 +232,7 @@ def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
 
 def enumerate_admissible(beta: BetaNumber, n: int, budget: int = 10 ** 6):
     """All admissible words of length n via graph DFS, lexicographic order."""
-    auto = Automaton(beta)
-    beta.digits(min(n + 1, _digit_need(auto, n)))
-    out: list[tuple[int, ...]] = []
-
-    def rec(state, acc):
-        if len(acc) == n:
-            out.append(tuple(acc))
-            if len(out) > budget:
-                raise BudgetExceeded(f"more than {budget} admissible words")
-            return
-        w = auto.digit_at(state)
-        for s in range(w + 1):
-            nxt = auto.step(state, s)
-            if nxt is not None:
-                acc.append(s)
-                rec(nxt, acc)
-                acc.pop()
-
-    rec(1, [])
-    return out
+    return automata.enumerate_words(Automaton(beta), n, budget)
 
 
 def periodic_stream_admissible(beta: BetaNumber, period_digits,
@@ -385,11 +246,10 @@ def periodic_stream_admissible(beta: BetaNumber, period_digits,
     state = 1
     seen = {1}
     for _ in range(copy_cap):
-        state = auto.read(period_digits, start=state)
+        state = automata.read(auto, period_digits, start=state)
         if state is None:
             return False
-        state = auto.canon(state)
-        if state in seen and auto._pf is not None:
+        if state in seen and beta.periodic_form() is not None:
             return True
         seen.add(state)
     return True

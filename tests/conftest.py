@@ -32,3 +32,11 @@ def battery(beta_two, beta_golden, beta_tribonacci, beta_figure):
         "tribonacci": beta_tribonacci,
         "figure": beta_figure,
     }
+
+
+@pytest.fixture(scope="session")
+def bench_bases(battery):
+    """The battery plus two rational bases whose w(beta) is not periodic."""
+    return {**battery,
+            "three_halves": BetaNumber.from_decimal("3/2"),
+            "one_seven": BetaNumber.from_decimal("1.7")}

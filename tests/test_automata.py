@@ -1,0 +1,37 @@
+from itertools import product
+
+import pytest
+
+from betalab.automata import enumerate_words, path_counts, read
+from betalab.errors import BudgetExceeded
+from betalab.exotic import build_nested
+from betalab.parry import Automaton, markov_approx
+
+PRESENTATIONS = {
+    "beta-golden": lambda b: Automaton(b["golden"]),
+    "beta-figure": lambda b: Automaton(b["figure"]),
+    "beta-three-halves": lambda b: Automaton(b["three_halves"]),
+    "markov-figure": lambda b: markov_approx(b["figure"], 4),
+    "markov-tribonacci": lambda b: markov_approx(b["tribonacci"], 2),
+    "nested": lambda b: build_nested((4, 6)).automata[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_path_count_equals_enumeration(bench_bases, name):
+    """Counter, enumerator and reader agree with brute force over all words."""
+    pres = PRESENTATIONS[name](bench_bases)
+    counts = path_counts(pres, 6)
+    symbols = range(pres.alphabet_bound + 1)
+    for n in range(1, 7):
+        words = enumerate_words(pres, n)
+        assert len(words) == counts[n - 1]
+        assert words == [w for w in product(symbols, repeat=n)
+                         if read(pres, w) is not None]
+
+
+def test_enumeration_budget(beta_golden):
+    auto = Automaton(beta_golden)
+    assert len(enumerate_words(auto, 5, budget=13)) == 13
+    with pytest.raises(BudgetExceeded):
+        enumerate_words(auto, 5, budget=12)

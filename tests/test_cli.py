@@ -52,6 +52,26 @@ def test_expansion_of_one_periodic_form(capsys):
     assert rep["payload"]["periodic_form"] == "(201000)"
 
 
+def test_expansion_of_one_without_periodic_form(capsys):
+    code, rep = run_json(capsys, "expansion-of-one", "--beta", "3/2",
+                         "--n", "8")
+    assert code == 0
+    assert rep["payload"]["digits"] == "10100000"
+    assert "periodic_form" not in rep["payload"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "--beta", "2", "--word", "1x"],
+    ["katok", "--beta", "2", "--n-list", "10,a"],
+    ["pools", "--beta-poly", "1,-1,-1", "--phi", "freq:1",
+     "--alpha", "0.5,x"],
+])
+def test_malformed_number_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_malformed_beta_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--beta", "x", "--n", "5")
     assert code == 2

@@ -170,6 +170,20 @@ def test_katok_zero_mistakes_full_shift(beta_two):
         assert row["difference"] == 0.0
 
 
+@pytest.mark.parametrize("gamma,size,kept", [
+    (0.1, 10, 9), (0.1, 30, 27), (0.1, 70, 63), (0.3, 10, 7)])
+def test_katok_drops_whole_gamma_mass(gamma, size, kept):
+    """Uniform weights: a whole gamma * N of the words is dropped exactly."""
+    def sampler(n):
+        return [(tuple(i >> b & 1 for b in range(n)), 1.0 / size)
+                for i in range(size)]
+
+    row = katok_entropy_estimate(sampler, MistakeFunction.zero(), gamma,
+                                 [7])["rows"][0]
+    assert row["kept_words"] == kept
+    assert abs(row["kept_mass"] - kept / size) < 1e-12
+
+
 def test_katok_single_word_sampler():
     rep = katok_entropy_estimate(lambda n: [((0,) * n, 1.0)],
                                  MistakeFunction.zero(), 0.5, [6])

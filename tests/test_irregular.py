@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from betalab.beta_core import BetaNumber
 from betalab.errors import (
     BudgetExceeded,
     EmptyPool,
@@ -140,6 +141,15 @@ def test_glue_per_block_edit_budget(beta_golden):
         assert all(pos is None or isinstance(pos, int)
                    for _, _, pos in point.ledger)
         assert point.edits <= 3 + 5
+
+
+def test_glue_on_base_without_periodic_form():
+    """w(3/2) is not eventually periodic; its zeros still force repair."""
+    beta = BetaNumber.from_decimal("3/2")
+    sch = validate_schedule((4,), (2,), (0.1,))
+    point = glue_blocks(beta, sch, [[(1, 0, 0, 1), (1, 0, 0, 1)]])
+    assert point.digits == (1, 0, 0, 0, 1, 0, 0, 1)
+    assert is_admissible(point.digits, beta)
 
 
 def test_glue_rejects_inadmissible_selection(beta_golden):

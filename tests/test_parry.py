@@ -4,11 +4,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betalab.automata import read
+from betalab.beta_core import BetaNumber
 from betalab.errors import AlphabetMismatch, NotAdmissibleInput, NotFound
 from betalab.observables import constant, digit_frequency
 from betalab.parry import (
     Automaton,
-    build_prefix_graph,
     count_admissible,
     count_profile,
     enumerate_admissible,
@@ -48,12 +49,19 @@ def test_admissible_golden_matches_forbidden_factor_oracle(beta_golden):
 
 @pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure"])
 def test_graph_agrees_with_criterion(battery, name):
+    """Exhaustive: the labelled-graph read against the lex oracle."""
     beta = battery[name]
-    graph = build_prefix_graph(beta, 12)
     bound = beta.digit_bound
     for n in range(1, 6):
         for word in product(range(bound + 1), repeat=n):
-            assert graph.accepts(word) == is_admissible(word, beta), word
+            assert is_admissible(word, beta) == \
+                oracle_admissible_lex(word, beta), word
+
+
+def test_fresh_base_reads_in_canonical_states():
+    """The periodic form is found while reading; states fold into it."""
+    beta = BetaNumber.from_decimal("2")
+    assert read(Automaton(beta), (1,) * 100) <= 2
 
 
 def test_alphabet_mismatch(beta_golden):
@@ -177,11 +185,13 @@ def test_prefix_closed(word):
         assert is_admissible(tuple(word[:-1]) or (0,), beta)
 
 
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven"])
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2), min_size=1,
-                max_size=10))
-def test_figure_lex_oracle(word):
-    import betalab.beta_core as bc
-    beta = bc.BetaNumber.from_digit_string("(201001)")
-    assert is_admissible(tuple(word), beta) == \
-        oracle_admissible_lex(tuple(word), beta)
+@given(data=st.data())
+def test_lex_oracle_agreement(bench_bases, name, data):
+    beta = bench_bases[name]
+    word = tuple(data.draw(st.lists(
+        st.integers(min_value=0, max_value=beta.digit_bound),
+        min_size=1, max_size=10)))
+    assert is_admissible(word, beta) == oracle_admissible_lex(word, beta)
