@@ -92,7 +92,7 @@ def _beta_from_args(args) -> BetaNumber:
 def _parse_list(text: str, kind, items=None) -> list:
     try:
         return [kind(v) for v in (text.split(",") if items is None else items)]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse {text!r}") from exc
 
 
@@ -163,7 +163,7 @@ def _run(args, payload: dict, checks: list, started: float) -> int:
 
 def cmd_expand(args, started):
     beta = _beta_from_args(args)
-    x = Fraction(args.x)
+    x, = _parse_list(args.x, Fraction, [args.x])
     word = greedy_expansion(x, beta, args.n)
     ok = is_admissible(word, beta)
     return _run(args, {"digits": _word_str(word), "n": args.n,

@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -72,8 +73,8 @@ class MistakeFunction:
             return cls.zero()
         if spec == "log":
             return cls.log2()
-        if spec.startswith("const:"):
-            return cls.constant(int(spec.split(":", 1)[1]))
+        if spec.startswith("const:") and spec[6:].isdecimal():
+            return cls.constant(int(spec[6:]))
         raise UsageError(f"unknown mistake function spec {spec!r}")
 
 
@@ -101,14 +102,18 @@ def window_bad_count(x, y, window: int) -> int:
 
 def mistake_ball_contains(x, y, g: MistakeFunction, window: int = 1) -> bool:
     """y lies in the length-n mistake ball around x."""
-    xd = _digits_of(x)
-    n = len(xd)
-    return window_bad_count(x, y, window) <= g(n)
+    return window_bad_count(x, y, window) <= g(len(_digits_of(x)))
 
 
 @dataclass
 class SeparationInstance:
-    """A finite word set with the window and mistake budget to test at."""
+    """A finite word set with the window and mistake budget to test at.
+
+    Each word is encoded once as an integer holding digit p in bits
+    [p*w, (p+1)*w), w the bit length of the largest digit (1 if every digit
+    is 0).  ``bad_count(i, j)`` is the window bad count of words i and j,
+    read from those codes; it is exact for every alphabet.
+    """
 
     words: tuple
     window: int = 1
@@ -122,16 +127,44 @@ class SeparationInstance:
         n = len(self.words[0])
         if any(len(w) != n for w in self.words):
             raise LengthMismatch("all words must share one length")
+        if self.window < 1:
+            raise UsageError("window must be >= 1")
+        if min(min(w, default=0) for w in self.words) < 0:
+            raise UsageError("digits must be nonnegative")
         self.n = n
         self.threshold = self.g(n)
+        top = max(max(w, default=0) for w in self.words)
+        width = max(top.bit_length(), 1)
+        codes = [sum(d << p * width for p, d in enumerate(w))
+                 for w in self.words]
+        low = sum(1 << p * width for p in range(n))
+        folds = range(1, width)
+        spreads = range(width, width * self.window, width)
 
-    def separated(self, i: int, j: int) -> bool:
-        return window_bad_count(self.words[i], self.words[j], self.window) \
-            > self.threshold
+        def bad_count(i: int, j: int) -> int:
+            x = codes[i] ^ codes[j]
+            f = x
+            for k in folds:  # bit p*w of f: digits at p differ
+                f |= x >> k
+            s = f
+            for k in spreads:  # bit p*w of s: a difference in [p, p+window)
+                s |= f >> k
+            return (s & low).bit_count()
 
-    def covers(self, center: int, z: int) -> bool:
-        return window_bad_count(self.words[center], self.words[z],
-                                self.window) <= self.threshold
+        self.bad_count = bad_count
+
+    @cached_property
+    def cover_masks(self) -> list[int]:
+        """Bit z of entry c is set when the mistake ball of word c holds
+        word z; built on first use, from one pass over the pairs."""
+        bad, t, k = self.bad_count, self.threshold, len(self.words)
+        masks = [1 << i for i in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                if bad(i, j) <= t:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        return masks
 
 
 @dataclass
@@ -142,44 +175,16 @@ class SeparationResult:
     bound_direction: str  # "exact", "lower" (packing) or "upper" (cover)
 
 
-def _separation_adjacency(inst: SeparationInstance) -> list[int]:
-    k = len(inst.words)
-    adj = [0] * k
-    fast = _binary_masks(inst)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if fast is not None:
-                sep = _fast_bad(fast[i], fast[j], inst.window, inst.n) \
-                    > inst.threshold
-            else:
-                sep = inst.separated(i, j)
-            if sep:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
-
-
-def _binary_masks(inst: SeparationInstance):
-    if all(all(d in (0, 1) for d in w) for w in inst.words):
-        return [sum(d << p for p, d in enumerate(w)) for w in inst.words]
-    return None
-
-
-def _fast_bad(a: int, b: int, window: int, n: int) -> int:
-    d = a ^ b
-    spread = d
-    for s in range(1, window):
-        spread |= d >> s
-    return (spread & ((1 << n) - 1)).bit_count()
-
-
 def max_separated(inst: SeparationInstance) -> SeparationResult:
     """Largest pairwise-separated subset; exact below the search budget."""
     k = len(inst.words)
     if inst.threshold == 0:
-        return _greedy_separated(inst)
+        # any disagreement separates, so distinct words are pairwise separated
+        witness = list(dict.fromkeys(inst.words))
+        return SeparationResult(len(witness), witness, True, "exact")
     if k <= inst.exact_budget and inst.n <= EXACT_LENGTH_BUDGET:
-        adj = _separation_adjacency(inst)
+        full = (1 << k) - 1
+        adj = [full ^ m for m in inst.cover_masks]
         best_mask = 0
 
         def grow(cand: int, cur: int, cur_size: int):
@@ -191,34 +196,19 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
                     best_mask = cur
                 return
             v = (cand & -cand).bit_length() - 1
-            grow((cand & adj[v]) >> 0, cur | (1 << v), cur_size + 1)
+            grow(cand & adj[v], cur | (1 << v), cur_size + 1)
             grow(cand & ~(1 << v), cur, cur_size)
 
-        grow((1 << k) - 1, 0, 0)
+        grow(full, 0, 0)
         witness = [inst.words[i] for i in range(k) if best_mask >> i & 1]
         return SeparationResult(len(witness), witness, True, "exact")
-    return _greedy_separated(inst)
-
-
-def _greedy_separated(inst: SeparationInstance) -> SeparationResult:
-    if inst.threshold == 0:
-        # any disagreement separates, so distinct words are pairwise separated
-        witness = list(dict.fromkeys(inst.words))
-        return SeparationResult(len(witness), witness, True, "exact")
-    fast = _binary_masks(inst)
+    bad, t = inst.bad_count, inst.threshold
     chosen: list[int] = []
-    for i in range(len(inst.words)):
-        ok = True
+    for i in range(k):
         for j in chosen:
-            if fast is not None:
-                sep = _fast_bad(fast[i], fast[j], inst.window, inst.n) \
-                    > inst.threshold
-            else:
-                sep = inst.separated(i, j)
-            if not sep:
-                ok = False
+            if bad(i, j) <= t:
                 break
-        if ok:
+        else:
             chosen.append(i)
     witness = [inst.words[i] for i in chosen]
     return SeparationResult(len(witness), witness, False, "lower")
@@ -227,15 +217,20 @@ def _greedy_separated(inst: SeparationInstance) -> SeparationResult:
 def min_spanning(inst: SeparationInstance) -> SeparationResult:
     """Smallest subset whose mistake balls cover the whole word set."""
     k = len(inst.words)
-    cover_masks = []
-    for c in range(k):
-        m = 0
-        for z in range(k):
-            if inst.covers(c, z):
-                m |= 1 << z
-        cover_masks.append(m)
+    cover_masks = inst.cover_masks
     full = (1 << k) - 1
-    greedy = _greedy_cover(cover_masks, full)
+    greedy: list[int] = []
+    covered = 0
+    while covered != full:
+        best, gain = None, -1
+        for c, m in enumerate(cover_masks):
+            g = (m & ~covered).bit_count()
+            if g > gain:
+                best, gain = c, g
+        if gain <= 0:
+            raise UsageError("cover stalled; centers cannot span the set")
+        greedy.append(best)
+        covered |= cover_masks[best]
     if k > inst.exact_budget or inst.n > EXACT_LENGTH_BUDGET:
         witness = [inst.words[i] for i in greedy]
         return SeparationResult(len(witness), witness, False, "upper")
@@ -248,22 +243,6 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
                 witness = [inst.words[i] for i in combo]
                 return SeparationResult(size, witness, True, "exact")
     raise BudgetExceeded("exact cover search failed below greedy bound")
-
-
-def _greedy_cover(cover_masks: list[int], full: int) -> list[int]:
-    chosen: list[int] = []
-    covered = 0
-    while covered != full:
-        best, gain = None, -1
-        for c, m in enumerate(cover_masks):
-            g = (m & ~covered).bit_count()
-            if g > gain:
-                best, gain = c, g
-        if gain <= 0:
-            raise UsageError("cover stalled; centers cannot span the set")
-        chosen.append(best)
-        covered |= cover_masks[best]
-    return chosen
 
 
 # --- Katok-style finite-scale estimates -----------------------------------
@@ -342,40 +321,49 @@ def uniform_admissible_sampler(beta):
 # --- cylinder trees and cover entropy -------------------------------------
 
 class CylinderTree:
-    """Digit trie presenting a set of streams through its depth-D prefixes."""
+    """Digit trie presenting a set of streams through its depth-D prefixes.
+
+    Nodes are dicts digit -> child.  Trees built from a step function share
+    one node per (state, level), a DAG of (states x depth) nodes rather than
+    one node per word.  ``levels[d]`` lists the distinct nodes at depth d.
+    """
 
     def __init__(self, root: dict, alphabet_bound: int):
         self.root = root
         self.alphabet_bound = alphabet_bound
-        self.depth = self._depth(root)
-
-    @staticmethod
-    def _depth(node) -> int:
-        if not node:
-            return 0
-        return 1 + max(CylinderTree._depth(c) for c in node.values())
+        levels = [[root]]
+        while True:
+            nxt = {id(c): c for node in levels[-1] for c in node.values()}
+            if not nxt:
+                break
+            levels.append(list(nxt.values()))
+        self.levels = levels
+        self.depth = len(levels) - 1
 
     @classmethod
     def full(cls, alphabet_bound: int, depth: int) -> "CylinderTree":
-        node: dict = {}
-        for _ in range(depth):
-            node = {s: dict(node) for s in range(alphabet_bound + 1)}
-        return cls(node, alphabet_bound)
+        return cls.from_step_function(lambda state, s: 0, 0, alphabet_bound,
+                                      depth)
 
     @classmethod
     def from_step_function(cls, step, initial, alphabet_bound: int,
                            depth: int) -> "CylinderTree":
-        def build(state, d):
-            if d == 0:
-                return {}
-            out = {}
-            for s in range(alphabet_bound + 1):
-                nxt = step(state, s)
-                if nxt is not None:
-                    out[s] = build(nxt, d - 1)
-            return out
-
-        return cls(build(initial, depth), alphabet_bound)
+        """Depth-limited words from initial, one node per (state, level)."""
+        edges: dict = {}
+        reach = [[initial]]  # states reachable at each level
+        for _ in range(depth):
+            nxt: dict = {}
+            for state in reach[-1]:
+                if state not in edges:
+                    edges[state] = [(s, t) for s in range(alphabet_bound + 1)
+                                    if (t := step(state, s)) is not None]
+                nxt.update((t, None) for _, t in edges[state])
+            reach.append(list(nxt))
+        below: dict = {state: {} for state in reach[-1]}
+        for states in reversed(reach[:-1]):
+            below = {state: {s: below[t] for s, t in edges[state]}
+                     for state in states}
+        return cls(below[initial], alphabet_bound)
 
     @classmethod
     def from_beta(cls, beta, depth: int) -> "CylinderTree":
@@ -410,31 +398,42 @@ class CylinderTree:
         return cls(conv(data["trie"]), int(data["alphabet_bound"]))
 
     def leaf_count_at(self, depth: int) -> int:
-        def count(node, d):
-            if d == 0:
-                return 1
-            if not node:
-                return 0
-            return sum(count(c, d - 1) for c in node.values())
-        return count(self.root, depth)
+        """Number of root paths of length depth (big-integer path count)."""
+        paths = {id(self.root): 1}
+        for level in self.levels[:depth]:
+            nxt: dict = {}
+            for node in level:
+                c = paths[id(node)]
+                for child in node.values():
+                    nxt[id(child)] = nxt.get(id(child), 0) + c
+            paths = nxt
+        return sum(paths.values())
 
 
 def cover_cost(tree: CylinderTree, s: float, n_min: int,
                max_depth: Optional[int] = None) -> float:
     """M(Z, s, N): optimal weighted cover by trie cylinders of depth in
-    [n_min, max_depth]."""
+    [n_min, max_depth].
+
+    One bottom-up pass computes r(node, d) = M(node, d) / e^(-s d) =
+    min([d >= N], e^(-s) * sum of r over the children), which does not
+    underflow where e^(-s d) does; M at the root is r there.
+    """
     depth_cap = tree.depth if max_depth is None else min(max_depth, tree.depth)
     if n_min > depth_cap:
         raise DepthTooShallow(f"N={n_min} exceeds usable depth {depth_cap}")
-
-    def cost(node, d):
-        here = math.exp(-s * d) if d >= n_min else math.inf
-        if not node or d == depth_cap:
-            return here
-        below = sum(cost(c, d + 1) for c in node.values())
-        return min(here, below)
-
-    return cost(tree.root, 0)
+    decay = math.exp(-s)
+    below: dict = {}
+    for d in range(depth_cap, -1, -1):
+        here = 1.0 if d >= n_min else math.inf
+        cur = {}
+        for node in tree.levels[d]:
+            r = here
+            if node and d < depth_cap:
+                r = min(here, decay * sum(below[id(c)] for c in node.values()))
+            cur[id(node)] = r
+        below = cur
+    return below[id(tree.root)]
 
 
 @dataclass

@@ -65,6 +65,9 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["katok", "--beta", "2", "--n-list", "10,a"],
     ["pools", "--beta-poly", "1,-1,-1", "--phi", "freq:1",
      "--alpha", "0.5,x"],
+    ["expand", "--beta", "2", "--x", "abc"],
+    ["expand", "--beta", "2", "--x", "1/0"],
+    ["katok", "--beta", "2", "--g", "const:x", "--n-list", "4"],
 ])
 def test_malformed_number_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -114,6 +117,16 @@ def test_separated_spanning(tmp_path, capsys):
     code, rep = run_json(capsys, "spanning", "--words-file", str(words),
                          "--g", "const:1")
     assert rep["payload"]["size"] == 2
+
+
+@pytest.mark.parametrize("which", ["separated", "spanning"])
+def test_separation_window_zero_exits_2(tmp_path, capsys, which):
+    words = tmp_path / "Z.txt"
+    words.write_text("01\n10\n")
+    code, _, err = run_cli(capsys, which, "--words-file", str(words),
+                           "--g", "const:1", "--window", "0")
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_bowen_and_boxdim(capsys):

@@ -150,6 +150,45 @@ def test_random_instances_match_oracle_and_lemmas():
                            for w in witness)
 
 
+def test_nonbinary_instances_match_oracle():
+    rng = random.Random(29)
+    for _ in range(60):
+        b = rng.randint(2, 3)
+        n = rng.randint(2, 5)
+        words = tuple({tuple(rng.randint(0, b) for _ in range(n))
+                       for _ in range(rng.randint(2, 7))})
+        for m in (1, 2, 3):
+            for gval in (0, 1, 2):
+                inst = SeparationInstance(words, window=m,
+                                          g=MistakeFunction.constant(gval))
+                for i, j in product(range(len(words)), repeat=2):
+                    assert inst.bad_count(i, j) == oracle_bad_count(
+                        words[i], words[j], m)
+                s = max_separated(inst)
+                r = min_spanning(inst)
+                assert s.exact and r.exact
+                assert s.size == oracle_max_separated(words, gval, m)
+                assert r.size == oracle_min_spanning(words, gval, m)
+
+
+def test_nonbinary_greedy_is_separated_and_maximal():
+    words = tuple(product(range(4), repeat=3))  # 64 words > exact budget
+    for m in (1, 2):
+        res = max_separated(SeparationInstance(
+            words, window=m, g=MistakeFunction.constant(1)))
+        assert not res.exact and res.bound_direction == "lower"
+        assert all(oracle_bad_count(x, y, m) > 1
+                   for x, y in combinations(res.witness, 2))
+        assert all(any(oracle_bad_count(z, w, m) <= 1 for w in res.witness)
+                   for z in words)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_instance_rejects_window_below_one(window):
+    with pytest.raises(UsageError):
+        SeparationInstance(((0, 1), (1, 0)), window=window)
+
+
 def test_greedy_fallback_reports_direction():
     words = tuple(product((0, 1), repeat=5))  # 32 words > exact budget
     inst = SeparationInstance(words, g=MistakeFunction.constant(1))
@@ -245,6 +284,75 @@ def test_leaf_counts_are_admissible_counts(beta_golden):
     tree = CylinderTree.from_beta(beta_golden, 10)
     for n in (3, 7, 10):
         assert tree.leaf_count_at(n) == count_admissible(beta_golden, n)
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven"])
+def test_leaf_counts_on_bench_bases(bench_bases, name):
+    from betalab.parry import count_admissible
+    beta = bench_bases[name]
+    tree = CylinderTree.from_beta(beta, 12)
+    assert tree.leaf_count_at(0) == 1
+    for n in range(1, 13):
+        assert tree.leaf_count_at(n) == count_admissible(beta, n)
+
+
+def _distinct_nodes(tree):
+    seen, stack = set(), [tree.root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.values())
+    return len(seen)
+
+
+def test_dag_has_one_node_per_state_and_level(beta_golden):
+    for d in (0, 1, 16, 2000):
+        assert _distinct_nodes(CylinderTree.full(1, d)) == d + 1
+    assert _distinct_nodes(CylinderTree.from_beta(beta_golden, 24)) <= 2 * 25
+
+
+def oracle_cover_cost(node, s, n_min, cap, d=0):
+    here = math.exp(-s * d) if d >= n_min else math.inf
+    if not node or d == cap:
+        return here
+    return min(here, sum(oracle_cover_cost(c, s, n_min, cap, d + 1)
+                         for c in node.values()))
+
+
+def test_cover_cost_matches_recursive_oracle(beta_golden):
+    rng = random.Random(11)
+
+    def ragged(d):  # a random trie whose branches end at different depths
+        if d == 0 or rng.random() < 0.15:
+            return {}
+        return {k: ragged(d - 1) for k in range(3) if rng.random() < 0.6}
+
+    trees = [CylinderTree.from_beta(beta_golden, 10),
+             CylinderTree.full(2, 6),
+             CylinderTree.single_stream((1, 0, 2, 0, 1) * 2)]
+    trees += [CylinderTree.from_json(CylinderTree(ragged(7), 2).to_json())
+              for _ in range(20)]
+    for tree in trees:
+        for cap in range(1, tree.depth + 1):
+            for n_min in range(1, cap + 1):
+                for s in (0.0, 0.4, 1.1):
+                    want = oracle_cover_cost(tree.root, s, n_min, cap)
+                    assert math.isclose(cover_cost(tree, s, n_min, cap), want,
+                                        rel_tol=1e-12)
+
+
+def test_deep_cover_cost_does_not_underflow():
+    tree = CylinderTree.full(1, 2000)
+    assert abs(cover_cost(tree, 0.5, 1) - 2 * math.exp(-0.5)) < 1e-12
+
+
+def test_deep_bowen_entropy(beta_two, beta_golden):
+    for beta in (beta_two, beta_golden):
+        rep = bowen_entropy(CylinderTree.from_beta(beta, 2000))
+        assert rep.depth == 2000
+        assert abs(rep.estimate - beta.log) < 1e-3
 
 
 # --- diameters and dimensions ---------------------------------------------------
