@@ -2,11 +2,13 @@
 
 A base beta > 1 comes in three flavours: a rational (decimal literal), the
 root of an integer polynomial, or the number encoded by a self-admissible
-digit sequence.  All digit decisions are exact: rational bases use plain
-fractions, algebraic bases use coefficient vectors in Q[x]/(p) for the
-irreducible p vanishing at beta, with adaptive dyadic root enclosures used
-only to resolve floors.  A comparison that cannot be resolved below the
-precision cap raises UndecidableAtPrecision instead of guessing.
+digit sequence.  All digit decisions are exact and run on integers: a
+rational base p/q steps an integer pair (N, M), an algebraic base steps
+integer numerators over one denominator, a vector in Q[x]/(p) for the
+irreducible p vanishing at beta.  Adaptive dyadic root enclosures are used
+only to resolve floors, by an interval Horner on integer numerators.  A
+comparison that cannot be resolved below the precision cap raises
+UndecidableAtPrecision instead of guessing.
 """
 
 from __future__ import annotations
@@ -38,22 +40,6 @@ def precision_cap() -> int:
     return int(os.environ.get("BETALAB_PRECISION_BITS", DEFAULT_PRECISION_BITS))
 
 
-# --- interval helpers (exact Fraction endpoints) --------------------------
-
-def _imul(a, b):
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
-
-
-def _ipoly(coeffs_desc: Sequence[Fraction], iv):
-    """Interval Horner evaluation; coeffs in descending degree order."""
-    acc = (coeffs_desc[0], coeffs_desc[0])
-    for c in coeffs_desc[1:]:
-        acc = _imul(acc, iv)
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
-
-
 def _poly_at(coeffs_asc: Sequence[int], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs_asc):
@@ -77,6 +63,7 @@ class AlgebraicContext:
         if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
             raise InvalidBeta("enclosure endpoints must straddle the root")
         self._sign_lo = s_lo > 0
+        self._grid = None
 
     @property
     def degree(self) -> int:
@@ -84,6 +71,7 @@ class AlgebraicContext:
 
     def refine_to(self, width: Fraction) -> None:
         while self.hi - self.lo > width:
+            self._grid = None
             mid = (self.lo + self.hi) / 2
             s = _poly_at(self.poly_asc, mid)
             if s == 0:
@@ -99,40 +87,52 @@ class AlgebraicContext:
             else:
                 self.hi = mid
 
-    def eval_vector(self, vec: Sequence[Fraction]):
-        """Interval enclosure of sum vec[i] * beta^i."""
-        coeffs_desc = list(reversed(vec))
-        return _ipoly(coeffs_desc, (self.lo, self.hi))
+    def enclose(self, nums: tuple[int, ...], den: int) -> tuple[int, int, int]:
+        """(l, h, q) with sum nums[i] * beta^i / den in [l/q, h/q].
 
-    def mul_by_beta(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        d = self.degree
-        lead = self.poly_asc[d]
-        top = vec[d - 1]
-        out = [Fraction(0)] * d
-        for i in range(1, d):
-            out[i] = vec[i - 1]
-        if top:
-            for i in range(d):
-                out[i] -= top * Fraction(self.poly_asc[i], lead)
-        return tuple(out)
+        Interval Horner over [lo, hi] = [a/D, b/D], on integer numerators
+        over the common denominator den * D^(degree-1); (a, b, powers of D)
+        is cached until refine_to moves the enclosure.
+        """
+        if self._grid is None:
+            D = math.lcm(self.lo.denominator, self.hi.denominator)
+            self._grid = (self.lo.numerator * (D // self.lo.denominator),
+                          self.hi.numerator * (D // self.hi.denominator),
+                          [D ** k for k in range(self.degree)])
+        a, b, powers = self._grid
+        lo = hi = nums[-1]
+        for k in range(1, len(nums)):
+            ps = (lo * a, lo * b, hi * a, hi * b)
+            c = nums[-1 - k] * powers[k]
+            lo, hi = min(ps) + c, max(ps) + c
+        return lo, hi, den * powers[len(nums) - 1]
 
-    def floor_vector(self, vec: tuple[Fraction, ...], cap_bits: Optional[int] = None) -> int:
-        """Exact floor of the algebraic number represented by vec."""
-        if all(c == 0 for c in vec[1:]):
-            return math.floor(vec[0])
-        cap = cap_bits if cap_bits is not None else precision_cap()
-        width = self.hi - self.lo
+    def floor_vector(self, nums: tuple[int, ...], den: int,
+                     cap_bits: Optional[int] = None) -> int:
+        """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
+
+        The enclosure is the interval Horner of the root enclosure, evaluated
+        on integers; it is the same rational interval a Fraction evaluation
+        gives, so floors, the closed upper endpoint and the precision cap
+        decide exactly as they would there.
+        """
+        if not any(nums[1:]):
+            return nums[0] // den
+        width = None
         while True:
-            lo_v, hi_v = self.eval_vector(vec)
-            f_lo, f_hi = math.floor(lo_v), math.floor(hi_v)
+            lo, hi, q = self.enclose(nums, den)
+            f_lo, f_hi = lo // q, hi // q
             if f_lo == f_hi:
                 return f_lo
-            if f_lo + 1 == f_hi and hi_v == f_hi:
+            if f_lo + 1 == f_hi and hi == f_hi * q:
                 # closed upper endpoint touching an integer exactly
                 return f_lo
+            if width is None:
+                cap = cap_bits if cap_bits is not None else precision_cap()
+                width = self.hi - self.lo
             if width < Fraction(1, 2 ** cap):
                 raise UndecidableAtPrecision(
-                    f"floor undecided at {cap} bits: value in [{float(lo_v)}, {float(hi_v)}]"
+                    f"floor undecided at {cap} bits: value in [{lo / q}, {hi / q}]"
                 )
             width /= 2 ** 8
             self.refine_to(width)
@@ -164,7 +164,7 @@ class BetaNumber:
         self._w: list[int] = []
         self._w_periodic = w_periodic
         self._orbit = None  # lazy greedy-orbit state for w(beta)
-        self._seen: dict = {}
+        self._brent = None  # Brent's (saved state, power, steps since saved)
 
     # -- constructors ------------------------------------------------------
 
@@ -200,12 +200,9 @@ class BetaNumber:
     # -- numeric access ----------------------------------------------------
 
     def _floor_of_beta(self) -> int:
-        vec = tuple(
-            Fraction(1 if i == 1 else 0) for i in range(self._ctx.degree)
-        ) if self._ctx.degree > 1 else (Fraction(0),)
         if self._ctx.degree == 1:
             raise InvalidBeta("degree-1 context should be rational")
-        return self._ctx.floor_vector(vec)
+        return self._ctx.floor_vector((0, 1) + (0,) * (self._ctx.degree - 2), 1)
 
     def enclosure(self, width: Fraction = Fraction(1, 2 ** 60)) -> tuple[Fraction, Fraction]:
         if self._frac is not None:
@@ -273,10 +270,17 @@ class BetaNumber:
         return self._w_periodic
 
     def _step_w(self) -> None:
+        """Append one greedy digit of 1 and look for a repeated orbit state.
+
+        A rational p/q with q > 1 has orbit denominators q^n, so no state
+        repeats and none is compared.  An algebraic orbit runs Brent's cycle
+        detection on its canonical integer state: O(1) memory, no cap.
+        """
         if self._orbit is None:
             self._orbit = _point(self, Fraction(1))
+            self._brent = (self._orbit, 1, 0)
         digit, r_new = _greedy_step(self, self._orbit)
-        zero = not any(r_new) if self._ctx is not None else r_new == 0
+        zero = r_new[0] == 0 if self._ctx is None else not any(r_new[0])
         if zero:
             # finite greedy expansion: switch to the quasi-greedy periodic form
             period = tuple(self._w) + (digit - 1,)
@@ -286,42 +290,70 @@ class BetaNumber:
             self._w.append(period[-1])
             self._orbit = None
             return
-        if r_new in self._seen and len(self._seen) < 100000:
-            start = self._seen[r_new]
-            pre = tuple(self._w[:start])
-            per = tuple(self._w[start:]) + (digit,)
-            self._w_periodic = (pre, per)
-            self._w.append(digit)
-            self._orbit = None
-            return
-        if len(self._seen) < 100000:
-            self._seen[r_new] = len(self._w)
         self._w.append(digit)
         self._orbit = r_new
+        if self._ctx is None:
+            return
+        saved, power, lam = self._brent
+        if r_new == saved:
+            self._w_periodic = self._split_period(lam + 1)
+        else:
+            lam += 1
+            self._brent = (r_new, 2 * power, 0) if lam == power else (saved, power, lam)
+
+    def _split_period(self, lam: int):
+        """(preperiod, period) of w(beta) for an orbit cycle of length lam.
+
+        One replay from the point 1 finds the first mu with state(mu) ==
+        state(mu + lam); the digits are periodic from index mu on.
+        """
+        def step(r):
+            return _greedy_step(self, r)[1]
+        tortoise = hare = _point(self, Fraction(1))
+        for _ in range(lam):
+            hare = step(hare)
+        mu = 0
+        while tortoise != hare:
+            tortoise, hare, mu = step(tortoise), step(hare), mu + 1
+        return tuple(self._w[:mu]), tuple(self._w[mu:mu + lam])
 
 
 # --- operations -----------------------------------------------------------
 
 def _point(beta: BetaNumber, x: Fraction):
-    """x in the exact representation _greedy_step works on."""
+    """x in the exact integer state _greedy_step works on."""
     if beta.is_rational():
-        return x
-    return (x,) + (Fraction(0),) * (beta._ctx.degree - 1)
+        return x.numerator, x.denominator
+    return (x.numerator,) + (0,) * (beta._ctx.degree - 1), x.denominator
 
 
 def _greedy_step(beta: BetaNumber, r):
     """(digit, remainder) = (floor(beta*r), beta*r - floor(beta*r)), exact.
 
-    r is a Fraction for a rational base and a coefficient vector in
-    Q[x]/(p) for an algebraic one, as built by _point.
+    For beta = p/q the state is an integer pair (N, M) for N/M.  For an
+    algebraic base it is (nums, den), the value sum nums[i] * beta^i / den
+    in Q[x]/(poly): multiplying by beta shifts nums up and subtracts the top
+    coefficient times the polynomial.  A leading coefficient c != 1 scales
+    den by c, and the state is then reduced by the gcd, so equal values
+    have equal states.
     """
     if beta._frac is not None:
-        t = beta._frac * r
-        d = math.floor(t)
-        return d, t - d
-    t = beta._ctx.mul_by_beta(r)
-    d = beta._ctx.floor_vector(t)
-    return d, (t[0] - d,) + t[1:]
+        t, m = beta._frac.numerator * r[0], beta._frac.denominator * r[1]
+        d = t // m
+        return d, (t - d * m, m)
+    ctx = beta._ctx
+    nums, den = r
+    poly = ctx.poly_asc
+    lead, top = poly[-1], nums[-1]
+    t = [lead * a - top * c for a, c in zip((0, *nums[:-1]), poly)]
+    den *= lead
+    if lead != 1:
+        g = math.gcd(den, *t) if lead > 0 else -math.gcd(den, *t)
+        t = [c // g for c in t]
+        den //= g
+    d = ctx.floor_vector(t, den)
+    t[0] -= d * den
+    return d, (tuple(t), den)
 
 
 def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
@@ -358,10 +390,11 @@ def beta_orbit(x, beta: BetaNumber, n: int) -> list[tuple[Fraction, Fraction]]:
     out = []
     for _ in range(n):
         if beta.is_rational():
-            out.append((r, r))
+            out.append((Fraction(*r),) * 2)
         else:
             beta._ctx.refine_to(Fraction(1, 2 ** 64))
-            out.append(beta._ctx.eval_vector(r))
+            lo, hi, q = beta._ctx.enclose(*r)
+            out.append((Fraction(lo, q), Fraction(hi, q)))
         _, r = _greedy_step(beta, r)
     return out
 

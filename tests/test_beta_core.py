@@ -1,11 +1,16 @@
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betalab.beta_core import (
+    AlgebraicContext,
     BetaNumber,
+    _greedy_step,
+    _point,
     beta_from_expansion,
     beta_orbit,
     expansion_of_one,
@@ -17,10 +22,64 @@ from betalab.errors import (
     DegenerateRoot,
     InvalidBeta,
     NotSelfAdmissible,
+    UndecidableAtPrecision,
     UsageError,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def oracle_greedy_fraction(x, beta, n):
+    """Digits and orbit enclosures of x by the greedy step on Fractions.
+
+    An independent check of the integer kernel: the remainder is a Fraction
+    (rational beta) or a Fraction vector in Q[x]/(p) multiplied by beta
+    through p / lead, and floors come from an interval Horner on the
+    Fraction endpoints of the root enclosure, refined by 2^8 until they
+    agree.  Before each enclosure the root is refined to 2^-64, as
+    beta_orbit does.
+    """
+    r = Fraction(x)
+    digits, orbit = [], []
+    if beta.is_rational():
+        for _ in range(n):
+            orbit.append((r, r))
+            t = beta._frac * r
+            digits.append(math.floor(t))
+            r = t - digits[-1]
+        return digits, orbit
+    ctx = beta._ctx
+    poly = ctx.poly_asc
+    vec = [r] + [Fraction(0)] * (len(poly) - 2)
+
+    def enclose(v):
+        lo = hi = v[-1]
+        for c in reversed(v[:-1]):
+            ps = (lo * ctx.lo, lo * ctx.hi, hi * ctx.lo, hi * ctx.hi)
+            lo, hi = min(ps) + c, max(ps) + c
+        return lo, hi
+
+    def floor(v):
+        width = ctx.hi - ctx.lo
+        while True:
+            lo, hi = enclose(v)
+            if math.floor(lo) == math.floor(hi):
+                return math.floor(lo)
+            if math.floor(lo) + 1 == hi:
+                return math.floor(lo)
+            assert width >= Fraction(1, 2 ** 256)
+            width /= 2 ** 8
+            ctx.refine_to(width)
+
+    for _ in range(n):
+        ctx.refine_to(Fraction(1, 2 ** 64))
+        orbit.append(enclose(vec))
+        top = vec[-1]
+        vec = [Fraction(0)] + vec[:-1]
+        vec = [a - top * Fraction(c, poly[-1]) for a, c in zip(vec, poly)]
+        digits.append(floor(vec))
+        vec[0] -= digits[-1]
+    return digits, orbit
 
 
 def test_rejects_beta_at_most_one():
@@ -164,3 +223,76 @@ def test_random_rational_betas_digit_range():
         beta = BetaNumber.from_decimal(Fraction(num, 10))
         w = beta.digits(24)
         assert all(0 <= d <= beta.digit_bound for d in w)
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven"])
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(min_value=0, max_value=10 ** 6 - 1),
+       n=st.integers(min_value=1, max_value=128))
+def test_greedy_step_matches_fraction_oracle(bench_bases, name, k, n):
+    # each run starts from a copy of the same root enclosure, so the
+    # refinements, and with them the orbit enclosures, happen identically
+    x = Fraction(k, 10 ** 6)
+    digits, orbit = oracle_greedy_fraction(
+        x, copy.deepcopy(bench_bases[name]), n)
+    word = greedy_expansion(x, copy.deepcopy(bench_bases[name]), n)
+    assert list(word.digits) == digits
+    assert beta_orbit(x, copy.deepcopy(bench_bases[name]), n) == orbit
+
+
+def test_non_monic_base_matches_fraction_oracle():
+    # 2x^2 - 3x - 1: the state denominator grows by 2 and is gcd-reduced
+    beta = BetaNumber.from_polynomial([2, -3, -1])
+    for x in (Fraction(0), Fraction(3, 10), Fraction(999999, 10 ** 6)):
+        digits, orbit = oracle_greedy_fraction(x, copy.deepcopy(beta), 48)
+        assert list(greedy_expansion(x, copy.deepcopy(beta), 48).digits) == digits
+        assert beta_orbit(x, copy.deepcopy(beta), 48) == orbit
+        r = _point(beta, x)
+        for _ in range(48):
+            _, r = _greedy_step(beta, r)
+            assert math.gcd(r[1], *r[0]) == 1  # equal values, equal states
+
+
+def test_floor_on_closed_upper_endpoint_needs_no_refinement():
+    # phi in [12/8, 13/8]: 8 * phi has the enclosure [12, 13], whose upper
+    # end is an integer the irrational value cannot reach
+    ctx = AlgebraicContext((-1, -1, 1), Fraction(3, 2), Fraction(13, 8))
+    assert ctx.floor_vector((0, 8), 1) == 12
+    assert (ctx.lo, ctx.hi) == (Fraction(3, 2), Fraction(13, 8))
+    assert ctx.floor_vector((-1, 8), 1) == 11
+
+
+def _fib_lucas(n):
+    f_prev, f = 0, 1  # F_0, F_1
+    for _ in range(n - 1):
+        f_prev, f = f, f_prev + f
+    return f_prev, f, f_prev + f + f_prev  # F_(n-1), F_n, L_n
+
+
+@pytest.mark.parametrize("n, cap, lucas_minus_one", [
+    (40, None, True), (200, None, False), (400, 1024, True)])
+def test_floor_vector_precision_cap(monkeypatch, n, cap, lucas_minus_one):
+    # phi^n = F_(n-1) + F_n * phi lies 1/phi^n below the Lucas number L_n
+    # (n even), so the floor needs about 1.4 n bits of the root
+    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    ctx = BetaNumber.from_polynomial([1, -1, -1])._ctx
+    f_prev, f, lucas = _fib_lucas(n)
+    if lucas_minus_one:
+        assert ctx.floor_vector((f_prev, f), 1, cap_bits=cap) == lucas - 1
+    else:
+        with pytest.raises(UndecidableAtPrecision):
+            ctx.floor_vector((f_prev, f), 1, cap_bits=cap)
+
+
+@pytest.mark.parametrize("text", ["2(10)", "3(12)", "2(01)", "11(10)",
+                                  "3(21)", "2(1)", "22(10)", "31(20)",
+                                  "2(011)", "3(102)", "32(20)", "211(10)"])
+def test_w_period_found_on_fresh_polynomial_base(text):
+    # the same beta from its polynomial has no stored w(beta): the greedy
+    # orbit of 1 must find the preperiod and the period itself
+    given_form = BetaNumber.from_digit_string(text)
+    fresh = BetaNumber.from_polynomial(list(reversed(given_form._ctx.poly_asc)))
+    assert fresh.periodic_form() is None
+    assert fresh.digits(64) == given_form.digits(64)
+    assert fresh.periodic_form() == given_form.periodic_form()
