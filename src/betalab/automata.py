@@ -7,11 +7,14 @@ labelled sym in {0..b} or None.  Its words are the labels of paths from
 Counting and enumeration cache each visited state's edges for one call;
 counting groups parallel edges by target with a multiplicity, so k
 back-edges to one vertex cost one big-integer multiply, not k additions.
+Enumeration is lazy: a caller that stops early never walks the rest.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Protocol
+from functools import cache, partial
+from itertools import chain, islice
+from typing import Hashable, Iterator, Optional, Protocol
 
 from .errors import BudgetExceeded
 
@@ -34,7 +37,7 @@ def read(pres: Presentation, digits, start=None):
     return state
 
 
-def _edges(pres: Presentation, state) -> list:
+def edges(pres: Presentation, state) -> list:
     """(label, target) pairs leaving state, in increasing label order."""
     step = pres.step
     out = []
@@ -56,7 +59,7 @@ def path_counts(pres: Presentation, n_max: int) -> list[int]:
             out = grouped.get(state)
             if out is None:
                 mult: dict = {}
-                for _, t in _edges(pres, state):
+                for _, t in edges(pres, state):
                     mult[t] = mult.get(t, 0) + 1
                 out = grouped[state] = list(mult.items())
             for t, m in out:
@@ -71,38 +74,37 @@ def count(pres: Presentation, n: int) -> int:
     return path_counts(pres, n)[-1] if n > 0 else 1
 
 
+def iter_words(pres: Presentation, n: int) -> Iterator[tuple[int, ...]]:
+    """Words of length n in lexicographic order, lazily (iterative DFS)."""
+    if n == 0:
+        return iter([()])
+    edges_of = cache(partial(edges, pres))
+
+    def runs():  # one list per run of words differing in the last symbol
+        word: list[int] = []
+        stack = [iter(edges_of(pres.initial))]
+        while stack:
+            if len(stack) < n:
+                edge = next(stack[-1], None)
+                if edge is not None:
+                    word.append(edge[0])
+                    stack.append(iter(edges_of(edge[1])))
+                    continue
+            else:  # the top state's edges end words
+                head = tuple(word)
+                yield [head + (s,) for s, _ in stack[-1]]
+            stack.pop()
+            if word:
+                word.pop()
+    return chain.from_iterable(runs())
+
+
 def enumerate_words(pres: Presentation, n: int,
                     budget: Optional[int] = None) -> list[tuple[int, ...]]:
-    """All words of length n in lexicographic order, by an iterative DFS.
-
-    Raises BudgetExceeded once more than budget words have been found.
-    """
-    if n == 0:
-        return [()]
-    table: dict = {}
-
-    def edges(state):
-        e = table.get(state)
-        if e is None:
-            e = table[state] = _edges(pres, state)
-        return e
-
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-    stack = [iter(edges(pres.initial))]
-    while stack:
-        if len(stack) < n:
-            edge = next(stack[-1], None)
-            if edge is not None:
-                word.append(edge[0])
-                stack.append(iter(edges(edge[1])))
-                continue
-        else:  # the top state's edges end words
-            head = tuple(word)
-            out.extend([head + (s,) for s, _ in stack[-1]])
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded(f"more than {budget} words")
-        stack.pop()
-        if word:
-            word.pop()
+    """All words of length n in lexicographic order, as a list; raises
+    BudgetExceeded once more than budget words have been found."""
+    out = list(islice(iter_words(pres, n), None if budget is None
+                      else budget + 1))
+    if budget is not None and len(out) > budget:
+        raise BudgetExceeded(f"more than {budget} words")
     return out

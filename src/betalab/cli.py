@@ -48,6 +48,7 @@ from .irregular import (
     construct_irregular_point,
     edp_ball_check,
     enumerate_glued_family,
+    thin_separated,
     validate_schedule,
 )
 from .observables import parse_observable
@@ -262,8 +263,7 @@ def cmd_witnesses(args, started):
     lo_w, lo_v, hi_w, hi_v = periodic_witnesses(beta, phi, args.max_period)
     payload = {"low_word": _word_str(lo_w), "low_value": lo_v,
                "high_word": _word_str(hi_w), "high_value": hi_v}
-    return _run(args, payload, [("gap-positive", hi_v > lo_v or
-                                 args.allow_degenerate)], started)
+    return _run(args, payload, [("gap-positive", hi_v > lo_v)], started)
 
 
 def _load_words(args) -> list[tuple[int, ...]]:
@@ -432,12 +432,7 @@ def _small_family(args, beta):
     sch = validate_schedule(n, N, d)
     pools = []
     for nk in n:
-        kept = []
-        for w in enumerate_admissible(beta, nk, budget=10 ** 6):
-            if all(sum(a != b for a, b in zip(w, v)) > 2 for v in kept):
-                kept.append(w)
-            if len(kept) >= args.pool_size:
-                break
+        kept = thin_separated(enumerate_admissible(beta, nk), args.pool_size)
         if len(kept) < args.pool_size:
             raise UsageError(f"cannot build pool of {args.pool_size} "
                              f"separated words at length {nk}")
@@ -566,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_beta_args(sp)
     sp.add_argument("--phi", required=True, help="freq:1 | const:c | block:w")
     sp.add_argument("--max-period", type=int, default=6)
-    sp.add_argument("--allow-degenerate", action="store_true")
 
     for name, fn in (("separated", cmd_separated), ("spanning", cmd_spanning)):
         sp = add(name, fn, help=f"max {name} subset under mistakes")

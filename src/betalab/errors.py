@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all betalab modules.
 
-Two broad families matter for the CLI exit codes: input/usage problems
-(exit 2) and resource limits hit at runtime (exit 3).
+Every error belongs to one of two families, the CLI exit codes: input/usage
+problems (exit 2) and resource limits hit at runtime (exit 3).
 """
 
 
@@ -10,7 +10,7 @@ class BetalabError(Exception):
 
 
 class UsageError(BetalabError):
-    """Bad input: malformed words, inadmissible arguments, broken invariants."""
+    """Bad input, or inputs for which the requested object does not exist."""
 
 
 class ResourceError(BetalabError):
@@ -73,15 +73,15 @@ class EmptyPool(UsageError):
         self.target = target
 
 
-class NoSingleEditFound(BetalabError):
+class NoSingleEditFound(UsageError):
     pass
 
 
-class NotFound(BetalabError):
+class NotFound(UsageError):
     pass
 
 
-class OscillationNotObserved(BetalabError):
+class OscillationNotObserved(UsageError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}

@@ -20,8 +20,8 @@ FORBIDDEN_LIST_BUDGET = 10 ** 5
 
 
 class FactorAutomaton:
-    """Aho-Corasick multi-pattern matcher over {0, 1} for forbidden factors;
-    as a presentation, ``step`` has no edge into a state where one ends."""
+    """Aho-Corasick matcher over {0, 1}: each state lists the forbidden
+    factors ending there, and ``step`` has no edge into such a state."""
 
     initial = 0
     alphabet_bound = 1
@@ -31,17 +31,17 @@ class FactorAutomaton:
         # trie with goto/fail links
         self.goto: list[dict[int, int]] = [{}]
         self.fail = [0]
-        self.hit = [False]
-        for p in self.patterns:
+        self.ends: list[list[int]] = [[]]
+        for idx, p in enumerate(self.patterns):
             s = 0
             for c in p:
                 if c not in self.goto[s]:
                     self.goto.append({})
                     self.fail.append(0)
-                    self.hit.append(False)
+                    self.ends.append([])
                     self.goto[s][c] = len(self.goto) - 1
                 s = self.goto[s][c]
-            self.hit[s] = True
+            self.ends[s].append(idx)
         # BFS fail links
         from collections import deque
         q = deque(self.goto[0].values())
@@ -53,7 +53,7 @@ class FactorAutomaton:
                     f = self.fail[f]
                 self.fail[t] = self.goto[f][c] if c in self.goto[f] and \
                     self.goto[f][c] != t else 0
-                self.hit[t] = self.hit[t] or self.hit[self.fail[t]]
+                self.ends[t] = sorted(self.ends[t] + self.ends[self.fail[t]])
                 q.append(t)
 
     def _advance(self, state: int, c: int) -> int:
@@ -63,36 +63,29 @@ class FactorAutomaton:
 
     def step(self, state: int, c: int) -> Optional[int]:
         t = self._advance(state, c)
-        return None if self.hit[t] else t
+        return None if self.ends[t] else t
 
-    def contains_forbidden(self, word: Sequence[int]) -> bool:
-        s = 0
-        for c in word:
-            s = self._advance(s, c)
-            if self.hit[s]:
-                return True
-        return False
-
-    def first_forbidden_occurrence(self, word) -> Optional[tuple[int, tuple]]:
-        """(end_index, pattern) of the earliest forbidden factor, if any."""
+    def _matches(self, word):
+        """(end_index, pattern indices) wherever a forbidden factor ends."""
         s = 0
         for i, c in enumerate(word):
             s = self._advance(s, c)
-            if self.hit[s]:
-                for p in self.patterns:
-                    if i + 1 >= len(p) and tuple(word[i + 1 - len(p):i + 1]) == p:
-                        return i, p
-        return None
+            if self.ends[s]:
+                yield i, self.ends[s]
+
+    def contains_forbidden(self, word: Sequence[int]) -> bool:
+        return next(self._matches(word), None) is not None
+
+    def first_forbidden_occurrence(self, word) -> Optional[tuple[int, tuple]]:
+        """(end_index, pattern) of the earliest forbidden factor, if any;
+        of several ending there, the one listed first."""
+        return next(((i, self.patterns[ends[0]])
+                     for i, ends in self._matches(word)), None)
 
     def occurrences(self, word) -> list[tuple[int, int, tuple]]:
         """All forbidden occurrences as (start, end, pattern) intervals."""
-        word = tuple(word)
-        out = []
-        for p in self.patterns:
-            for i in range(len(word) - len(p) + 1):
-                if word[i:i + len(p)] == p:
-                    out.append((i, i + len(p), p))
-        return out
+        return [(i + 1 - len(p), i + 1, p) for i, ends in self._matches(word)
+                for p in map(self.patterns.__getitem__, ends)]
 
     def count_words(self, n: int) -> int:
         return automata.count(self, n)

@@ -1,8 +1,11 @@
 """Constructive assembly of points with divergent Birkhoff averages.
 
-Blocks drawn from per-level word pools are glued with the beta-shift's
-one-symbol repair, producing an admissible prefix whose running averages of
-a chosen observable oscillate between two targets on a verified schedule.
+Per-level word pools are read in lexicographic order from the exact level
+sets {w admissible : |A_n phi(w) - alpha| < delta} and thinned to pairwise
+Hamming distance above a threshold; their words are glued with the
+beta-shift's one-symbol repair into an admissible prefix whose running
+averages of a chosen observable oscillate between two targets on a
+verified schedule.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import product
+from operator import ne
 from typing import Optional, Sequence
 
-from .automata import read
+from .automata import edges, iter_words, read
 from .errors import (
     BudgetExceeded,
     EmptyPool,
@@ -117,54 +122,69 @@ class WordPool:
         return math.log(len(self.words)) / n if self.words else float("-inf")
 
 
-def _tiling_candidates(beta, phi: Observable, target: float, delta: float,
-                       n: int, cap: int, seed: int) -> list[tuple[int, ...]]:
-    """Admissible length-n words built from the two periodic witness blocks.
+_MARGIN = 1e-9
 
-    Mixing a copies of the low-average period with b of the high-average one
-    pins the block average near any value in between; shuffling block order
-    (seeded) yields distinct candidates.
-    """
-    from .parry import is_admissible, periodic_witnesses
 
-    lo_word, lo_val, hi_word, hi_val = periodic_witnesses(beta, phi, max_period=4)
-    rng = random.Random(seed)
-    out: list[tuple[int, ...]] = []
-    seen = set()
-    for a in range(n // len(lo_word) + 1):
-        rem = n - a * len(lo_word)
-        if rem % len(hi_word):
-            continue
-        b = rem // len(hi_word)
-        avg = (a * len(lo_word) * lo_val + b * len(hi_word) * hi_val) / n
-        if abs(avg - target) >= delta:
-            continue
-        blocks = [tuple(lo_word)] * a + [tuple(hi_word)] * b
-        for _ in range(max(4 * cap // max(1, n // 8), 8)):
-            rng.shuffle(blocks)
-            w = tuple(dd for blk in blocks for dd in blk)
-            if w in seen:
-                continue
-            seen.add(w)
-            sw = SymbolWord(w, beta.digit_bound)
-            if is_admissible(sw, beta):
-                out.append(w)
-            if len(out) >= cap:
+class _LevelSet:
+    """Length-n words of a presentation whose phi-average is within delta of
+    alpha, on states (position, state, last r-1 digits, partial Birkhoff
+    sum).  Forward and backward passes keep only states that can still end
+    inside the window, so a lexicographic walk never backtracks.  The window
+    is widened by _MARGIN (1 + sup|phi|), past any float summation error on
+    up to 10^6 windows, so pruning never drops a word the exact test keeps."""
+
+    def __init__(self, pres, phi: Observable, alpha: float, delta: float,
+                 n: int):
+        r, m = phi.range_r, n - phi.range_r + 1
+        if m < 1:
+            raise UsageError(f"word shorter than observable range {r}")
+        self.alphabet_bound = pres.alphabet_bound
+        self.initial = (0, pres.initial, (), 0.0)
+        edges_of = cache(partial(edges, pres))
+        levels: list[dict] = [{self.initial: []}]  # state -> its out-edges
+        for j in range(1, n + 1):
+            nxt: dict = {}
+            for (_, q, tail, total), out in levels[-1].items():
+                for s, t in edges_of(q):
+                    block = tail + (s,)
+                    dest = (j, t, block[1:], total + phi.block_value(block)) \
+                        if len(block) == r else (j, t, block, total)
+                    out.append((s, dest))
+                    nxt[dest] = []
+            levels.append(nxt)
+        slack = delta + _MARGIN * (1 + phi.sup_norm)
+        live = {st: {} for st in levels[-1] if abs(st[3] / m - alpha) < slack}
+        for level in reversed(levels[:-1]):
+            for state, out in level.items():
+                kept = {s: t for s, t in out if t in live}
+                if kept:
+                    live[state] = kept
+        self._live = live
+
+    def step(self, state, sym: int):
+        return self._live.get(state, {}).get(sym)
+
+
+def thin_separated(words, cap: int, threshold: int = 2) -> list:
+    """The words of the stream, in order, whose Hamming distance to every
+    word kept before exceeds threshold; stops once cap are kept."""
+    kept: list = []
+    for w in words:
+        if all(sum(map(ne, w, v)) > threshold for v in kept):
+            kept.append(w)
+            if len(kept) >= cap:
                 break
-        if len(out) >= cap:
-            break
-    return out
+    return kept
 
 
 def build_word_pools(beta, phi: Observable, targets: Sequence[float],
                      schedule: IrregularSchedule,
                      separation_threshold: int = 2,
-                     enumeration_budget: int = 10 ** 6,
                      pool_cap: int = 64, seed: int = 0) -> list[WordPool]:
-    """One pool per level: admissible length-n_k words hitting the level's
-    alternating target within delta_k, thinned to pairwise Hamming distance
-    above the separation threshold."""
-    from .parry import count_admissible, enumerate_admissible, periodic_witnesses
+    """One pool per level: the lex-first admissible length-n_k words within
+    delta_k of the level's alternating target, thinned to pairwise Hamming
+    distance above separation_threshold.  seed is unused."""
+    from .parry import Automaton, periodic_witnesses
 
     if len(targets) != 2:
         raise UsageError("exactly two targets are required")
@@ -180,20 +200,11 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
         n_k = schedule.block_lengths[k - 1]
         delta_k = schedule.tolerances[k - 1]
         alpha = (a1, a2)[rho(k) - 1]
-        if count_admissible(beta, n_k) <= enumeration_budget:
-            cands = [w for w in enumerate_admissible(beta, n_k)
-                     if abs(phi.average_on_word(w) - alpha) < delta_k]
-        else:
-            cands = _tiling_candidates(beta, phi, alpha, delta_k, n_k,
-                                       pool_cap, seed + k)
-        kept: list[tuple[int, ...]] = []
-        for w in cands:
-            if all(SymbolWord(w, beta.digit_bound).hamming(
-                    SymbolWord(v, beta.digit_bound)) > separation_threshold
-                   for v in kept):
-                kept.append(w)
-            if len(kept) >= pool_cap:
-                break
+        level_set = _LevelSet(Automaton(beta), phi, alpha, delta_k, n_k)
+        kept = thin_separated(
+            (w for w in iter_words(level_set, n_k)
+             if abs(phi.average_on_word(w) - alpha) < delta_k),
+            pool_cap, separation_threshold)
         if not kept:
             raise EmptyPool(
                 f"no admissible length-{n_k} word within {delta_k} of "

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from betalab import errors
 from betalab.cli import main
 
 
@@ -84,6 +85,36 @@ def test_malformed_beta_exits_2(capsys):
 def test_missing_beta_exits_2(capsys):
     code, _, _ = run_cli(capsys, "count", "--n", "5")
     assert code == 2
+
+
+def test_witnesses_without_gap_exits_2(capsys):
+    code, out, err = run_cli(capsys, "witnesses", "--beta", "2",
+                             "--phi", "const:0.5")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_witnesses_has_no_degenerate_flag(capsys):
+    code, rep = run_json(capsys, "witnesses", "--beta-poly", "1,-1,-1",
+                         "--phi", "freq:1")
+    assert code == 0 and rep["checks"] == [{"name": "gap-positive",
+                                            "pass": True}]
+    with pytest.raises(SystemExit) as exc:
+        main(["witnesses", "--beta", "2", "--phi", "freq:1",
+              "--allow-degenerate"])
+    assert exc.value.code == 2
+
+
+def test_every_error_has_an_exit_code():
+    """main maps UsageError to exit 2 and ResourceError to exit 3; every
+    other BetalabError would escape it as a traceback."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type)
+               and issubclass(c, errors.BetalabError)]
+    assert len(classes) > 10
+    for cls in classes:
+        if cls not in (errors.BetalabError, errors.UsageError,
+                       errors.ResourceError):
+            assert issubclass(cls, (errors.UsageError, errors.ResourceError))
 
 
 def test_csv_emit(capsys):

@@ -18,12 +18,40 @@ def oracle_contains(word, patterns):
                for p in patterns for i in range(len(word) - len(p) + 1))
 
 
+def oracle_occurrences(word, patterns):
+    """Every (start, end, pattern) occurrence, by rescanning each pattern at
+    every offset."""
+    word = tuple(word)
+    return [(i, i + len(p), p) for p in map(tuple, patterns)
+            for i in range(len(word) - len(p) + 1) if word[i:i + len(p)] == p]
+
+
 def test_factor_automaton_matches_oracle():
     patterns = [(1, 1, 1, 1), (0, 0, 0, 0), (0, 1, 0, 1, 0, 1)]
     auto = FactorAutomaton(patterns)
     for n in range(1, 10):
         for w in product((0, 1), repeat=n):
             assert auto.contains_forbidden(w) == oracle_contains(w, patterns)
+
+
+@pytest.mark.parametrize("patterns", [
+    [(1, 1, 1, 1), (0, 0, 0, 0), (0, 1, 0, 1, 0, 1)],
+    [(0, 1, 1), (1, 1), (1, 0, 1), (0, 1)],  # suffixes and overlaps
+    build_nested((4, 6)).automata[1].patterns,
+])
+def test_one_pass_queries_match_naive_scan(patterns):
+    """occurrences and first_forbidden_occurrence, served by one matcher
+    pass, agree with rescanning every pattern at every offset."""
+    auto = FactorAutomaton(patterns)
+    for n in range(1, 12):
+        for w in product((0, 1), repeat=n):
+            naive = oracle_occurrences(w, patterns)
+            assert set(auto.occurrences(w)) == set(naive)
+            assert len(auto.occurrences(w)) == len(naive)
+            first = min(naive, default=None,
+                        key=lambda o: (o[1], patterns.index(o[2])))
+            expected = None if first is None else (first[1] - 1, first[2])
+            assert auto.first_forbidden_occurrence(w) == expected
 
 
 def test_build_nested_level_1():

@@ -5,9 +5,12 @@ tests/golden_reports.json holds the reports of the fast README commands
 replaced the hand-written readers, counters and enumerators, and the
 Bowen, box-dimension and separation reports as printed before the cylinder
 DAG and the one separation kernel replaced the trie and the binary-only
-bitmask, and five `expand` reports (n = 64, one per kind of base) as
-printed before the greedy step moved from Fractions to integers.  An
-argument "{tests}/..." names a file in this directory.
+bitmask, five `expand` reports (n = 64, one per kind of base) as
+printed before the greedy step moved from Fractions to integers, and
+three `pools` reports on schedules whose pools were filtered from a full
+enumeration, plus four `glued-family`/`edp` reports, as printed before
+the pools were read from exact level sets.  An argument "{tests}/..."
+names a file in this directory.
 
 Every field compares exactly except the floats under
 payload.monotonicity: the cover costs M(Z, s, N) there are evaluated in a

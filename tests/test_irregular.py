@@ -1,19 +1,24 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
+from betalab import automata
 from betalab.beta_core import BetaNumber
 from betalab.errors import (
     BudgetExceeded,
     EmptyPool,
     GrowthViolation,
     NotAdmissibleInput,
+    NotFound,
     OscillationNotObserved,
     UsageError,
 )
 from betalab.irregular import (
     GluedPoint,
+    _LevelSet,
     build_word_pools,
     construct_irregular_point,
     default_schedule,
@@ -23,8 +28,13 @@ from betalab.irregular import (
     rho,
     validate_schedule,
 )
-from betalab.observables import digit_frequency
-from betalab.parry import is_admissible
+from betalab.observables import Observable, digit_frequency, parse_observable
+from betalab.parry import (
+    Automaton,
+    enumerate_admissible,
+    is_admissible,
+    periodic_witnesses,
+)
 from betalab.words import SymbolWord
 
 
@@ -104,6 +114,135 @@ def test_pools_full_shift_contains_zero_word(beta_two):
     pool = build_word_pools(beta_two, digit_frequency(1, 1), (0.0, 1.0),
                             sch)[0]
     assert (0,) * 8 in pool.words
+
+
+def oracle_thin(words, cap=64, threshold=2):
+    kept = []
+    for w in words:
+        if all(sum(a != b for a, b in zip(w, v)) > threshold for v in kept):
+            kept.append(w)
+        if len(kept) >= cap:
+            break
+    return kept
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven"])
+@pytest.mark.parametrize("spec", ["freq:1", "block:101"])
+def test_level_set_equals_enumerate_then_filter(bench_bases, name, spec):
+    """The level set's lexicographic stream, filtered by the acceptance
+    test, is the filtered full enumeration; so are the pools."""
+    beta = bench_bases[name]
+    phi = parse_observable(spec, beta.digit_bound)
+    try:
+        _, lo, _, hi = periodic_witnesses(beta, phi, max_period=4)
+    except NotFound:  # build_word_pools raises it before any level set
+        lo, hi = math.inf, -math.inf
+    for n in (6, 9, 12):
+        words = enumerate_admissible(beta, n)
+        averages = [phi.average_on_word(w) for w in words]
+        for alpha, delta in ((0.5, 0.1), (0.25, 0.05), (0.1, 0.02),
+                             (0.0, 0.3)):
+            accepted = [w for w, a in zip(words, averages)
+                        if abs(a - alpha) < delta]
+            level_set = _LevelSet(Automaton(beta), phi, alpha, delta, n)
+            assert [w for w in automata.iter_words(level_set, n)
+                    if abs(phi.average_on_word(w) - alpha) < delta] == accepted
+            if not lo <= alpha <= hi:
+                continue
+            sch = validate_schedule((n,), (1,), (delta,))
+            if accepted:
+                pool = build_word_pools(beta, phi, (alpha, 0.0), sch)[0]
+                assert list(pool.words) == oracle_thin(accepted)
+            else:
+                with pytest.raises(EmptyPool):
+                    build_word_pools(beta, phi, (alpha, 0.0), sch)
+
+
+@pytest.mark.parametrize("n", [40, 200, 400])
+def test_level_set_counts_closed_form(beta_golden, n):
+    """Golden words of length n with k ones: C(n - k + 1, k).  At n = 200
+    and 400 the words with |k/n - 0.2| = 0.02 sit on the window's edge; the
+    level set keeps them (the margin) and the acceptance test drops them."""
+    level_set = _LevelSet(Automaton(beta_golden), digit_frequency(1, 1),
+                          0.2, 0.02, n)
+    window = [k for k in range(n + 1)
+              if abs(Fraction(k, n) - Fraction(1, 5)) <= Fraction(1, 50)]
+    assert automata.count(level_set, n) == \
+        sum(math.comb(n - k + 1, k) for k in window)
+    if n == 40:
+        assert automata.count(level_set, n) == 13_884_156
+
+
+def test_empty_level_set_raises_fast(beta_golden):
+    phi = digit_frequency(1, 1)
+    start = time.monotonic()
+    for alpha in (0.51, 0.49):  # outside the witness range; no k/40 inside
+        level_set = _LevelSet(Automaton(beta_golden), phi, alpha, 0.005, 40)
+        assert list(automata.iter_words(level_set, 40)) == []
+        with pytest.raises(EmptyPool) as exc:
+            build_word_pools(beta_golden, phi, (alpha, 0.0),
+                             validate_schedule((40,), (1,), (0.005,)))
+        assert exc.value.target == alpha
+    assert time.monotonic() - start < 1.0
+
+
+def test_level_set_margin_covers_summation_order(beta_golden):
+    """With non-dyadic values a correctly rounded sum (which Python 3.12's
+    compensated sum nearly is) and left-to-right addition differ in the last
+    bits.  delta is below one ulp, so acceptance means float equality; no
+    word that either order accepts is pruned."""
+    phi = Observable("mix", 2, {(a, b): 0.1 * a + 0.7 * b + 0.3 * a * b
+                                for a in (0, 1) for b in (0, 1)})
+    n = 16
+    words = enumerate_admissible(beta_golden, n)
+
+    def values(w):
+        return [phi.table[w[i:i + 2]] for i in range(n - 1)]
+
+    for target in words[::300]:
+        alpha, delta = math.fsum(values(target)) / (n - 1), 1e-18
+        kept = set(automata.iter_words(
+            _LevelSet(Automaton(beta_golden), phi, alpha, delta, n), n))
+        for w in words:
+            if (abs(math.fsum(values(w)) / (n - 1) - alpha) < delta
+                    or abs(phi.average_on_word(w) - alpha) < delta):
+                assert w in kept
+        assert all(abs(phi.average_on_word(w) - alpha) < 1e-8 for w in kept)
+
+
+def test_criterion_7_level_3_pool_is_thinned_level_set(beta_golden):
+    """At n = 40 within 0.02 of 1/2 the golden words have exactly 20 ones:
+    19 separating zeros plus one spare zero in one of 21 slots."""
+    sch = validate_schedule((20, 30, 40), (10, 100, 2500), (0.1, 0.05, 0.02))
+    pools = build_word_pools(beta_golden, digit_frequency(1, 1), (0.5, 0.0),
+                             sch)
+    level_set = sorted(
+        tuple(d for i in range(20) for d in ((0,) if i == slot else ())
+              + ((0,) if i else ()) + (1,)) + ((0,) if slot == 20 else ())
+        for slot in range(21))
+    assert len(set(level_set)) == 21
+    assert all(sum(w) == 20 and is_admissible(w, beta_golden)
+               for w in level_set)
+    assert list(pools[2].words) == oracle_thin(level_set)
+    assert [p.size for p in pools] == [64, 1, 11]
+
+
+def test_pools_at_n_400(beta_golden):
+    start = time.monotonic()
+    phi = digit_frequency(1, 1)
+    pool = build_word_pools(beta_golden, phi, (0.276, 0.0),
+                            validate_schedule((400,), (1,), (0.01,)))[0]
+    assert time.monotonic() - start < 10.0
+    assert pool.size == 64
+    # the lexicographically least word with 107 ones comes first
+    assert pool.words[0] == (0,) * 187 + (1, 0) * 106 + (1,)
+    assert list(pool.words) == sorted(set(pool.words))
+    for i, w in enumerate(pool.words):
+        assert is_admissible(w, beta_golden)
+        assert abs(phi.average_on_word(w) - 0.276) < 0.01
+        assert all(sum(a != b for a, b in zip(w, v)) > 2
+                   for v in pool.words[:i])
 
 
 # --- gluing ------------------------------------------------------------------
