@@ -186,11 +186,8 @@ class BetaNumber:
             coeffs_desc.pop(0)
         if len(coeffs_desc) < 2:
             raise InvalidBeta("polynomial must be non-constant")
-        asc = tuple(reversed(coeffs_desc))
-        ctx, is_rational, rat = _isolate_largest_root_above_one(asc)
-        if is_rational:
-            return cls(frac=rat, source="polynomial-root")
-        return cls(ctx=ctx, source="polynomial-root")
+        return cls(**_largest_root_above_one(tuple(reversed(coeffs_desc))),
+                   source="polynomial-root")
 
     @classmethod
     def from_digit_string(cls, text: str) -> "BetaNumber":
@@ -463,15 +460,9 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
         coeffs[p] = 1
         for j, a in enumerate(prefix, start=1):
             coeffs[p - j] -= a
-    asc = tuple(coeffs)
-
-    ctx, is_rational, rat = _isolate_expansion_root(asc, prefix, period)
-    if is_rational:
-        if rat <= 1:
-            raise DegenerateRoot(f"encoded root {rat} is <= 1")
-        beta = BetaNumber(frac=rat, source="digit-sequence")
-    else:
-        beta = BetaNumber(ctx=ctx, source="digit-sequence")
+    # a self-admissible sequence has exactly one root above 1 (Parry 1960)
+    beta = BetaNumber(**_largest_root_above_one(tuple(coeffs)),
+                      source="digit-sequence")
     # store the quasi-greedy normalization of the given digits as w(beta)
     if period:
         beta._w_periodic = (prefix, period)
@@ -483,109 +474,37 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
     return beta
 
 
-def _series_value(prefix, period, x: Fraction) -> Fraction:
-    """sum of digit * x^{-j} over the eventually periodic sequence, exact."""
-    acc = Fraction(0)
-    xp = Fraction(1)
-    for a in prefix:
-        xp /= x
-        acc += a * xp
-    if period:
-        tail = Fraction(0)
-        xq = Fraction(1)
-        for c in period:
-            xq /= x
-            tail += c * xq
-        acc += xp * tail / (1 - Fraction(1, x ** len(period)))
-    return acc
+def _largest_root_above_one(asc) -> dict:
+    """The largest real root > 1 of an integer polynomial (ascending
+    coefficients) as BetaNumber keywords: frac= when it is rational, else
+    ctx= on the irreducible factor that carries it.
 
-
-def _isolate_expansion_root(asc, prefix, period):
-    """Bracket the unique root > 1 of the expansion identity, then isolate."""
-    digits_all = prefix + period
-    hi = Fraction(max(digits_all) + 2)
-    lo = Fraction(1)
-    # series is strictly decreasing in x on (1, inf); root where it equals 1
-    def above(x):
-        return _series_value(prefix, period, x) >= 1
-    if not above(lo + Fraction(1, 2 ** 40)):
-        raise DegenerateRoot("expansion sums below 1 arbitrarily close to 1")
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if _series_value(prefix, period, mid) == 1:
-            return None, True, mid
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    if hi <= 1:
-        raise DegenerateRoot("encoded root at or below 1")
-    return _select_irreducible_factor(asc, lo, hi)
-
-
-def _real_root_intervals(poly):
-    """Isolating (lo, hi) Fraction intervals of the real roots, ascending."""
-    out = []
-    for (a, b), _mult in poly.intervals():
-        out.append((Fraction(str(a)), Fraction(str(b))))
-    return out
-
-
-def _isolate_largest_root_above_one(asc):
-    from sympy import Poly, Rational, Symbol
-
-    x = Symbol("x")
-    poly = Poly(list(reversed(asc)), x)
-    intervals = _real_root_intervals(poly)
-    cands = [(a, b) for a, b in intervals if b > 1]
-    if not cands:
-        raise InvalidBeta("polynomial has no real root above 1")
-    lo, hi = cands[-1]
-    if lo == hi:
-        return None, True, lo
-    while lo <= 1:
-        s, t = poly.refine_root(Rational(lo.numerator, lo.denominator),
-                                Rational(hi.numerator, hi.denominator), steps=8)
-        new_lo, new_hi = Fraction(str(s)), Fraction(str(t))
-        if (new_lo, new_hi) == (lo, hi):
-            raise InvalidBeta("largest real root is not above 1")
-        lo, hi = new_lo, new_hi
-        if hi <= 1:
-            raise InvalidBeta("largest real root is not above 1")
-    return _select_irreducible_factor(asc, lo, hi)
-
-
-def _select_irreducible_factor(asc, lo: Fraction, hi: Fraction):
-    """Replace the polynomial by its irreducible factor vanishing in (lo, hi)."""
+    The real roots of the square-free part are isolated once and the last
+    interval is refined until it lies above 1.  It holds no other root, and
+    an irreducible factor has only simple roots, so exactly one factor
+    changes sign between its ends.
+    """
     from sympy import Poly, Symbol
 
-    x = Symbol("x")
-    poly = Poly(list(reversed(asc)), x)
-    _, factors = poly.factor_list()
-    for fac, _mult in factors:
+    poly = Poly(list(reversed(asc)), Symbol("x")).sqf_part()
+    intervals = poly.intervals()
+    if not intervals or intervals[-1][0][1] <= 1:
+        raise InvalidBeta("polynomial has no real root above 1")
+    (a, b), _ = intervals[-1]
+    while a <= 1 < b:
+        a, b = poly.refine_root(a, b, steps=8)
+    if b <= 1:
+        raise InvalidBeta("largest real root is not above 1")
+    lo, hi = Fraction(str(a)), Fraction(str(b))
+    if lo == hi:
+        return {"frac": lo}
+    for fac, _ in poly.factor_list()[1]:
         fasc = tuple(int(c) for c in reversed(fac.all_coeffs()))
-        if len(fasc) == 2:
-            rat = Fraction(-fasc[0], fasc[1])
-            if lo <= rat <= hi:
-                return None, True, rat
-            continue
-        from sympy import Rational
-
-        for r_lo, r_hi in _real_root_intervals(fac):
-            if r_hi < lo or r_lo > hi:
-                continue
-            # refine until the endpoints carry opposite polynomial signs
-            while True:
-                s_lo = _poly_at(fasc, r_lo)
-                s_hi = _poly_at(fasc, r_hi)
-                if s_lo != 0 and s_hi != 0 and (s_lo > 0) != (s_hi > 0):
-                    break
-                s, t = fac.refine_root(
-                    Rational(r_lo.numerator, r_lo.denominator),
-                    Rational(r_hi.numerator, r_hi.denominator), steps=4)
-                r_lo, r_hi = Fraction(str(s)), Fraction(str(t))
-            return AlgebraicContext(fasc, r_lo, r_hi), False, None
-    raise InvalidBeta("no irreducible factor vanishes in the root bracket")
+        if _poly_at(fasc, lo) * _poly_at(fasc, hi) < 0:
+            if len(fasc) == 2:
+                return {"frac": Fraction(-fasc[0], fasc[1])}
+            return {"ctx": AlgebraicContext(fasc, lo, hi)}
+    raise InvalidBeta("no irreducible factor changes sign around the root")
 
 
 def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:

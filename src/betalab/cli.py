@@ -75,7 +75,9 @@ def _add_beta_args(p: argparse.ArgumentParser):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--beta", help="decimal or fraction literal, e.g. 2 or 9/5")
     g.add_argument("--beta-poly",
-                   help="descending integer coefficients, e.g. 1,-1,-1")
+                   help="descending integer coefficients, e.g. 1,-1,-1; "
+                        "beta is the polynomial's largest real root > 1, "
+                        "whatever its factorization")
     g.add_argument("--beta-digits",
                    help="expansion of 1 as digits, e.g. 10(10) or 201001")
 
@@ -114,6 +116,13 @@ def _word_str(digits) -> str:
     return format_digits(tuple(digits))
 
 
+def _open(path: str, mode: str = "r"):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot open {path!r}: {exc.strerror}") from exc
+
+
 # --- report plumbing -------------------------------------------------------
 
 def _echo_params(args) -> dict:
@@ -123,7 +132,7 @@ def _echo_params(args) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    stream = open(args.out, "w") if getattr(args, "out", None) else sys.stdout
+    stream = _open(args.out, "w") if getattr(args, "out", None) else sys.stdout
     try:
         if args.emit == "csv":
             rows = report["payload"].get("rows")
@@ -267,7 +276,7 @@ def cmd_witnesses(args, started):
 
 
 def _load_words(args) -> list[tuple[int, ...]]:
-    with open(args.words_file) as fh:
+    with _open(args.words_file) as fh:
         return [_parse_word(line) for line in fh if line.strip()]
 
 
@@ -306,7 +315,7 @@ def cmd_katok(args, started):
 
 def _tree_from_args(args) -> tuple[CylinderTree, BetaNumber | None]:
     if getattr(args, "tree", None):
-        with open(args.tree) as fh:
+        with _open(args.tree) as fh:
             return CylinderTree.from_json(fh.read()), None
     beta = _beta_from_args(args)
     if getattr(args, "markov_n", None):

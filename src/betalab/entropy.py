@@ -268,6 +268,8 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
     """
     if not 0 < gamma < 1:
         raise UsageError("gamma must lie in (0, 1)")
+    if any(n < 1 for n in n_list):
+        raise UsageError("word lengths must be >= 1")
     rows = []
     for n in n_list:
         sample = list(sampler(n))
@@ -391,11 +393,13 @@ class CylinderTree:
 
     @classmethod
     def from_json(cls, text: str) -> "CylinderTree":
-        data = json.loads(text)
-
         def conv(node):
             return {int(k): conv(v) for k, v in node.items()}
-        return cls(conv(data["trie"]), int(data["alphabet_bound"]))
+        try:
+            data = json.loads(text)
+            return cls(conv(data["trie"]), int(data["alphabet_bound"]))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError(f"not a cylinder tree: {exc!r}") from exc
 
     def leaf_count_at(self, depth: int) -> int:
         """Number of root paths of length depth (big-integer path count)."""

@@ -200,11 +200,13 @@ def single_edit_repair(word, shift: NestedShift, level: int) -> dict:
 def nested_entropy_report(shift: NestedShift, level: int, n_max: int) -> dict:
     """Exact per-level word counts, growth rates, and inter-level drops."""
     levels = list(range(1, level + 1))
+    counts = {lvl: automata.path_counts(shift.automata[lvl - 1], n_max)
+              for lvl in levels}
     table = []
     for n in range(1, n_max + 1):
         row = {"n": n, "full": 2 ** n}
         for lvl in levels:
-            row[f"level_{lvl}"] = shift.automata[lvl - 1].count_words(n)
+            row[f"level_{lvl}"] = counts[lvl][n - 1]
         table.append(row)
     last = table[-1]
     rates = {0: math.log(2.0)}

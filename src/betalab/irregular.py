@@ -184,17 +184,11 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
     """One pool per level: the lex-first admissible length-n_k words within
     delta_k of the level's alternating target, thinned to pairwise Hamming
     distance above separation_threshold.  seed is unused."""
-    from .parry import Automaton, periodic_witnesses
+    from .parry import Automaton
 
     if len(targets) != 2:
         raise UsageError("exactly two targets are required")
     a1, a2 = float(targets[0]), float(targets[1])
-    _, lo_val, _, hi_val = periodic_witnesses(beta, phi, max_period=4)
-    for alpha in (a1, a2):
-        if not (lo_val - 1e-12 <= alpha <= hi_val + 1e-12):
-            raise EmptyPool(
-                f"target {alpha} outside achievable range "
-                f"[{lo_val}, {hi_val}]", target=alpha)
     pools = []
     for k in range(1, schedule.levels + 1):
         n_k = schedule.block_lengths[k - 1]

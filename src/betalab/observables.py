@@ -79,10 +79,13 @@ def block_indicator(block: tuple[int, ...], alphabet_bound: int) -> Observable:
 def parse_observable(spec: str, alphabet_bound: int) -> Observable:
     """Parse CLI observable specs: "freq:1", "const:0.5", "block:101"."""
     kind, _, arg = spec.partition(":")
-    if kind == "freq":
-        return digit_frequency(int(arg), alphabet_bound)
-    if kind == "const":
-        return constant(float(arg), alphabet_bound)
-    if kind == "block":
-        return block_indicator(tuple(int(c) for c in arg), alphabet_bound)
+    try:
+        if kind == "freq":
+            return digit_frequency(int(arg), alphabet_bound)
+        if kind == "const":
+            return constant(float(arg), alphabet_bound)
+        if kind == "block":
+            return block_indicator(tuple(int(c) for c in arg), alphabet_bound)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse observable spec {spec!r}") from exc
     raise UsageError(f"unknown observable spec {spec!r}")

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,6 +175,43 @@ def test_beta_from_expansion_rejects_non_self_admissible():
 def test_beta_from_digit_string_figure():
     b = BetaNumber.from_digit_string("(201001)")
     assert abs(b.value ** 6 - (2 * b.value ** 5 + b.value ** 3 + 2)) < 1e-6
+
+
+def oracle_largest_root(factors):
+    """Largest real root > 1 of a product, from numpy.roots of each factor
+    (a repeated root of the expanded product is ill-conditioned)."""
+    return max(r.real for f in factors for r in numpy.roots(f)
+               if abs(r.imag) < 1e-9 and r.real > 1)
+
+
+@pytest.mark.parametrize("factors", [
+    ([1, 0, -3], [1, -1, -1]),
+    ([1, -1, -1], [1, 0, -3]),
+    ([1, -1, -1], [1, -3, 1]),
+    ([1, -2], [1, -1, -1]),
+    ([1, -1, -1], [1, -1, -1]),
+])
+def test_from_polynomial_is_largest_root_of_product(factors):
+    """beta is the largest real root > 1 whatever the factorization: for
+    (x^2 - 3)(x^2 - x - 1) it is sqrt(3), not the golden mean."""
+    beta = BetaNumber.from_polynomial(
+        [int(c) for c in numpy.polymul(*factors)])
+    assert abs(beta.value - oracle_largest_root(factors)) < 1e-9
+    assert beta.is_rational() == (factors[0] == [1, -2])
+
+
+def test_digit_string_bases_sum_to_one(battery):
+    """sum of d_j beta^-j over w(beta) is 1 at the float root."""
+    bases = [b for b in battery.values() if b.source == "digit-sequence"]
+    bases += [BetaNumber.from_digit_string(t)
+              for t in ("10(10)", "201001", "11", "(1)", "2(01)")]
+    for beta in bases:
+        x = beta.value
+        pre, per = beta.periodic_form()
+        head = sum(d * x ** -j for j, d in enumerate(pre, start=1))
+        tail = sum(d * x ** -j for j, d in enumerate(per, start=1))
+        total = head + x ** -len(pre) * tail / (1 - x ** -len(per))
+        assert abs(total - 1) < 1e-9
 
 
 def test_simple_beta_approx_monotone(beta_golden):

@@ -69,8 +69,20 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["expand", "--beta", "2", "--x", "abc"],
     ["expand", "--beta", "2", "--x", "1/0"],
     ["katok", "--beta", "2", "--g", "const:x", "--n-list", "4"],
+    ["witnesses", "--beta", "2", "--phi", "freq:x"],
+    ["witnesses", "--beta", "2", "--phi", "block:1a"],
+    ["witnesses", "--beta", "2", "--phi", "const:abc"],
+    ["separated", "--words-file", "{tmp}/missing.txt"],
+    ["bowen", "--tree", "{tmp}/missing.json"],
+    ["count", "--beta", "2", "--n", "5", "--out", "{tmp}/missing/out.json"],
+    ["bowen", "--tree", "{tmp}/not_json.json"],
+    ["bowen", "--tree", "{tmp}/no_bound.json"],
+    ["katok", "--beta", "2", "--n-list", "0"],
 ])
-def test_malformed_number_exits_2(capsys, argv):
+def test_malformed_number_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "not_json.json").write_text("not json")
+    (tmp_path / "no_bound.json").write_text('{"trie": {}}')
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "usage"

@@ -12,7 +12,6 @@ from betalab.errors import (
     EmptyPool,
     GrowthViolation,
     NotAdmissibleInput,
-    NotFound,
     OscillationNotObserved,
     UsageError,
 )
@@ -33,7 +32,6 @@ from betalab.parry import (
     Automaton,
     enumerate_admissible,
     is_admissible,
-    periodic_witnesses,
 )
 from betalab.words import SymbolWord
 
@@ -134,10 +132,6 @@ def test_level_set_equals_enumerate_then_filter(bench_bases, name, spec):
     test, is the filtered full enumeration; so are the pools."""
     beta = bench_bases[name]
     phi = parse_observable(spec, beta.digit_bound)
-    try:
-        _, lo, _, hi = periodic_witnesses(beta, phi, max_period=4)
-    except NotFound:  # build_word_pools raises it before any level set
-        lo, hi = math.inf, -math.inf
     for n in (6, 9, 12):
         words = enumerate_admissible(beta, n)
         averages = [phi.average_on_word(w) for w in words]
@@ -148,8 +142,6 @@ def test_level_set_equals_enumerate_then_filter(bench_bases, name, spec):
             level_set = _LevelSet(Automaton(beta), phi, alpha, delta, n)
             assert [w for w in automata.iter_words(level_set, n)
                     if abs(phi.average_on_word(w) - alpha) < delta] == accepted
-            if not lo <= alpha <= hi:
-                continue
             sch = validate_schedule((n,), (1,), (delta,))
             if accepted:
                 pool = build_word_pools(beta, phi, (alpha, 0.0), sch)[0]
