@@ -4,7 +4,10 @@ A presentation is a deterministic labelled graph: an ``initial`` state, an
 ``alphabet_bound`` b and ``step(state, sym)``, the target of the edge
 labelled sym in {0..b} or None.  Its words are the labels of paths from
 ``initial`` (Lind & Marcus, *Symbolic Dynamics and Coding*, ch. 3-4).
-Counting and enumeration cache each visited state's edges for one call;
+Every call keeps its own cache and stores nothing on the presentation.
+Reading fills a successor table (state -> symbol -> target) the first time
+a (state, symbol) pair is met, so each later digit costs one lookup, not a
+``step`` call.  Counting and enumeration cache each visited state's edges;
 counting groups parallel edges by target with a multiplicity, so k
 back-edges to one vertex cost one big-integer multiply, not k additions.
 Enumeration is lazy: a caller that stops early never walks the rest.
@@ -27,11 +30,23 @@ class Presentation(Protocol):
 
 
 def read(pres: Presentation, digits, start=None):
-    """State reached by reading digits, or None if some edge is missing."""
+    """State reached by reading digits from start (default ``initial``), or
+    None if some edge is missing; a symbol outside {0..b} has no edge.
+
+    The successor table lives for this call only; nothing is stored on the
+    presentation.  An entry is kept for the whole call, so when ``step``
+    canonicalizes states lazily (a base that finds its periodic form during
+    the read) the read may end in an equivalent, uncanonicalized state.
+    """
     state = pres.initial if start is None else start
-    step = pres.step
+    step, symbols = pres.step, range(pres.alphabet_bound + 1)
+    table: dict = {}
     for s in digits:
-        state = step(state, s)
+        try:
+            state = table[state][s]
+        except KeyError:
+            row = table.setdefault(state, {})
+            row[s] = state = step(state, s) if s in symbols else None
         if state is None:
             return None
     return state

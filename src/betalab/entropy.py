@@ -186,20 +186,19 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
         full = (1 << k) - 1
         adj = [full ^ m for m in inst.cover_masks]
         best_mask = 0
-
-        def grow(cand: int, cur: int, cur_size: int):
-            nonlocal best_mask
+        # branch and bound, depth first: take the lowest candidate v, then
+        # (popped after that whole subtree) leave it out
+        stack = [(full, 0, 0)]
+        while stack:
+            cand, cur, cur_size = stack.pop()
             if cur_size + cand.bit_count() <= best_mask.bit_count():
-                return
-            if cand == 0:
-                if cur_size > best_mask.bit_count():
-                    best_mask = cur
-                return
+                continue
+            if cand == 0:  # the bound above makes this the new best
+                best_mask = cur
+                continue
             v = (cand & -cand).bit_length() - 1
-            grow(cand & adj[v], cur | (1 << v), cur_size + 1)
-            grow(cand & ~(1 << v), cur, cur_size)
-
-        grow(full, 0, 0)
+            stack.append((cand & ~(1 << v), cur, cur_size))
+            stack.append((cand & adj[v], cur | (1 << v), cur_size + 1))
         witness = [inst.words[i] for i in range(k) if best_mask >> i & 1]
         return SeparationResult(len(witness), witness, True, "exact")
     bad, t = inst.bad_count, inst.threshold

@@ -114,8 +114,8 @@ def build_nested(N_seq: Sequence[int], k_max: Optional[int] = None,
                  budget: int = FORBIDDEN_LIST_BUDGET) -> NestedShift:
     N_seq = tuple(int(v) for v in N_seq)
     k_max = len(N_seq) if k_max is None else k_max
-    if k_max > len(N_seq):
-        raise UsageError("k_max exceeds the given N sequence")
+    if not 1 <= k_max <= len(N_seq):
+        raise UsageError("k_max must lie in 1..len(N sequence)")
     if any(a >= b for a, b in zip(N_seq, N_seq[1:])):
         raise UsageError("N sequence must strictly increase")
     if N_seq[0] < 3:

@@ -95,12 +95,19 @@ class Automaton:
 
 
 def is_admissible(word: SymbolWord | tuple, beta: BetaNumber) -> bool:
-    """Parry's criterion, decided by one read of the labelled graph."""
+    """Parry's criterion, decided by one read of the labelled graph.
+
+    Raises AlphabetMismatch for any digit outside {0..b}, wherever it sits.
+    Such a digit has no edge, so the alphabet is checked only when the read
+    fails.
+    """
     digits = tuple(word.digits if isinstance(word, SymbolWord) else word)
-    if any(d > beta.digit_bound or d < 0 for d in digits):
+    if automata.read(Automaton(beta), digits) is not None:
+        return True
+    if min(digits) < 0 or max(digits) > beta.digit_bound:
         raise AlphabetMismatch(
             f"word uses digits outside {{0..{beta.digit_bound}}}")
-    return automata.read(Automaton(beta), digits) is not None
+    return False
 
 
 def count_admissible(beta: BetaNumber, n: int) -> int:

@@ -78,6 +78,8 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["bowen", "--tree", "{tmp}/not_json.json"],
     ["bowen", "--tree", "{tmp}/no_bound.json"],
     ["katok", "--beta", "2", "--n-list", "0"],
+    ["exotic", "--levels", "0"],
+    ["exotic", "--levels", "-1"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -160,6 +162,17 @@ def test_separated_spanning(tmp_path, capsys):
     code, rep = run_json(capsys, "spanning", "--words-file", str(words),
                          "--g", "const:1")
     assert rep["payload"]["size"] == 2
+
+
+def test_exact_separated_on_many_words(tmp_path, capsys):
+    """The exact search keeps no recursion depth per word: 1,200 copies of
+    one word leave one separated word."""
+    words = tmp_path / "W.txt"
+    words.write_text("0101\n" * 1200)
+    code, rep = run_json(capsys, "separated", "--words-file", str(words),
+                         "--g", "const:1", "--exact")
+    assert code == 0
+    assert rep["payload"]["size"] == 1 and rep["payload"]["exact"]
 
 
 @pytest.mark.parametrize("which", ["separated", "spanning"])
