@@ -29,8 +29,8 @@ from .errors import (
 from .words import (
     SymbolWord,
     format_periodic,
-    lex_le_prefix,
     parse_digit_string,
+    self_admissible,
 )
 
 DEFAULT_PRECISION_BITS = 256
@@ -396,27 +396,18 @@ def beta_orbit(x, beta: BetaNumber, n: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _eventually_periodic_digit(prefix, period, j):
-    """1-based digit of the sequence prefix, period, period, ..."""
-    if j <= len(prefix):
-        return prefix[j - 1]
-    if not period:
-        return 0
-    return period[(j - len(prefix) - 1) % len(period)]
-
-
 def _check_self_admissible_ep(prefix, period):
-    p, q = len(prefix), len(period)
-    horizon = p + 2 * max(q, 1) + 4
-    base = [_eventually_periodic_digit(prefix, period, j) for j in range(1, horizon + 1)]
-    for k in range(1, p + max(q, 1) + 1):
-        shifted = [_eventually_periodic_digit(prefix, period, j) for j in range(k + 1, k + horizon + 1)]
-        for a, b in zip(shifted, base):
-            if a > b:
-                return False
-            if a < b:
-                break
-    return True
+    """Parry's condition sigma^k(w) <= w for w = prefix period period ...
+
+    With p, q the lengths of prefix and period, two sequences of period q
+    from index p + 1 on agree everywhere once they agree on their first
+    p + q digits.  So one prefix of 2p + 3q + 4 digits compares every shift
+    k <= p + q over at least p + 2q + 4 digits, and later shifts repeat
+    earlier ones.  An empty period stands for the period (0).
+    """
+    period = period or (0,)
+    n = 2 * len(prefix) + 3 * len(period) + 4
+    return self_admissible((prefix + period * n)[:n])
 
 
 def beta_from_expansion(prefix, period=()) -> BetaNumber:
@@ -540,6 +531,5 @@ def make_beta_with_gaps(gaps: Sequence[int]) -> SymbolWord:
         digits.append(1)
         digits.extend([0] * a)
     word = SymbolWord(tuple(digits), 1)
-    assert all(lex_le_prefix(word.digits[k:], word.digits)
-               for k in range(1, len(word)))
+    assert self_admissible(word.digits)
     return word

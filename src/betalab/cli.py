@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -21,7 +20,6 @@ from .beta_core import (
     BetaNumber,
     expansion_of_one,
     greedy_expansion,
-    simple_beta_approx,
 )
 from .entropy import (
     CylinderTree,
@@ -53,7 +51,6 @@ from .irregular import (
 )
 from .observables import parse_observable
 from .parry import (
-    Automaton,
     count_admissible,
     count_profile,
     enumerate_admissible,
@@ -213,11 +210,9 @@ def cmd_graph(args, started):
     if args.n < 1:
         raise UsageError("n must be >= 1")
     labels = list(beta.digits(args.n))
-    auto = Automaton(beta)
     # vertex i has one forward edge and w_i back-edges to vertex 1
     payload = {"vertex_count": args.n, "forward_labels": labels,
-               "z_distance": [auto.z_of_state(i)
-                              for i in range(1, args.n + 1)],
+               "z_distance": z_values(beta, args.n).z,
                "back_edge_counts": labels}
     return _run(args, payload, [], started)
 

@@ -31,6 +31,7 @@ from .words import SymbolWord
 
 EXACT_WORDS_BUDGET = 20
 EXACT_LENGTH_BUDGET = 12
+BISECTION_TOL = 1e-4  # width of the cover-cost transition brackets
 
 
 class MistakeFunction:
@@ -40,20 +41,21 @@ class MistakeFunction:
         self.name = name
         self._fn = fn
 
-    def __call__(self, n: int, eps: Optional[float] = None) -> int:
+    def __call__(self, n: int) -> int:
         g = int(self._fn(n))
         if g < 0:
             raise UsageError(f"mistake function {self.name} went negative")
         return g
 
-    def check_window(self, n_lo: int, n_hi: int, ratio_bound: float = 0.5) -> bool:
-        """Monotonicity plus empirically decaying ratio over [n_lo, n_hi]."""
+    def check_window(self, n_lo: int, n_hi: int) -> bool:
+        """Monotonicity plus an empirically decaying ratio g(n)/n over
+        [n_lo, n_hi] that ends below 1/2."""
         vals = [self(n) for n in range(n_lo, n_hi + 1)]
         if any(a > b for a, b in zip(vals, vals[1:])):
             return False
         r_start = vals[0] / n_lo
         r_end = vals[-1] / n_hi
-        return r_end <= max(r_start, 1e-12) and r_end < ratio_bound
+        return r_end <= max(r_start, 1e-12) and r_end < 0.5
 
     @classmethod
     def zero(cls) -> "MistakeFunction":
@@ -397,7 +399,8 @@ class CylinderTree:
         try:
             data = json.loads(text)
             return cls(conv(data["trie"]), int(data["alphabet_bound"]))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
             raise UsageError(f"not a cylinder tree: {exc!r}") from exc
 
     def leaf_count_at(self, depth: int) -> int:
@@ -448,13 +451,13 @@ class CoverEntropyReport:
     monotonicity: list  # rows (s, [(N, M)]) certifying M nondecreasing in N
 
 
-def _crossing(cost_at, lo: float, hi: float, tol: float) -> float:
-    """s where the decreasing cover cost crosses 1."""
+def _crossing(cost_at, lo: float, hi: float) -> float:
+    """s where the decreasing cover cost crosses 1, to BISECTION_TOL."""
     while cost_at(hi) >= 1.0:
         hi *= 1.5
         if hi > 64:
             raise UsageError("cover cost never drops below 1")
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = (lo + hi) / 2
         if cost_at(mid) >= 1.0:
             lo = mid
@@ -463,23 +466,23 @@ def _crossing(cost_at, lo: float, hi: float, tol: float) -> float:
     return (lo + hi) / 2
 
 
-def bowen_entropy(tree: CylinderTree, n_min: int = 1, tol: float = 1e-4,
-                  n_grid: Optional[Sequence[int]] = None) -> CoverEntropyReport:
-    """Finite-depth transition point of M(Z, s, N) in s."""
+def bowen_entropy(tree: CylinderTree, n_min: int = 1) -> CoverEntropyReport:
+    """Finite-depth transition point of M(Z, s, N) in s, to BISECTION_TOL;
+    monotonicity in N is certified on N = 1, D/4, D/2, D for depth D."""
     est = _crossing(lambda s: cover_cost(tree, s, n_min), 0.0,
-                    math.log(tree.alphabet_bound + 1) + 0.5, tol)
-    grid = list(n_grid) if n_grid is not None else \
-        sorted({1, max(1, tree.depth // 4), max(1, tree.depth // 2), tree.depth})
+                    math.log(tree.alphabet_bound + 1) + 0.5)
+    grid = sorted({1, max(1, tree.depth // 4), max(1, tree.depth // 2),
+                   tree.depth})
     mono = []
     for s in (max(est - 0.1, 0.0), est, est + 0.1):
         row = [(N, cover_cost(tree, s, N)) for N in grid if N <= tree.depth]
         mono.append((s, row))
-    return CoverEntropyReport(estimate=est, bracket=(est - tol, est + tol),
-                              n_min=n_min, depth=tree.depth, monotonicity=mono)
+    return CoverEntropyReport(
+        estimate=est, bracket=(est - BISECTION_TOL, est + BISECTION_TOL),
+        n_min=n_min, depth=tree.depth, monotonicity=mono)
 
 
-def box_dimension_estimate(tree: CylinderTree, beta, depth_list,
-                           tol: float = 1e-4) -> dict:
+def box_dimension_estimate(tree: CylinderTree, beta, depth_list) -> dict:
     """Transition exponent of the cover cost with d_beta cylinder diameters."""
     log_b = beta.log
     rows = []
@@ -488,7 +491,7 @@ def box_dimension_estimate(tree: CylinderTree, beta, depth_list,
             raise DepthTooShallow(f"depth {d} exceeds tree depth {tree.depth}")
         est = _crossing(
             lambda a: cover_cost(tree, a * log_b, 1, max_depth=d),
-            0.0, 2.0, tol)
+            0.0, 2.0)
         rows.append({"depth": d, "alpha": est})
     return {"rows": rows, "estimate": rows[-1]["alpha"], "log_beta": log_b}
 

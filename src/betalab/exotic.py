@@ -3,7 +3,10 @@
 Level 1 forbids the two constant powers 1^{N_1} and 0^{N_1}; level k
 forbids v^{N_k} for every length-k word v admissible at level k-1.  The
 intersection kills every short period while each level's entropy drop
-stays small, and any forbidden power is fixable by a single edit.
+stays small, and any forbidden power is fixable by a single edit.  Each
+level is a forbidden-factor matcher presented to `betalab.automata`:
+admissibility is one read, and the level-(k-1) words of length k that
+F_k raises to powers are one enumeration.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class FactorAutomaton:
             if self.ends[s]:
                 yield i, self.ends[s]
 
-    def contains_forbidden(self, word: Sequence[int]) -> bool:
-        return next(self._matches(word), None) is not None
-
     def first_forbidden_occurrence(self, word) -> Optional[tuple[int, tuple]]:
         """(end_index, pattern) of the earliest forbidden factor, if any;
         of several ending there, the one listed first."""
@@ -103,7 +103,7 @@ class NestedShift:
 
     def admissible(self, word, level: Optional[int] = None) -> bool:
         lvl = self.levels if level is None else level
-        return not self.automata[lvl - 1].contains_forbidden(word)
+        return automata.read(self.automata[lvl - 1], word) is not None
 
     def enumerate(self, n: int, level: Optional[int] = None):
         lvl = self.levels if level is None else level
@@ -122,29 +122,28 @@ def build_nested(N_seq: Sequence[int], k_max: Optional[int] = None,
         raise UsageError("N_1 must be >= 3")
     forbidden_sets = [[(1,) * N_seq[0], (0,) * N_seq[0]]]
     cumulative = list(forbidden_sets[0])
-    automata = [FactorAutomaton(cumulative)]
+    matchers = [FactorAutomaton(cumulative)]
     for k in range(2, k_max + 1):
         # F_k: the N_k-th powers of all level-(k-1) admissible length-k words
-        level_words = [v for v in product((0, 1), repeat=k)
-                       if not automata[-1].contains_forbidden(v)]
-        F_k = [v * N_seq[k - 1] for v in level_words]
+        F_k = [v * N_seq[k - 1]
+               for v in automata.enumerate_words(matchers[-1], k)]
         if sum(len(w) for c in (cumulative, F_k) for w in c) > budget:
             raise BudgetExceeded("forbidden lists exceed budget")
         forbidden_sets.append(F_k)
         cumulative = cumulative + F_k
-        automata.append(FactorAutomaton(cumulative))
+        matchers.append(FactorAutomaton(cumulative))
     return NestedShift(N_seq=N_seq, forbidden_sets=forbidden_sets,
-                       automata=automata)
+                       automata=matchers)
 
 
-def no_short_periodics(shift: NestedShift, level: int,
-                       horizon_factor: int = 4) -> dict:
+def no_short_periodics(shift: NestedShift, level: int) -> dict:
     """Every periodic stream of period <= level eventually hits a forbidden
-    factor; returns the breaking factor per candidate period word."""
+    factor within four times the longest pattern; returns the breaking
+    factor per candidate period word."""
     rows = []
     auto = shift.automata[level - 1]
     horizon = max(len(p) for a in shift.automata[:level]
-                  for p in a.patterns) * horizon_factor
+                  for p in a.patterns) * 4
     for p_len in range(1, level + 1):
         for v in product((0, 1), repeat=p_len):
             reps = horizon // p_len + 1

@@ -49,9 +49,6 @@ class IrregularSchedule:
     def levels(self) -> int:
         return len(self.block_lengths)
 
-    def target_index(self, k: int) -> int:
-        return rho(k)
-
 
 def validate_schedule(block_lengths: Sequence[int],
                       multiplicities: Sequence[int],
@@ -123,6 +120,7 @@ class WordPool:
 
 
 _MARGIN = 1e-9
+SEPARATION_THRESHOLD = 2  # pool words differ in more than this many digits
 
 
 class _LevelSet:
@@ -165,12 +163,13 @@ class _LevelSet:
         return self._live.get(state, {}).get(sym)
 
 
-def thin_separated(words, cap: int, threshold: int = 2) -> list:
+def thin_separated(words, cap: int) -> list:
     """The words of the stream, in order, whose Hamming distance to every
-    word kept before exceeds threshold; stops once cap are kept."""
+    word kept before exceeds SEPARATION_THRESHOLD; stops once cap are
+    kept."""
     kept: list = []
     for w in words:
-        if all(sum(map(ne, w, v)) > threshold for v in kept):
+        if all(sum(map(ne, w, v)) > SEPARATION_THRESHOLD for v in kept):
             kept.append(w)
             if len(kept) >= cap:
                 break
@@ -179,11 +178,10 @@ def thin_separated(words, cap: int, threshold: int = 2) -> list:
 
 def build_word_pools(beta, phi: Observable, targets: Sequence[float],
                      schedule: IrregularSchedule,
-                     separation_threshold: int = 2,
                      pool_cap: int = 64, seed: int = 0) -> list[WordPool]:
     """One pool per level: the lex-first admissible length-n_k words within
     delta_k of the level's alternating target, thinned to pairwise Hamming
-    distance above separation_threshold.  seed is unused."""
+    distance above SEPARATION_THRESHOLD.  seed is unused."""
     from .parry import Automaton
 
     if len(targets) != 2:
@@ -198,7 +196,7 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
         kept = thin_separated(
             (w for w in iter_words(level_set, n_k)
              if abs(phi.average_on_word(w) - alpha) < delta_k),
-            pool_cap, separation_threshold)
+            pool_cap)
         if not kept:
             raise EmptyPool(
                 f"no admissible length-{n_k} word within {delta_k} of "
@@ -227,18 +225,11 @@ def _needs_repair(beta, horizon: int = 64) -> bool:
     return 0 in (form[0] + form[1] if form else beta.digits(horizon))
 
 
-def _zero_last_nonzero(word: tuple[int, ...]):
-    for i in range(len(word) - 1, -1, -1):
-        if word[i] != 0:
-            return word[:i] + (0,) + word[i + 1:], i
-    return word, None
-
-
 def glue_blocks(beta, schedule: IrregularSchedule,
                 selections: Sequence[Sequence]) -> GluedPoint:
-    """Concatenate pool words level by level, zeroing the last nonzero
-    symbol of each nonterminal block when the shift requires repair."""
-    from .parry import Automaton, is_admissible
+    """Concatenate pool words level by level, applying the one-symbol
+    repair to each nonterminal block when the shift requires it."""
+    from .parry import Automaton, is_admissible, zero_last_nonzero
 
     if len(selections) != schedule.levels:
         raise UsageError("one selection list per schedule level required")
@@ -265,7 +256,7 @@ def glue_blocks(beta, schedule: IrregularSchedule,
             blk_index += 1
             pos = None
             if repair and blk_index < total_blocks:
-                word, pos = _zero_last_nonzero(word)
+                word, pos = zero_last_nonzero(word)
             state = read(auto, word, start=state)
             if state is None:
                 raise NotAdmissibleInput(

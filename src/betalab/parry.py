@@ -5,7 +5,10 @@ carries one forward edge labelled w_i(beta) plus back-edges to vertex 1
 labelled 0 .. w_i(beta)-1 (Parry 1960).  `Automaton` presents that graph
 to the generic reader, counter and enumerator of `betalab.automata`; the
 tests keep Parry's lexicographic shift criterion on w(beta) as an
-independent oracle for it on every base in the battery.
+independent oracle for it on every base in the battery.  The n-step Markov
+approximation is the `Automaton` of the simple base beta(n).  This module
+is also the one home of the distances z_n to the next nonzero digit of
+w(beta) and of the one-symbol repair that glues admissible words.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .errors import (
 )
 from .observables import Observable
 from .words import SymbolWord
+
+STREAM_COPY_CAP = 256
 
 
 class Automaton:
@@ -81,17 +86,6 @@ class Automaton:
         horizon = len(pf[0]) + 2 * len(pf[1])
         return all(self.digit_at(state + j) == self.digit_at(1 + j)
                    for j in range(horizon))
-
-    def z_of_state(self, state: int, search_cap: int = 1 << 20) -> int:
-        """Zeros to read before the automaton can return to vertex 1."""
-        k = 0
-        i = state
-        while self.digit_at(i) == 0:
-            k += 1
-            i = self.canon(i + 1)
-            if k > search_cap:
-                raise BudgetExceeded("no nonzero digit found within search cap")
-        return k
 
 
 def is_admissible(word: SymbolWord | tuple, beta: BetaNumber) -> bool:
@@ -180,22 +174,28 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     return z_values_from_digits(digits, n_max)
 
 
-def repair_word(word: SymbolWord, beta: BetaNumber) -> SymbolWord:
-    """Zero the last nonzero digit; the result concatenates admissibly with
-    every admissible continuation."""
-    if not is_admissible(word, beta):
-        raise NotAdmissibleInput(f"word {word} is not admissible")
-    digits = list(word.digits)
+def zero_last_nonzero(digits: tuple[int, ...]):
+    """The one-symbol repair: (digits with the last nonzero digit zeroed,
+    its position), or (digits, None) when every digit is 0.  A repaired
+    admissible word concatenates admissibly with every admissible word."""
     for i in range(len(digits) - 1, -1, -1):
         if digits[i] != 0:
-            digits[i] = 0
-            break
-    return SymbolWord(tuple(digits), word.alphabet_bound)
+            return digits[:i] + (0,) + digits[i + 1:], i
+    return digits, None
+
+
+def repair_word(word: SymbolWord, beta: BetaNumber) -> SymbolWord:
+    """The one-symbol repair (`zero_last_nonzero`) of an admissible word."""
+    if not is_admissible(word, beta):
+        raise NotAdmissibleInput(f"word {word} is not admissible")
+    return SymbolWord(zero_last_nonzero(word.digits)[0], word.alphabet_bound)
 
 
 @dataclass
-class MarkovApprox:
-    """n-step Markov subsystem: paths confined to the first vertices."""
+class MarkovApprox(Automaton):
+    """n-step Markov subsystem: the labelled graph of the simple base
+    beta(n), whose vertices are the first effective_order vertices of
+    beta's graph, read as the Automaton of approx_beta."""
 
     base_beta: BetaNumber
     order: int            # requested truncation index
@@ -203,19 +203,11 @@ class MarkovApprox:
     approx_beta: BetaNumber
     confined_labels: tuple[int, ...]
 
-    initial = 1
-
-    @property
-    def alphabet_bound(self) -> int:
-        return max(self.confined_labels)
-
-    def step(self, state: int, symbol: int) -> Optional[int]:
-        w = self.confined_labels[state - 1]
-        if symbol == w and state < self.effective_order:
-            return state + 1
-        if 0 <= symbol < w:
-            return 1
-        return None
+    def __post_init__(self):
+        super().__init__(self.approx_beta)
+        # the labels, not approx_beta's digit bound: at effective order 1,
+        # beta(n) = w_1 is an integer whose digit bound is w_1 - 1
+        self.alphabet_bound = max(self.confined_labels)
 
     def count(self, n: int) -> int:
         return automata.count(self, n)
@@ -242,17 +234,16 @@ def enumerate_admissible(beta: BetaNumber, n: int, budget: int = 10 ** 6):
     return automata.enumerate_words(Automaton(beta), n, budget)
 
 
-def periodic_stream_admissible(beta: BetaNumber, period_digits,
-                               copy_cap: int = 256) -> bool:
+def periodic_stream_admissible(beta: BetaNumber, period_digits) -> bool:
     """Whether the periodic stream period_digits^inf lies in the shift.
 
     Exact when w(beta) is eventually periodic (the canonical state space is
-    finite); otherwise a finite-depth check over copy_cap copies.
+    finite); otherwise a finite-depth check over STREAM_COPY_CAP copies.
     """
     auto = Automaton(beta)
     state = 1
     seen = {1}
-    for _ in range(copy_cap):
+    for _ in range(STREAM_COPY_CAP):
         state = automata.read(auto, period_digits, start=state)
         if state is None:
             return False

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from betalab.beta_core import (
     AlgebraicContext,
     BetaNumber,
+    _check_self_admissible_ep,
     _greedy_step,
     _point,
     beta_from_expansion,
@@ -170,6 +171,44 @@ def test_beta_from_expansion_round_trip(beta_golden):
 def test_beta_from_expansion_rejects_non_self_admissible():
     with pytest.raises(NotSelfAdmissible):
         beta_from_expansion((1, 0, 1, 1), ())
+
+
+def oracle_self_admissible_loop(prefix, period):
+    """sigma^k(w) <= w for k = 1 .. p + max(q, 1), each shift compared
+    digit by digit over p + 2 max(q, 1) + 4 digits of w = prefix period
+    period ... (zeros after the prefix when the period is empty)."""
+    def digit(j):
+        if j <= len(prefix):
+            return prefix[j - 1]
+        if not period:
+            return 0
+        return period[(j - len(prefix) - 1) % len(period)]
+
+    p, q = len(prefix), max(len(period), 1)
+    horizon = p + 2 * q + 4
+    base = [digit(j) for j in range(1, horizon + 1)]
+    for k in range(1, p + q + 1):
+        for j, b in enumerate(base, start=k + 1):
+            if digit(j) != b:
+                if digit(j) > b:
+                    return False
+                break
+    return True
+
+
+def test_self_admissible_check_matches_the_digit_loop():
+    """Seeded random prefixes and periods of length <= 4 over {0, 1, 2}."""
+    rng = random.Random(1960)
+    verdicts = set()
+    for _ in range(4000):
+        prefix, period = (tuple(rng.randint(0, 2)
+                                for _ in range(rng.randint(0, 4)))
+                          for _ in range(2))
+        verdict = _check_self_admissible_ep(prefix, period)
+        assert verdict == oracle_self_admissible_loop(prefix, period), \
+            (prefix, period)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_beta_from_digit_string_figure():

@@ -90,6 +90,23 @@ def test_malformed_number_exits_2(capsys, tmp_path, argv):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bowen", "--tree", "{path}"],
+    ["boxdim", "--tree", "{path}", "--beta", "2"],
+])
+def test_deeply_nested_tree_exits_2(capsys, tmp_path, argv):
+    """A trie nested past the recursion limit is a usage error, not a
+    RecursionError traceback."""
+    trie = "{}"
+    for _ in range(1500):
+        trie = '{"0": %s}' % trie
+    path = tmp_path / "deep.json"
+    path.write_text('{"alphabet_bound": 1, "trie": %s}' % trie)
+    code, _, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_malformed_beta_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--beta", "x", "--n", "5")
     assert code == 2

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from betalab.automata import read
 from betalab.errors import NoSingleEditFound, UsageError
 from betalab.exotic import (
     FactorAutomaton,
@@ -31,7 +32,7 @@ def test_factor_automaton_matches_oracle():
     auto = FactorAutomaton(patterns)
     for n in range(1, 10):
         for w in product((0, 1), repeat=n):
-            assert auto.contains_forbidden(w) == oracle_contains(w, patterns)
+            assert (read(auto, w) is None) == oracle_contains(w, patterns)
 
 
 @pytest.mark.parametrize("patterns", [
@@ -67,6 +68,27 @@ def test_build_nested_level_2_forbidden_set():
     assert len(powers) == 4  # all four length-2 words survive level 1
     assert (0, 1) * 6 in powers
     assert (1, 1) * 6 in powers
+
+
+def test_admissible_refuses_symbols_off_the_alphabet():
+    shift = build_nested((4, 6))
+    assert not shift.admissible((2,) * 7)
+    assert not shift.admissible((0, 1, 2))
+    assert not shift.admissible((0, 1, -1), level=1)
+
+
+@pytest.mark.parametrize("N_seq", [(4, 6, 8), (3, 5, 9, 12)])
+def test_level_words_match_product_and_filter(N_seq):
+    """F_k lists, in lexicographic order, the N_k-th powers of the length-k
+    binary words with no factor forbidden at levels below k."""
+    shift = build_nested(N_seq)
+    cumulative = [(1,) * N_seq[0], (0,) * N_seq[0]]
+    assert shift.forbidden_sets[0] == cumulative
+    for k in range(2, len(N_seq) + 1):
+        F_k = [v * N_seq[k - 1] for v in product((0, 1), repeat=k)
+               if not oracle_contains(v, cumulative)]
+        assert shift.forbidden_sets[k - 1] == F_k
+        cumulative = cumulative + F_k
 
 
 def test_build_nested_input_guards():
@@ -106,7 +128,7 @@ def test_single_edit_repair_constant_power():
     shift = build_nested((4, 6))
     rep = single_edit_repair((1, 1, 1, 1), shift, 1)
     assert rep["working_positions"] == 4
-    assert not shift.automata[0].contains_forbidden(rep["repaired"])
+    assert shift.admissible(rep["repaired"], level=1)
 
 
 def test_single_edit_repair_alternating_power():

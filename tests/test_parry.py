@@ -4,9 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betalab.automata import read
+from betalab.automata import enumerate_words, read
 from betalab.beta_core import BetaNumber
-from betalab.errors import AlphabetMismatch, NotAdmissibleInput, NotFound
+from betalab.errors import (
+    AlphabetMismatch,
+    DegenerateRoot,
+    NotAdmissibleInput,
+    NotFound,
+)
 from betalab.observables import constant, digit_frequency
 from betalab.parry import (
     Automaton,
@@ -108,6 +113,17 @@ def test_z_values_two(beta_two):
     assert rep.spec_flag
 
 
+def test_z_values_match_a_digit_scan(bench_bases):
+    """z_n is the number of zeros of w(beta) from position n on before the
+    next nonzero digit."""
+    for beta in bench_bases.values():
+        w = beta.digits(200)
+        scan = [next(j for j in range(n - 1, len(w)) if w[j]) - (n - 1)
+                for n in range(1, 41)]
+        for n_max in range(1, 41):
+            assert z_values(beta, n_max).z == scan[:n_max]
+
+
 def test_repair_word(beta_golden):
     repaired = repair_word(SymbolWord((1, 0, 1), 1), beta_golden)
     assert repaired.digits == (1, 0, 0)
@@ -146,6 +162,50 @@ def test_markov_approx_counts(beta_two):
         fib.append(fib[-1] + fib[-2])
     for n in (3, 8):
         assert approx.count(n) == fib[n + 1]
+
+
+class OracleMarkov:
+    """Paths confined to the first m vertices of beta's graph, m the order
+    without trailing zero labels, stepped on the labels w_1 .. w_m."""
+
+    initial = 1
+
+    def __init__(self, beta, order):
+        labels = list(beta.digits(order))
+        while labels and labels[-1] == 0:
+            labels.pop()
+        self.labels = tuple(labels)
+        self.alphabet_bound = max(labels)
+
+    def step(self, state, symbol):
+        w = self.labels[state - 1]
+        if symbol == w and state < len(self.labels):
+            return state + 1
+        if 0 <= symbol < w:
+            return 1
+        return None
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven"])
+def test_markov_approx_is_the_confined_graph(bench_bases, name):
+    """The graph of beta(n) has the words, read states and alphabet of the
+    confined graph at orders 1-8 (an all-zero or (1) truncation has no
+    beta(n))."""
+    beta = bench_bases[name]
+    for order in range(1, 9):
+        try:
+            approx = markov_approx(beta, order)
+        except DegenerateRoot:
+            continue
+        oracle = OracleMarkov(beta, order)
+        assert approx.alphabet_bound == oracle.alphabet_bound
+        assert approx.effective_order == len(oracle.labels)
+        for n in range(1, 9):
+            assert approx.enumerate_words(n) == enumerate_words(oracle, n)
+        for n in range(1, 6):
+            for w in product(range(oracle.alphabet_bound + 1), repeat=n):
+                assert read(approx, w) == read(oracle, w)
 
 
 def test_periodic_stream_admissible(beta_golden):
