@@ -403,11 +403,13 @@ def _check_self_admissible_ep(prefix, period):
     from index p + 1 on agree everywhere once they agree on their first
     p + q digits.  So one prefix of 2p + 3q + 4 digits compares every shift
     k <= p + q over at least p + 2q + 4 digits, and later shifts repeat
-    earlier ones.  An empty period stands for the period (0).
+    earlier ones.  An empty period stands for the period (0).  The period
+    is repeated only as often as those digits need, so memory stays linear
+    in p + q.
     """
     period = period or (0,)
     n = 2 * len(prefix) + 3 * len(period) + 4
-    return self_admissible((prefix + period * n)[:n])
+    return self_admissible((prefix + period * (n // len(period) + 1))[:n])
 
 
 def beta_from_expansion(prefix, period=()) -> BetaNumber:

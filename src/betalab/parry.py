@@ -160,17 +160,18 @@ def z_values_from_digits(digits, n_max: int) -> ZReport:
 def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    # extend digits until a nonzero exists at or after n_max
+    # extend digits until a nonzero exists at or after n_max; the budget
+    # reaches the zero run of w(beta) for beta >= 1.0005 (15,205 zeros)
     need = n_max
-    cap = max(4 * n_max, n_max + 1000)
+    cap = max(4 * n_max, n_max + (1 << 14))
     while True:
         digits = beta.digits(need)
         if any(d != 0 for d in digits[n_max - 1:]):
             break
-        need *= 2
-        if need > cap:
+        if need >= cap:
             raise BudgetExceeded(
                 f"no nonzero digit found up to {cap}; gap too long for window")
+        need = min(2 * need, cap)
     return z_values_from_digits(digits, n_max)
 
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy
@@ -209,6 +210,25 @@ def test_self_admissible_check_matches_the_digit_loop():
             (prefix, period)
         verdicts.add(verdict)
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("period, verdict", [
+    ((0,) * 1999 + (1,), True),
+    ((0,) * 1000 + (1,) + (0,) * 998 + (1,), False),
+])
+def test_self_admissible_check_on_a_long_period(period, verdict):
+    """A 2,000-digit period gets the digit loop's verdict, and the check
+    holds O(p + q) digits: repeating the period n times for n digits
+    would allocate about 12 million entries here."""
+    prefix = (1,)
+    assert oracle_self_admissible_loop(prefix, period) is verdict
+    tracemalloc.start()
+    try:
+        assert _check_self_admissible_ep(prefix, period) is verdict
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_beta_from_digit_string_figure():

@@ -107,6 +107,19 @@ def test_deeply_nested_tree_exits_2(capsys, tmp_path, argv):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_graph_reaches_long_zero_runs_near_one(capsys):
+    """w(1.001) = 1 0^6911 1 ...: its second digit 1 sits at the first m
+    with (beta - 1) beta^(m-1) >= 1.  Just below 1.0005 the run outgrows
+    the digit budget of z_values, a resource error (exit 3)."""
+    m = 1 + math.ceil(math.log(1000) / math.log(1.001))
+    code, rep = run_json(capsys, "graph", "--beta", "1.001", "--n", "5")
+    assert code == 0
+    assert rep["payload"]["z_distance"] == [0] + [m - n for n in range(2, 6)]
+    code, _, err = run_cli(capsys, "graph", "--beta", "1.0004", "--n", "5")
+    assert code == 3
+    assert json.loads(err)["error"] == "resource"
+
+
 def test_malformed_beta_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--beta", "x", "--n", "5")
     assert code == 2
