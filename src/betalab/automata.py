@@ -10,16 +10,23 @@ a (state, symbol) pair is met, so each later digit costs one lookup, not a
 ``step`` call.  Counting and enumeration cache each visited state's edges;
 counting groups parallel edges by target with a multiplicity, so k
 back-edges to one vertex cost one big-integer multiply, not k additions.
-Enumeration is lazy: a caller that stops early never walks the rest.
+Enumeration shares suffixes: a DFS walks the prefixes of length n - m, and
+the last m symbols come from a table, built for that call, of each end
+state's tail words of length m.  m is the largest length with
+(b + 1)^m <= TAIL_WORDS, so one state's tail list holds at most TAIL_WORDS
+words.  Enumeration is lazy: a caller that stops early never walks the
+rest and wastes at most one tail list.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import chain
 from typing import Hashable, Iterator, Optional, Protocol
 
 from .errors import BudgetExceeded
+
+TAIL_WORDS = 4096  # bound on the words in one state's tail list
 
 
 class Presentation(Protocol):
@@ -78,7 +85,11 @@ def path_counts(pres: Presentation, n_max: int) -> list[int]:
                     mult[t] = mult.get(t, 0) + 1
                 out = grouped[state] = list(mult.items())
             for t, m in out:
-                nxt[t] = nxt.get(t, 0) + c * m
+                add = c if m == 1 else c * m
+                if t in nxt:
+                    nxt[t] += add
+                else:
+                    nxt[t] = add
         counts = nxt
         totals.append(sum(counts.values()))
     return totals
@@ -89,37 +100,51 @@ def count(pres: Presentation, n: int) -> int:
     return path_counts(pres, n)[-1] if n > 0 else 1
 
 
-def iter_words(pres: Presentation, n: int) -> Iterator[tuple[int, ...]]:
-    """Words of length n in lexicographic order, lazily (iterative DFS)."""
-    if n == 0:
-        return iter([()])
-    edges_of = cache(partial(edges, pres))
-
-    def runs():  # one list per run of words differing in the last symbol
-        word: list[int] = []
-        stack = [iter(edges_of(pres.initial))]
-        while stack:
-            if len(stack) < n:
-                edge = next(stack[-1], None)
-                if edge is not None:
-                    word.append(edge[0])
-                    stack.append(iter(edges_of(edge[1])))
-                    continue
-            else:  # the top state's edges end words
-                head = tuple(word)
-                yield [head + (s,) for s, _ in stack[-1]]
+def _paths(edges_of, start, depth: int):
+    """(labels, end state) of every path of depth edges from start, in
+    lexicographic order of the labels (iterative DFS)."""
+    if depth == 0:
+        yield (), start
+        return
+    word: list[int] = []
+    stack = [iter(edges_of(start))]
+    while stack:
+        edge = next(stack[-1], None)
+        if edge is None:
             stack.pop()
             if word:
                 word.pop()
-    return chain.from_iterable(runs())
+        elif len(stack) < depth:
+            word.append(edge[0])
+            stack.append(iter(edges_of(edge[1])))
+        else:
+            yield (*word, edge[0]), edge[1]
+
+
+def _runs(edges_of, initial, depth: int, m: int):
+    """One lazy run of words per prefix of length depth: the prefix
+    followed by each tail word of length m of its end state."""
+    tails: dict = {}
+    for head, state in _paths(edges_of, initial, depth):
+        ends = tails.get(state)
+        if ends is None:
+            ends = tails[state] = [w for w, _ in _paths(edges_of, state, m)]
+        yield map(head.__add__, ends)
+
+
+def iter_words(pres: Presentation, n: int) -> Iterator[tuple[int, ...]]:
+    """Words of length n in lexicographic order, lazily."""
+    m, size = 0, pres.alphabet_bound + 1
+    while m < n and size ** (m + 1) <= TAIL_WORDS:
+        m += 1
+    edges_of = cache(partial(edges, pres))
+    return chain.from_iterable(_runs(edges_of, pres.initial, n - m, m))
 
 
 def enumerate_words(pres: Presentation, n: int,
                     budget: Optional[int] = None) -> list[tuple[int, ...]]:
     """All words of length n in lexicographic order, as a list; raises
-    BudgetExceeded once more than budget words have been found."""
-    out = list(islice(iter_words(pres, n), None if budget is None
-                      else budget + 1))
-    if budget is not None and len(out) > budget:
+    BudgetExceeded, before enumerating, when there are more than budget."""
+    if budget is not None and count(pres, n) > budget:
         raise BudgetExceeded(f"more than {budget} words")
-    return out
+    return list(iter_words(pres, n))

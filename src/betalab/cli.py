@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
+from .automata import iter_words
 from .beta_core import (
     BetaNumber,
     expansion_of_one,
@@ -51,9 +52,9 @@ from .irregular import (
 )
 from .observables import parse_observable
 from .parry import (
+    Automaton,
     count_admissible,
     count_profile,
-    enumerate_admissible,
     is_admissible,
     markov_approx,
     periodic_witnesses,
@@ -436,7 +437,7 @@ def _small_family(args, beta):
     sch = validate_schedule(n, N, d)
     pools = []
     for nk in n:
-        kept = thin_separated(enumerate_admissible(beta, nk), args.pool_size)
+        kept = thin_separated(iter_words(Automaton(beta), nk), args.pool_size)
         if len(kept) < args.pool_size:
             raise UsageError(f"cannot build pool of {args.pool_size} "
                              f"separated words at length {nk}")

@@ -97,9 +97,25 @@ def lex_le_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def self_admissible(digits: tuple[int, ...]) -> bool:
-    """sigma^k(w) <= w for all 0 < k < len(w), prefix-compared."""
+    """sigma^k(w) <= w for all 0 < k < len(w), prefix-compared.
+
+    One Z-function pass, linear in len(w): z[k] is the length of the
+    longest common prefix of w and sigma^k(w), and the digit after it
+    decides the comparison.
+    """
     n = len(digits)
-    return all(lex_le_prefix(digits[k:], digits) for k in range(1, n))
+    z = [0] * n
+    left = right = 0  # the match [left, right) reaching furthest right
+    for k in range(1, n):
+        lcp = min(right - k, z[k - left]) if k < right else 0
+        while k + lcp < n and digits[lcp] == digits[k + lcp]:
+            lcp += 1
+        if k + lcp < n and digits[k + lcp] > digits[lcp]:
+            return False
+        z[k] = lcp
+        if k + lcp > right:
+            left, right = k, k + lcp
+    return True
 
 
 # --- digit-string parsing -------------------------------------------------

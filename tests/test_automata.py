@@ -1,12 +1,14 @@
 import copy
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from functools import cache, partial
+from itertools import chain, islice, product
 
 import pytest
 
-from betalab.automata import (edges, enumerate_words, iter_words,
-                              path_counts, read)
+from betalab.automata import (TAIL_WORDS, edges, enumerate_words,
+                              iter_words, path_counts, read)
 from betalab.beta_core import BetaNumber, greedy_expansion
 from betalab.errors import AlphabetMismatch, BudgetExceeded
 from betalab.exotic import build_nested
@@ -21,21 +23,55 @@ PRESENTATIONS = {
     "markov-figure": lambda b: markov_approx(b["figure"], 4),
     "markov-tribonacci": lambda b: markov_approx(b["tribonacci"], 2),
     "nested": lambda b: build_nested((4, 6)).automata[1],
+    "markov-figure-6": lambda b: markov_approx(b["figure"], 6),
+    "level-set-14": lambda b: _LevelSet(Automaton(b["golden"]),
+                                        digit_frequency(1, 1), 0.3, 0.1, 14),
 }
+
+
+def oracle_iter_words(pres, n):
+    """The per-word DFS without tail tables: one list per run of words
+    that differ only in the last symbol."""
+    if n == 0:
+        return iter([()])
+    edges_of = cache(partial(edges, pres))
+
+    def runs():
+        word = []
+        stack = [iter(edges_of(pres.initial))]
+        while stack:
+            if len(stack) < n:
+                edge = next(stack[-1], None)
+                if edge is not None:
+                    word.append(edge[0])
+                    stack.append(iter(edges_of(edge[1])))
+                    continue
+            else:
+                head = tuple(word)
+                yield [head + (s,) for s, _ in stack[-1]]
+            stack.pop()
+            if word:
+                word.pop()
+    return chain.from_iterable(runs())
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_path_count_equals_enumeration(bench_bases, name):
     """Counter, enumerator, word stream and reader agree with brute force
-    over all words."""
+    over all words and with the per-word DFS, past the tail length: up to
+    n = 14 on a binary alphabet and n = 10 on a ternary one, so words come
+    from a prefix walk and a shared tail list."""
     pres = PRESENTATIONS[name](bench_bases)
-    counts = path_counts(pres, 6)
+    n_max = 14 if pres.alphabet_bound == 1 else 10
+    assert (pres.alphabet_bound + 1) ** n_max > TAIL_WORDS
+    counts = path_counts(pres, n_max)
     symbols = range(pres.alphabet_bound + 1)
-    for n in range(1, 7):
+    for n in range(1, n_max + 1):
         words = enumerate_words(pres, n)
         assert len(words) == counts[n - 1]
         assert words == [w for w in product(symbols, repeat=n)
                          if read(pres, w) is not None]
+        assert words == list(oracle_iter_words(pres, n))
         assert list(iter_words(pres, n)) == words
 
 
@@ -53,6 +89,46 @@ def test_enumeration_budget(beta_golden):
     assert len(enumerate_words(auto, 5, budget=13)) == 13
     with pytest.raises(BudgetExceeded):
         enumerate_words(auto, 5, budget=12)
+
+
+def _traced(fn):
+    """fn's result, with the peak and the still-allocated bytes that
+    tracemalloc saw above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, now - before
+
+
+def test_budget_is_checked_before_enumerating(bench_bases):
+    """2^40 words exceed a budget of 10^6: the count says so before any
+    word is built."""
+    def over_budget():
+        with pytest.raises(BudgetExceeded):
+            enumerate_words(Automaton(bench_bases["two"]), 40, budget=10 ** 6)
+    _, peak, _ = _traced(over_budget)
+    assert peak < 256 * 1024, peak
+
+
+def test_iter_words_memory_is_bounded_and_freed(beta_golden):
+    """The first 1,000 golden words of length 2,000 cost a 1,988-deep
+    prefix walk and a tail list per end state, not the F_2002 words, and
+    dropping the stream frees everything it built without a collector
+    pass."""
+    auto = Automaton(beta_golden)
+
+    def first_words():
+        words = iter_words(auto, 2000)
+        return {len(w) for w in islice(words, 1000)}
+    first_words()  # freed tail words stay on CPython's tuple free list
+    lengths, peak, left = _traced(first_words)
+    assert lengths == {2000}
+    assert peak < 4 * 1024 * 1024, peak
+    assert left < 1024, left
 
 
 READERS = {

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -229,6 +230,22 @@ def test_self_admissible_check_on_a_long_period(period, verdict):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024, peak
+
+
+@pytest.mark.parametrize("period, verdict", [
+    ((1,) * 9999 + (0,), True),
+    ((2, 1) * 5000, True),
+    ((1,) * 9998 + (0, 1), False),
+])
+def test_self_admissible_check_on_a_30004_digit_word(period, verdict):
+    """A 10,000-digit period is checked over 30,004 digits in linear time:
+    a slice per shift took about ten seconds here.  The verdicts follow
+    by hand: every shift of (1^9999 0)^inf meets its 0 first, every shift
+    of (21)^inf is (21)^inf or (12)^inf, and the shift of
+    (1^9998 0 1)^inf past its first 0 starts with 1^9999."""
+    started = time.perf_counter()
+    assert _check_self_admissible_ep((), period) is verdict
+    assert time.perf_counter() - started < 2.0
 
 
 def test_beta_from_digit_string_figure():

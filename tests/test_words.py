@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +63,25 @@ def test_lex_le_prefix():
 def test_self_admissible():
     assert self_admissible((1, 0, 1, 0))
     assert not self_admissible((1, 0, 1, 1))  # shifted suffix exceeds the word
+
+
+def oracle_self_admissible_slices(digits):
+    """Each shift sigma^k(w) as a fresh slice, compared with w."""
+    return all(lex_le_prefix(digits[k:], digits)
+               for k in range(1, len(digits)))
+
+
+def test_self_admissible_matches_the_slice_scan():
+    """Seeded random words of length <= 12 over {0, 1, 2}; both verdicts
+    occur."""
+    rng = random.Random(2009)
+    verdicts = set()
+    for _ in range(20000):
+        word = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 12)))
+        verdict = self_admissible(word)
+        assert verdict == oracle_self_admissible_slices(word), word
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_parse_digit_string_forms():
