@@ -12,4 +12,4 @@ from .beta_core import (  # noqa: F401
 )
 from .errors import BetalabError, ResourceError, UsageError  # noqa: F401
 from .observables import Observable, parse_observable  # noqa: F401
-from .words import SymbolWord, SymbolStream  # noqa: F401
+from .words import SymbolWord  # noqa: F401

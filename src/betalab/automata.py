@@ -10,12 +10,13 @@ a (state, symbol) pair is met, so each later digit costs one lookup, not a
 ``step`` call.  Counting and enumeration cache each visited state's edges;
 counting groups parallel edges by target with a multiplicity, so k
 back-edges to one vertex cost one big-integer multiply, not k additions.
-Enumeration shares suffixes: a DFS walks the prefixes of length n - m, and
-the last m symbols come from a table, built for that call, of each end
-state's tail words of length m.  m is the largest length with
-(b + 1)^m <= TAIL_WORDS, so one state's tail list holds at most TAIL_WORDS
-words.  Enumeration is lazy: a caller that stops early never walks the
-rest and wastes at most one tail list.
+Enumeration yields ``bytes`` words (so b <= 255), which the cyclic garbage
+collector does not track, and shares suffixes: a DFS walks the prefixes of
+length n - m, and each word is its prefix plus one of its end state's tail
+words of length m, from a table built for that call.  m is the largest
+length with (b + 1)^m <= TAIL_WORDS, so one state's tail list holds at most
+TAIL_WORDS words.  Enumeration is lazy: a caller that stops early never
+walks the rest and wastes at most one tail list.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cache, partial
 from itertools import chain
 from typing import Hashable, Iterator, Optional, Protocol
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 
 TAIL_WORDS = 4096  # bound on the words in one state's tail list
 
@@ -104,7 +105,7 @@ def _paths(edges_of, start, depth: int):
     """(labels, end state) of every path of depth edges from start, in
     lexicographic order of the labels (iterative DFS)."""
     if depth == 0:
-        yield (), start
+        yield b"", start
         return
     word: list[int] = []
     stack = [iter(edges_of(start))]
@@ -118,7 +119,7 @@ def _paths(edges_of, start, depth: int):
             word.append(edge[0])
             stack.append(iter(edges_of(edge[1])))
         else:
-            yield (*word, edge[0]), edge[1]
+            yield bytes((*word, edge[0])), edge[1]
 
 
 def _runs(edges_of, initial, depth: int, m: int):
@@ -132,8 +133,11 @@ def _runs(edges_of, initial, depth: int, m: int):
         yield map(head.__add__, ends)
 
 
-def iter_words(pres: Presentation, n: int) -> Iterator[tuple[int, ...]]:
-    """Words of length n in lexicographic order, lazily."""
+def iter_words(pres: Presentation, n: int) -> Iterator[bytes]:
+    """Words of length n in lexicographic order, lazily, as bytes."""
+    if pres.alphabet_bound > 255:
+        raise UsageError(f"alphabet {{0..{pres.alphabet_bound}}} does not "
+                         "fit in a byte")
     m, size = 0, pres.alphabet_bound + 1
     while m < n and size ** (m + 1) <= TAIL_WORDS:
         m += 1
@@ -142,7 +146,7 @@ def iter_words(pres: Presentation, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_words(pres: Presentation, n: int,
-                    budget: Optional[int] = None) -> list[tuple[int, ...]]:
+                    budget: Optional[int] = None) -> list[bytes]:
     """All words of length n in lexicographic order, as a list; raises
     BudgetExceeded, before enumerating, when there are more than budget."""
     if budget is not None and count(pres, n) > budget:

@@ -61,7 +61,13 @@ from .parry import (
     repair_word,
     z_values,
 )
-from .words import SymbolWord, format_digits, format_periodic
+from .words import (
+    SymbolWord,
+    as_word,
+    format_digits,
+    format_periodic,
+    parse_digits,
+)
 
 SCHEMA_VERSION = 1
 DEFAULT_ENUM_BUDGET = 10 ** 5
@@ -97,9 +103,11 @@ def _parse_list(text: str, kind, items=None) -> list:
         raise UsageError(f"cannot parse {text!r}") from exc
 
 
-def _parse_word(text: str) -> tuple[int, ...]:
+def _parse_word(text: str) -> bytes:
+    """A word written as digits ("201", "[10]3") or as integers "2,0,1"."""
     text = text.strip()
-    return tuple(_parse_list(text, int, None if "," in text else text))
+    return as_word(_parse_list(text, int) if "," in text
+                   else parse_digits(text))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -108,10 +116,6 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_float_list(text: str) -> list[float]:
     return _parse_list(text, float)
-
-
-def _word_str(digits) -> str:
-    return format_digits(tuple(digits))
 
 
 def _open(path: str, mode: str = "r"):
@@ -174,7 +178,7 @@ def cmd_expand(args, started):
     x, = _parse_list(args.x, Fraction, [args.x])
     word = greedy_expansion(x, beta, args.n)
     ok = is_admissible(word, beta)
-    return _run(args, {"digits": _word_str(word), "n": args.n,
+    return _run(args, {"digits": format_digits(word), "n": args.n,
                        "beta": beta.value},
                 [("expansion-admissible", ok)], started)
 
@@ -182,7 +186,7 @@ def cmd_expand(args, started):
 def cmd_expansion_of_one(args, started):
     beta = _beta_from_args(args)
     word = expansion_of_one(beta, args.n)
-    payload = {"digits": _word_str(word), "beta": beta.value,
+    payload = {"digits": format_digits(word), "beta": beta.value,
                "digit_bound": beta.digit_bound}
     form = beta.periodic_form()
     if form is not None:
@@ -195,7 +199,7 @@ def cmd_beta_from_digits(args, started):
     lo, hi = beta.enclosure()
     payload = {"beta": beta.value, "digit_bound": beta.digit_bound,
                "enclosure": [str(lo), str(hi)],
-               "round_trip_digits": _word_str(beta.digits(args.n))}
+               "round_trip_digits": format_digits(beta.digits(args.n))}
     return _run(args, payload, [], started)
 
 
@@ -203,7 +207,8 @@ def cmd_admissible(args, started):
     beta = _beta_from_args(args)
     word = SymbolWord(_parse_word(args.word), beta.digit_bound)
     ok = is_admissible(word, beta)
-    return _run(args, {"word": _word_str(word), "admissible": ok}, [], started)
+    return _run(args, {"word": format_digits(word), "admissible": ok}, [],
+                started)
 
 
 def cmd_graph(args, started):
@@ -246,8 +251,8 @@ def cmd_repair(args, started):
     word = SymbolWord(_parse_word(args.word), beta.digit_bound)
     repaired = repair_word(word, beta)
     cost = word.hamming(repaired)
-    return _run(args, {"word": _word_str(word),
-                       "repaired": _word_str(repaired),
+    return _run(args, {"word": format_digits(word),
+                       "repaired": format_digits(repaired),
                        "hamming_cost": cost},
                 [("hamming-cost-at-most-1", cost <= 1)], started)
 
@@ -266,12 +271,12 @@ def cmd_witnesses(args, started):
     beta = _beta_from_args(args)
     phi = parse_observable(args.phi, beta.digit_bound)
     lo_w, lo_v, hi_w, hi_v = periodic_witnesses(beta, phi, args.max_period)
-    payload = {"low_word": _word_str(lo_w), "low_value": lo_v,
-               "high_word": _word_str(hi_w), "high_value": hi_v}
+    payload = {"low_word": format_digits(lo_w), "low_value": lo_v,
+               "high_word": format_digits(hi_w), "high_value": hi_v}
     return _run(args, payload, [("gap-positive", hi_v > lo_v)], started)
 
 
-def _load_words(args) -> list[tuple[int, ...]]:
+def _load_words(args) -> list[bytes]:
     with _open(args.words_file) as fh:
         return [_parse_word(line) for line in fh if line.strip()]
 
@@ -285,7 +290,7 @@ def _separation(args, started, which):
     res = max_separated(inst) if which == "separated" else min_spanning(inst)
     payload = {"size": res.size, "exact": res.exact,
                "bound_direction": res.bound_direction,
-               "witness": [_word_str(w) for w in res.witness]}
+               "witness": [format_digits(w) for w in res.witness]}
     return _run(args, payload, [], started)
 
 
@@ -482,7 +487,7 @@ def cmd_exotic(args, started):
     repairs = []
     for w in shift.forbidden_sets[level - 1]:
         r = single_edit_repair(w, shift, level)
-        repairs.append({"word": _word_str(w),
+        repairs.append({"word": format_digits(w),
                         "working_positions": r["working_positions"],
                         "lower_bound": r["lower_bound"]})
     ent = nested_entropy_report(shift, level, args.nmax)

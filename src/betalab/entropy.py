@@ -30,6 +30,9 @@ from .errors import (
 from .words import SymbolWord
 
 EXACT_WORDS_BUDGET = 20
+# nodes or candidate covers one exact search may try; a search over at most
+# EXACT_WORDS_BUDGET words tries fewer, so only ``--exact`` can reach it
+EXACT_NODE_BUDGET = 2 << EXACT_WORDS_BUDGET
 EXACT_LENGTH_BUDGET = 12
 BISECTION_TOL = 1e-4  # width of the cover-cost transition brackets
 
@@ -80,22 +83,19 @@ class MistakeFunction:
         raise UsageError(f"unknown mistake function spec {spec!r}")
 
 
-def _digits_of(word) -> tuple[int, ...]:
-    return tuple(word.digits if isinstance(word, SymbolWord) else word)
-
-
 def window_bad_count(x, y, window: int) -> int:
-    """# of j in [0, n) whose length-window look-ahead sees a disagreement."""
-    xd, yd = _digits_of(x), _digits_of(y)
-    if len(xd) != len(yd):
-        raise LengthMismatch(f"{len(xd)} vs {len(yd)}")
-    n = len(xd)
+    """# of j in [0, n) whose length-window look-ahead sees a disagreement;
+    the words are any int sequences (bytes, tuples, SymbolWords), read as
+    they are."""
+    if len(x) != len(y):
+        raise LengthMismatch(f"{len(x)} vs {len(y)}")
+    n = len(x)
     if window < 1:
         raise UsageError("window must be >= 1")
     bad = 0
     next_bad = math.inf  # nearest disagreement at or after j, scanned right to left
     for j in range(n - 1, -1, -1):
-        if xd[j] != yd[j]:
+        if x[j] != y[j]:
             next_bad = j
         if next_bad - j < window:
             bad += 1
@@ -104,14 +104,15 @@ def window_bad_count(x, y, window: int) -> int:
 
 def mistake_ball_contains(x, y, g: MistakeFunction, window: int = 1) -> bool:
     """y lies in the length-n mistake ball around x."""
-    return window_bad_count(x, y, window) <= g(len(_digits_of(x)))
+    return window_bad_count(x, y, window) <= g(len(x))
 
 
 @dataclass
 class SeparationInstance:
     """A finite word set with the window and mistake budget to test at.
 
-    Each word is encoded once as an integer holding digit p in bits
+    Words are int sequences, kept as given.  Each word is encoded once as
+    an integer ``codes[i]`` holding digit p in bits
     [p*w, (p+1)*w), w the bit length of the largest digit (1 if every digit
     is 0).  ``bad_count(i, j)`` is the window bad count of words i and j,
     read from those codes; it is exact for every alphabet.
@@ -123,7 +124,7 @@ class SeparationInstance:
     exact_budget: int = EXACT_WORDS_BUDGET
 
     def __post_init__(self):
-        self.words = tuple(_digits_of(w) for w in self.words)
+        self.words = tuple(self.words)
         if not self.words:
             raise UsageError("empty word set")
         n = len(self.words[0])
@@ -137,8 +138,8 @@ class SeparationInstance:
         self.threshold = self.g(n)
         top = max(max(w, default=0) for w in self.words)
         width = max(top.bit_length(), 1)
-        codes = [sum(d << p * width for p, d in enumerate(w))
-                 for w in self.words]
+        self.codes = codes = [sum(d << p * width for p, d in enumerate(w))
+                              for w in self.words]
         low = sum(1 << p * width for p in range(n))
         folds = range(1, width)
         spreads = range(width, width * self.window, width)
@@ -181,8 +182,9 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
     """Largest pairwise-separated subset; exact below the search budget."""
     k = len(inst.words)
     if inst.threshold == 0:
-        # any disagreement separates, so distinct words are pairwise separated
-        witness = list(dict.fromkeys(inst.words))
+        # any disagreement separates, so distinct words are pairwise
+        # separated; equal codes are equal words, whatever their type
+        witness = list(dict(zip(inst.codes, inst.words)).values())
         return SeparationResult(len(witness), witness, True, "exact")
     if k <= inst.exact_budget and inst.n <= EXACT_LENGTH_BUDGET:
         full = (1 << k) - 1
@@ -191,7 +193,12 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
         # branch and bound, depth first: take the lowest candidate v, then
         # (popped after that whole subtree) leave it out
         stack = [(full, 0, 0)]
+        popped = 0
         while stack:
+            popped += 1
+            if popped > EXACT_NODE_BUDGET:
+                raise BudgetExceeded(
+                    f"exact search passed {EXACT_NODE_BUDGET} nodes")
             cand, cur, cur_size = stack.pop()
             if cur_size + cand.bit_count() <= best_mask.bit_count():
                 continue
@@ -235,8 +242,13 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
     if k > inst.exact_budget or inst.n > EXACT_LENGTH_BUDGET:
         witness = [inst.words[i] for i in greedy]
         return SeparationResult(len(witness), witness, False, "upper")
+    tried = 0
     for size in range(1, len(greedy) + 1):
         for combo in combinations(range(k), size):
+            tried += 1
+            if tried > EXACT_NODE_BUDGET:
+                raise BudgetExceeded(
+                    f"exact cover search passed {EXACT_NODE_BUDGET} subsets")
             m = 0
             for c in combo:
                 m |= cover_masks[c]
@@ -500,7 +512,7 @@ def cylinder_diameter_bounds(beta, word) -> tuple[float, float]:
     """[beta^-(n+z_n), beta^-n] in the d_beta metric; exact at w(beta) prefixes."""
     from .parry import is_admissible, z_values
 
-    sw = word if isinstance(word, SymbolWord) else SymbolWord(tuple(word), beta.digit_bound)
+    sw = SymbolWord(word, beta.digit_bound)
     if not is_admissible(sw, beta):
         raise NotAdmissibleInput(f"{sw} is not admissible")
     n = len(sw)

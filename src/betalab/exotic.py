@@ -124,8 +124,9 @@ def build_nested(N_seq: Sequence[int], k_max: Optional[int] = None,
     cumulative = list(forbidden_sets[0])
     matchers = [FactorAutomaton(cumulative)]
     for k in range(2, k_max + 1):
-        # F_k: the N_k-th powers of all level-(k-1) admissible length-k words
-        F_k = [v * N_seq[k - 1]
+        # F_k: the N_k-th powers of all level-(k-1) admissible length-k
+        # words; patterns stay tuples, like the level-1 runs
+        F_k = [tuple(v) * N_seq[k - 1]
                for v in automata.enumerate_words(matchers[-1], k)]
         if sum(len(w) for c in (cumulative, F_k) for w in c) > budget:
             raise BudgetExceeded("forbidden lists exceed budget")

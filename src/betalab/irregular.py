@@ -29,7 +29,7 @@ from .errors import (
 )
 from .observables import Observable
 from .entropy import MistakeFunction, window_bad_count
-from .words import SymbolWord
+from .words import as_word
 
 
 def rho(k: int) -> int:
@@ -210,7 +210,7 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
 
 @dataclass
 class GluedPoint:
-    digits: tuple[int, ...]
+    digits: bytes
     ledger: list = field(default_factory=list)  # rows (level, slot, edited_pos)
     schedule: Optional[IrregularSchedule] = None
 
@@ -227,8 +227,9 @@ def _needs_repair(beta, horizon: int = 64) -> bool:
 
 def glue_blocks(beta, schedule: IrregularSchedule,
                 selections: Sequence[Sequence]) -> GluedPoint:
-    """Concatenate pool words level by level, applying the one-symbol
-    repair to each nonterminal block when the shift requires it."""
+    """Concatenate pool words (bytes, SymbolWords or int sequences) level
+    by level, applying the one-symbol repair to each nonterminal block when
+    the shift requires it."""
     from .parry import Automaton, is_admissible, zero_last_nonzero
 
     if len(selections) != schedule.levels:
@@ -240,18 +241,18 @@ def glue_blocks(beta, schedule: IrregularSchedule,
     repair = _needs_repair(beta)
     auto = Automaton(beta)
     state = 1
-    out: list[int] = []
+    out = bytearray()
     ledger = []
     total_blocks = sum(schedule.multiplicities)
     blk_index = 0
     for k, sel in enumerate(selections, start=1):
         n_k = schedule.block_lengths[k - 1]
         for slot, word in enumerate(sel):
-            word = tuple(word.digits if isinstance(word, SymbolWord) else word)
+            word = as_word(word)
             if len(word) != n_k:
                 raise UsageError(f"level {k} word has length {len(word)}, "
                                  f"expected {n_k}")
-            if not is_admissible(SymbolWord(word, beta.digit_bound), beta):
+            if not is_admissible(word, beta):
                 raise NotAdmissibleInput(f"selection at level {k} slot {slot}")
             blk_index += 1
             pos = None
@@ -261,9 +262,9 @@ def glue_blocks(beta, schedule: IrregularSchedule,
             if state is None:
                 raise NotAdmissibleInput(
                     f"glued prefix inadmissible inside level {k} slot {slot}")
-            out.extend(word)
+            out += word
             ledger.append((k, slot, pos))
-    return GluedPoint(digits=tuple(out), ledger=ledger, schedule=schedule)
+    return GluedPoint(digits=bytes(out), ledger=ledger, schedule=schedule)
 
 
 def oscillation_bound(phi: Observable, schedule: IrregularSchedule,
@@ -327,10 +328,11 @@ def construct_irregular_point(beta, phi: Observable,
 def enumerate_glued_family(beta, schedule: IrregularSchedule,
                            pools: Sequence[WordPool],
                            budget: int = 10 ** 5) -> dict:
-    """All glued words over per-slot pool choices; exact product count."""
-    sizes = [p.size if isinstance(p, WordPool) else len(p) for p in pools]
-    words_per_level = [p.words if isinstance(p, WordPool) else
-                       tuple(tuple(w) for w in p) for p in pools]
+    """All glued words over per-slot pool choices; exact product count.
+    Pool words may be bytes, SymbolWords or int sequences, mixed."""
+    words_per_level = [tuple(map(as_word, p.words if isinstance(p, WordPool)
+                                 else p)) for p in pools]
+    sizes = [len(words) for words in words_per_level]
     expected = 1
     for s, N in zip(sizes, schedule.multiplicities):
         expected *= s ** N
@@ -357,7 +359,7 @@ def enumerate_glued_family(beta, schedule: IrregularSchedule,
             "family": family}
 
 
-def edp_ball_check(family: Sequence[tuple[int, ...]],
+def edp_ball_check(family: Sequence[bytes],
                    schedule: IrregularSchedule,
                    pool_sizes: Sequence[int],
                    samples: Sequence[tuple],
@@ -372,8 +374,6 @@ def edp_ball_check(family: Sequence[tuple[int, ...]],
     t = schedule.times
     rows = []
     for center, n in samples:
-        center = tuple(center.digits if isinstance(center, SymbolWord)
-                       else center)
         if n > len(family[0]):
             raise UsageError(f"ball length {n} exceeds family prefix")
         if n == 0:

@@ -88,17 +88,17 @@ class Automaton:
                    for j in range(horizon))
 
 
-def is_admissible(word: SymbolWord | tuple, beta: BetaNumber) -> bool:
-    """Parry's criterion, decided by one read of the labelled graph.
+def is_admissible(word, beta: BetaNumber) -> bool:
+    """Parry's criterion, decided by one read of the labelled graph; word is
+    a SymbolWord or any int sequence, read without a copy.
 
     Raises AlphabetMismatch for any digit outside {0..b}, wherever it sits.
     Such a digit has no edge, so the alphabet is checked only when the read
     fails.
     """
-    digits = tuple(word.digits if isinstance(word, SymbolWord) else word)
-    if automata.read(Automaton(beta), digits) is not None:
+    if automata.read(Automaton(beta), word) is not None:
         return True
-    if min(digits) < 0 or max(digits) > beta.digit_bound:
+    if min(word) < 0 or max(word) > beta.digit_bound:
         raise AlphabetMismatch(
             f"word uses digits outside {{0..{beta.digit_bound}}}")
     return False
@@ -175,14 +175,14 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     return z_values_from_digits(digits, n_max)
 
 
-def zero_last_nonzero(digits: tuple[int, ...]):
-    """The one-symbol repair: (digits with the last nonzero digit zeroed,
-    its position), or (digits, None) when every digit is 0.  A repaired
+def zero_last_nonzero(word: bytes):
+    """The one-symbol repair: (word with the last nonzero digit zeroed, its
+    position), or (word, None) when every digit is 0.  A repaired
     admissible word concatenates admissibly with every admissible word."""
-    for i in range(len(digits) - 1, -1, -1):
-        if digits[i] != 0:
-            return digits[:i] + (0,) + digits[i + 1:], i
-    return digits, None
+    i = len(word.rstrip(b"\0")) - 1
+    if i < 0:
+        return word, None
+    return word[:i] + b"\0" + word[i + 1:], i
 
 
 def repair_word(word: SymbolWord, beta: BetaNumber) -> SymbolWord:

@@ -1,4 +1,7 @@
-"""Finite and lazily-extended digit sequences over the alphabet {0, ..., b}.
+"""Finite digit sequences over the alphabet {0, ..., b}, held as bytes.
+
+A word is ``bytes``, one digit per byte (so b <= 255): it sorts like the
+digit tuple, concatenates with ``+`` and is not tracked by the cyclic GC.
 
 Serialization follows the compact digit-string convention: single digits are
 written as-is ("201001"), digits above 9 are bracketed ("[10]3[11]"), and an
@@ -13,19 +16,35 @@ from typing import Iterable, Iterator
 from .errors import AlphabetMismatch, UsageError
 
 
+def as_word(digits) -> bytes:
+    """Any int sequence or SymbolWord as a bytes word (bytes as they are);
+    AlphabetMismatch for a digit outside 0..255."""
+    try:
+        return bytes(digits)
+    except (TypeError, ValueError) as exc:
+        raise AlphabetMismatch(f"word digits must lie in 0..255: {exc}") \
+            from exc
+
+
 @dataclass(frozen=True)
 class SymbolWord:
-    """A finite digit sequence together with its alphabet bound."""
+    """A finite digit sequence, stored as bytes, with its alphabet bound."""
 
-    digits: tuple[int, ...]
+    digits: bytes
     alphabet_bound: int
 
     def __post_init__(self):
-        for d in self.digits:
-            if not 0 <= d <= self.alphabet_bound:
-                raise AlphabetMismatch(
-                    f"digit {d} outside alphabet {{0..{self.alphabet_bound}}}"
-                )
+        if self.alphabet_bound > 255:
+            raise UsageError(f"alphabet {{0..{self.alphabet_bound}}} does "
+                             "not fit in a byte")
+        digits = as_word(self.digits)
+        if digits and max(digits) > self.alphabet_bound:
+            raise AlphabetMismatch(f"digit {max(digits)} outside alphabet "
+                                   f"{{0..{self.alphabet_bound}}}")
+        object.__setattr__(self, "digits", digits)
+
+    def __bytes__(self) -> bytes:
+        return self.digits
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -39,10 +58,6 @@ class SymbolWord:
     def __str__(self) -> str:
         return format_digits(self.digits)
 
-    def concat(self, other: "SymbolWord") -> "SymbolWord":
-        bound = max(self.alphabet_bound, other.alphabet_bound)
-        return SymbolWord(self.digits + other.digits, bound)
-
     def shift(self, k: int) -> "SymbolWord":
         return SymbolWord(self.digits[k:], self.alphabet_bound)
 
@@ -52,51 +67,7 @@ class SymbolWord:
         return sum(a != b for a, b in zip(self.digits, other.digits))
 
 
-class SymbolStream:
-    """Infinite digit sequence backed by a generator, with a materialized prefix."""
-
-    def __init__(self, generator: Iterable[int], alphabet_bound: int):
-        self._it = iter(generator)
-        self.alphabet_bound = alphabet_bound
-        self._prefix: list[int] = []
-
-    def digit(self, j: int) -> int:
-        """1-based digit access."""
-        while len(self._prefix) < j:
-            d = next(self._it)
-            if not 0 <= d <= self.alphabet_bound:
-                raise AlphabetMismatch(f"stream digit {d} out of range")
-            self._prefix.append(d)
-        return self._prefix[j - 1]
-
-    def prefix(self, n: int) -> SymbolWord:
-        self.digit(n)
-        return SymbolWord(tuple(self._prefix[:n]), self.alphabet_bound)
-
-
-def periodic_stream(prefix: tuple[int, ...], period: tuple[int, ...], bound: int) -> SymbolStream:
-    def gen():
-        yield from prefix
-        while True:
-            yield from period
-    return SymbolStream(gen(), bound)
-
-
-def lex_le_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """a <= b compared position by position over len(a) positions.
-
-    b must supply at least len(a) digits.  Equality through the end of a
-    counts as <= (the admissibility comparison is non-strict).
-    """
-    for x, y in zip(a, b):
-        if x < y:
-            return True
-        if x > y:
-            return False
-    return True
-
-
-def self_admissible(digits: tuple[int, ...]) -> bool:
+def self_admissible(digits) -> bool:
     """sigma^k(w) <= w for all 0 < k < len(w), prefix-compared.
 
     One Z-function pass, linear in len(w): z[k] is the length of the
@@ -133,19 +104,23 @@ def parse_digit_string(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if not text.endswith(")") or text.count("(") != 1:
             raise UsageError(f"malformed periodic digit string: {text!r}")
         prefix_part, period_part = text[:-1].split("(")
-    return _parse_plain(prefix_part), _parse_plain(period_part)
+    return parse_digits(prefix_part), parse_digits(period_part)
 
 
-def _parse_plain(text: str) -> tuple[int, ...]:
+def parse_digits(text: str) -> tuple[int, ...]:
+    """Digits of a plain digit string ("201", "[10]3"); commas and spaces
+    between digits are skipped."""
     digits = []
     i = 0
     while i < len(text):
         c = text[i]
         if c == "[":
-            j = text.index("]", i)
+            j = text.find("]", i)
+            if j < 0 or not text[i + 1:j].isdecimal():
+                raise UsageError(f"malformed bracketed digit in {text!r}")
             digits.append(int(text[i + 1:j]))
             i = j + 1
-        elif c.isdigit():
+        elif c.isdecimal():
             digits.append(int(c))
             i += 1
         elif c in ", ":

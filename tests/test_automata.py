@@ -1,4 +1,5 @@
 import copy
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from betalab.automata import (TAIL_WORDS, edges, enumerate_words,
                               iter_words, path_counts, read)
 from betalab.beta_core import BetaNumber, greedy_expansion
-from betalab.errors import AlphabetMismatch, BudgetExceeded
+from betalab.errors import AlphabetMismatch, BudgetExceeded, UsageError
 from betalab.exotic import build_nested
 from betalab.irregular import _LevelSet
 from betalab.observables import digit_frequency
@@ -60,7 +61,8 @@ def test_path_count_equals_enumeration(bench_bases, name):
     """Counter, enumerator, word stream and reader agree with brute force
     over all words and with the per-word DFS, past the tail length: up to
     n = 14 on a binary alphabet and n = 10 on a ternary one, so words come
-    from a prefix walk and a shared tail list."""
+    from a prefix walk and a shared tail list.  Every word is exactly
+    bytes, which the cyclic garbage collector does not track."""
     pres = PRESENTATIONS[name](bench_bases)
     n_max = 14 if pres.alphabet_bound == 1 else 10
     assert (pres.alphabet_bound + 1) ** n_max > TAIL_WORDS
@@ -69,10 +71,13 @@ def test_path_count_equals_enumeration(bench_bases, name):
     for n in range(1, n_max + 1):
         words = enumerate_words(pres, n)
         assert len(words) == counts[n - 1]
-        assert words == [w for w in product(symbols, repeat=n)
+        assert words == [bytes(w) for w in product(symbols, repeat=n)
                          if read(pres, w) is not None]
-        assert words == list(oracle_iter_words(pres, n))
-        assert list(iter_words(pres, n)) == words
+        assert words == list(map(bytes, oracle_iter_words(pres, n)))
+        streamed = list(iter_words(pres, n))
+        assert streamed == words
+        assert all(type(w) is bytes and not gc.is_tracked(w)
+                   for w in streamed)
 
 
 def test_iter_words_is_lazy(beta_golden):
@@ -80,8 +85,30 @@ def test_iter_words_is_lazy(beta_golden):
     in lexicographic order come without walking the rest."""
     words = iter_words(Automaton(beta_golden), 60)
     assert [next(words) for _ in range(3)] == \
-        [(0,) * 60, (0,) * 59 + (1,), (0,) * 58 + (1, 0)]
-    assert list(iter_words(Automaton(beta_golden), 0)) == [()]
+        [bytes(60), bytes(59) + b"\x01", bytes(58) + b"\x01\x00"]
+    assert list(iter_words(Automaton(beta_golden), 0)) == [b""]
+
+
+class _WideAlphabet:
+    """Every word over {0..256}: one symbol more than a byte holds."""
+
+    initial = 0
+    alphabet_bound = 256
+
+    def step(self, state, sym):
+        return 0
+
+
+def test_words_wider_than_a_byte_are_refused():
+    """Enumeration refuses an alphabet past 255 instead of wrapping its
+    digits; counting and reading need no bytes and still work."""
+    pres = _WideAlphabet()
+    with pytest.raises(UsageError):
+        iter_words(pres, 1)
+    with pytest.raises(UsageError):
+        enumerate_words(pres, 2)
+    assert path_counts(pres, 2) == [257, 257 ** 2]
+    assert read(pres, (256, 300)) is None and read(pres, (256, 0)) == 0
 
 
 def test_enumeration_budget(beta_golden):
@@ -124,7 +151,7 @@ def test_iter_words_memory_is_bounded_and_freed(beta_golden):
     def first_words():
         words = iter_words(auto, 2000)
         return {len(w) for w in islice(words, 1000)}
-    first_words()  # freed tail words stay on CPython's tuple free list
+    first_words()  # warms the allocator before the measured call
     lengths, peak, left = _traced(first_words)
     assert lengths == {2000}
     assert peak < 4 * 1024 * 1024, peak

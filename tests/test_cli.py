@@ -80,6 +80,8 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["katok", "--beta", "2", "--n-list", "0"],
     ["exotic", "--levels", "0"],
     ["exotic", "--levels", "-1"],
+    ["beta-from-digits", "--digits", "[1"],
+    ["admissible", "--beta", "2", "--word", "1[x]"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -203,6 +205,65 @@ def test_exact_separated_on_many_words(tmp_path, capsys):
                          "--g", "const:1", "--exact")
     assert code == 0
     assert rep["payload"]["size"] == 1 and rep["payload"]["exact"]
+
+
+def test_exact_search_stays_exact_below_the_node_budget(tmp_path, capsys):
+    """All 32 binary words of length 5 at g = 1: a separated set is a code
+    of minimum distance 2, at most A(5, 2) = 16 words (the even-weight
+    code).  32 words exceed the default word budget, so only --exact
+    searches, well within the node budget."""
+    words = tmp_path / "all5.txt"
+    words.write_text("".join(f"{i:05b}\n" for i in range(32)))
+    argv = ["separated", "--words-file", str(words), "--g", "const:1"]
+    code, rep = run_json(capsys, *argv)
+    assert code == 0 and not rep["payload"]["exact"]
+    assert rep["payload"]["bound_direction"] == "lower"
+    code, rep = run_json(capsys, *argv, "--exact")
+    assert code == 0 and rep["payload"]["exact"]
+    assert rep["payload"]["size"] == 16
+    assert rep["payload"]["bound_direction"] == "exact"
+
+
+@pytest.mark.parametrize("which", ["separated", "spanning"])
+def test_exact_search_past_the_node_budget_exits_3(tmp_path, capsys,
+                                                   monkeypatch, which):
+    """--exact lifts the word budget, not the node budget: a search that
+    needs more nodes than EXACT_NODE_BUDGET is a resource error."""
+    monkeypatch.setattr("betalab.entropy.EXACT_NODE_BUDGET", 50)
+    words = tmp_path / "all6.txt"
+    words.write_text("".join(f"{i:06b}\n" for i in range(64)))
+    code, _, err = run_cli(capsys, which, "--words-file", str(words),
+                           "--g", "const:1", "--exact")
+    assert code == 3
+    assert json.loads(err)["error"] == "resource"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--beta", "300", "--x", "1/3", "--n", "4"],
+    ["expansion-of-one", "--beta", "300", "--n", "4"],
+    ["admissible", "--beta", "400", "--word", "[300]"],
+    ["admissible", "--beta", "2", "--word", "300,1"],
+    ["separated", "--words-file", "{tmp}/wide.txt"],
+    ["spanning", "--words-file", "{tmp}/wide.txt"],
+])
+def test_words_wider_than_a_byte_exit_2(capsys, tmp_path, argv):
+    """A word is bytes, so a digit or alphabet past 255 is a usage error,
+    never a ValueError or a wrapped digit."""
+    (tmp_path / "wide.txt").write_text("[300]\n[1]\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "byte" in error["message"] or "255" in error["message"]
+
+
+def test_bracketed_word_digits(tmp_path, capsys):
+    """Words are read in the notation reports write: "[10]" is one digit."""
+    code, rep = run_json(capsys, "admissible", "--beta", "11",
+                         "--word", "[10]3")
+    assert code == 0 and rep["payload"]["word"] == "[10]3"
+    assert rep["payload"]["admissible"] is True
 
 
 @pytest.mark.parametrize("which", ["separated", "spanning"])

@@ -109,6 +109,11 @@ def test_hamming_instance_length_3():
     words = all_binary(3)
     zero = SeparationInstance(words, g=MistakeFunction.zero())
     assert max_separated(zero).size == 8
+    # words are read as given, and a bytes copy of a word is the same word
+    mixed = words + tuple(map(bytes, words))
+    for g in (MistakeFunction.zero(), MistakeFunction.constant(1)):
+        assert max_separated(SeparationInstance(mixed, g=g)).size == \
+            max_separated(SeparationInstance(words, g=g)).size
     g1 = SeparationInstance(words, g=MistakeFunction.constant(1))
     assert max_separated(g1).size == 4
     assert min_spanning(g1).size == 2

@@ -111,7 +111,7 @@ def test_pools_full_shift_contains_zero_word(beta_two):
     sch = validate_schedule((8,), (2,), (0.05,))
     pool = build_word_pools(beta_two, digit_frequency(1, 1), (0.0, 1.0),
                             sch)[0]
-    assert (0,) * 8 in pool.words
+    assert bytes(8) in pool.words
 
 
 def oracle_thin(words, cap=64, threshold=2):
@@ -190,7 +190,7 @@ def test_level_set_margin_covers_summation_order(beta_golden):
     words = enumerate_admissible(beta_golden, n)
 
     def values(w):
-        return [phi.table[w[i:i + 2]] for i in range(n - 1)]
+        return [phi.table[tuple(w[i:i + 2])] for i in range(n - 1)]
 
     for target in words[::300]:
         alpha, delta = math.fsum(values(target)) / (n - 1), 1e-18
@@ -210,8 +210,9 @@ def test_criterion_7_level_3_pool_is_thinned_level_set(beta_golden):
     pools = build_word_pools(beta_golden, digit_frequency(1, 1), (0.5, 0.0),
                              sch)
     level_set = sorted(
-        tuple(d for i in range(20) for d in ((0,) if i == slot else ())
-              + ((0,) if i else ()) + (1,)) + ((0,) if slot == 20 else ())
+        bytes(tuple(d for i in range(20) for d in ((0,) if i == slot else ())
+                    + ((0,) if i else ()) + (1,))
+              + ((0,) if slot == 20 else ()))
         for slot in range(21))
     assert len(set(level_set)) == 21
     assert all(sum(w) == 20 and is_admissible(w, beta_golden)
@@ -228,7 +229,7 @@ def test_pools_at_n_400(beta_golden):
     assert time.monotonic() - start < 10.0
     assert pool.size == 64
     # the lexicographically least word with 107 ones comes first
-    assert pool.words[0] == (0,) * 187 + (1, 0) * 106 + (1,)
+    assert pool.words[0] == bytes(187) + b"\x01\x00" * 106 + b"\x01"
     assert list(pool.words) == sorted(set(pool.words))
     for i, w in enumerate(pool.words):
         assert is_admissible(w, beta_golden)
@@ -244,7 +245,7 @@ def test_glue_full_shift_is_plain_concatenation(beta_two):
     blocks = [[(1, 1, 1, 1), (1, 0, 1, 1)], [(1,) * 6] * 4]
     point = glue_blocks(beta_two, sch, blocks)
     assert point.edits == 0
-    flat = tuple(d for lvl in blocks for w in lvl for d in w)
+    flat = bytes(d for lvl in blocks for w in lvl for d in w)
     assert point.digits == flat
 
 
@@ -279,7 +280,7 @@ def test_glue_on_base_without_periodic_form():
     beta = BetaNumber.from_decimal("3/2")
     sch = validate_schedule((4,), (2,), (0.1,))
     point = glue_blocks(beta, sch, [[(1, 0, 0, 1), (1, 0, 0, 1)]])
-    assert point.digits == (1, 0, 0, 0, 1, 0, 0, 1)
+    assert point.digits == bytes((1, 0, 0, 0, 1, 0, 0, 1))
     assert is_admissible(point.digits, beta)
 
 
@@ -328,7 +329,7 @@ def test_construct_exact_alternation_full_shift(beta_two):
     sch = validate_schedule((6, 8), (3, 20), (0.05, 0.02))
     phi = digit_frequency(1, 1)
     pools = build_word_pools(beta_two, phi, (1.0, 0.0), sch)
-    assert [p.words for p in pools] == [((1,) * 6,), ((0,) * 8,)]
+    assert [p.words for p in pools] == [(b"\x01" * 6,), (bytes(8),)]
     rep = construct_irregular_point(beta_two, phi, (1.0, 0.0), sch, pools,
                                     seed=0)
     a1 = rep["rows"][0]["average"]
@@ -377,6 +378,32 @@ def test_edp_ball_bounds(beta_two):
                               [((1, 0, 1, 0) + (0,) * 16, 4)])
     # (1010...) may or may not be in family prefixes; measure is just exact
     assert 0.0 <= disjoint["rows"][0]["measure"] <= 1.0
+
+
+@pytest.mark.parametrize("form", ["tuple", "bytes", "symbol", "mixed"])
+def test_family_and_balls_ignore_the_word_type(beta_golden, form):
+    """Pool words given as tuples, bytes, SymbolWords or a mix (as the
+    benchmark's construct workload passes them) glue to the same bytes
+    family, with the same ball measures at tuple and bytes centres."""
+    sch = validate_schedule((6, 8), (2, 2), (0.2, 0.1))
+    # distinct after the one-symbol repair, which zeroes each last 1
+    pools = [[b"\1\0\1\0\0\1", b"\1\0\0\1\0\1", b"\0\1\0\1\0\1"],
+             [b"\1\0\1\0\0\1\0\1", b"\0\1\0\1\0\1\0\1"]]
+    convert = {"tuple": lambda i, w: tuple(w), "bytes": lambda i, w: w,
+               "symbol": lambda i, w: SymbolWord(w, 1),
+               "mixed": lambda i, w: (tuple, bytes)[i % 2](w)}[form]
+    fam = enumerate_glued_family(
+        beta_golden, sch,
+        [[convert(i, w) for i, w in enumerate(p)] for p in pools])
+    ref = enumerate_glued_family(beta_golden, sch, pools)
+    assert fam == ref and fam["count"] == fam["expected"] == 3 ** 2 * 2 ** 2
+    assert all(type(w) is bytes for w in fam["family"])
+    member = fam["family"][5]
+    samples = [(c, n) for c in (member, tuple(member))
+               for n in (0, 6, sch.times[0], sch.times[-1])]
+    rep = edp_ball_check(fam["family"], sch, [3, 2], samples)
+    assert rep == edp_ball_check(ref["family"], sch, [3, 2], samples)
+    assert rep["rows"][:4] == rep["rows"][4:] and rep["all_pass"]
 
 
 def test_edp_counting_identity(beta_two):

@@ -126,7 +126,7 @@ def test_z_values_match_a_digit_scan(bench_bases):
 
 def test_repair_word(beta_golden):
     repaired = repair_word(SymbolWord((1, 0, 1), 1), beta_golden)
-    assert repaired.digits == (1, 0, 0)
+    assert repaired.digits == b"\x01\x00\x00"
 
 
 def test_repair_rejects_inadmissible(beta_golden):

@@ -6,17 +6,19 @@ from hypothesis import given, strategies as st
 from betalab.errors import AlphabetMismatch, UsageError
 from betalab.words import (
     SymbolWord,
+    as_word,
     format_digits,
     format_periodic,
-    lex_le_prefix,
     parse_digit_string,
-    periodic_stream,
     self_admissible,
 )
 
 
 def test_symbol_word_basics():
     w = SymbolWord((1, 0, 1), 1)
+    assert w.digits == b"\x01\x00\x01" and type(w.digits) is bytes
+    assert bytes(w) is w.digits
+    assert w == SymbolWord(b"\x01\x00\x01", 1)
     assert len(w) == 3
     assert list(w) == [1, 0, 1]
     assert w[1] == 0
@@ -30,11 +32,28 @@ def test_symbol_word_rejects_out_of_alphabet():
         SymbolWord((-1,), 1)
 
 
+def test_words_wider_than_a_byte_are_usage_errors():
+    """A bytes digit is at most 255: larger digits and alphabets are
+    refused, never wrapped."""
+    for digits, bound in (((300,), 400), ((1,), 256), ((300,), 255)):
+        with pytest.raises(UsageError):
+            SymbolWord(digits, bound)
+    assert SymbolWord((255,), 255).digits == b"\xff"
+    for bad in ((256,), (1, -1), [0, 300]):
+        with pytest.raises(AlphabetMismatch):
+            as_word(bad)
+    word = b"\x00\x01"
+    assert as_word(word) is word
+    assert as_word((0, 1)) == as_word(SymbolWord((0, 1), 1)) == word
+
+
 def test_concat_and_shift():
+    """Words concatenate as bytes."""
     a = SymbolWord((1, 0), 1)
     b = SymbolWord((0, 1), 1)
-    assert a.concat(b).digits == (1, 0, 0, 1)
-    assert a.shift(1).digits == (0,)
+    assert a.digits + b.digits == bytes((1, 0, 0, 1))
+    assert SymbolWord(a.digits + b.digits, 1) == SymbolWord((1, 0, 0, 1), 1)
+    assert a.shift(1).digits == b"\x00"
 
 
 def test_hamming():
@@ -49,25 +68,15 @@ def test_hamming_length_mismatch():
         SymbolWord((1,), 1).hamming(SymbolWord((1, 0), 1))
 
 
-def test_periodic_stream():
-    s = periodic_stream((2,), (0, 1), 2)
-    assert [s.digit(i) for i in range(1, 6)] == [2, 0, 1, 0, 1]
-
-
-def test_lex_le_prefix():
-    assert lex_le_prefix((1, 0), (1, 0))
-    assert lex_le_prefix((0, 1), (1, 0))
-    assert not lex_le_prefix((1, 1), (1, 0))
-
-
 def test_self_admissible():
     assert self_admissible((1, 0, 1, 0))
     assert not self_admissible((1, 0, 1, 1))  # shifted suffix exceeds the word
 
 
 def oracle_self_admissible_slices(digits):
-    """Each shift sigma^k(w) as a fresh slice, compared with w."""
-    return all(lex_le_prefix(digits[k:], digits)
+    """Each shift sigma^k(w) as a fresh slice, compared with w over the
+    slice's length (equality counts as <=)."""
+    return all(digits[k:] <= digits[:len(digits) - k]
                for k in range(1, len(digits)))
 
 
@@ -92,8 +101,9 @@ def test_parse_digit_string_forms():
 
 
 def test_parse_digit_string_rejects_garbage():
-    with pytest.raises(UsageError):
-        parse_digit_string("1(2")
+    for text in ("1(2", "[1", "1[x]", "[]", "\u00b2"):
+        with pytest.raises(UsageError):
+            parse_digit_string(text)
 
 
 def test_format_round_trip():
@@ -106,13 +116,3 @@ def test_format_round_trip():
                 max_size=12))
 def test_parse_format_inverse(digits):
     assert parse_digit_string(format_digits(digits))[0] == tuple(digits)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1,
-                max_size=10),
-       st.lists(st.integers(min_value=0, max_value=1), min_size=1,
-                max_size=10))
-def test_lex_total_on_equal_lengths(a, b):
-    a, b = tuple(a), tuple(b)
-    if len(a) == len(b):
-        assert lex_le_prefix(a, b) or lex_le_prefix(b, a)
