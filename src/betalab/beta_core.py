@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 from .errors import (
     DegenerateRoot,
     InvalidBeta,
-    NotIncreasing,
     NotSelfAdmissible,
     UndecidableAtPrecision,
     UsageError,
@@ -360,40 +359,19 @@ def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
     return SymbolWord(beta.digits(n), beta.digit_bound)
 
 
-def _unit_point(x) -> Fraction:
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise UsageError(f"x must lie in [0, 1), got {x}")
-    return x
-
-
 def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
     """Greedy digits of x in [0, 1) under the base-beta partition."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    r = _point(beta, _unit_point(x))
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise UsageError(f"x must lie in [0, 1), got {x}")
+    r = _point(beta, x)
     digits = []
     for _ in range(n):
         d, r = _greedy_step(beta, r)
         digits.append(d)
     return SymbolWord(tuple(digits), beta.digit_bound)
-
-
-def beta_orbit(x, beta: BetaNumber, n: int) -> list[tuple[Fraction, Fraction]]:
-    """Enclosures of x, f(x), ..., f^{n-1}(x) for f(x) = beta*x mod 1."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    r = _point(beta, _unit_point(x))
-    out = []
-    for _ in range(n):
-        if beta.is_rational():
-            out.append((Fraction(*r),) * 2)
-        else:
-            beta._ctx.refine_to(Fraction(1, 2 ** 64))
-            lo, hi, q = beta._ctx.enclose(*r)
-            out.append((Fraction(lo, q), Fraction(hi, q)))
-        _, r = _greedy_step(beta, r)
-    return out
 
 
 def _check_self_admissible_ep(prefix, period):
@@ -520,18 +498,3 @@ def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:
     approx.info["effective_n"] = len(trunc)
     return approx
 
-
-def make_beta_with_gaps(gaps: Sequence[int]) -> SymbolWord:
-    """Digit prefix 1 0^{a_1} 1 0^{a_2} ... for strictly increasing gaps."""
-    gaps = [int(a) for a in gaps]
-    if not gaps or any(a <= 0 for a in gaps):
-        raise NotIncreasing("gaps must be positive")
-    if any(b <= a for a, b in zip(gaps, gaps[1:])):
-        raise NotIncreasing("gaps must be strictly increasing")
-    digits: list[int] = []
-    for a in gaps:
-        digits.append(1)
-        digits.extend([0] * a)
-    word = SymbolWord(tuple(digits), 1)
-    assert self_admissible(word.digits)
-    return word

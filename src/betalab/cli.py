@@ -319,7 +319,7 @@ def _tree_from_args(args) -> tuple[CylinderTree, BetaNumber | None]:
         with _open(args.tree) as fh:
             return CylinderTree.from_json(fh.read()), None
     beta = _beta_from_args(args)
-    if getattr(args, "markov_n", None):
+    if getattr(args, "markov_n", None) is not None:
         return CylinderTree.from_markov(
             markov_approx(beta, args.markov_n), args.depth), beta
     return CylinderTree.from_beta(beta, args.depth), beta
@@ -378,6 +378,8 @@ def _schedule_from_args(args):
 
 def _compact_schedule(levels: int):
     """Small default schedule with decreasing certificates and modest t_k."""
+    if levels < 1:
+        raise UsageError("levels must be >= 1")
     n = [4 * (k + 1) for k in range(1, levels + 1)]
     N = [5]
     t = n[0] * N[0]

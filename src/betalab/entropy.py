@@ -14,11 +14,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
+from . import automata
 from .errors import (
     BudgetExceeded,
     DepthTooShallow,
@@ -49,16 +50,6 @@ class MistakeFunction:
         if g < 0:
             raise UsageError(f"mistake function {self.name} went negative")
         return g
-
-    def check_window(self, n_lo: int, n_hi: int) -> bool:
-        """Monotonicity plus an empirically decaying ratio g(n)/n over
-        [n_lo, n_hi] that ends below 1/2."""
-        vals = [self(n) for n in range(n_lo, n_hi + 1)]
-        if any(a > b for a, b in zip(vals, vals[1:])):
-            return False
-        r_start = vals[0] / n_lo
-        r_end = vals[-1] / n_hi
-        return r_end <= max(r_start, 1e-12) and r_end < 0.5
 
     @classmethod
     def zero(cls) -> "MistakeFunction":
@@ -338,7 +329,7 @@ def uniform_admissible_sampler(beta):
 class CylinderTree:
     """Digit trie presenting a set of streams through its depth-D prefixes.
 
-    Nodes are dicts digit -> child.  Trees built from a step function share
+    Nodes are dicts digit -> child.  Trees built from a presentation share
     one node per (state, level), a DAG of (states x depth) nodes rather than
     one node per word.  ``levels[d]`` lists the distinct nodes at depth d.
     """
@@ -357,75 +348,54 @@ class CylinderTree:
 
     @classmethod
     def full(cls, alphabet_bound: int, depth: int) -> "CylinderTree":
-        return cls.from_step_function(lambda state, s: 0, 0, alphabet_bound,
-                                      depth)
+        node: dict = {}
+        for _ in range(depth):
+            node = dict.fromkeys(range(alphabet_bound + 1), node)
+        return cls(node, alphabet_bound)
 
     @classmethod
-    def from_step_function(cls, step, initial, alphabet_bound: int,
-                           depth: int) -> "CylinderTree":
-        """Depth-limited words from initial, one node per (state, level)."""
-        edges: dict = {}
-        reach = [[initial]]  # states reachable at each level
+    def _from_presentation(cls, pres, depth: int) -> "CylinderTree":
+        """Words of length <= depth of a presentation (`betalab.automata`),
+        one node per (state, level)."""
+        edges_of = cache(partial(automata.edges, pres))
+        reach = [[pres.initial]]  # states reachable at each level
         for _ in range(depth):
-            nxt: dict = {}
-            for state in reach[-1]:
-                if state not in edges:
-                    edges[state] = [(s, t) for s in range(alphabet_bound + 1)
-                                    if (t := step(state, s)) is not None]
-                nxt.update((t, None) for _, t in edges[state])
-            reach.append(list(nxt))
+            reach.append(list(dict.fromkeys(
+                t for state in reach[-1] for _, t in edges_of(state))))
         below: dict = {state: {} for state in reach[-1]}
         for states in reversed(reach[:-1]):
-            below = {state: {s: below[t] for s, t in edges[state]}
+            below = {state: {s: below[t] for s, t in edges_of(state)}
                      for state in states}
-        return cls(below[initial], alphabet_bound)
+        return cls(below[pres.initial], pres.alphabet_bound)
 
     @classmethod
     def from_beta(cls, beta, depth: int) -> "CylinderTree":
         from .parry import Automaton
-        auto = Automaton(beta)
-        return cls.from_step_function(auto.step, 1, beta.digit_bound, depth)
+        return cls._from_presentation(Automaton(beta), depth)
 
     @classmethod
     def from_markov(cls, approx, depth: int) -> "CylinderTree":
-        return cls.from_step_function(approx.step, approx.initial,
-                                      approx.alphabet_bound, depth)
-
-    @classmethod
-    def single_stream(cls, digits) -> "CylinderTree":
-        node: dict = {}
-        for d in reversed(tuple(digits)):
-            node = {int(d): node}
-        return cls(node, max(digits))
-
-    def to_json(self) -> str:
-        def conv(node):
-            return {str(k): conv(v) for k, v in node.items()}
-        return json.dumps({"alphabet_bound": self.alphabet_bound,
-                           "trie": conv(self.root)}, sort_keys=True)
+        return cls._from_presentation(approx, depth)
 
     @classmethod
     def from_json(cls, text: str) -> "CylinderTree":
+        """A tree written as {"alphabet_bound": b, "trie": nested objects
+        keyed by the digits 0..b}."""
         def conv(node):
-            return {int(k): conv(v) for k, v in node.items()}
+            out = {int(k): conv(v) for k, v in node.items()}
+            if not all(k in digits for k in out):
+                raise ValueError(f"digit key outside 0..{bound}")
+            return out
         try:
             data = json.loads(text)
-            return cls(conv(data["trie"]), int(data["alphabet_bound"]))
+            bound = int(data["alphabet_bound"])
+            if bound < 0:
+                raise ValueError("negative alphabet bound")
+            digits = range(bound + 1)
+            return cls(conv(data["trie"]), bound)
         except (ValueError, KeyError, TypeError, AttributeError,
                 RecursionError) as exc:
             raise UsageError(f"not a cylinder tree: {exc!r}") from exc
-
-    def leaf_count_at(self, depth: int) -> int:
-        """Number of root paths of length depth (big-integer path count)."""
-        paths = {id(self.root): 1}
-        for level in self.levels[:depth]:
-            nxt: dict = {}
-            for node in level:
-                c = paths[id(node)]
-                for child in node.values():
-                    nxt[id(child)] = nxt.get(id(child), 0) + c
-            paths = nxt
-        return sum(paths.values())
 
 
 def cover_cost(tree: CylinderTree, s: float, n_min: int,

@@ -33,10 +33,6 @@ class DegenerateRoot(UsageError):
     pass
 
 
-class NotIncreasing(UsageError):
-    pass
-
-
 class AlphabetMismatch(UsageError):
     pass
 

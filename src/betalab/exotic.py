@@ -5,8 +5,9 @@ forbids v^{N_k} for every length-k word v admissible at level k-1.  The
 intersection kills every short period while each level's entropy drop
 stays small, and any forbidden power is fixable by a single edit.  Each
 level is a forbidden-factor matcher presented to `betalab.automata`:
-admissibility is one read, and the level-(k-1) words of length k that
-F_k raises to powers are one enumeration.
+admissibility at level k is one read of ``automata[k - 1]``, and the
+level-(k-1) words of length k that F_k raises to powers are one
+enumeration.
 """
 
 from __future__ import annotations
@@ -100,10 +101,6 @@ class NestedShift:
     @property
     def levels(self) -> int:
         return len(self.forbidden_sets)
-
-    def admissible(self, word, level: Optional[int] = None) -> bool:
-        lvl = self.levels if level is None else level
-        return automata.read(self.automata[lvl - 1], word) is not None
 
     def enumerate(self, n: int, level: Optional[int] = None):
         lvl = self.levels if level is None else level
@@ -199,6 +196,8 @@ def single_edit_repair(word, shift: NestedShift, level: int) -> dict:
 
 def nested_entropy_report(shift: NestedShift, level: int, n_max: int) -> dict:
     """Exact per-level word counts, growth rates, and inter-level drops."""
+    if n_max < 1:
+        raise UsageError("n_max must be >= 1")
     levels = list(range(1, level + 1))
     counts = {lvl: automata.path_counts(shift.automata[lvl - 1], n_max)
               for lvl in levels}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
 from operator import ne
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .automata import edges, iter_words, read
 from .errors import (
@@ -28,7 +28,6 @@ from .errors import (
     UsageError,
 )
 from .observables import Observable
-from .entropy import MistakeFunction, window_bad_count
 from .words import as_word
 
 
@@ -82,28 +81,9 @@ def validate_schedule(block_lengths: Sequence[int],
     return IrregularSchedule(n, N, d, tuple(times), tuple(certs))
 
 
-def default_schedule(levels: int,
-                     tolerances: Optional[Sequence[float]] = None
-                     ) -> IrregularSchedule:
-    """Doubling rule: n_k = 2^{k+3}, N_{k+1} = 2^{k+1}(t_k + n_{k+1} + n_{k+2})."""
-    n = [2 ** (k + 3) for k in range(1, levels + 1)]
-    n_ext = n + [2 ** (levels + 4), 2 ** (levels + 5)]
-    N = []
-    t = 0
-    for k in range(levels):
-        Nk = 2 ** (k + 1) * (t + n_ext[k] + n_ext[k + 1]) if k else \
-            2 * (n_ext[0] + n_ext[1])
-        N.append(Nk)
-        t += n[k] * Nk
-    d = tuple(tolerances) if tolerances is not None else \
-        tuple(2.0 ** -(k + 2) for k in range(levels))
-    return validate_schedule(n, N, d)
-
-
 @dataclass(frozen=True)
 class WordPool:
     level: int
-    target_index: int
     target: float
     tolerance: float
     words: tuple
@@ -165,8 +145,10 @@ class _LevelSet:
 
 def thin_separated(words, cap: int) -> list:
     """The words of the stream, in order, whose Hamming distance to every
-    word kept before exceeds SEPARATION_THRESHOLD; stops once cap are
+    word kept before exceeds SEPARATION_THRESHOLD; stops once cap >= 1 are
     kept."""
+    if cap < 1:
+        raise UsageError(f"pool size must be >= 1, got {cap}")
     kept: list = []
     for w in words:
         if all(sum(map(ne, w, v)) > SEPARATION_THRESHOLD for v in kept):
@@ -202,8 +184,8 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
                 f"no admissible length-{n_k} word within {delta_k} of "
                 f"{alpha} at level {k}", target=alpha)
         avgs = [phi.average_on_word(w) for w in kept]
-        pools.append(WordPool(level=k, target_index=rho(k), target=alpha,
-                              tolerance=delta_k, words=tuple(kept),
+        pools.append(WordPool(level=k, target=alpha, tolerance=delta_k,
+                              words=tuple(kept),
                               achieved=(min(avgs), max(avgs))))
     return pools
 
@@ -212,17 +194,17 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
 class GluedPoint:
     digits: bytes
     ledger: list = field(default_factory=list)  # rows (level, slot, edited_pos)
-    schedule: Optional[IrregularSchedule] = None
 
     @property
     def edits(self) -> int:
         return sum(1 for _, _, pos in self.ledger if pos is not None)
 
 
-def _needs_repair(beta, horizon: int = 64) -> bool:
-    """Gluing is free concatenation exactly when w(beta) has no zeros."""
+def _needs_repair(beta) -> bool:
+    """Gluing is free concatenation exactly when w(beta) has no zeros (read
+    from the periodic form, else from 64 digits)."""
     form = beta.periodic_form()
-    return 0 in (form[0] + form[1] if form else beta.digits(horizon))
+    return 0 in (form[0] + form[1] if form else beta.digits(64))
 
 
 def glue_blocks(beta, schedule: IrregularSchedule,
@@ -264,11 +246,11 @@ def glue_blocks(beta, schedule: IrregularSchedule,
                     f"glued prefix inadmissible inside level {k} slot {slot}")
             out += word
             ledger.append((k, slot, pos))
-    return GluedPoint(digits=bytes(out), ledger=ledger, schedule=schedule)
+    return GluedPoint(digits=bytes(out), ledger=ledger)
 
 
 def oscillation_bound(phi: Observable, schedule: IrregularSchedule,
-                      point: GluedPoint, k: int) -> float:
+                      k: int) -> float:
     """Ledger-computable residual bound on |A_{t_k} - alpha_{rho(k)}|:
     tolerance + oscillation * (edits + boundary) / n_k + carried-prefix term.
     """
@@ -303,7 +285,7 @@ def construct_irregular_point(beta, phi: Observable,
         t_k = schedule.times[k - 1]
         alpha = (a1, a2)[rho(k) - 1]
         avg = phi.average_on_word(point.digits[:t_k])
-        bound = oscillation_bound(phi, schedule, point, k)
+        bound = oscillation_bound(phi, schedule, k)
         rows.append({"level": k, "t_k": t_k, "target": alpha,
                      "average": avg, "residual": abs(avg - alpha),
                      "bound": bound, "within_bound": abs(avg - alpha) <= bound})
@@ -362,26 +344,25 @@ def enumerate_glued_family(beta, schedule: IrregularSchedule,
 def edp_ball_check(family: Sequence[bytes],
                    schedule: IrregularSchedule,
                    pool_sizes: Sequence[int],
-                   samples: Sequence[tuple],
-                   window: int = 1,
-                   g: Optional[MistakeFunction] = None) -> dict:
-    """Exact mistake-ball measures of the uniform family measure against the
-    block-counting bound (#T_j)^-1 (#S_{j+1})^-l determined by n."""
+                   samples: Sequence[tuple]) -> dict:
+    """Exact measures, under the uniform family measure, of the length-n
+    cylinders [center_1 .. center_n] (the zero-mistake Bowen balls) against
+    the block-counting bound (#T_j)^-1 (#S_{j+1})^-l determined by n."""
     if not family:
         raise UsageError("empty family")
-    g = g or MistakeFunction.zero()
     total = len(family)
     t = schedule.times
     rows = []
     for center, n in samples:
-        if n > len(family[0]):
-            raise UsageError(f"ball length {n} exceeds family prefix")
+        prefix = as_word(center[:n])
+        if n > len(family[0]) or len(prefix) < n:
+            raise UsageError(f"ball length {n} exceeds the family words or "
+                             "the centre")
         if n == 0:
             rows.append({"n": 0, "measure": 1.0, "bound": 1.0,
                          "j": None, "l": None, "coarse": False, "pass": True})
             continue
-        hits = sum(1 for w in family
-                   if window_bad_count(center[:n], w[:n], window) <= g(n))
+        hits = sum(1 for w in family if as_word(w[:n]) == prefix)
         measure = hits / total
         j = 0
         while j < len(t) and t[j] <= n:

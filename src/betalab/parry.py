@@ -71,22 +71,6 @@ class Automaton:
             return 1
         return None
 
-    def is_universal_state(self, state: int) -> bool:
-        """True when every admissible word is readable from this state.
-
-        That holds exactly when the digit stream seen from the state equals
-        w(beta) itself; decidable when the expansion is eventually periodic,
-        and conservatively False otherwise.
-        """
-        if state == 1:
-            return True
-        pf = self.beta.periodic_form()
-        if pf is None:
-            return False
-        horizon = len(pf[0]) + 2 * len(pf[1])
-        return all(self.digit_at(state + j) == self.digit_at(1 + j)
-                   for j in range(horizon))
-
 
 def is_admissible(word, beta: BetaNumber) -> bool:
     """Parry's criterion, decided by one read of the labelled graph; word is
@@ -210,9 +194,6 @@ class MarkovApprox(Automaton):
         # beta(n) = w_1 is an integer whose digit bound is w_1 - 1
         self.alphabet_bound = max(self.confined_labels)
 
-    def count(self, n: int) -> int:
-        return automata.count(self, n)
-
     @property
     def entropy(self) -> float:
         return self.approx_beta.log
@@ -230,9 +211,10 @@ def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
                         approx_beta=approx, confined_labels=labels)
 
 
-def enumerate_admissible(beta: BetaNumber, n: int, budget: int = 10 ** 6):
-    """All admissible words of length n via graph DFS, lexicographic order."""
-    return automata.enumerate_words(Automaton(beta), n, budget)
+def enumerate_admissible(beta: BetaNumber, n: int):
+    """All admissible words of length n via graph DFS, lexicographic order;
+    BudgetExceeded past 10^6 words."""
+    return automata.enumerate_words(Automaton(beta), n, 10 ** 6)
 
 
 def periodic_stream_admissible(beta: BetaNumber, period_digits) -> bool:
@@ -262,7 +244,7 @@ def periodic_witnesses(beta: BetaNumber, observable: Observable,
     val_lo = math.inf
     val_hi = -math.inf
     for p in range(max(1, observable.range_r), max_period + 1):
-        for word in enumerate_admissible(beta, p, budget=10 ** 6):
+        for word in enumerate_admissible(beta, p):
             if not periodic_stream_admissible(beta, word):
                 continue
             avg = observable.periodic_average(word)

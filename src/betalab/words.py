@@ -58,9 +58,6 @@ class SymbolWord:
     def __str__(self) -> str:
         return format_digits(self.digits)
 
-    def shift(self, k: int) -> "SymbolWord":
-        return SymbolWord(self.digits[k:], self.alphabet_bound)
-
     def hamming(self, other: "SymbolWord") -> int:
         if len(self) != len(other):
             raise UsageError("hamming distance needs equal lengths")

@@ -16,10 +16,8 @@ from betalab.beta_core import (
     _greedy_step,
     _point,
     beta_from_expansion,
-    beta_orbit,
     expansion_of_one,
     greedy_expansion,
-    make_beta_with_gaps,
     simple_beta_approx,
 )
 from betalab.errors import (
@@ -34,24 +32,22 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 def oracle_greedy_fraction(x, beta, n):
-    """Digits and orbit enclosures of x by the greedy step on Fractions.
+    """Greedy digits of x by the greedy step on Fractions.
 
     An independent check of the integer kernel: the remainder is a Fraction
     (rational beta) or a Fraction vector in Q[x]/(p) multiplied by beta
     through p / lead, and floors come from an interval Horner on the
     Fraction endpoints of the root enclosure, refined by 2^8 until they
-    agree.  Before each enclosure the root is refined to 2^-64, as
-    beta_orbit does.
+    agree.
     """
     r = Fraction(x)
-    digits, orbit = [], []
+    digits = []
     if beta.is_rational():
         for _ in range(n):
-            orbit.append((r, r))
             t = beta._frac * r
             digits.append(math.floor(t))
             r = t - digits[-1]
-        return digits, orbit
+        return digits
     ctx = beta._ctx
     poly = ctx.poly_asc
     vec = [r] + [Fraction(0)] * (len(poly) - 2)
@@ -76,14 +72,12 @@ def oracle_greedy_fraction(x, beta, n):
             ctx.refine_to(width)
 
     for _ in range(n):
-        ctx.refine_to(Fraction(1, 2 ** 64))
-        orbit.append(enclose(vec))
         top = vec[-1]
         vec = [Fraction(0)] + vec[:-1]
         vec = [a - top * Fraction(c, poly[-1]) for a, c in zip(vec, poly)]
         digits.append(floor(vec))
         vec[0] -= digits[-1]
-    return digits, orbit
+    return digits
 
 
 def test_rejects_beta_at_most_one():
@@ -156,13 +150,6 @@ def test_greedy_expansion_reconstructs(beta_golden):
 def test_greedy_expansion_domain(beta_golden):
     with pytest.raises(UsageError):
         greedy_expansion(Fraction(3, 2), beta_golden, 8)
-
-
-def test_beta_orbit_stays_in_unit_interval(beta_golden):
-    orbit = beta_orbit(Fraction(3, 10), beta_golden, 16)
-    assert len(orbit) == 16
-    for lo, hi in orbit:
-        assert 0 <= lo <= hi < 1 + Fraction(1, 1000)
 
 
 def test_beta_from_expansion_round_trip(beta_golden):
@@ -311,13 +298,6 @@ def test_simple_beta_approx_degenerate(beta_two):
         simple_beta_approx(beta_two, 1)
 
 
-def test_make_beta_with_gaps():
-    w = make_beta_with_gaps([1, 2])
-    digits = tuple(w)
-    assert digits[0] >= 1
-    assert 0 in digits
-
-
 def test_compare(beta_two, beta_golden):
     assert beta_two.compare(beta_golden) > 0
     assert beta_golden.compare(beta_golden) == 0
@@ -345,23 +325,19 @@ def test_random_rational_betas_digit_range():
 @given(k=st.integers(min_value=0, max_value=10 ** 6 - 1),
        n=st.integers(min_value=1, max_value=128))
 def test_greedy_step_matches_fraction_oracle(bench_bases, name, k, n):
-    # each run starts from a copy of the same root enclosure, so the
-    # refinements, and with them the orbit enclosures, happen identically
+    # each run starts from a copy of the same root enclosure
     x = Fraction(k, 10 ** 6)
-    digits, orbit = oracle_greedy_fraction(
-        x, copy.deepcopy(bench_bases[name]), n)
+    digits = oracle_greedy_fraction(x, copy.deepcopy(bench_bases[name]), n)
     word = greedy_expansion(x, copy.deepcopy(bench_bases[name]), n)
     assert list(word.digits) == digits
-    assert beta_orbit(x, copy.deepcopy(bench_bases[name]), n) == orbit
 
 
 def test_non_monic_base_matches_fraction_oracle():
     # 2x^2 - 3x - 1: the state denominator grows by 2 and is gcd-reduced
     beta = BetaNumber.from_polynomial([2, -3, -1])
     for x in (Fraction(0), Fraction(3, 10), Fraction(999999, 10 ** 6)):
-        digits, orbit = oracle_greedy_fraction(x, copy.deepcopy(beta), 48)
+        digits = oracle_greedy_fraction(x, copy.deepcopy(beta), 48)
         assert list(greedy_expansion(x, copy.deepcopy(beta), 48).digits) == digits
-        assert beta_orbit(x, copy.deepcopy(beta), 48) == orbit
         r = _point(beta, x)
         for _ in range(48):
             _, r = _greedy_step(beta, r)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betalab import errors
 from betalab.cli import main
@@ -82,14 +85,79 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["exotic", "--levels", "-1"],
     ["beta-from-digits", "--digits", "[1"],
     ["admissible", "--beta", "2", "--word", "1[x]"],
+    ["schedule", "--levels", "0"],
+    ["schedule", "--levels", "-1"],
+    ["pools", "--beta", "2", "--phi", "freq:1", "--alpha", "0.5,0",
+     "--levels", "0"],
+    ["irregular", "--beta", "2", "--phi", "freq:1", "--alpha", "0.5,0",
+     "--levels", "-1"],
+    ["exotic", "--nmax", "0"],
+    ["bowen", "--tree", "{tmp}/negative_bound.json"],
+    ["bowen", "--tree", "{tmp}/digit_off_alphabet.json"],
+    # a pool size or Markov order below 1 once gave a report built from
+    # one-word pools or from beta itself
+    ["glued-family", "--beta", "2", "--pool-size", "0"],
+    ["edp", "--beta", "2", "--pool-size", "0"],
+    ["edp", "--beta", "2", "--pool-size", "-1"],
+    ["bowen", "--beta", "2", "--markov-n", "0"],
+    ["boxdim", "--beta", "2", "--markov-n", "0"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
     (tmp_path / "no_bound.json").write_text('{"trie": {}}')
+    (tmp_path / "negative_bound.json").write_text(
+        '{"alphabet_bound": -1, "trie": {}}')
+    (tmp_path / "digit_off_alphabet.json").write_text(
+        '{"alphabet_bound": 1, "trie": {"7": {"-3": {}}}}')
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+
+# cheap base argv per subcommand, and its integer flags; a flag given again
+# overrides the base value
+FUZZ_TABLE = {
+    "expand": (["--beta", "2", "--x", "3/10"], ["--n"]),
+    "expansion-of-one": (["--beta-poly", "1,-1,-1"], ["--n"]),
+    "beta-from-digits": (["--digits", "10(10)"], ["--n"]),
+    "graph": (["--beta", "3/2"], ["--n"]),
+    "count": (["--beta", "2", "--n", "5"], ["--n"]),
+    "zvalues": (["--beta", "2"], ["--n"]),
+    "markov": (["--beta-poly", "1,-1,-1", "--n", "3"], ["--n"]),
+    "witnesses": (["--beta-poly", "1,-1,-1", "--phi", "freq:1"],
+                  ["--max-period"]),
+    "katok": (["--beta", "2", "--nmax", "6"], ["--window", "--nmax"]),
+    "bowen": (["--beta-poly", "1,-1,-1", "--depth", "6"],
+              ["--depth", "--markov-n", "--nmin"]),
+    "boxdim": (["--beta-poly", "1,-1,-1", "--depth", "6"],
+               ["--depth", "--markov-n"]),
+    "schedule": ([], ["--levels"]),
+    "pools": (["--beta-poly", "1,-1,-1", "--phi", "freq:1", "--alpha",
+               "0.5,0", "--levels", "2"], ["--levels", "--seed"]),
+    "irregular": (["--beta-poly", "1,-1,-1", "--phi", "freq:1", "--alpha",
+                   "0.5,0", "--levels", "2"], ["--levels", "--seed"]),
+    "glued-family": (["--beta", "2"], ["--levels", "--pool-size",
+                                       "--multiplicity", "--budget"]),
+    "edp": (["--beta", "2"], ["--levels", "--pool-size", "--multiplicity",
+                              "--budget"]),
+    "exotic": ([], ["--levels", "--nmax"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_flag_fuzz_never_raises(data):
+    """Any small integer in any integer flag gives a report or a typed
+    error: exit 0, 1, 2 or 3, never a traceback."""
+    name = data.draw(st.sampled_from(sorted(FUZZ_TABLE)))
+    base, flags = FUZZ_TABLE[name]
+    flag = data.draw(st.sampled_from(flags))
+    value = data.draw(st.integers(min_value=-2, max_value=3))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([name, *base, flag, str(value)])
+    assert code in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("argv", [

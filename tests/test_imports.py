@@ -1,17 +1,22 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+public name it defines is used by the library or the benchmark.
 
-Deleting code can leave its imports behind; this check finds them with the
-standard library's ``ast``.  ``__init__.py`` is skipped: its imports are the
-package's re-exports.
+Deleting code can leave its imports behind, and a public function can
+outlive its last caller; these checks find both with the standard
+library's ``ast``.  ``__init__.py`` is skipped by the import check: its
+imports are the package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "betalab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "betalab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +43,70 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "import io\nfrom math import log, sqrt\nprint(sqrt(2))\n"
     assert unused_imports(source) == ["io (line 1)", "log (line 2)"]
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public functions and classes at module level, and public methods of
+    public classes, as "name" or "Class.method"."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")]
+    return out
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module loads or imports, every attribute it reads, and
+    each part of a dotted string constant ("Class.method", the form in
+    which the benchmark's tracer names the methods it patches)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def unused_definitions(defining: dict, using: list) -> list[str]:
+    """Public definitions (module name -> source) that no source in using
+    references by name; the tests are not among the users."""
+    used = set().union(*map(referenced_names, using))
+    return [f"{module}.{name}" for module, source in sorted(defining.items())
+            for name in public_definitions(source)
+            if name.rpartition(".")[2] not in used]
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or method that only its own tests call is
+    dead code: delete it, or call it."""
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    users = [*sources.values(),
+             *(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))]
+    assert unused_definitions(sources, users) == []
+
+
+def test_unused_definition_is_found():
+    lib = ("def used():\n    pass\n\n"
+           "def orphan():\n    pass\n\n"
+           "def _private():\n    pass\n\n"
+           "class Box:\n"
+           "    def traced(self):\n        pass\n\n"
+           "    def stale(self):\n        pass\n")
+    caller = ("from lib import used as run\n"
+              "run()\n"
+              "box = Box()\n"
+              "METHODS = ('Box.traced',)\n")
+    assert unused_definitions({"lib": lib}, [lib, caller]) == [
+        "lib.orphan", "lib.Box.stale"]

@@ -20,7 +20,6 @@ from betalab.irregular import (
     _LevelSet,
     build_word_pools,
     construct_irregular_point,
-    default_schedule,
     edp_ball_check,
     enumerate_glued_family,
     glue_blocks,
@@ -69,12 +68,6 @@ def test_schedule_rejects_non_monotone_inputs():
         validate_schedule((20, 20), (4, 8), (0.1, 0.05))
     with pytest.raises(GrowthViolation):
         validate_schedule((20, 30), (4, 8), (0.05, 0.1))
-
-
-def test_default_schedule_certificates_decrease():
-    sch = default_schedule(6)
-    certs = sch.certificates
-    assert all(a > b for a, b in zip(certs, certs[1:]))
 
 
 # --- pools -------------------------------------------------------------------

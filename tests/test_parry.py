@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betalab.automata import enumerate_words, read
+from betalab.automata import count, enumerate_words, read
 from betalab.beta_core import BetaNumber
 from betalab.errors import (
     AlphabetMismatch,
@@ -161,7 +161,7 @@ def test_markov_approx_counts(beta_two):
     while len(fib) < 14:
         fib.append(fib[-1] + fib[-2])
     for n in (3, 8):
-        assert approx.count(n) == fib[n + 1]
+        assert count(approx, n) == fib[n + 1]
 
 
 class OracleMarkov:
@@ -226,13 +226,6 @@ def test_periodic_witnesses_golden(beta_golden):
 def test_periodic_witnesses_degenerate(beta_golden):
     with pytest.raises(NotFound):
         periodic_witnesses(beta_golden, constant(1.0, 1), 3)
-
-
-def test_universal_states(beta_two, beta_golden):
-    assert Automaton(beta_two).is_universal_state(1)
-    auto = Automaton(beta_golden)
-    assert auto.is_universal_state(1)
-    assert not auto.is_universal_state(auto.step(1, 1))
 
 
 @settings(max_examples=60, deadline=None)
