@@ -249,6 +249,8 @@ class BetaNumber:
 
     def digits(self, n: int) -> tuple[int, ...]:
         """First n digits of w(beta), the quasi-greedy expansion of 1."""
+        if n < 0:
+            raise UsageError("n must be >= 0")
         while len(self._w) < n:
             if self._w_periodic is not None:
                 pre, per = self._w_periodic

@@ -1,6 +1,10 @@
 """Command-line entry point: every operation as a subcommand emitting a
 machine-readable run report.
 
+Each subcommand is a function from its parsed arguments to (payload,
+checks), where checks is a list of (name, passed) pairs; `main` alone
+parses argv, builds the report around them and emits it.
+
 Exit codes: 0 all asserted checks pass; 1 a check failed; 2 usage error;
 3 precision or search budget exhausted.
 """
@@ -86,11 +90,26 @@ def _add_beta_args(p: argparse.ArgumentParser):
                    help="expansion of 1 as digits, e.g. 10(10) or 201001")
 
 
+def _add_tree_args(p: argparse.ArgumentParser):
+    _add_beta_args(p)
+    p.add_argument("--tree", help="CylinderTree JSON file")
+    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--markov-n", type=int,
+                   help="build the tree from beta(n) instead of beta")
+
+
+def _add_schedule_args(p: argparse.ArgumentParser):
+    p.add_argument("--n-list")
+    p.add_argument("--N-list")
+    p.add_argument("--delta-list")
+    p.add_argument("--levels", type=int, default=3)
+
+
 def _beta_from_args(args) -> BetaNumber:
     if getattr(args, "beta", None):
         return BetaNumber.from_decimal(args.beta)
     if getattr(args, "beta_poly", None):
-        return BetaNumber.from_polynomial(_parse_int_list(args.beta_poly))
+        return BetaNumber.from_polynomial(_parse_list(args.beta_poly, int))
     if getattr(args, "beta_digits", None):
         return BetaNumber.from_digit_string(args.beta_digits)
     raise UsageError("one of --beta / --beta-poly / --beta-digits is required")
@@ -108,14 +127,6 @@ def _parse_word(text: str) -> bytes:
     text = text.strip()
     return as_word(_parse_list(text, int) if "," in text
                    else parse_digits(text))
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return _parse_list(text, int)
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return _parse_list(text, float)
 
 
 def _open(path: str, mode: str = "r"):
@@ -156,34 +167,18 @@ def _emit(report: dict, args) -> None:
             stream.close()
 
 
-def _run(args, payload: dict, checks: list, started: float) -> int:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "subcommand": args.func.__name__.removeprefix("cmd_").replace("_", "-"),
-        "params": _echo_params(args),
-        "seed": getattr(args, "seed", None),
-        "payload": payload,
-        "checks": [{"name": n, "pass": bool(ok)} for n, ok in checks],
-        "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    _emit(report, args)
-    return 0 if all(ok for _, ok in checks) else 1
+# --- subcommands: each maps its parsed args to (payload, checks) ------------
 
-
-# --- subcommands -----------------------------------------------------------
-
-def cmd_expand(args, started):
+def cmd_expand(args):
     beta = _beta_from_args(args)
     x, = _parse_list(args.x, Fraction, [args.x])
     word = greedy_expansion(x, beta, args.n)
     ok = is_admissible(word, beta)
-    return _run(args, {"digits": format_digits(word), "n": args.n,
-                       "beta": beta.value},
-                [("expansion-admissible", ok)], started)
+    return ({"digits": format_digits(word), "n": args.n, "beta": beta.value},
+            [("expansion-admissible", ok)])
 
 
-def cmd_expansion_of_one(args, started):
+def cmd_expansion_of_one(args):
     beta = _beta_from_args(args)
     word = expansion_of_one(beta, args.n)
     payload = {"digits": format_digits(word), "beta": beta.value,
@@ -191,188 +186,168 @@ def cmd_expansion_of_one(args, started):
     form = beta.periodic_form()
     if form is not None:
         payload["periodic_form"] = format_periodic(*form)
-    return _run(args, payload, [], started)
+    return payload, []
 
 
-def cmd_beta_from_digits(args, started):
+def cmd_beta_from_digits(args):
+    if args.n < 1:
+        raise UsageError("n must be >= 1")
     beta = BetaNumber.from_digit_string(args.digits)
     lo, hi = beta.enclosure()
-    payload = {"beta": beta.value, "digit_bound": beta.digit_bound,
-               "enclosure": [str(lo), str(hi)],
-               "round_trip_digits": format_digits(beta.digits(args.n))}
-    return _run(args, payload, [], started)
+    return {"beta": beta.value, "digit_bound": beta.digit_bound,
+            "enclosure": [str(lo), str(hi)],
+            "round_trip_digits": format_digits(beta.digits(args.n))}, []
 
 
-def cmd_admissible(args, started):
+def cmd_admissible(args):
     beta = _beta_from_args(args)
     word = SymbolWord(_parse_word(args.word), beta.digit_bound)
     ok = is_admissible(word, beta)
-    return _run(args, {"word": format_digits(word), "admissible": ok}, [],
-                started)
+    return {"word": format_digits(word), "admissible": ok}, []
 
 
-def cmd_graph(args, started):
+def cmd_graph(args):
     beta = _beta_from_args(args)
     if args.n < 1:
         raise UsageError("n must be >= 1")
     labels = list(beta.digits(args.n))
     # vertex i has one forward edge and w_i back-edges to vertex 1
-    payload = {"vertex_count": args.n, "forward_labels": labels,
-               "z_distance": z_values(beta, args.n).z,
-               "back_edge_counts": labels}
-    return _run(args, payload, [], started)
+    return {"vertex_count": args.n, "forward_labels": labels,
+            "z_distance": z_values(beta, args.n).z,
+            "back_edge_counts": labels}, []
 
 
-def cmd_count(args, started):
+def cmd_count(args):
     beta = _beta_from_args(args)
-    if args.profile:
-        rows = [{"n": n, "count": c, "rate": r}
-                for n, c, r in count_profile(beta, args.n)]
-        rates = [r["rate"] for r in rows]
-        ok = all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
-        return _run(args, {"rows": rows, "log_beta": beta.log},
-                    [("rate-non-increasing", ok)], started)
-    return _run(args, {"n": args.n, "count": count_admissible(beta, args.n)},
-                [], started)
+    if not args.profile:
+        return {"n": args.n, "count": count_admissible(beta, args.n)}, []
+    rows = [{"n": n, "count": c, "rate": r}
+            for n, c, r in count_profile(beta, args.n)]
+    rates = [r["rate"] for r in rows]
+    ok = all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
+    return {"rows": rows, "log_beta": beta.log}, [("rate-non-increasing", ok)]
 
 
-def cmd_zvalues(args, started):
+def cmd_zvalues(args):
     beta = _beta_from_args(args)
     rep = z_values(beta, args.n)
-    payload = {"z": rep.z, "max_z": rep.max_z,
-               "ratio_sup": str(rep.ratio_sup),
-               "ratio_argmax": rep.ratio_argmax,
-               "specification_flag": rep.spec_flag, "window": rep.window}
-    return _run(args, payload, [], started)
+    return {"z": rep.z, "max_z": rep.max_z,
+            "ratio_sup": str(rep.ratio_sup),
+            "ratio_argmax": rep.ratio_argmax,
+            "specification_flag": rep.spec_flag, "window": rep.window}, []
 
 
-def cmd_repair(args, started):
+def cmd_repair(args):
     beta = _beta_from_args(args)
     word = SymbolWord(_parse_word(args.word), beta.digit_bound)
     repaired = repair_word(word, beta)
     cost = word.hamming(repaired)
-    return _run(args, {"word": format_digits(word),
-                       "repaired": format_digits(repaired),
-                       "hamming_cost": cost},
-                [("hamming-cost-at-most-1", cost <= 1)], started)
+    return ({"word": format_digits(word), "repaired": format_digits(repaired),
+             "hamming_cost": cost}, [("hamming-cost-at-most-1", cost <= 1)])
 
 
-def cmd_markov(args, started):
+def cmd_markov(args):
     beta = _beta_from_args(args)
     approx = markov_approx(beta, args.n)
     b_n = approx.approx_beta
-    payload = {"n": args.n, "beta": beta.value, "beta_n": b_n.value,
-               "entropy": approx.entropy, "gap": beta.value - b_n.value}
-    return _run(args, payload,
-                [("beta-n-below-beta", beta.compare(b_n) >= 0)], started)
+    return ({"n": args.n, "beta": beta.value, "beta_n": b_n.value,
+             "entropy": approx.entropy, "gap": beta.value - b_n.value},
+            [("beta-n-below-beta", beta.compare(b_n) >= 0)])
 
 
-def cmd_witnesses(args, started):
+def cmd_witnesses(args):
     beta = _beta_from_args(args)
     phi = parse_observable(args.phi, beta.digit_bound)
     lo_w, lo_v, hi_w, hi_v = periodic_witnesses(beta, phi, args.max_period)
-    payload = {"low_word": format_digits(lo_w), "low_value": lo_v,
-               "high_word": format_digits(hi_w), "high_value": hi_v}
-    return _run(args, payload, [("gap-positive", hi_v > lo_v)], started)
+    return ({"low_word": format_digits(lo_w), "low_value": lo_v,
+             "high_word": format_digits(hi_w), "high_value": hi_v},
+            [("gap-positive", hi_v > lo_v)])
 
 
-def _load_words(args) -> list[bytes]:
+def cmd_separation(args):
+    """`separated` and `spanning`: the largest separated or the smallest
+    spanning subset of the words file."""
     with _open(args.words_file) as fh:
-        return [_parse_word(line) for line in fh if line.strip()]
-
-
-def _separation(args, started, which):
-    words = _load_words(args)
+        words = [_parse_word(line) for line in fh if line.strip()]
     g = MistakeFunction.parse(args.g)
     inst = SeparationInstance(tuple(words), window=args.window, g=g)
     if args.exact:
         inst.exact_budget = max(inst.exact_budget, len(words))
-    res = max_separated(inst) if which == "separated" else min_spanning(inst)
-    payload = {"size": res.size, "exact": res.exact,
-               "bound_direction": res.bound_direction,
-               "witness": [format_digits(w) for w in res.witness]}
-    return _run(args, payload, [], started)
+    search = max_separated if args.subcommand == "separated" else min_spanning
+    res = search(inst)
+    return {"size": res.size, "exact": res.exact,
+            "bound_direction": res.bound_direction,
+            "witness": [format_digits(w) for w in res.witness]}, []
 
 
-def cmd_separated(args, started):
-    return _separation(args, started, "separated")
-
-
-def cmd_spanning(args, started):
-    return _separation(args, started, "spanning")
-
-
-def cmd_katok(args, started):
+def cmd_katok(args):
     beta = _beta_from_args(args)
     g = MistakeFunction.parse(args.g)
-    n_list = _parse_int_list(args.n_list) if args.n_list else \
+    n_list = _parse_list(args.n_list, int) if args.n_list else \
         list(range(max(4, args.nmax - 4), args.nmax + 1, 2))
     rep = katok_entropy_estimate(uniform_admissible_sampler(beta), g,
                                  args.gamma, n_list, window=args.window)
-    return _run(args, {"rows": rep["rows"], "gamma": rep["gamma"],
-                       "mistake_function": rep["mistake_function"],
-                       "log_beta": beta.log}, [], started)
+    return {"rows": rep["rows"], "gamma": rep["gamma"],
+            "mistake_function": rep["mistake_function"],
+            "log_beta": beta.log}, []
 
 
 def _tree_from_args(args) -> tuple[CylinderTree, BetaNumber | None]:
-    if getattr(args, "tree", None):
+    if args.tree:
         with _open(args.tree) as fh:
             return CylinderTree.from_json(fh.read()), None
     beta = _beta_from_args(args)
-    if getattr(args, "markov_n", None) is not None:
+    if args.markov_n is not None:
         return CylinderTree.from_markov(
             markov_approx(beta, args.markov_n), args.depth), beta
     return CylinderTree.from_beta(beta, args.depth), beta
 
 
-def cmd_bowen(args, started):
+def cmd_bowen(args):
     tree, _ = _tree_from_args(args)
     rep = bowen_entropy(tree, n_min=args.nmin)
     mono_ok = all(
         all(a[1] <= b[1] + 1e-12 for a, b in zip(row, row[1:]))
         for _, row in rep.monotonicity)
-    payload = {"estimate": rep.estimate, "bracket": list(rep.bracket),
-               "depth": rep.depth,
-               "monotonicity": [{"s": s, "grid": row}
-                                for s, row in rep.monotonicity]}
-    return _run(args, payload, [("M-nondecreasing-in-N", mono_ok)], started)
+    return ({"estimate": rep.estimate, "bracket": list(rep.bracket),
+             "depth": rep.depth,
+             "monotonicity": [{"s": s, "grid": row}
+                              for s, row in rep.monotonicity]},
+            [("M-nondecreasing-in-N", mono_ok)])
 
 
-def cmd_diam(args, started):
+def cmd_diam(args):
     beta = _beta_from_args(args)
     lo, hi = cylinder_diameter_bounds(beta, _parse_word(args.word))
-    return _run(args, {"lower": lo, "upper": hi},
-                [("lower-at-most-upper", lo <= hi)], started)
+    return {"lower": lo, "upper": hi}, [("lower-at-most-upper", lo <= hi)]
 
 
-def cmd_dims(args, started):
+def cmd_dims(args):
     beta = _beta_from_args(args)
     rep = dimension_bounds(args.entropy, beta, args.zratio,
                            bounded_z_certificate=args.bounded_z)
-    return _run(args, rep, [("lower-at-most-upper",
-                             rep["lower"] <= rep["upper"] + 1e-12)], started)
+    return rep, [("lower-at-most-upper", rep["lower"] <= rep["upper"] + 1e-12)]
 
 
-def cmd_boxdim(args, started):
+def cmd_boxdim(args):
     tree, beta = _tree_from_args(args)
     if beta is None:
         beta = _beta_from_args(args)
-    depths = _parse_int_list(args.depths) if args.depths else [tree.depth]
+    depths = _parse_list(args.depths, int) if args.depths else [tree.depth]
     rep = box_dimension_estimate(tree, beta, depths)
     bowen = bowen_entropy(tree)
     consistency = abs(rep["estimate"] - bowen.estimate / beta.log)
-    payload = {"rows": rep["rows"], "estimate": rep["estimate"],
-               "bowen_over_log_beta": bowen.estimate / beta.log,
-               "consistency_gap": consistency}
-    return _run(args, payload,
-                [("box-vs-bowen-consistent", consistency < 0.05)], started)
+    return ({"rows": rep["rows"], "estimate": rep["estimate"],
+             "bowen_over_log_beta": bowen.estimate / beta.log,
+             "consistency_gap": consistency},
+            [("box-vs-bowen-consistent", consistency < 0.05)])
 
 
 def _schedule_from_args(args):
     if args.n_list and args.N_list and args.delta_list:
-        return validate_schedule(_parse_int_list(args.n_list),
-                                 _parse_int_list(args.N_list),
-                                 _parse_float_list(args.delta_list))
+        return validate_schedule(_parse_list(args.n_list, int),
+                                 _parse_list(args.N_list, int),
+                                 _parse_list(args.delta_list, float))
     return _compact_schedule(args.levels)
 
 
@@ -390,38 +365,40 @@ def _compact_schedule(levels: int):
     return validate_schedule(n, N, d)
 
 
-def cmd_schedule(args, started):
+def cmd_schedule(args):
     sch = _schedule_from_args(args)
-    payload = {"block_lengths": list(sch.block_lengths),
-               "multiplicities": list(sch.multiplicities),
-               "tolerances": list(sch.tolerances),
-               "times": list(sch.times),
-               "certificates": list(sch.certificates)}
     certs = sch.certificates
-    return _run(args, payload,
-                [("certificates-decreasing",
-                  all(a > b for a, b in zip(certs, certs[1:])))], started)
+    return ({"block_lengths": list(sch.block_lengths),
+             "multiplicities": list(sch.multiplicities),
+             "tolerances": list(sch.tolerances),
+             "times": list(sch.times),
+             "certificates": list(certs)},
+            [("certificates-decreasing",
+              all(a > b for a, b in zip(certs, certs[1:])))])
 
 
-def cmd_pools(args, started):
+def _pools_from_args(args):
+    """The prelude of `pools` and `irregular`: beta, phi, the two targets,
+    the schedule and one word pool per level."""
     beta = _beta_from_args(args)
     phi = parse_observable(args.phi, beta.digit_bound)
-    targets = _parse_float_list(args.alpha)
+    targets = _parse_list(args.alpha, float)
     sch = _schedule_from_args(args)
     pools = build_word_pools(beta, phi, targets, sch, seed=args.seed)
+    return beta, phi, targets, sch, pools
+
+
+def cmd_pools(args):
+    beta, _, _, _, pools = _pools_from_args(args)
     rows = [{"level": p.level, "target": p.target, "size": p.size,
              "achieved_min": p.achieved[0], "achieved_max": p.achieved[1],
              "log_size_over_n": p.log_size_over_n} for p in pools]
-    return _run(args, {"rows": rows, "log_beta": beta.log},
-                [("pools-nonempty", all(p.size > 0 for p in pools))], started)
+    return ({"rows": rows, "log_beta": beta.log},
+            [("pools-nonempty", all(p.size > 0 for p in pools))])
 
 
-def cmd_irregular(args, started):
-    beta = _beta_from_args(args)
-    phi = parse_observable(args.phi, beta.digit_bound)
-    targets = _parse_float_list(args.alpha)
-    sch = _schedule_from_args(args)
-    pools = build_word_pools(beta, phi, targets, sch, seed=args.seed)
+def cmd_irregular(args):
+    beta, phi, targets, sch, pools = _pools_from_args(args)
     rep = construct_irregular_point(beta, phi, targets, sch, pools,
                                     seed=args.seed)
     point = rep.pop("point")
@@ -431,13 +408,15 @@ def cmd_irregular(args, started):
                "pool_sizes": [p.size for p in pools],
                "rows": rep["rows"], "oscillates": rep["oscillates"],
                "edits": rep["edits"], "prefix_length": len(point.digits)}
-    checks = [("averages-within-bounds",
-               all(r["within_bound"] for r in rep["rows"])),
-              ("oscillation-observed", rep["oscillates"])]
-    return _run(args, payload, checks, started)
+    return payload, [("averages-within-bounds",
+                      all(r["within_bound"] for r in rep["rows"])),
+                     ("oscillation-observed", rep["oscillates"])]
 
 
-def _small_family(args, beta):
+def _small_family(args):
+    """The schedule, the separated pools and the glued family shared by
+    `glued-family` and `edp`."""
+    beta = _beta_from_args(args)
     n = [4 + 2 * k for k in range(args.levels)]
     N = [args.multiplicity] * args.levels
     d = [0.2 * 2.0 ** -k for k in range(args.levels)]
@@ -449,26 +428,22 @@ def _small_family(args, beta):
             raise UsageError(f"cannot build pool of {args.pool_size} "
                              f"separated words at length {nk}")
         pools.append(tuple(kept))
-    return sch, pools
+    return sch, pools, enumerate_glued_family(beta, sch, pools,
+                                              budget=args.budget)
 
 
-def cmd_glued_family(args, started):
-    beta = _beta_from_args(args)
-    sch, pools = _small_family(args, beta)
-    fam = enumerate_glued_family(beta, sch, pools, budget=args.budget)
-    payload = {"count": fam["count"], "expected": fam["expected"],
-               "pairwise_distinct": fam["pairwise_distinct"],
-               "entropy_proxy": fam["entropy_proxy"],
-               "pool_exponents": fam["pool_exponents"]}
-    return _run(args, payload,
-                [("count-is-product", fam["count"] == fam["expected"]),
-                 ("pairwise-distinct", fam["pairwise_distinct"])], started)
+def cmd_glued_family(args):
+    _, _, fam = _small_family(args)
+    return ({"count": fam["count"], "expected": fam["expected"],
+             "pairwise_distinct": fam["pairwise_distinct"],
+             "entropy_proxy": fam["entropy_proxy"],
+             "pool_exponents": fam["pool_exponents"]},
+            [("count-is-product", fam["count"] == fam["expected"]),
+             ("pairwise-distinct", fam["pairwise_distinct"])])
 
 
-def cmd_edp(args, started):
-    beta = _beta_from_args(args)
-    sch, pools = _small_family(args, beta)
-    fam = enumerate_glued_family(beta, sch, pools, budget=args.budget)
+def cmd_edp(args):
+    sch, pools, fam = _small_family(args)
     t = sch.times
     samples = [(fam["family"][0], t[0])]
     if len(t) > 1:
@@ -476,13 +451,12 @@ def cmd_edp(args, started):
         samples.append((fam["family"][0], t[-1]))
     samples.append((fam["family"][0], 0))
     rep = edp_ball_check(fam["family"], sch, [len(p) for p in pools], samples)
-    return _run(args, {"rows": rep["rows"],
-                       "family_size": rep["family_size"]},
-                [("ball-bounds-hold", rep["all_pass"])], started)
+    return ({"rows": rep["rows"], "family_size": rep["family_size"]},
+            [("ball-bounds-hold", rep["all_pass"])])
 
 
-def cmd_exotic(args, started):
-    N_seq = _parse_int_list(args.N)
+def cmd_exotic(args):
+    N_seq = _parse_list(args.N, int)
     shift = build_nested(N_seq, k_max=args.levels)
     level = args.levels
     periodics = no_short_periodics(shift, level)
@@ -498,14 +472,13 @@ def cmd_exotic(args, started):
                "no_short_periodics": periodics["all_excluded"],
                "repairs": repairs,
                "rates": ent["rates"], "drops": ent["drops"]}
-    checks = [
+    return payload, [
         ("no-short-periodics", periodics["all_excluded"]),
         ("repair-abundance",
          all(r["working_positions"] >= r["lower_bound"] for r in repairs)),
         ("entropy-drops-within-epsilon",
          all(d["within"] for d in ent["drops"])),
     ]
-    return _run(args, payload, checks, started)
 
 
 # --- parser ----------------------------------------------------------------
@@ -574,8 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", required=True, help="freq:1 | const:c | block:w")
     sp.add_argument("--max-period", type=int, default=6)
 
-    for name, fn in (("separated", cmd_separated), ("spanning", cmd_spanning)):
-        sp = add(name, fn, help=f"max {name} subset under mistakes")
+    for name in ("separated", "spanning"):
+        sp = add(name, cmd_separation,
+                 help=f"max {name} subset under mistakes")
         sp.add_argument("--words-file", required=True,
                         help="one word per line")
         sp.add_argument("--g", default="zero", help="zero | const:c | log")
@@ -592,11 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", help="explicit lengths, e.g. 8,10,12")
 
     sp = add("bowen", cmd_bowen, help="cylinder-cover entropy")
-    _add_beta_args(sp)
-    sp.add_argument("--tree", help="CylinderTree JSON file")
-    sp.add_argument("--depth", type=int, default=16)
-    sp.add_argument("--markov-n", type=int,
-                    help="build the tree from beta(n) instead of beta")
+    _add_tree_args(sp)
     sp.add_argument("--nmin", type=int, default=1)
 
     sp = add("diam", cmd_diam, help="cylinder diameter bounds")
@@ -610,43 +580,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bounded-z", action="store_true")
 
     sp = add("boxdim", cmd_boxdim, help="box-counting dimension estimate")
-    _add_beta_args(sp)
-    sp.add_argument("--tree", help="CylinderTree JSON file")
-    sp.add_argument("--depth", type=int, default=16)
-    sp.add_argument("--markov-n", type=int)
+    _add_tree_args(sp)
     sp.add_argument("--depths", help="depth grid, e.g. 12,24")
 
     sp = add("schedule", cmd_schedule, help="validate a gluing schedule")
-    sp.add_argument("--n-list")
-    sp.add_argument("--N-list")
-    sp.add_argument("--delta-list")
-    sp.add_argument("--levels", type=int, default=3)
+    _add_schedule_args(sp)
 
-    sp = add("pools", cmd_pools, help="per-level word pools")
-    _add_beta_args(sp)
-    sp.add_argument("--phi", required=True)
-    sp.add_argument("--alpha", required=True, help="two targets, e.g. 0.5,0")
-    sp.add_argument("--n-list")
-    sp.add_argument("--N-list")
-    sp.add_argument("--delta-list")
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
+    for name, fn, text in (
+            ("pools", cmd_pools, "per-level word pools"),
+            ("irregular", cmd_irregular,
+             "construct an irregular point and certify oscillation")):
+        sp = add(name, fn, help=text)
+        _add_beta_args(sp)
+        sp.add_argument("--phi", required=True)
+        sp.add_argument("--alpha", required=True,
+                        help="two targets, e.g. 0.5,0")
+        _add_schedule_args(sp)
+        sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("irregular", cmd_irregular,
-             help="construct an irregular point and certify oscillation")
-    _add_beta_args(sp)
-    sp.add_argument("--phi", required=True)
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--n-list")
-    sp.add_argument("--N-list")
-    sp.add_argument("--delta-list")
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-
-    for name, fn in (("glued-family", cmd_glued_family), ("edp", cmd_edp)):
-        sp = add(name, fn, help="enumerate the glued family" if
-                 name == "glued-family" else "entropy distribution principle "
-                 "ball check")
+    for name, fn, text in (
+            ("glued-family", cmd_glued_family, "enumerate the glued family"),
+            ("edp", cmd_edp, "entropy distribution principle ball check")):
+        sp = add(name, fn, help=text)
         _add_beta_args(sp)
         sp.add_argument("--levels", type=int, default=2)
         sp.add_argument("--pool-size", type=int, default=2)
@@ -666,7 +621,15 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, started)
+        payload, checks = args.func(args)
+        _emit({"schema_version": SCHEMA_VERSION,
+               "version": __version__,
+               "subcommand": args.subcommand,
+               "params": _echo_params(args),
+               "seed": getattr(args, "seed", None),
+               "payload": payload,
+               "checks": [{"name": n, "pass": bool(ok)} for n, ok in checks],
+               "wall_time_s": round(time.monotonic() - started, 6)}, args)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}),
               file=sys.stderr)
@@ -675,6 +638,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "resource", "message": str(exc)}),
               file=sys.stderr)
         return 3
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,12 @@ from .errors import (
     NotAdmissibleInput,
     UsageError,
 )
+from .parry import (
+    Automaton,
+    enumerate_admissible,
+    is_admissible,
+    z_values,
+)
 from .words import SymbolWord
 
 EXACT_WORDS_BUDGET = 20
@@ -272,8 +278,8 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
     """
     if not 0 < gamma < 1:
         raise UsageError("gamma must lie in (0, 1)")
-    if any(n < 1 for n in n_list):
-        raise UsageError("word lengths must be >= 1")
+    if not n_list or any(n < 1 for n in n_list):
+        raise UsageError("at least one word length, each >= 1, is required")
     rows = []
     for n in n_list:
         sample = list(sampler(n))
@@ -314,8 +320,6 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
 
 def uniform_admissible_sampler(beta):
     """Uniform weights over all admissible words of each length."""
-    from .parry import enumerate_admissible
-
     def sampler(n):
         words = enumerate_admissible(beta, n)
         w = 1.0 / len(words)
@@ -370,7 +374,6 @@ class CylinderTree:
 
     @classmethod
     def from_beta(cls, beta, depth: int) -> "CylinderTree":
-        from .parry import Automaton
         return cls._from_presentation(Automaton(beta), depth)
 
     @classmethod
@@ -480,8 +483,6 @@ def box_dimension_estimate(tree: CylinderTree, beta, depth_list) -> dict:
 
 def cylinder_diameter_bounds(beta, word) -> tuple[float, float]:
     """[beta^-(n+z_n), beta^-n] in the d_beta metric; exact at w(beta) prefixes."""
-    from .parry import is_admissible, z_values
-
     sw = SymbolWord(word, beta.digit_bound)
     if not is_admissible(sw, beta):
         raise NotAdmissibleInput(f"{sw} is not admissible")

@@ -28,6 +28,7 @@ from .errors import (
     UsageError,
 )
 from .observables import Observable
+from .parry import Automaton, is_admissible, zero_last_nonzero
 from .words import as_word
 
 
@@ -164,8 +165,6 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
     """One pool per level: the lex-first admissible length-n_k words within
     delta_k of the level's alternating target, thinned to pairwise Hamming
     distance above SEPARATION_THRESHOLD.  seed is unused."""
-    from .parry import Automaton
-
     if len(targets) != 2:
         raise UsageError("exactly two targets are required")
     a1, a2 = float(targets[0]), float(targets[1])
@@ -212,8 +211,6 @@ def glue_blocks(beta, schedule: IrregularSchedule,
     """Concatenate pool words (bytes, SymbolWords or int sequences) level
     by level, applying the one-symbol repair to each nonterminal block when
     the shift requires it."""
-    from .parry import Automaton, is_admissible, zero_last_nonzero
-
     if len(selections) != schedule.levels:
         raise UsageError("one selection list per schedule level required")
     for k, sel in enumerate(selections, start=1):

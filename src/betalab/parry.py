@@ -97,6 +97,8 @@ def count_admissible(beta: BetaNumber, n: int) -> int:
 
 def count_profile(beta: BetaNumber, n_max: int):
     """(n, count, log(count)/n) rows for n = 1..n_max."""
+    if n_max < 1:
+        raise UsageError("n must be >= 1")
     return [(n, c, math.log(c) / n) for n, c in
             enumerate(automata.path_counts(Automaton(beta), n_max), start=1)]
 

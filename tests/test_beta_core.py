@@ -106,6 +106,15 @@ def test_golden_value_and_digits(beta_golden):
     assert (tuple(pre), tuple(period)) in (((), (1, 0)), ((1, 0), (1, 0)))
 
 
+def test_digits_rejects_negative_length():
+    """A negative n once returned the cached digits but the last |n|."""
+    beta = BetaNumber.from_digit_string("10(10)")
+    assert beta.digits(8) == (1, 0, 1, 0, 1, 0, 1, 0)
+    assert beta.digits(0) == ()
+    with pytest.raises(UsageError):
+        beta.digits(-1)
+
+
 def test_tribonacci_digits(beta_tribonacci):
     assert beta_tribonacci.digits(6) == (1, 1, 0, 1, 1, 0)
     assert abs(beta_tribonacci.value - 1.8392867552141612) < 1e-12

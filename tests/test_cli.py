@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from betalab import errors
-from betalab.cli import main
+from betalab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,11 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["edp", "--beta", "2", "--pool-size", "-1"],
     ["bowen", "--beta", "2", "--markov-n", "0"],
     ["boxdim", "--beta", "2", "--markov-n", "0"],
+    # each of these once gave an exit-0 report with no digits or no rows
+    ["beta-from-digits", "--digits", "10(10)", "--n", "-2"],
+    ["beta-from-digits", "--digits", "10(10)", "--n", "0"],
+    ["count", "--beta", "2", "--n", "0", "--profile"],
+    ["katok", "--beta", "2", "--nmax", "3"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -115,14 +121,15 @@ def test_malformed_number_exits_2(capsys, tmp_path, argv):
     assert json.loads(err)["error"] == "usage"
 
 
-# cheap base argv per subcommand, and its integer flags; a flag given again
-# overrides the base value
+# cheap base argv per subcommand (a key may carry a switch), and its integer
+# flags; a flag given again overrides the base value
 FUZZ_TABLE = {
     "expand": (["--beta", "2", "--x", "3/10"], ["--n"]),
     "expansion-of-one": (["--beta-poly", "1,-1,-1"], ["--n"]),
     "beta-from-digits": (["--digits", "10(10)"], ["--n"]),
     "graph": (["--beta", "3/2"], ["--n"]),
     "count": (["--beta", "2", "--n", "5"], ["--n"]),
+    "count --profile": (["--beta", "2", "--n", "5"], ["--n"]),
     "zvalues": (["--beta", "2"], ["--n"]),
     "markov": (["--beta-poly", "1,-1,-1", "--n", "3"], ["--n"]),
     "witnesses": (["--beta-poly", "1,-1,-1", "--phi", "freq:1"],
@@ -149,15 +156,19 @@ FUZZ_TABLE = {
 @given(data=st.data())
 def test_integer_flag_fuzz_never_raises(data):
     """Any small integer in any integer flag gives a report or a typed
-    error: exit 0, 1, 2 or 3, never a traceback."""
+    error: exit 0, 1, 2 or 3, never a traceback.  A report that has rows
+    has at least one."""
     name = data.draw(st.sampled_from(sorted(FUZZ_TABLE)))
     base, flags = FUZZ_TABLE[name]
     flag = data.draw(st.sampled_from(flags))
     value = data.draw(st.integers(min_value=-2, max_value=3))
-    with contextlib.redirect_stdout(io.StringIO()), \
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main([name, *base, flag, str(value)])
+        code = main([*name.split(), *base, flag, str(value)])
     assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert json.loads(out.getvalue())["payload"].get("rows", [None])
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,3 +412,161 @@ def test_out_file(tmp_path, capsys):
                          "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["payload"]["count"] == 16
+
+
+# every subparser's flags, pinned: option strings, dest, default, type name,
+# required and choices; --emit and --out lead every table, and BETA follows
+# where a β is read
+COMMON = [(("--emit",), "emit", "json", None, False, ("json", "csv")),
+          (("--out",), "out", None, None, False, None)]
+BETA = [(("--beta",), "beta", None, None, False, None),
+        (("--beta-poly",), "beta_poly", None, None, False, None),
+        (("--beta-digits",), "beta_digits", None, None, False, None)]
+FLAG_TABLE = {
+    "expand": [
+        *BETA,
+        (("--x",), "x", None, None, True, None),
+        (("--n",), "n", 32, "int", False, None),
+    ],
+    "expansion-of-one": [
+        *BETA,
+        (("--n",), "n", 32, "int", False, None),
+    ],
+    "beta-from-digits": [
+        (("--digits",), "digits", None, None, True, None),
+        (("--n",), "n", 16, "int", False, None),
+    ],
+    "admissible": [
+        *BETA,
+        (("--word",), "word", None, None, True, None),
+    ],
+    "graph": [
+        *BETA,
+        (("--n",), "n", 8, "int", False, None),
+    ],
+    "count": [
+        *BETA,
+        (("--n",), "n", None, "int", True, None),
+        (("--profile",), "profile", False, None, False, None),
+    ],
+    "zvalues": [
+        *BETA,
+        (("--n",), "n", 32, "int", False, None),
+    ],
+    "repair": [
+        *BETA,
+        (("--word",), "word", None, None, True, None),
+    ],
+    "markov": [
+        *BETA,
+        (("--n",), "n", None, "int", True, None),
+    ],
+    "witnesses": [
+        *BETA,
+        (("--phi",), "phi", None, None, True, None),
+        (("--max-period",), "max_period", 6, "int", False, None),
+    ],
+    "separated": [
+        (("--words-file",), "words_file", None, None, True, None),
+        (("--g",), "g", "zero", None, False, None),
+        (("--window",), "window", 1, "int", False, None),
+        (("--exact",), "exact", False, None, False, None),
+    ],
+    "spanning": [
+        (("--words-file",), "words_file", None, None, True, None),
+        (("--g",), "g", "zero", None, False, None),
+        (("--window",), "window", 1, "int", False, None),
+        (("--exact",), "exact", False, None, False, None),
+    ],
+    "katok": [
+        *BETA,
+        (("--gamma",), "gamma", 0.1, "float", False, None),
+        (("--g",), "g", "zero", None, False, None),
+        (("--window",), "window", 1, "int", False, None),
+        (("--nmax",), "nmax", 12, "int", False, None),
+        (("--n-list",), "n_list", None, None, False, None),
+    ],
+    "bowen": [
+        *BETA,
+        (("--tree",), "tree", None, None, False, None),
+        (("--depth",), "depth", 16, "int", False, None),
+        (("--markov-n",), "markov_n", None, "int", False, None),
+        (("--nmin",), "nmin", 1, "int", False, None),
+    ],
+    "diam": [
+        *BETA,
+        (("--word",), "word", None, None, True, None),
+    ],
+    "dims": [
+        *BETA,
+        (("--entropy",), "entropy", None, "float", True, None),
+        (("--zratio",), "zratio", 0.0, "float", False, None),
+        (("--bounded-z",), "bounded_z", False, None, False, None),
+    ],
+    "boxdim": [
+        *BETA,
+        (("--tree",), "tree", None, None, False, None),
+        (("--depth",), "depth", 16, "int", False, None),
+        (("--markov-n",), "markov_n", None, "int", False, None),
+        (("--depths",), "depths", None, None, False, None),
+    ],
+    "schedule": [
+        (("--n-list",), "n_list", None, None, False, None),
+        (("--N-list",), "N_list", None, None, False, None),
+        (("--delta-list",), "delta_list", None, None, False, None),
+        (("--levels",), "levels", 3, "int", False, None),
+    ],
+    "pools": [
+        *BETA,
+        (("--phi",), "phi", None, None, True, None),
+        (("--alpha",), "alpha", None, None, True, None),
+        (("--n-list",), "n_list", None, None, False, None),
+        (("--N-list",), "N_list", None, None, False, None),
+        (("--delta-list",), "delta_list", None, None, False, None),
+        (("--levels",), "levels", 3, "int", False, None),
+        (("--seed",), "seed", 0, "int", False, None),
+    ],
+    "irregular": [
+        *BETA,
+        (("--phi",), "phi", None, None, True, None),
+        (("--alpha",), "alpha", None, None, True, None),
+        (("--n-list",), "n_list", None, None, False, None),
+        (("--N-list",), "N_list", None, None, False, None),
+        (("--delta-list",), "delta_list", None, None, False, None),
+        (("--levels",), "levels", 3, "int", False, None),
+        (("--seed",), "seed", 0, "int", False, None),
+    ],
+    "glued-family": [
+        *BETA,
+        (("--levels",), "levels", 2, "int", False, None),
+        (("--pool-size",), "pool_size", 2, "int", False, None),
+        (("--multiplicity",), "multiplicity", 2, "int", False, None),
+        (("--budget",), "budget", 100000, "int", False, None),
+    ],
+    "edp": [
+        *BETA,
+        (("--levels",), "levels", 2, "int", False, None),
+        (("--pool-size",), "pool_size", 2, "int", False, None),
+        (("--multiplicity",), "multiplicity", 2, "int", False, None),
+        (("--budget",), "budget", 100000, "int", False, None),
+    ],
+    "exotic": [
+        (("--levels",), "levels", 2, "int", False, None),
+        (("--N",), "N", "4,6", None, False, None),
+        (("--nmax",), "nmax", 14, "int", False, None),
+    ],
+}
+
+
+def test_parser_flag_table_is_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    table = {name: [(tuple(a.option_strings), a.dest, a.default,
+                     getattr(a.type, "__name__", None), a.required,
+                     tuple(a.choices) if a.choices else None)
+                    for a in sp._actions
+                    if not isinstance(a, argparse._HelpAction)]
+             for name, sp in sub.choices.items()}
+    assert list(table) == list(FLAG_TABLE)
+    for name, rows in FLAG_TABLE.items():
+        assert table[name] == COMMON + rows, name

@@ -235,6 +235,12 @@ def test_katok_rejects_empty_sampler():
         katok_entropy_estimate(lambda n: [], MistakeFunction.zero(), 0.1, [4])
 
 
+def test_katok_rejects_empty_length_list(beta_two):
+    with pytest.raises(UsageError):
+        katok_entropy_estimate(uniform_admissible_sampler(beta_two),
+                               MistakeFunction.zero(), 0.1, [])
+
+
 def test_katok_bad_gamma(beta_two):
     with pytest.raises(UsageError):
         katok_entropy_estimate(uniform_admissible_sampler(beta_two),

@@ -11,6 +11,7 @@ from betalab.errors import (
     DegenerateRoot,
     NotAdmissibleInput,
     NotFound,
+    UsageError,
 )
 from betalab.observables import constant, digit_frequency
 from betalab.parry import (
@@ -98,6 +99,13 @@ def test_count_profile_rates_non_increasing(battery):
         rates = [r for _, _, r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
         assert abs(rates[-1] - beta.log) < 0.05
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_count_profile_rejects_n_below_1(beta_two, n_max):
+    """An empty profile once passed as a non-increasing one."""
+    with pytest.raises(UsageError):
+        count_profile(beta_two, n_max)
 
 
 def test_z_values_golden(beta_golden):
