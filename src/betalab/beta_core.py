@@ -47,13 +47,17 @@ def _poly_at(coeffs_asc: Sequence[int], x: Fraction) -> Fraction:
 
 
 class AlgebraicContext:
-    """An irreducible integer polynomial plus a refinable root enclosure.
+    """beta's minimal polynomial (irreducible, degree >= 2) plus a refinable
+    root enclosure.
 
     The enclosure endpoints are dyadic rationals carrying opposite signs of
-    the polynomial, so bisection refines them exactly.
+    the polynomial, so bisection refines them exactly; the root is
+    irrational, so no midpoint ever hits it.
     """
 
     def __init__(self, poly_asc: tuple[int, ...], lo: Fraction, hi: Fraction):
+        if len(poly_asc) < 3:
+            raise InvalidBeta("minimal polynomial must have degree >= 2")
         self.poly_asc = poly_asc
         self.lo = lo
         self.hi = hi
@@ -72,16 +76,7 @@ class AlgebraicContext:
         while self.hi - self.lo > width:
             self._grid = None
             mid = (self.lo + self.hi) / 2
-            s = _poly_at(self.poly_asc, mid)
-            if s == 0:
-                # dyadic mid can only be the root if the poly is linear
-                half = (self.hi - self.lo) / 4
-                self.lo, self.hi = mid - half, mid + half
-                if min(abs(_poly_at(self.poly_asc, self.lo)),
-                       abs(_poly_at(self.poly_asc, self.hi))) == 0:
-                    raise InvalidBeta("rational root should use the rational path")
-                continue
-            if (s > 0) == self._sign_lo:
+            if (_poly_at(self.poly_asc, mid) > 0) == self._sign_lo:
                 self.lo = mid
             else:
                 self.hi = mid
@@ -106,8 +101,7 @@ class AlgebraicContext:
             lo, hi = min(ps) + c, max(ps) + c
         return lo, hi, den * powers[len(nums) - 1]
 
-    def floor_vector(self, nums: tuple[int, ...], den: int,
-                     cap_bits: Optional[int] = None) -> int:
+    def floor_vector(self, nums: tuple[int, ...], den: int) -> int:
         """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
 
         The enclosure is the interval Horner of the root enclosure, evaluated
@@ -127,7 +121,7 @@ class AlgebraicContext:
                 # closed upper endpoint touching an integer exactly
                 return f_lo
             if width is None:
-                cap = cap_bits if cap_bits is not None else precision_cap()
+                cap = precision_cap()
                 width = self.hi - self.lo
             if width < Fraction(1, 2 ** cap):
                 raise UndecidableAtPrecision(
@@ -142,8 +136,7 @@ class BetaNumber:
 
     def __init__(self, *, frac: Optional[Fraction] = None,
                  ctx: Optional[AlgebraicContext] = None,
-                 source: str = "decimal-literal",
-                 w_periodic: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None):
+                 source: str = "decimal-literal"):
         if (frac is None) == (ctx is None):
             raise InvalidBeta("exactly one of frac/ctx required")
         self._frac = frac
@@ -158,10 +151,11 @@ class BetaNumber:
             ctx.refine_to(Fraction(1, 2 ** 16))
             if ctx.hi <= 1:
                 raise InvalidBeta("root enclosure at or below 1")
-            self.digit_bound = self._floor_of_beta()
+            self.digit_bound = ctx.floor_vector(
+                (0, 1) + (0,) * (ctx.degree - 2), 1)
         # quasi-greedy expansion cache
         self._w: list[int] = []
-        self._w_periodic = w_periodic
+        self._w_periodic = None
         self._orbit = None  # lazy greedy-orbit state for w(beta)
         self._brent = None  # Brent's (saved state, power, steps since saved)
 
@@ -173,8 +167,6 @@ class BetaNumber:
             frac = Fraction(text) if not isinstance(text, Fraction) else text
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidBeta(f"cannot parse beta literal {text!r}") from exc
-        if frac <= 1:
-            raise InvalidBeta(f"beta must exceed 1, got {frac}")
         return cls(frac=frac, source="decimal-literal")
 
     @classmethod
@@ -195,11 +187,6 @@ class BetaNumber:
 
     # -- numeric access ----------------------------------------------------
 
-    def _floor_of_beta(self) -> int:
-        if self._ctx.degree == 1:
-            raise InvalidBeta("degree-1 context should be rational")
-        return self._ctx.floor_vector((0, 1) + (0,) * (self._ctx.degree - 2), 1)
-
     def enclosure(self, width: Fraction = Fraction(1, 2 ** 60)) -> tuple[Fraction, Fraction]:
         if self._frac is not None:
             return self._frac, self._frac
@@ -219,7 +206,13 @@ class BetaNumber:
         return self._frac is not None
 
     def compare(self, other: "BetaNumber") -> int:
-        """-1, 0, 1 ordering; refines both enclosures as needed."""
+        """-1, 0, 1 ordering: 0 on equal minimal data (the rational, or the
+        polynomial whose largest real root a context holds), else both
+        enclosures are refined until they separate."""
+        mine, theirs = (b._frac if b._ctx is None else b._ctx.poly_asc
+                        for b in (self, other))
+        if mine == theirs:
+            return 0
         width = Fraction(1, 2 ** 32)
         cap = Fraction(1, 2 ** precision_cap())
         while True:
@@ -229,16 +222,7 @@ class BetaNumber:
                 return -1
             if b_hi < a_lo:
                 return 1
-            if a_lo == b_lo and a_hi == b_hi and a_lo == a_hi:
-                return 0
             if width < cap:
-                # same algebraic number: identical minimal data
-                if (self.is_rational() and other.is_rational()
-                        and self._frac == other._frac):
-                    return 0
-                if (not self.is_rational() and not other.is_rational()
-                        and self._ctx.poly_asc == other._ctx.poly_asc):
-                    return 0
                 raise UndecidableAtPrecision("comparison undecided at cap")
             width /= 2 ** 16
 

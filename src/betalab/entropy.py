@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from fractions import Fraction
@@ -232,8 +231,6 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
             g = (m & ~covered).bit_count()
             if g > gain:
                 best, gain = c, g
-        if gain <= 0:
-            raise UsageError("cover stalled; centers cannot span the set")
         greedy.append(best)
         covered |= cover_masks[best]
     if k > inst.exact_budget or inst.n > EXACT_LENGTH_BUDGET:
@@ -262,9 +259,10 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
                            method: str = "separated") -> dict:
     """Finite-scale analogue of the mistake-tolerant entropy formula.
 
-    For each n, keeps a weight-(1-gamma) word set (dropping lightest words
-    first) and reports (1/n) log of its separated (or spanning) count under
-    g and under the zero mistake function side by side.
+    The sampler gives N equally likely words of length n.  Dropping mass
+    gamma (read exactly, as its decimal literal) drops the floor(gamma N)
+    lexicographically first; each row reports (1/n) log of the kept set's
+    separated (or spanning) count under g and under zero mistakes.
 
     Each row is a finite-n estimate.  ``exact_<label>`` False means the
     count came from the greedy search: a lower bound for "separated", an
@@ -282,29 +280,13 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
         raise UsageError("at least one word length, each >= 1, is required")
     rows = []
     for n in n_list:
-        sample = list(sampler(n))
+        sample = sorted(sampler(n))
         if not sample:
             raise InsufficientSample(f"sampler produced nothing at n={n}")
-        # exact, so that a whole gamma * N of N uniform words is dropped;
-        # weights are grouped first because samplers repeat them
-        total = sum(Fraction(w) * k for w, k in
-                    Counter(w for _, w in sample).items())
-        if total <= 0:
-            raise InsufficientSample("nonpositive total weight")
-        sample.sort(key=lambda t: (t[1], t[0]))
-        budget = Fraction(str(gamma)) * total
-        dropped = Fraction(0)
-        keep_from = 0
-        for _, w in sample:
-            if dropped + Fraction(w) > budget:
-                break
-            dropped += Fraction(w)
-            keep_from += 1
-        z_words = tuple(d for d, _ in sample[keep_from:])
-        if not z_words:
-            raise InsufficientSample("mass threshold removed every word")
+        dropped = math.floor(Fraction(str(gamma)) * len(sample))
+        z_words = tuple(sample[dropped:])
         row = {"n": n, "kept_words": len(z_words),
-               "kept_mass": round(float(1 - dropped / total), 12)}
+               "kept_mass": round(len(z_words) / len(sample), 12)}
         for label, gg in (("g", g), ("zero", MistakeFunction.zero())):
             inst = SeparationInstance(z_words, window=window, g=gg)
             res = max_separated(inst) if method == "separated" \
@@ -319,13 +301,8 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
 
 
 def uniform_admissible_sampler(beta):
-    """Uniform weights over all admissible words of each length."""
-    def sampler(n):
-        words = enumerate_admissible(beta, n)
-        w = 1.0 / len(words)
-        return [(d, w) for d in words]
-
-    return sampler
+    """All admissible words of each length, equally likely."""
+    return partial(enumerate_admissible, beta)
 
 
 # --- cylinder trees and cover entropy -------------------------------------
@@ -410,6 +387,8 @@ def cover_cost(tree: CylinderTree, s: float, n_min: int,
     min([d >= N], e^(-s) * sum of r over the children), which does not
     underflow where e^(-s d) does; M at the root is r there.
     """
+    if n_min < 1:
+        raise UsageError(f"N must be >= 1, got {n_min}")
     depth_cap = tree.depth if max_depth is None else min(max_depth, tree.depth)
     if n_min > depth_cap:
         raise DepthTooShallow(f"N={n_min} exceeds usable depth {depth_cap}")

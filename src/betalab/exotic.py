@@ -4,89 +4,88 @@ Level 1 forbids the two constant powers 1^{N_1} and 0^{N_1}; level k
 forbids v^{N_k} for every length-k word v admissible at level k-1.  The
 intersection kills every short period while each level's entropy drop
 stays small, and any forbidden power is fixable by a single edit.  Each
-level is a forbidden-factor matcher presented to `betalab.automata`:
-admissibility at level k is one read of ``automata[k - 1]``, and the
-level-(k-1) words of length k that F_k raises to powers are one
-enumeration.
+level is an Aho-Corasick matcher with a complete transition table over
+{0, 1}, presented to `betalab.automata`: admissibility at level k is one
+read of ``automata[k - 1]``, and the level-(k-1) words of length k that
+F_k raises to powers are one enumeration.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
 from . import automata
-from .errors import BudgetExceeded, NoSingleEditFound, UsageError
+from .errors import (
+    AlphabetMismatch,
+    BudgetExceeded,
+    NoSingleEditFound,
+    UsageError,
+)
 
 FORBIDDEN_LIST_BUDGET = 10 ** 5
 
 
 class FactorAutomaton:
-    """Aho-Corasick matcher over {0, 1}: each state lists the forbidden
-    factors ending there, and ``step`` has no edge into such a state."""
+    """Aho-Corasick matcher (CACM 18, 1975) over {0, 1}: ``delta[s][c]`` is
+    the complete transition table, ``ends[s]`` the forbidden factors ending
+    at state s, and ``step`` has no edge into such a state."""
 
     initial = 0
     alphabet_bound = 1
 
     def __init__(self, patterns: Sequence[tuple[int, ...]]):
         self.patterns = [tuple(p) for p in patterns]
-        # trie with goto/fail links
-        self.goto: list[dict[int, int]] = [{}]
-        self.fail = [0]
-        self.ends: list[list[int]] = [[]]
+        # trie, ids in insertion order; None marks a missing edge
+        delta: list[list] = [[None, None]]
+        ends: list[list[int]] = [[]]
         for idx, p in enumerate(self.patterns):
             s = 0
             for c in p:
-                if c not in self.goto[s]:
-                    self.goto.append({})
-                    self.fail.append(0)
-                    self.ends.append([])
-                    self.goto[s][c] = len(self.goto) - 1
-                s = self.goto[s][c]
-            self.ends[s].append(idx)
-        # BFS fail links
-        from collections import deque
-        q = deque(self.goto[0].values())
-        while q:
-            s = q.popleft()
-            for c, t in self.goto[s].items():
-                f = self.fail[s]
-                while f and c not in self.goto[f]:
-                    f = self.fail[f]
-                self.fail[t] = self.goto[f][c] if c in self.goto[f] and \
-                    self.goto[f][c] != t else 0
-                self.ends[t] = sorted(self.ends[t] + self.ends[self.fail[t]])
-                q.append(t)
-
-    def _advance(self, state: int, c: int) -> int:
-        while state and c not in self.goto[state]:
-            state = self.fail[state]
-        return self.goto[state].get(c, 0)
+                if delta[s][c] is None:
+                    delta[s][c] = len(delta)
+                    delta.append([None, None])
+                    ends.append([])
+                s = delta[s][c]
+            ends[s].append(idx)
+        # BFS over (state, fail state) pairs, root row first: a missing
+        # edge copies the fail state's edge, and ends merge along fail links
+        root = delta[0]
+        queue = deque((t, 0) for t in root if t is not None)
+        root[:] = [0 if t is None else t for t in root]
+        while queue:
+            s, f = queue.popleft()
+            ends[s] = sorted(ends[s] + ends[f])
+            for c in (0, 1):
+                t = delta[s][c]
+                if t is None:
+                    delta[s][c] = delta[f][c]
+                else:
+                    queue.append((t, delta[f][c]))
+        self.delta, self.ends = delta, ends
 
     def step(self, state: int, c: int) -> Optional[int]:
-        t = self._advance(state, c)
+        t = self.delta[state][c]
         return None if self.ends[t] else t
 
-    def _matches(self, word):
-        """(end_index, pattern indices) wherever a forbidden factor ends."""
-        s = 0
-        for i, c in enumerate(word):
-            s = self._advance(s, c)
-            if self.ends[s]:
-                yield i, self.ends[s]
-
-    def first_forbidden_occurrence(self, word) -> Optional[tuple[int, tuple]]:
-        """(end_index, pattern) of the earliest forbidden factor, if any;
-        of several ending there, the one listed first."""
-        return next(((i, self.patterns[ends[0]])
-                     for i, ends in self._matches(word)), None)
-
     def occurrences(self, word) -> list[tuple[int, int, tuple]]:
-        """All forbidden occurrences as (start, end, pattern) intervals."""
-        return [(i + 1 - len(p), i + 1, p) for i, ends in self._matches(word)
-                for p in map(self.patterns.__getitem__, ends)]
+        """All forbidden occurrences as (start, end, pattern) intervals, by
+        end and then in pattern order, from one scan; the periodic-point
+        check and the single-edit repair read it.  A digit outside {0, 1}
+        raises AlphabetMismatch."""
+        if not {0, 1}.issuperset(word):
+            raise AlphabetMismatch("word uses digits outside {0, 1}")
+        delta, ends, patterns = self.delta, self.ends, self.patterns
+        out = []
+        s = 0
+        for i, c in enumerate(word, start=1):
+            s = delta[s][c]
+            for k in ends[s]:
+                out.append((i - len(patterns[k]), i, patterns[k]))
+        return out
 
     def count_words(self, n: int) -> int:
         return automata.count(self, n)
@@ -107,8 +106,8 @@ class NestedShift:
         return automata.enumerate_words(self.automata[lvl - 1], n)
 
 
-def build_nested(N_seq: Sequence[int], k_max: Optional[int] = None,
-                 budget: int = FORBIDDEN_LIST_BUDGET) -> NestedShift:
+def build_nested(N_seq: Sequence[int],
+                 k_max: Optional[int] = None) -> NestedShift:
     N_seq = tuple(int(v) for v in N_seq)
     k_max = len(N_seq) if k_max is None else k_max
     if not 1 <= k_max <= len(N_seq):
@@ -125,10 +124,10 @@ def build_nested(N_seq: Sequence[int], k_max: Optional[int] = None,
         # words; patterns stay tuples, like the level-1 runs
         F_k = [tuple(v) * N_seq[k - 1]
                for v in automata.enumerate_words(matchers[-1], k)]
-        if sum(len(w) for c in (cumulative, F_k) for w in c) > budget:
+        cumulative = cumulative + F_k
+        if sum(map(len, cumulative)) > FORBIDDEN_LIST_BUDGET:
             raise BudgetExceeded("forbidden lists exceed budget")
         forbidden_sets.append(F_k)
-        cumulative = cumulative + F_k
         matchers.append(FactorAutomaton(cumulative))
     return NestedShift(N_seq=N_seq, forbidden_sets=forbidden_sets,
                        automata=matchers)
@@ -144,12 +143,10 @@ def no_short_periodics(shift: NestedShift, level: int) -> dict:
                   for p in a.patterns) * 4
     for p_len in range(1, level + 1):
         for v in product((0, 1), repeat=p_len):
-            reps = horizon // p_len + 1
-            stream = v * reps
-            occ = auto.first_forbidden_occurrence(stream)
+            occ = auto.occurrences(v * (horizon // p_len + 1))[:1]
             rows.append({"period_word": v,
-                         "excluded": occ is not None,
-                         "breaking_factor": occ[1] if occ else None})
+                         "excluded": bool(occ),
+                         "breaking_factor": occ[0][2] if occ else None})
     return {"level": level, "rows": rows,
             "all_excluded": all(r["excluded"] for r in rows)}
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import product
+from itertools import accumulate, product
 from operator import ne
 from typing import Sequence
 
@@ -305,28 +306,23 @@ def construct_irregular_point(beta, phi: Observable,
 
 
 def enumerate_glued_family(beta, schedule: IrregularSchedule,
-                           pools: Sequence[WordPool],
+                           pools: Sequence[Sequence],
                            budget: int = 10 ** 5) -> dict:
     """All glued words over per-slot pool choices; exact product count.
-    Pool words may be bytes, SymbolWords or int sequences, mixed."""
-    words_per_level = [tuple(map(as_word, p.words if isinstance(p, WordPool)
-                                 else p)) for p in pools]
+    A pool is a word sequence; its words may be bytes, SymbolWords or int
+    sequences, mixed."""
+    words_per_level = [tuple(map(as_word, p)) for p in pools]
     sizes = [len(words) for words in words_per_level]
-    expected = 1
-    for s, N in zip(sizes, schedule.multiplicities):
-        expected *= s ** N
+    expected = math.prod(s ** N for s, N in zip(sizes, schedule.multiplicities))
     if expected > budget:
         raise BudgetExceeded(f"family size {expected} exceeds budget {budget}")
     slot_choices = []
     for lvl, N in enumerate(schedule.multiplicities):
         slot_choices.extend([words_per_level[lvl]] * N)
+    ends = list(accumulate(schedule.multiplicities))  # where levels end
     family = []
     for combo in product(*slot_choices):
-        selections = []
-        idx = 0
-        for N in schedule.multiplicities:
-            selections.append(list(combo[idx:idx + N]))
-            idx += N
+        selections = [combo[a:b] for a, b in zip([0] + ends, ends)]
         family.append(glue_blocks(beta, schedule, selections).digits)
     distinct = len(set(family))
     t_k = schedule.times[-1]
@@ -361,10 +357,7 @@ def edp_ball_check(family: Sequence[bytes],
             continue
         hits = sum(1 for w in family if as_word(w[:n]) == prefix)
         measure = hits / total
-        j = 0
-        while j < len(t) and t[j] <= n:
-            j += 1
-        # now t_{j-1} <= n < t_j in 1-based terms; j counts completed levels
+        j = bisect_right(t, n)  # completed levels: t_{j-1} <= n < t_j
         t_j = t[j - 1] if j >= 1 else 0
         if j >= len(schedule.block_lengths):
             l = 0
@@ -372,9 +365,8 @@ def edp_ball_check(family: Sequence[bytes],
         else:
             l = (n - t_j) // schedule.block_lengths[j]
             s_next = pool_sizes[j]
-        T_j = 1
-        for i in range(j):
-            T_j *= pool_sizes[i] ** schedule.multiplicities[i]
+        T_j = math.prod(pool_sizes[i] ** schedule.multiplicities[i]
+                        for i in range(j))
         bound = (1.0 / T_j) * (1.0 / (s_next ** l) if s_next > 0 else 1.0)
         coarse = l == 0
         rows.append({"n": n, "measure": measure, "bound": bound, "j": j,

@@ -38,23 +38,23 @@ class Observable:
     def average_on_word(self, digits) -> float:
         """Truncated Birkhoff average over the materialized prefix.
 
-        A range-r observable only sees the first len - r + 1 windows; the
-        discarded tail is accounted for in callers' boundary terms.
+        A range-r observable only sees the first len - r + 1 windows, read
+        by zipping r shifted slices; the discarded tail is accounted for in
+        callers' boundary terms.
         """
         digits = tuple(digits)
         r = self.range_r
         if len(digits) < r:
             raise UsageError(f"word shorter than observable range {r}")
-        m = len(digits) - r + 1
-        return sum(self.block_value(digits[i:i + r]) for i in range(m)) / m
+        windows = zip(*(digits[i:] for i in range(r)))
+        return sum(map(self.block_value, windows)) / (len(digits) - r + 1)
 
     def periodic_average(self, period_digits) -> float:
-        """Exact Birkhoff average of the periodic stream period_digits^inf."""
+        """Exact Birkhoff average of the periodic stream period_digits^inf:
+        the average over one period's cyclic extension by r - 1 digits."""
         period = tuple(period_digits)
-        p = len(period)
-        doubled = period * ((self.range_r // p) + 2)
-        return sum(self.block_value(doubled[i:i + self.range_r])
-                   for i in range(p)) / p
+        extended = period * (self.range_r // len(period) + 2)
+        return self.average_on_word(extended[:len(period) + self.range_r - 1])
 
 
 def digit_frequency(digit: int, alphabet_bound: int) -> Observable:

@@ -113,37 +113,9 @@ class ZReport:
     window: int
 
 
-def z_values_from_digits(digits, n_max: int) -> ZReport:
-    """z_n over 1..n_max computed from an explicit digit sequence.
-
-    digits must extend far enough that a nonzero digit exists at or after
-    every position up to n_max.
-    """
-    digits = tuple(digits)
-    z: list[int] = []
-    nz_positions = [i + 1 for i, d in enumerate(digits) if d != 0]
-    import bisect
-    for n in range(1, n_max + 1):
-        j = bisect.bisect_left(nz_positions, n)
-        if j == len(nz_positions):
-            raise UsageError(
-                f"digit prefix too short: no nonzero digit at or after {n}")
-        z.append(nz_positions[j] - n)
-    ratio_sup = Fraction(0)
-    argmax = 1
-    for n, zn in enumerate(z, start=1):
-        r = Fraction(zn, n)
-        if r > ratio_sup:
-            ratio_sup, argmax = r, n
-    max_z = max(z)
-    half = max(1, n_max // 2)
-    non_growing = max(z[half:], default=0) <= max(z[:half])
-    small = max_z <= max(4, int(math.log2(n_max)) + 1)
-    return ZReport(z=z, ratio_sup=ratio_sup, ratio_argmax=argmax,
-                   max_z=max_z, spec_flag=non_growing and small, window=n_max)
-
-
 def z_values(beta: BetaNumber, n_max: int) -> ZReport:
+    """z_n, the distance from n to the next nonzero digit of w(beta) at or
+    after n, over 1..n_max, with the ratio and growth summaries."""
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     # extend digits until a nonzero exists at or after n_max; the budget
@@ -158,7 +130,20 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
             raise BudgetExceeded(
                 f"no nonzero digit found up to {cap}; gap too long for window")
         need = min(2 * need, cap)
-    return z_values_from_digits(digits, n_max)
+    z, nxt = [0] * n_max, None
+    for n in range(len(digits), 0, -1):  # nxt: next nonzero position >= n
+        nxt = n if digits[n - 1] else nxt
+        if n <= n_max:
+            z[n - 1] = nxt - n
+    # the first n attaining sup z_n / n: max keeps the first of equal keys
+    argmax = max(range(1, n_max + 1), key=lambda n: Fraction(z[n - 1], n))
+    ratio_sup = Fraction(z[argmax - 1], argmax)
+    max_z = max(z)
+    half = max(1, n_max // 2)
+    non_growing = max(z[half:], default=0) <= max(z[:half])
+    small = max_z <= max(4, int(math.log2(n_max)) + 1)
+    return ZReport(z=z, ratio_sup=ratio_sup, ratio_argmax=argmax,
+                   max_z=max_z, spec_flag=non_growing and small, window=n_max)
 
 
 def zero_last_nonzero(word: bytes):

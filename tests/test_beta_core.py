@@ -312,6 +312,22 @@ def test_compare(beta_two, beta_golden):
     assert beta_golden.compare(beta_golden) == 0
 
 
+def test_compare_equal_minimal_polynomials_needs_no_refinement():
+    """The same root from its polynomial and from its digits: equal minimal
+    polynomials give 0 before either enclosure is refined."""
+    poly = BetaNumber.from_polynomial([1, -1, -1])
+    digits = BetaNumber.from_digit_string("(10)")
+    assert poly.compare(digits) == 0 and digits.compare(poly) == 0
+    for beta in (poly, digits):
+        assert beta._ctx.hi - beta._ctx.lo > Fraction(1, 2 ** 100)
+
+
+def test_context_rejects_a_linear_polynomial():
+    # a rational root has no enclosure to refine; it is a frac= base
+    with pytest.raises(InvalidBeta):
+        AlgebraicContext((-3, 2), 1, 2)
+
+
 def test_enclosure_shrinks(beta_tribonacci):
     lo1, hi1 = beta_tribonacci.enclosure(Fraction(1, 2 ** 20))
     lo2, hi2 = beta_tribonacci.enclosure(Fraction(1, 2 ** 60))
@@ -374,14 +390,17 @@ def _fib_lucas(n):
 def test_floor_vector_precision_cap(monkeypatch, n, cap, lucas_minus_one):
     # phi^n = F_(n-1) + F_n * phi lies 1/phi^n below the Lucas number L_n
     # (n even), so the floor needs about 1.4 n bits of the root
-    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    if cap is None:
+        monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    else:
+        monkeypatch.setenv("BETALAB_PRECISION_BITS", str(cap))
     ctx = BetaNumber.from_polynomial([1, -1, -1])._ctx
     f_prev, f, lucas = _fib_lucas(n)
     if lucas_minus_one:
-        assert ctx.floor_vector((f_prev, f), 1, cap_bits=cap) == lucas - 1
+        assert ctx.floor_vector((f_prev, f), 1) == lucas - 1
     else:
         with pytest.raises(UndecidableAtPrecision):
-            ctx.floor_vector((f_prev, f), 1, cap_bits=cap)
+            ctx.floor_vector((f_prev, f), 1)
 
 
 @pytest.mark.parametrize("text", ["2(10)", "3(12)", "2(01)", "11(10)",

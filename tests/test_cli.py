@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,33 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def _readme_cli_commands():
+    """argv of each betalab line in the README's sh block under "## CLI",
+    with backslash continuations joined; the --help line is left out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("\n```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    return [argv[1:] for argv in commands
+            if argv[:1] == ["betalab"] and "--help" not in argv]
+
+
+README_COMMANDS = _readme_cli_commands()
+
+
+def test_readme_cli_block_is_read():
+    assert [argv[0] for argv in README_COMMANDS] == [
+        "count", "admissible", "expansion-of-one", "katok", "bowen", "boxdim",
+        "irregular", "exotic"]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_cli_example_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["subcommand"] == argv[0]
 
 
 def test_count_full_shift(capsys):
@@ -107,6 +136,9 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["beta-from-digits", "--digits", "10(10)", "--n", "0"],
     ["count", "--beta", "2", "--n", "0", "--profile"],
     ["katok", "--beta", "2", "--nmax", "3"],
+    # Bowen's N ranges over lengths >= 1; these once echoed the N = 1 result
+    ["bowen", "--beta", "2", "--depth", "6", "--nmin", "0"],
+    ["bowen", "--beta", "2", "--depth", "6", "--nmin", "-1"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")

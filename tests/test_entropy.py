@@ -213,10 +213,9 @@ def test_katok_zero_mistakes_full_shift(beta_two):
 @pytest.mark.parametrize("gamma,size,kept", [
     (0.1, 10, 9), (0.1, 30, 27), (0.1, 70, 63), (0.3, 10, 7)])
 def test_katok_drops_whole_gamma_mass(gamma, size, kept):
-    """Uniform weights: a whole gamma * N of the words is dropped exactly."""
+    """A uniform sampler: a whole gamma * N of the words is dropped exactly."""
     def sampler(n):
-        return [(tuple(i >> b & 1 for b in range(n)), 1.0 / size)
-                for i in range(size)]
+        return [tuple(i >> b & 1 for b in range(n)) for i in range(size)]
 
     row = katok_entropy_estimate(sampler, MistakeFunction.zero(), gamma,
                                  [7])["rows"][0]
@@ -225,7 +224,7 @@ def test_katok_drops_whole_gamma_mass(gamma, size, kept):
 
 
 def test_katok_single_word_sampler():
-    rep = katok_entropy_estimate(lambda n: [((0,) * n, 1.0)],
+    rep = katok_entropy_estimate(lambda n: [(0,) * n],
                                  MistakeFunction.zero(), 0.5, [6])
     assert rep["rows"][0]["estimate_zero"] == 0.0
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from betalab.automata import read
-from betalab.errors import NoSingleEditFound, UsageError
+from betalab.errors import AlphabetMismatch, NoSingleEditFound, UsageError
 from betalab.exotic import (
     FactorAutomaton,
     build_nested,
@@ -46,18 +46,31 @@ def test_factor_automaton_matches_oracle():
     build_nested((4, 6)).automata[1].patterns,
 ])
 def test_one_pass_queries_match_naive_scan(patterns):
-    """occurrences and first_forbidden_occurrence, served by one matcher
-    pass, agree with rescanning every pattern at every offset."""
+    """occurrences, one scan of the matcher's table, agrees with rescanning
+    every pattern at every offset, and its first entry is the earliest
+    ending occurrence (of several ending there, the pattern listed first)."""
     auto = FactorAutomaton(patterns)
     for n in range(1, 12):
         for w in product((0, 1), repeat=n):
             naive = oracle_occurrences(w, patterns)
-            assert set(auto.occurrences(w)) == set(naive)
-            assert len(auto.occurrences(w)) == len(naive)
-            first = min(naive, default=None,
-                        key=lambda o: (o[1], patterns.index(o[2])))
-            expected = None if first is None else (first[1] - 1, first[2])
-            assert auto.first_forbidden_occurrence(w) == expected
+            found = auto.occurrences(w)
+            assert set(found) == set(naive)
+            assert len(found) == len(naive)
+            first = sorted(naive, key=lambda o: (o[1], patterns.index(o[2])))
+            assert found[:1] == first[:1]
+
+
+@pytest.mark.parametrize("word", [(2, 2, 1, 1, 1, 1), (1, -1, 0), (0, 3)])
+def test_occurrences_reject_digits_outside_the_alphabet(word):
+    # a complete table over {0, 1} has no column for 2 and would read -1
+    # as its 1-column
+    with pytest.raises(AlphabetMismatch):
+        build_nested((4, 6)).automata[1].occurrences(word)
+
+
+def test_single_edit_repair_rejects_digits_outside_the_alphabet():
+    with pytest.raises(AlphabetMismatch):
+        single_edit_repair((2,) * 7, build_nested((4, 6)), 1)
 
 
 def test_build_nested_level_1():
