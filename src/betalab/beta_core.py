@@ -284,20 +284,16 @@ class BetaNumber:
             self._brent = (r_new, 2 * power, 0) if lam == power else (saved, power, lam)
 
     def _split_period(self, lam: int):
-        """(preperiod, period) of w(beta) for an orbit cycle of length lam.
-
-        One replay from the point 1 finds the first mu with state(mu) ==
-        state(mu + lam); the digits are periodic from index mu on.
-        """
-        def step(r):
-            return _greedy_step(self, r)[1]
-        tortoise = hare = _point(self, Fraction(1))
-        for _ in range(lam):
-            hare = step(hare)
-        mu = 0
-        while tortoise != hare:
-            tortoise, hare, mu = step(tortoise), step(hare), mu + 1
-        return tuple(self._w[:mu]), tuple(self._w[mu:mu + lam])
+        """(preperiod, period) of w(beta) once the orbit state after the
+        last digit equals the one lam digits earlier.  Equal states have
+        equal digit tails, and a state is fixed by its digit and successor,
+        so a backward scan finds the least mu from which the digits repeat
+        with period lam."""
+        w = self._w
+        mu = len(w) - lam
+        while mu and w[mu - 1] == w[mu - 1 + lam]:
+            mu -= 1
+        return tuple(w[:mu]), tuple(w[mu:mu + lam])
 
 
 # --- operations -----------------------------------------------------------

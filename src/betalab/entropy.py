@@ -39,7 +39,6 @@ EXACT_WORDS_BUDGET = 20
 # nodes or candidate covers one exact search may try; a search over at most
 # EXACT_WORDS_BUDGET words tries fewer, so only ``--exact`` can reach it
 EXACT_NODE_BUDGET = 2 << EXACT_WORDS_BUDGET
-EXACT_LENGTH_BUDGET = 12
 BISECTION_TOL = 1e-4  # width of the cover-cost transition brackets
 
 
@@ -130,7 +129,6 @@ class SeparationInstance:
             raise UsageError("window must be >= 1")
         if min(min(w, default=0) for w in self.words) < 0:
             raise UsageError("digits must be nonnegative")
-        self.n = n
         self.threshold = self.g(n)
         top = max(max(w, default=0) for w in self.words)
         width = max(top.bit_length(), 1)
@@ -174,15 +172,19 @@ class SeparationResult:
     bound_direction: str  # "exact", "lower" (packing) or "upper" (cover)
 
 
+def _distinct_words(inst: SeparationInstance) -> SeparationResult:
+    """Both answers at g(n) = 0, where a ball holds only copies of its centre:
+    the distinct words (equal codes), in first-occurrence order."""
+    witness = list(dict(zip(inst.codes, inst.words)).values())
+    return SeparationResult(len(witness), witness, True, "exact")
+
+
 def max_separated(inst: SeparationInstance) -> SeparationResult:
     """Largest pairwise-separated subset; exact below the search budget."""
     k = len(inst.words)
     if inst.threshold == 0:
-        # any disagreement separates, so distinct words are pairwise
-        # separated; equal codes are equal words, whatever their type
-        witness = list(dict(zip(inst.codes, inst.words)).values())
-        return SeparationResult(len(witness), witness, True, "exact")
-    if k <= inst.exact_budget and inst.n <= EXACT_LENGTH_BUDGET:
+        return _distinct_words(inst)
+    if k <= inst.exact_budget:
         full = (1 << k) - 1
         adj = [full ^ m for m in inst.cover_masks]
         best_mask = 0
@@ -220,6 +222,8 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
 
 def min_spanning(inst: SeparationInstance) -> SeparationResult:
     """Smallest subset whose mistake balls cover the whole word set."""
+    if inst.threshold == 0:
+        return _distinct_words(inst)
     k = len(inst.words)
     cover_masks = inst.cover_masks
     full = (1 << k) - 1
@@ -233,7 +237,7 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
                 best, gain = c, g
         greedy.append(best)
         covered |= cover_masks[best]
-    if k > inst.exact_budget or inst.n > EXACT_LENGTH_BUDGET:
+    if k > inst.exact_budget:
         witness = [inst.words[i] for i in greedy]
         return SeparationResult(len(witness), witness, False, "upper")
     tried = 0

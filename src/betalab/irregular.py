@@ -2,10 +2,12 @@
 
 Per-level word pools are read in lexicographic order from the exact level
 sets {w admissible : |A_n phi(w) - alpha| < delta} and thinned to pairwise
-Hamming distance above a threshold; their words are glued with the
-beta-shift's one-symbol repair into an admissible prefix whose running
-averages of a chosen observable oscillate between two targets on a
-verified schedule.
+Hamming distance above a threshold; their words are glued into an
+admissible prefix whose running averages of a chosen observable oscillate
+between two targets on a verified schedule.  Gluing follows the repair
+rule of almost specification: unless beta is an integer, each nonterminal
+block has its last nonzero digit zeroed, and then any admissible block
+may follow it (Pfister & Sullivan 2007).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import accumulate, product
 from operator import ne
 from typing import Sequence
 
-from .automata import edges, iter_words, read
+from .automata import edges, iter_words
 from .errors import (
     BudgetExceeded,
     EmptyPool,
@@ -201,17 +203,20 @@ class GluedPoint:
 
 
 def _needs_repair(beta) -> bool:
-    """Gluing is free concatenation exactly when w(beta) has no zeros (read
-    from the periodic form, else from 64 digits)."""
-    form = beta.periodic_form()
-    return 0 in (form[0] + form[1] if form else beta.digits(64))
+    """Gluing is free concatenation exactly when beta is an integer b + 1
+    (the full shift on {0..b}); every other base repairs each nonterminal
+    block by zeroing its last nonzero digit.  That digit stood on an edge
+    w_j >= 1 out of some vertex j, so the 0 takes the back edge to vertex 1,
+    every later 0 stays there (w_1 >= 1), and the next block is read as if
+    it stood alone."""
+    return not beta.is_rational() or beta.enclosure()[0].denominator != 1
 
 
 def glue_blocks(beta, schedule: IrregularSchedule,
                 selections: Sequence[Sequence]) -> GluedPoint:
     """Concatenate pool words (bytes, SymbolWords or int sequences) level
-    by level, applying the one-symbol repair to each nonterminal block when
-    the shift requires it."""
+    by level, each read once by its admissibility check, and repair every
+    nonterminal block unless beta is an integer (`_needs_repair`)."""
     if len(selections) != schedule.levels:
         raise UsageError("one selection list per schedule level required")
     for k, sel in enumerate(selections, start=1):
@@ -219,12 +224,9 @@ def glue_blocks(beta, schedule: IrregularSchedule,
             raise UsageError(f"level {k} needs {schedule.multiplicities[k-1]} "
                              f"words, got {len(sel)}")
     repair = _needs_repair(beta)
-    auto = Automaton(beta)
-    state = 1
     out = bytearray()
     ledger = []
     total_blocks = sum(schedule.multiplicities)
-    blk_index = 0
     for k, sel in enumerate(selections, start=1):
         n_k = schedule.block_lengths[k - 1]
         for slot, word in enumerate(sel):
@@ -234,14 +236,9 @@ def glue_blocks(beta, schedule: IrregularSchedule,
                                  f"expected {n_k}")
             if not is_admissible(word, beta):
                 raise NotAdmissibleInput(f"selection at level {k} slot {slot}")
-            blk_index += 1
             pos = None
-            if repair and blk_index < total_blocks:
+            if repair and len(ledger) + 1 < total_blocks:
                 word, pos = zero_last_nonzero(word)
-            state = read(auto, word, start=state)
-            if state is None:
-                raise NotAdmissibleInput(
-                    f"glued prefix inadmissible inside level {k} slot {slot}")
             out += word
             ledger.append((k, slot, pos))
     return GluedPoint(digits=bytes(out), ledger=ledger)

@@ -53,6 +53,8 @@ class Observable:
         """Exact Birkhoff average of the periodic stream period_digits^inf:
         the average over one period's cyclic extension by r - 1 digits."""
         period = tuple(period_digits)
+        if not period:
+            raise UsageError("empty period")
         extended = period * (self.range_r // len(period) + 2)
         return self.average_on_word(extended[:len(period) + self.range_r - 1])
 

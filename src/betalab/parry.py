@@ -170,16 +170,14 @@ class MarkovApprox(Automaton):
     beta's graph, read as the Automaton of approx_beta."""
 
     base_beta: BetaNumber
-    order: int            # requested truncation index
     effective_order: int  # after dropping trailing zero digits
     approx_beta: BetaNumber
-    confined_labels: tuple[int, ...]
 
     def __post_init__(self):
         super().__init__(self.approx_beta)
-        # the labels, not approx_beta's digit bound: at effective order 1,
-        # beta(n) = w_1 is an integer whose digit bound is w_1 - 1
-        self.alphabet_bound = max(self.confined_labels)
+        # the labels' bound w_1, not approx_beta's digit bound: at effective
+        # order 1, beta(n) = w_1 is an integer whose digit bound is w_1 - 1
+        self.alphabet_bound = self.base_beta.digit_bound
 
     @property
     def entropy(self) -> float:
@@ -192,10 +190,9 @@ class MarkovApprox(Automaton):
 
 def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
     approx = simple_beta_approx(beta, n)
-    m = approx.info["effective_n"]
-    labels = beta.digits(m)
-    return MarkovApprox(base_beta=beta, order=n, effective_order=m,
-                        approx_beta=approx, confined_labels=labels)
+    return MarkovApprox(base_beta=beta,
+                        effective_order=approx.info["effective_n"],
+                        approx_beta=approx)
 
 
 def enumerate_admissible(beta: BetaNumber, n: int):

@@ -322,6 +322,15 @@ def test_compare_equal_minimal_polynomials_needs_no_refinement():
         assert beta._ctx.hi - beta._ctx.lo > Fraction(1, 2 ** 100)
 
 
+def test_non_monic_linear_root_is_rational():
+    """sympy isolates the root 5/3 of 3x - 5 in (1, 2), not as a point, so
+    the rational comes from the linear factor that changes sign there."""
+    beta = BetaNumber.from_polynomial([3, -5])
+    assert beta.is_rational()
+    assert beta.enclosure() == (Fraction(5, 3), Fraction(5, 3))
+    assert beta.digit_bound == 1
+
+
 def test_context_rejects_a_linear_polynomial():
     # a rational root has no enclosure to refine; it is a frac= base
     with pytest.raises(InvalidBeta):

@@ -398,6 +398,38 @@ def test_bowen_and_boxdim(capsys):
     assert rep["checks"][0]["pass"]
 
 
+def test_diam_at_a_prefix_of_w_beta(capsys):
+    """1010 is a prefix of w(golden) = (10)^inf, and z_4 = 1, so both
+    bounds are phi^-5."""
+    code, rep = run_json(capsys, "diam", "--beta-poly", "1,-1,-1",
+                         "--word", "1010")
+    assert code == 0 and rep["checks"][0]["pass"]
+    phi = (1 + math.sqrt(5)) / 2
+    assert rep["payload"]["lower"] == rep["payload"]["upper"]
+    assert abs(rep["payload"]["lower"] - phi ** -5) < 1e-12
+
+
+def test_dims_sandwich(capsys):
+    code, rep = run_json(capsys, "dims", "--beta-poly", "1,-1,-1",
+                         "--entropy", "0.3", "--zratio", "0.5")
+    assert code == 0 and rep["checks"][0]["pass"]
+    assert rep["payload"]["flag"] == "sandwich"
+    assert rep["payload"]["lower"] == pytest.approx(
+        rep["payload"]["upper"] / 1.5)
+
+
+def test_irregular_on_a_base_whose_w_beta_has_no_zero(capsys):
+    """w(1 + sqrt 3) = (21)^inf: the blocks are repaired, not concatenated
+    (12 and 212 are admissible, 12212 is not)."""
+    code, rep = run_json(capsys, "irregular", "--beta-poly", "1,-2,-2",
+                         "--phi", "freq:2", "--alpha", "0.5,0.2",
+                         "--seed", "1")
+    assert code == 0
+    assert [c["name"] for c in rep["checks"] if c["pass"]] == [
+        "averages-within-bounds", "oscillation-observed"]
+    assert rep["payload"]["edits"] > 0
+
+
 def test_schedule_and_pools(capsys):
     code, rep = run_json(capsys, "schedule", "--levels", "4")
     assert code == 0

@@ -184,6 +184,33 @@ def test_nonbinary_greedy_is_separated_and_maximal():
                    for z in words)
 
 
+def test_exact_search_at_every_word_length():
+    """The search cost does not grow with the word length, so words longer
+    than 12 digits are searched exactly too."""
+    rng = random.Random(41)
+    for _ in range(40):
+        b, n = rng.randint(1, 2), rng.randint(13, 24)
+        words = tuple({tuple(rng.randint(0, b) for _ in range(n))
+                       for _ in range(rng.randint(2, 7))})
+        m, gval = rng.randint(1, 2), rng.randint(1, 3)
+        inst = SeparationInstance(words, window=m,
+                                  g=MistakeFunction.constant(gval))
+        s, r = max_separated(inst), min_spanning(inst)
+        assert s.exact and r.exact
+        assert s.size == oracle_max_separated(words, gval, m)
+        assert r.size == oracle_min_spanning(words, gval, m)
+
+
+def test_zero_mistake_spanning_is_the_distinct_words():
+    """With g = 0 a ball holds only its centre: the distinct words, in
+    first-occurrence order, span exactly, however many there are."""
+    words = all_binary(5)
+    inst = SeparationInstance(words[::-1] + words, g=MistakeFunction.zero())
+    res = min_spanning(inst)
+    assert res.exact and res.bound_direction == "exact"
+    assert res.size == 32 and res.witness == list(words[::-1])
+
+
 @pytest.mark.parametrize("window", [0, -1])
 def test_instance_rejects_window_below_one(window):
     with pytest.raises(UsageError):

@@ -33,6 +33,7 @@ from betalab.parry import (
     is_admissible,
 )
 from betalab.words import SymbolWord
+from test_parry import oracle_admissible_lex
 
 
 def small_schedule():
@@ -275,6 +276,29 @@ def test_glue_on_base_without_periodic_form():
     point = glue_blocks(beta, sch, [[(1, 0, 0, 1), (1, 0, 0, 1)]])
     assert point.digits == bytes((1, 0, 0, 0, 1, 0, 0, 1))
     assert is_admissible(point.digits, beta)
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven", "(21)"])
+def test_glued_points_pass_the_lex_oracle(bench_bases, name):
+    """The repair rule on every base: random admissible selections glue to
+    admissible points, and only integer bases glue with no edits.  For
+    (21) = w(1 + sqrt 3), whose w(beta) has no zero, 12 and 212 are
+    admissible but 12212 is not, so its blocks need the repair too."""
+    beta = bench_bases.get(name) or BetaNumber.from_digit_string(name)
+    integer = name == "two"
+    rng = random.Random(5)
+    sch = validate_schedule((5, 7), (3, 4), (0.4, 0.2))
+    words = [enumerate_admissible(beta, n) for n in sch.block_lengths]
+    for _ in range(40):
+        sel = [[rng.choice(pool) for _ in range(N)]
+               for pool, N in zip(words, sch.multiplicities)]
+        point = glue_blocks(beta, sch, sel)
+        assert oracle_admissible_lex(point.digits, beta,
+                                     horizon=len(point.digits))
+        # a repair edits each nonterminal block with a nonzero digit
+        nonterminal = [w for lvl in sel for w in lvl][:-1]
+        assert point.edits == (0 if integer else sum(map(any, nonterminal)))
 
 
 def test_glue_rejects_inadmissible_selection(beta_golden):

@@ -36,6 +36,11 @@ def test_periodic_average_exact():
     assert freq.periodic_average((1, 0, 0)) == pytest.approx(1 / 3)
 
 
+def test_periodic_average_rejects_empty_period():
+    with pytest.raises(UsageError):
+        digit_frequency(1, 1).periodic_average(())
+
+
 def test_word_shorter_than_range_rejected():
     phi = block_indicator((1, 0, 1), 1)
     with pytest.raises(UsageError):
