@@ -234,7 +234,7 @@ def cmd_zvalues(args):
     return {"z": rep.z, "max_z": rep.max_z,
             "ratio_sup": str(rep.ratio_sup),
             "ratio_argmax": rep.ratio_argmax,
-            "specification_flag": rep.spec_flag, "window": rep.window}, []
+            "specification_gap": rep.gap, "window": rep.window}, []
 
 
 def cmd_repair(args):
@@ -259,8 +259,8 @@ def cmd_witnesses(args):
     beta = _beta_from_args(args)
     phi = parse_observable(args.phi, beta.digit_bound)
     lo_w, lo_v, hi_w, hi_v = periodic_witnesses(beta, phi, args.max_period)
-    return ({"low_word": format_digits(lo_w), "low_value": lo_v,
-             "high_word": format_digits(hi_w), "high_value": hi_v},
+    return ({"low_word": format_digits(lo_w), "low_value": float(lo_v),
+             "high_word": format_digits(hi_w), "high_value": float(hi_v)},
             [("gap-positive", hi_v > lo_v)])
 
 
@@ -370,9 +370,9 @@ def cmd_schedule(args):
     certs = sch.certificates
     return ({"block_lengths": list(sch.block_lengths),
              "multiplicities": list(sch.multiplicities),
-             "tolerances": list(sch.tolerances),
+             "tolerances": list(map(float, sch.tolerances)),
              "times": list(sch.times),
-             "certificates": list(certs)},
+             "certificates": list(map(float, certs))},
             [("certificates-decreasing",
               all(a > b for a, b in zip(certs, certs[1:])))])
 
@@ -390,8 +390,9 @@ def _pools_from_args(args):
 
 def cmd_pools(args):
     beta, _, _, _, pools = _pools_from_args(args)
-    rows = [{"level": p.level, "target": p.target, "size": p.size,
-             "achieved_min": p.achieved[0], "achieved_max": p.achieved[1],
+    rows = [{"level": p.level, "target": float(p.target), "size": p.size,
+             "achieved_min": float(p.achieved[0]),
+             "achieved_max": float(p.achieved[1]),
              "log_size_over_n": p.log_size_over_n} for p in pools]
     return ({"rows": rows, "log_beta": beta.log},
             [("pools-nonempty", all(p.size > 0 for p in pools))])
@@ -630,7 +631,7 @@ def main(argv=None) -> int:
                "payload": payload,
                "checks": [{"name": n, "pass": bool(ok)} for n, ok in checks],
                "wall_time_s": round(time.monotonic() - started, 6)}, args)
-    except UsageError as exc:
+    except (UsageError, OverflowError) as exc:  # a value past float range
         print(json.dumps({"error": "usage", "message": str(exc)}),
               file=sys.stderr)
         return 2

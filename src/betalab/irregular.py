@@ -4,10 +4,11 @@ Per-level word pools are read in lexicographic order from the exact level
 sets {w admissible : |A_n phi(w) - alpha| < delta} and thinned to pairwise
 Hamming distance above a threshold; their words are glued into an
 admissible prefix whose running averages of a chosen observable oscillate
-between two targets on a verified schedule.  Gluing follows the repair
-rule of almost specification: unless beta is an integer, each nonterminal
-block has its last nonzero digit zeroed, and then any admissible block
-may follow it (Pfister & Sullivan 2007).
+between two targets on a verified schedule.  Targets and tolerances are
+read as decimal literals, and each window and certificate is decided in Q.
+Gluing follows the repair rule of almost specification: unless beta is an
+integer, each nonterminal block has its last nonzero digit zeroed, and
+then any admissible block may follow it (Pfister & Sullivan 2007).
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, product
-from operator import ne
+from operator import mul, ne
 from typing import Sequence
 
 from .automata import edges, iter_words
@@ -30,7 +32,7 @@ from .errors import (
     OscillationNotObserved,
     UsageError,
 )
-from .observables import Observable
+from .observables import Observable, exact
 from .parry import Automaton, is_admissible, zero_last_nonzero
 from .words import as_word
 
@@ -44,9 +46,9 @@ def rho(k: int) -> int:
 class IrregularSchedule:
     block_lengths: tuple[int, ...]   # n_k
     multiplicities: tuple[int, ...]  # N_k
-    tolerances: tuple[float, ...]    # delta_k
+    tolerances: tuple[Fraction, ...]  # delta_k, read as decimal literals
     times: tuple[int, ...]           # t_k = sum_{i<=k} N_i n_i
-    certificates: tuple[float, ...]  # max(n_{k+1}/N_k, t_k/N_{k+1})
+    certificates: tuple[Fraction, ...]  # max(n_{k+1}/N_k, t_k/N_{k+1})
 
     @property
     def levels(self) -> int:
@@ -59,7 +61,7 @@ def validate_schedule(block_lengths: Sequence[int],
     """Check the finite-scale growth conditions and compute certificates."""
     n = tuple(int(v) for v in block_lengths)
     N = tuple(int(v) for v in multiplicities)
-    d = tuple(float(v) for v in tolerances)
+    d = tuple(exact(v, "tolerance") for v in tolerances)
     if not (len(n) == len(N) == len(d)) or not n:
         raise UsageError("schedule sequences must be nonempty and equal length")
     if any(v < 1 for v in n) or any(v < 1 for v in N):
@@ -68,30 +70,24 @@ def validate_schedule(block_lengths: Sequence[int],
         raise GrowthViolation("block lengths must strictly increase")
     if any(v <= 0 for v in d) or any(a <= b for a, b in zip(d, d[1:])):
         raise GrowthViolation("tolerances must be positive and strictly decreasing")
-    times = []
-    t = 0
-    for nk, Nk in zip(n, N):
-        t += nk * Nk
-        times.append(t)
-    certs = []
-    for k in range(len(n) - 1):
-        cert = max(n[k + 1] / N[k], times[k] / N[k + 1])
-        certs.append(cert)
-    for k in range(len(certs) - 1):
-        if certs[k + 1] >= certs[k]:
+    times = tuple(accumulate(map(mul, n, N)))
+    certs = tuple(max(Fraction(n[k + 1], N[k]), Fraction(times[k], N[k + 1]))
+                  for k in range(len(n) - 1))
+    for k, (a, b) in enumerate(zip(certs, certs[1:]), start=2):
+        if b >= a:
             raise GrowthViolation(
-                f"growth certificate fails to decrease at level {k + 2}: "
-                f"{certs[k + 1]:.4g} >= {certs[k]:.4g}", level=k + 2)
-    return IrregularSchedule(n, N, d, tuple(times), tuple(certs))
+                f"growth certificate fails to decrease at level {k}: "
+                f"{float(b):.4g} >= {float(a):.4g}", level=k)
+    return IrregularSchedule(n, N, d, times, certs)
 
 
 @dataclass(frozen=True)
 class WordPool:
     level: int
-    target: float
-    tolerance: float
+    target: Fraction
+    tolerance: Fraction
     words: tuple
-    achieved: tuple[float, float]  # (min, max) block average over the pool
+    achieved: tuple[Fraction, Fraction]  # (min, max) block average over the pool
 
     @property
     def size(self) -> int:
@@ -103,25 +99,23 @@ class WordPool:
         return math.log(len(self.words)) / n if self.words else float("-inf")
 
 
-_MARGIN = 1e-9
 SEPARATION_THRESHOLD = 2  # pool words differ in more than this many digits
 
 
 class _LevelSet:
     """Length-n words of a presentation whose phi-average is within delta of
     alpha, on states (position, state, last r-1 digits, partial Birkhoff
-    sum).  Forward and backward passes keep only states that can still end
-    inside the window, so a lexicographic walk never backtracks.  The window
-    is widened by _MARGIN (1 + sup|phi|), past any float summation error on
-    up to 10^6 windows, so pruning never drops a word the exact test keeps."""
+    sum S times phi.den, an integer).  The strict window |S/(m den) - alpha|
+    < delta is decided once, in Q; forward and backward passes keep only
+    states that can still end inside it, so a walk never backtracks."""
 
-    def __init__(self, pres, phi: Observable, alpha: float, delta: float,
-                 n: int):
+    def __init__(self, pres, phi: Observable, alpha: Fraction,
+                 delta: Fraction, n: int):
         r, m = phi.range_r, n - phi.range_r + 1
         if m < 1:
             raise UsageError(f"word shorter than observable range {r}")
         self.alphabet_bound = pres.alphabet_bound
-        self.initial = (0, pres.initial, (), 0.0)
+        self.initial = (0, pres.initial, (), 0)
         edges_of = cache(partial(edges, pres))
         levels: list[dict] = [{self.initial: []}]  # state -> its out-edges
         for j in range(1, n + 1):
@@ -129,13 +123,13 @@ class _LevelSet:
             for (_, q, tail, total), out in levels[-1].items():
                 for s, t in edges_of(q):
                     block = tail + (s,)
-                    dest = (j, t, block[1:], total + phi.block_value(block)) \
+                    dest = (j, t, block[1:], total + phi.numerator(block)) \
                         if len(block) == r else (j, t, block, total)
                     out.append((s, dest))
                     nxt[dest] = []
             levels.append(nxt)
-        slack = delta + _MARGIN * (1 + phi.sup_norm)
-        live = {st: {} for st in levels[-1] if abs(st[3] / m - alpha) < slack}
+        centre, radius = alpha * m * phi.den, delta * m * phi.den
+        live = {st: {} for st in levels[-1] if abs(st[3] - centre) < radius}
         for level in reversed(levels[:-1]):
             for state, out in level.items():
                 kept = {s: t for s, t in out if t in live}
@@ -170,21 +164,18 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
     distance above SEPARATION_THRESHOLD.  seed is unused."""
     if len(targets) != 2:
         raise UsageError("exactly two targets are required")
-    a1, a2 = float(targets[0]), float(targets[1])
+    targets = [exact(a, "target") for a in targets]
     pools = []
     for k in range(1, schedule.levels + 1):
         n_k = schedule.block_lengths[k - 1]
         delta_k = schedule.tolerances[k - 1]
-        alpha = (a1, a2)[rho(k) - 1]
+        alpha = targets[rho(k) - 1]
         level_set = _LevelSet(Automaton(beta), phi, alpha, delta_k, n_k)
-        kept = thin_separated(
-            (w for w in iter_words(level_set, n_k)
-             if abs(phi.average_on_word(w) - alpha) < delta_k),
-            pool_cap)
+        kept = thin_separated(iter_words(level_set, n_k), pool_cap)
         if not kept:
-            raise EmptyPool(
-                f"no admissible length-{n_k} word within {delta_k} of "
-                f"{alpha} at level {k}", target=alpha)
+            raise EmptyPool(f"no admissible length-{n_k} word within "
+                            f"{float(delta_k)} of {float(alpha)} at level {k}",
+                            target=float(alpha))
         avgs = [phi.average_on_word(w) for w in kept]
         pools.append(WordPool(level=k, target=alpha, tolerance=delta_k,
                               words=tuple(kept),
@@ -245,7 +236,7 @@ def glue_blocks(beta, schedule: IrregularSchedule,
 
 
 def oscillation_bound(phi: Observable, schedule: IrregularSchedule,
-                      k: int) -> float:
+                      k: int) -> Fraction:
     """Ledger-computable residual bound on |A_{t_k} - alpha_{rho(k)}|:
     tolerance + oscillation * (edits + boundary) / n_k + carried-prefix term.
     """
@@ -254,7 +245,7 @@ def oscillation_bound(phi: Observable, schedule: IrregularSchedule,
     t_k = schedule.times[k - 1]
     return (schedule.tolerances[k - 1]
             + phi.oscillation * (1 + phi.range_r) / n_k
-            + (t_prev / t_k) * 2 * phi.sup_norm)
+            + Fraction(t_prev, t_k) * 2 * phi.sup_norm)
 
 
 def construct_irregular_point(beta, phi: Observable,
@@ -262,7 +253,8 @@ def construct_irregular_point(beta, phi: Observable,
                               schedule: IrregularSchedule,
                               pools: Sequence[WordPool],
                               seed: int = 0) -> dict:
-    """Glue randomly selected pool words and certify the running averages.
+    """Glue randomly selected pool words and certify the running averages
+    in Q; the rows report them as floats.
 
     Raises OscillationNotObserved when a residual exceeds its ledger bound
     or (for distinct targets) consecutive averages fail to separate.
@@ -274,19 +266,19 @@ def construct_irregular_point(beta, phi: Observable,
                    for _ in range(schedule.multiplicities[k])]
                   for k, pool in enumerate(pools)]
     point = glue_blocks(beta, schedule, selections)
-    a1, a2 = float(targets[0]), float(targets[1])
-    rows = []
+    a1, a2 = exact(targets[0], "target"), exact(targets[1], "target")
+    rows, averages = [], []
     for k in range(1, schedule.levels + 1):
         t_k = schedule.times[k - 1]
         alpha = (a1, a2)[rho(k) - 1]
         avg = phi.average_on_word(point.digits[:t_k])
-        bound = oscillation_bound(phi, schedule, k)
-        rows.append({"level": k, "t_k": t_k, "target": alpha,
-                     "average": avg, "residual": abs(avg - alpha),
-                     "bound": bound, "within_bound": abs(avg - alpha) <= bound})
+        residual, bound = abs(avg - alpha), oscillation_bound(phi, schedule, k)
+        averages.append(avg)
+        rows.append({"level": k, "t_k": t_k, "target": float(alpha),
+                     "average": float(avg), "residual": float(residual),
+                     "bound": float(bound), "within_bound": residual <= bound})
     gap = abs(a1 - a2)
-    diffs = [abs(rows[i + 1]["average"] - rows[i]["average"])
-             for i in range(len(rows) - 1)]
+    diffs = [abs(b - a) for a, b in zip(averages, averages[1:])]
     oscillates = gap > 0 and bool(diffs) and all(d > gap / 2 for d in diffs)
     bad = [r for r in rows if not r["within_bound"]]
     if bad:
@@ -296,8 +288,8 @@ def construct_irregular_point(beta, phi: Observable,
     if gap > 0 and not oscillates:
         raise OscillationNotObserved(
             "consecutive averages fail to separate",
-            diagnostics={"rows": rows, "diffs": diffs})
-    return {"seed": seed, "targets": (a1, a2), "rows": rows,
+            diagnostics={"rows": rows, "diffs": list(map(float, diffs))})
+    return {"seed": seed, "targets": (float(a1), float(a2)), "rows": rows,
             "oscillates": oscillates, "edits": point.edits,
             "point": point}
 

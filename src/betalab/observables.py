@@ -1,42 +1,65 @@
-"""Locally constant observables on digit sequences."""
+"""Locally constant observables on digit sequences, held exactly: each
+table value is read once, as its decimal literal, and kept as an integer
+numerator over one common denominator, so averages are exact Fractions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
+from fractions import Fraction
+from itertools import product
 
 from .errors import UsageError
 
 
+def exact(value, what: str) -> Fraction:
+    """value read exactly as its decimal literal; UsageError unless finite."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{what} must be finite, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class Observable:
-    """A range-r observable given by a table on length-r digit blocks."""
+    """A range-r observable given by a table on length-r digit blocks,
+    stored as `numerators`: each value times the common denominator `den`."""
 
     name: str
     range_r: int
-    table: dict = field(hash=False)
+    table: InitVar[dict]
+    den: int = field(init=False)
+    numerators: dict = field(init=False, hash=False)
 
-    def __post_init__(self):
+    def __post_init__(self, table):
         if self.range_r < 1:
             raise UsageError("observable range must be >= 1")
-        if not self.table:
+        if not table:
             raise UsageError("observable table is empty")
+        values = {b: exact(v, f"observable {self.name} value")
+                  for b, v in table.items()}
+        den = math.lcm(*(v.denominator for v in values.values()))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "numerators", {
+            b: v.numerator * (den // v.denominator) for b, v in values.items()})
 
     @property
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in self.table.values())
+    def sup_norm(self) -> Fraction:
+        return Fraction(max(map(abs, self.numerators.values())), self.den)
 
     @property
-    def oscillation(self) -> float:
-        return max(self.table.values()) - min(self.table.values())
+    def oscillation(self) -> Fraction:
+        nums = self.numerators.values()
+        return Fraction(max(nums) - min(nums), self.den)
 
-    def block_value(self, block: tuple[int, ...]) -> float:
+    def numerator(self, block: tuple[int, ...]) -> int:
         try:
-            return self.table[block]
+            return self.numerators[block]
         except KeyError:
             raise UsageError(f"observable {self.name} undefined on block {block}")
 
-    def average_on_word(self, digits) -> float:
-        """Truncated Birkhoff average over the materialized prefix.
+    def average_on_word(self, digits) -> Fraction:
+        """Exact truncated Birkhoff average over the materialized prefix.
 
         A range-r observable only sees the first len - r + 1 windows, read
         by zipping r shifted slices; the discarded tail is accounted for in
@@ -47,9 +70,10 @@ class Observable:
         if len(digits) < r:
             raise UsageError(f"word shorter than observable range {r}")
         windows = zip(*(digits[i:] for i in range(r)))
-        return sum(map(self.block_value, windows)) / (len(digits) - r + 1)
+        return Fraction(sum(map(self.numerator, windows)),
+                        (len(digits) - r + 1) * self.den)
 
-    def periodic_average(self, period_digits) -> float:
+    def periodic_average(self, period_digits) -> Fraction:
         """Exact Birkhoff average of the periodic stream period_digits^inf:
         the average over one period's cyclic extension by r - 1 digits."""
         period = tuple(period_digits)
@@ -60,20 +84,18 @@ class Observable:
 
 
 def digit_frequency(digit: int, alphabet_bound: int) -> Observable:
-    table = {(i,): 1.0 if i == digit else 0.0 for i in range(alphabet_bound + 1)}
+    table = {(i,): int(i == digit) for i in range(alphabet_bound + 1)}
     return Observable(name=f"freq:{digit}", range_r=1, table=table)
 
 
 def constant(value: float, alphabet_bound: int) -> Observable:
-    table = {(i,): float(value) for i in range(alphabet_bound + 1)}
+    table = {(i,): value for i in range(alphabet_bound + 1)}
     return Observable(name=f"const:{value}", range_r=1, table=table)
 
 
 def block_indicator(block: tuple[int, ...], alphabet_bound: int) -> Observable:
-    from itertools import product
-
     r = len(block)
-    table = {b: 1.0 if b == tuple(block) else 0.0
+    table = {b: int(b == tuple(block))
              for b in product(range(alphabet_bound + 1), repeat=r)}
     return Observable(name=f"block:{''.join(map(str, block))}", range_r=r, table=table)
 

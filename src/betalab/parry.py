@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from . import automata
@@ -29,8 +30,6 @@ from .errors import (
 )
 from .observables import Observable
 from .words import SymbolWord
-
-STREAM_COPY_CAP = 256
 
 
 class Automaton:
@@ -108,14 +107,17 @@ class ZReport:
     z: list[int]
     ratio_sup: Fraction
     ratio_argmax: int
-    max_z: int
-    spec_flag: bool
+    max_z: int  # a lower bound on the longest zero run of w(beta)
+    gap: Optional[int]  # the specification gap, None when undecided
     window: int
 
 
 def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     """z_n, the distance from n to the next nonzero digit of w(beta) at or
-    after n, over 1..n_max, with the ratio and growth summaries."""
+    after n, over 1..n_max, with the ratio summaries.  Given w(beta)'s
+    periodic form, with M its longest zero run over the preperiod and two
+    periods, u 0^(M+1) v is admissible for all admissible u and v (0^(M+1)
+    ends at vertex 1): the specification gap is M + 1 (Bertrand-Mathis)."""
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     # extend digits until a nonzero exists at or after n_max; the budget
@@ -138,12 +140,12 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     # the first n attaining sup z_n / n: max keeps the first of equal keys
     argmax = max(range(1, n_max + 1), key=lambda n: Fraction(z[n - 1], n))
     ratio_sup = Fraction(z[argmax - 1], argmax)
-    max_z = max(z)
-    half = max(1, n_max // 2)
-    non_growing = max(z[half:], default=0) <= max(z[:half])
-    small = max_z <= max(4, int(math.log2(n_max)) + 1)
+    gap, form = None, beta.periodic_form()
+    if form is not None:
+        gap = 1 + max((len(list(run)) for d, run in
+                       groupby(form[0] + 2 * form[1]) if d == 0), default=0)
     return ZReport(z=z, ratio_sup=ratio_sup, ratio_argmax=argmax,
-                   max_z=max_z, spec_flag=non_growing and small, window=n_max)
+                   max_z=max(z), gap=gap, window=n_max)
 
 
 def zero_last_nonzero(word: bytes):
@@ -202,42 +204,32 @@ def enumerate_admissible(beta: BetaNumber, n: int):
 
 
 def periodic_stream_admissible(beta: BetaNumber, period_digits) -> bool:
-    """Whether the periodic stream period_digits^inf lies in the shift.
-
-    Exact when w(beta) is eventually periodic (the canonical state space is
-    finite); otherwise a finite-depth check over STREAM_COPY_CAP copies.
-    """
+    """Whether the periodic stream period_digits^inf lies in the shift, read
+    copy by copy until the state after a copy repeats.  State i means the
+    last i - 1 digits read are w_1 .. w_{i-1}, so states stay bounded unless
+    w(beta) is periodic, and then `Automaton.canon` folds them."""
     auto = Automaton(beta)
-    state = 1
-    seen = {1}
-    for _ in range(STREAM_COPY_CAP):
+    state, seen = 1, set()
+    while state not in seen:
+        seen.add(state)
         state = automata.read(auto, period_digits, start=state)
         if state is None:
             return False
-        if state in seen and beta.periodic_form() is not None:
-            return True
-        seen.add(state)
     return True
 
 
 def periodic_witnesses(beta: BetaNumber, observable: Observable,
                        max_period: int):
-    """Two admissible periodic words whose per-period averages realize the
-    extreme gap found up to max_period."""
-    best_lo = best_hi = None
-    val_lo = math.inf
-    val_hi = -math.inf
-    for p in range(max(1, observable.range_r), max_period + 1):
-        for word in enumerate_admissible(beta, p):
-            if not periodic_stream_admissible(beta, word):
-                continue
-            avg = observable.periodic_average(word)
-            if avg < val_lo:
-                val_lo, best_lo = avg, word
-            if avg > val_hi:
-                val_hi, best_hi = avg, word
-    if best_lo is None or val_hi - val_lo <= 1e-12:
+    """The first admissible periodic words, by period then lexicographically,
+    whose exact per-period averages realize the extreme gap up to max_period."""
+    found = [(observable.periodic_average(word), word)
+             for p in range(max(1, observable.range_r), max_period + 1)
+             for word in enumerate_admissible(beta, p)
+             if periodic_stream_admissible(beta, word)]
+    (val_lo, lo), (val_hi, hi) = (f(found, key=lambda x: x[0], default=(0, 0))
+                                  for f in (min, max))
+    if val_hi == val_lo:  # also when nothing was found: both default to 0
         raise NotFound(
             "all periodic averages coincide up to the searched period")
-    return (SymbolWord(best_lo, beta.digit_bound), val_lo,
-            SymbolWord(best_hi, beta.digit_bound), val_hi)
+    return (SymbolWord(lo, beta.digit_bound), val_lo,
+            SymbolWord(hi, beta.digit_bound), val_hi)

@@ -26,7 +26,8 @@ PRESENTATIONS = {
     "nested": lambda b: build_nested((4, 6)).automata[1],
     "markov-figure-6": lambda b: markov_approx(b["figure"], 6),
     "level-set-14": lambda b: _LevelSet(Automaton(b["golden"]),
-                                        digit_frequency(1, 1), 0.3, 0.1, 14),
+                                        digit_frequency(1, 1), Fraction(3, 10),
+                                        Fraction(1, 10), 14),
 }
 
 
@@ -164,7 +165,8 @@ READERS = {
     "beta-tribonacci": lambda b: Automaton(b["tribonacci"]),
     "beta-one-seven": lambda b: Automaton(b["one_seven"]),
     "level-set": lambda b: _LevelSet(Automaton(b["golden"]),
-                                     digit_frequency(1, 1), 0.3, 0.1, 40),
+                                     digit_frequency(1, 1), Fraction(3, 10),
+                                     Fraction(1, 10), 40),
 }
 
 

@@ -139,6 +139,23 @@ def test_expansion_of_one_without_periodic_form(capsys):
     # Bowen's N ranges over lengths >= 1; these once echoed the N = 1 result
     ["bowen", "--beta", "2", "--depth", "6", "--nmin", "0"],
     ["bowen", "--beta", "2", "--depth", "6", "--nmin", "-1"],
+    # non-finite targets, tolerances and table values: the first exited 0
+    # with an unbounded window, the second through an empty pool
+    ["pools", "--beta-poly", "1,-1,-1", "--phi", "freq:1", "--alpha",
+     "0.5,0", "--n-list", "8,10", "--N-list", "2,4", "--delta-list",
+     "inf,0.1"],
+    ["pools", "--beta-poly", "1,-1,-1", "--phi", "freq:1", "--alpha",
+     "nan,0"],
+    ["pools", "--beta-poly", "1,-1,-1", "--phi", "freq:1", "--alpha",
+     "1e400,0"],
+    ["schedule", "--n-list", "8,10", "--N-list", "2,4", "--delta-list",
+     "0.1,nan"],
+    ["pools", "--beta-poly", "1,-1,-1", "--phi", "const:nan", "--alpha",
+     "0.5,0"],
+    # finite, but its exact oscillation bound is past float range
+    ["irregular", "--beta", "2", "--phi", "const:1.7e308", "--alpha",
+     "1.7e308,1.7e308", "--n-list", "8,10", "--N-list", "10,1",
+     "--delta-list", "0.1,0.05"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -201,6 +218,54 @@ def test_integer_flag_fuzz_never_raises(data):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert json.loads(out.getvalue())["payload"].get("rows", [None])
+
+
+@pytest.mark.parametrize("argv, gap", [
+    (["--beta-digits", "(201001)"], 3),
+    (["--beta-digits", "(10000000)", "--n", "4"], 8),
+    (["--beta", "3/2"], None),
+])
+def test_zvalues_specification_gap(capsys, argv, gap):
+    """The gap is M + 1 for the longest zero run M of a periodic w(beta),
+    whatever the window, and null (undecided) otherwise."""
+    code, rep = run_json(capsys, "zvalues", *argv)
+    assert code == 0
+    assert rep["payload"]["specification_gap"] == gap
+    assert "specification_flag" not in rep["payload"]
+
+
+NUMBER_TEXT = st.one_of(
+    st.decimals(min_value=-2, max_value=2, places=3).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e-400",
+                     "x", "", "1/3", "0x1p-3", "1_0", "--1", "0.5e"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_string_flag_fuzz_never_raises(data):
+    """Any text in --alpha, --delta-list or --phi const:c gives a report or
+    a typed error: exit 0, 1, 2 or 3, and any error output is the one JSON
+    error line, never a traceback.  Values are attached with "=", as a
+    value that starts with "-" must be."""
+    name = data.draw(st.sampled_from(["pools", "irregular"]))
+    text = lambda: data.draw(NUMBER_TEXT)
+    phi = data.draw(st.sampled_from(["freq:1", "const:"]))
+    argv = [name, "--beta-poly", "1,-1,-1", "--levels", "2",
+            f"--phi={phi}{text() if phi == 'const:' else ''}",
+            f"--alpha={text()},{text()}"]
+    if data.draw(st.booleans()):
+        argv += ["--n-list", "8,10", "--N-list", "2,4",
+                 f"--delta-list={text()},{text()}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        line, = err.getvalue().splitlines()
+        assert json.loads(line)["error"] in ("usage", "resource")
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["payload"]["rows"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -465,6 +530,7 @@ def test_zvalues_and_repair(capsys):
                          "--n", "8")
     assert code == 0
     assert rep["payload"]["z"] == [0, 1] * 4
+    assert rep["payload"]["specification_gap"] == 2
     code, rep = run_json(capsys, "repair", "--beta-poly", "1,-1,-1",
                          "--word", "101")
     assert rep["payload"]["repaired"] == "100"

@@ -12,6 +12,13 @@ enumeration, plus four `glued-family`/`edp` reports, as printed before
 the pools were read from exact level sets.  An argument "{tests}/..."
 names a file in this directory.
 
+One row was edited by hand, not re-captured: level 2 of `pools --beta
+3/2` (n = 20, alpha = 0.1, delta = 0.05) had 50 words while the window was
+decided in floats, where 0.15 - 0.1 < 0.05; 40 of them have average
+exactly 3/20, on the window's edge, so the exact pool has 10 words, size
+50 -> 10, achieved_max 0.15 -> 0.1 and log_size_over_n log(50)/20 ->
+log(10)/20.
+
 Every field compares exactly except the floats under
 payload.monotonicity: the cover costs M(Z, s, N) there are evaluated in a
 rescaled form that keeps deep cylinders from underflowing, and agree with

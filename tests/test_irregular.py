@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -118,42 +119,75 @@ def oracle_thin(words, cap=64, threshold=2):
     return kept
 
 
+def oracle_table(spec, bound):
+    """The exact table of an observable, written here in Fractions: the
+    digit-1 frequency, the indicator of 101, or the non-dyadic range-2
+    table 0.1a + 0.7b + 0.3ab."""
+    if spec == "freq:1":
+        return 1, {(d,): Fraction(d == 1) for d in range(bound + 1)}
+    if spec == "block:101":
+        return 3, {b: Fraction(b == (1, 0, 1))
+                   for b in product(range(bound + 1), repeat=3)}
+    return 2, {(a, b): Fraction(a, 10) + Fraction(7 * b, 10)
+               + Fraction(3 * a * b, 10)
+               for a, b in product(range(bound + 1), repeat=2)}
+
+
+def oracle_average(word, r, table):
+    """Exact Birkhoff average of a range-r table over word's windows."""
+    windows = zip(*(word[i:] for i in range(r)))
+    return sum(map(table.__getitem__, windows)) / (len(word) - r + 1)
+
+
 @pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
                                   "three_halves", "one_seven"])
-@pytest.mark.parametrize("spec", ["freq:1", "block:101"])
+@pytest.mark.parametrize("spec", ["freq:1", "block:101", "mix"])
 def test_level_set_equals_enumerate_then_filter(bench_bases, name, spec):
-    """The level set's lexicographic stream, filtered by the acceptance
-    test, is the filtered full enumeration; so are the pools."""
+    """The level set's lexicographic stream is the full enumeration
+    filtered by the strict window |A - alpha| < delta, decided on Fraction
+    averages; so are the pools.  For the non-dyadic table, alpha is a word's
+    own average and delta the distance to another word's, so words sit on
+    the window's edge."""
     beta = bench_bases[name]
-    phi = parse_observable(spec, beta.digit_bound)
+    r, table = oracle_table(spec, beta.digit_bound)
+    phi = Observable(spec, r, table) if spec == "mix" else \
+        parse_observable(spec, beta.digit_bound)
     for n in (6, 9, 12):
         words = enumerate_admissible(beta, n)
-        averages = [phi.average_on_word(w) for w in words]
-        for alpha, delta in ((0.5, 0.1), (0.25, 0.05), (0.1, 0.02),
-                             (0.0, 0.3)):
-            accepted = [w for w, a in zip(words, averages)
-                        if abs(a - alpha) < delta]
+        averages = [oracle_average(w, r, table) for w in words]
+        windows = [(Fraction(1, 2), Fraction(1, 10)),
+                   (Fraction(1, 4), Fraction(1, 20)),
+                   (Fraction(1, 10), Fraction(1, 50)),
+                   (Fraction(0), Fraction(3, 10))]
+        if spec == "mix":
+            edge = sorted(set(averages))
+            k = len(edge)
+            windows = [(edge[i], abs(edge[j] - edge[i])) for i, j in
+                       ((0, k // 4), (k // 3, k // 2), (k - 1, 2 * k // 3))
+                       if i != j]
+        for alpha, delta in windows:
+            inside = {a for a in set(averages) if abs(a - alpha) < delta}
+            accepted = [w for w, a in zip(words, averages) if a in inside]
             level_set = _LevelSet(Automaton(beta), phi, alpha, delta, n)
-            assert [w for w in automata.iter_words(level_set, n)
-                    if abs(phi.average_on_word(w) - alpha) < delta] == accepted
+            assert list(automata.iter_words(level_set, n)) == accepted
             sch = validate_schedule((n,), (1,), (delta,))
             if accepted:
-                pool = build_word_pools(beta, phi, (alpha, 0.0), sch)[0]
+                pool = build_word_pools(beta, phi, (alpha, 0), sch)[0]
                 assert list(pool.words) == oracle_thin(accepted)
             else:
                 with pytest.raises(EmptyPool):
-                    build_word_pools(beta, phi, (alpha, 0.0), sch)
+                    build_word_pools(beta, phi, (alpha, 0), sch)
 
 
 @pytest.mark.parametrize("n", [40, 200, 400])
 def test_level_set_counts_closed_form(beta_golden, n):
     """Golden words of length n with k ones: C(n - k + 1, k).  At n = 200
-    and 400 the words with |k/n - 0.2| = 0.02 sit on the window's edge; the
-    level set keeps them (the margin) and the acceptance test drops them."""
+    and 400 the words with |k/n - 0.2| = 0.02 sit on the window's edge,
+    outside the strict window."""
+    alpha, delta = Fraction(1, 5), Fraction(1, 50)
     level_set = _LevelSet(Automaton(beta_golden), digit_frequency(1, 1),
-                          0.2, 0.02, n)
-    window = [k for k in range(n + 1)
-              if abs(Fraction(k, n) - Fraction(1, 5)) <= Fraction(1, 50)]
+                          alpha, delta, n)
+    window = [k for k in range(n + 1) if abs(Fraction(k, n) - alpha) < delta]
     assert automata.count(level_set, n) == \
         sum(math.comb(n - k + 1, k) for k in window)
     if n == 40:
@@ -164,7 +198,8 @@ def test_empty_level_set_raises_fast(beta_golden):
     phi = digit_frequency(1, 1)
     start = time.monotonic()
     for alpha in (0.51, 0.49):  # outside the witness range; no k/40 inside
-        level_set = _LevelSet(Automaton(beta_golden), phi, alpha, 0.005, 40)
+        level_set = _LevelSet(Automaton(beta_golden), phi, Fraction(alpha),
+                              Fraction(1, 200), 40)
         assert list(automata.iter_words(level_set, 40)) == []
         with pytest.raises(EmptyPool) as exc:
             build_word_pools(beta_golden, phi, (alpha, 0.0),
@@ -173,28 +208,21 @@ def test_empty_level_set_raises_fast(beta_golden):
     assert time.monotonic() - start < 1.0
 
 
-def test_level_set_margin_covers_summation_order(beta_golden):
-    """With non-dyadic values a correctly rounded sum (which Python 3.12's
-    compensated sum nearly is) and left-to-right addition differ in the last
-    bits.  delta is below one ulp, so acceptance means float equality; no
-    word that either order accepts is pruned."""
-    phi = Observable("mix", 2, {(a, b): 0.1 * a + 0.7 * b + 0.3 * a * b
-                                for a in (0, 1) for b in (0, 1)})
-    n = 16
-    words = enumerate_admissible(beta_golden, n)
-
-    def values(w):
-        return [phi.table[tuple(w[i:i + 2])] for i in range(n - 1)]
-
-    for target in words[::300]:
-        alpha, delta = math.fsum(values(target)) / (n - 1), 1e-18
-        kept = set(automata.iter_words(
-            _LevelSet(Automaton(beta_golden), phi, alpha, delta, n), n))
-        for w in words:
-            if (abs(math.fsum(values(w)) / (n - 1) - alpha) < delta
-                    or abs(phi.average_on_word(w) - alpha) < delta):
-                assert w in kept
-        assert all(abs(phi.average_on_word(w) - alpha) < 1e-8 for w in kept)
+def test_window_edge_is_outside_the_pools(beta_golden):
+    """Regression: words with |A - alpha| = delta once entered the pools,
+    because the window was decided in floats, where these hold."""
+    assert abs(0.4 - 0.5) < 0.1 and abs(0.15 - 0.1) < 0.05
+    freq = digit_frequency(1, 1)
+    # criterion 7, level 1: 62 of the 64 float-window words had 8 ones
+    pools = build_word_pools(beta_golden, freq, (0.5, 0.0), small_schedule())
+    assert [p.size for p in pools] == [64, 1, 11]
+    assert {Fraction(sum(w), 20) for w in pools[0].words} == {Fraction(9, 20)}
+    # pools --beta 3/2, level 2: 40 of the 50 float-window words had 3 ones
+    sch = validate_schedule((16, 20, 24), (10, 40, 400), (0.1, 0.05, 0.02))
+    pool = build_word_pools(BetaNumber.from_decimal("3/2"), freq, (0.3, 0.1),
+                            sch)[1]
+    assert pool.size == 10
+    assert pool.achieved == (Fraction(1, 10), Fraction(1, 10))
 
 
 def test_criterion_7_level_3_pool_is_thinned_level_set(beta_golden):

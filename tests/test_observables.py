@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from betalab.errors import UsageError
 from betalab.observables import (
+    Observable,
     block_indicator,
     constant,
     digit_frequency,
@@ -53,3 +57,21 @@ def test_parse_observable():
     assert parse_observable("block:101", 1).range_r == 3
     with pytest.raises(UsageError):
         parse_observable("nope:1", 1)
+
+
+def test_table_values_are_read_as_decimal_literals():
+    """0.1, 0.2 and 0.3 are 1/10, 2/10 and 3/10, so their average is
+    exactly 1/5, which a float sum misses."""
+    phi = Observable("mix", 1, {(0,): 0.1, (1,): 0.2, (2,): 0.3})
+    assert phi.den == 10 and phi.numerators == {(0,): 1, (1,): 2, (2,): 3}
+    assert (0.1 + 0.2 + 0.3) / 3 != 0.2
+    assert phi.average_on_word((0, 1, 2)) == Fraction(1, 5)
+    assert phi.sup_norm == Fraction(3, 10)
+    assert phi.oscillation == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1/0",
+                                   "x"])
+def test_non_finite_table_value_is_a_usage_error(value):
+    with pytest.raises(UsageError):
+        constant(value, 1)

@@ -2,10 +2,10 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from betalab.automata import count, enumerate_words, read
-from betalab.beta_core import BetaNumber
+from betalab.beta_core import BetaNumber, _check_self_admissible_ep
 from betalab.errors import (
     AlphabetMismatch,
     DegenerateRoot,
@@ -26,7 +26,7 @@ from betalab.parry import (
     repair_word,
     z_values,
 )
-from betalab.words import SymbolWord
+from betalab.words import SymbolWord, format_periodic
 
 
 def oracle_admissible_golden(word):
@@ -34,16 +34,24 @@ def oracle_admissible_golden(word):
     return all(not (a == 1 and b == 1) for a, b in zip(word, word[1:]))
 
 
-def oracle_admissible_lex(word, beta, horizon=64):
+def oracle_admissible_lex(word, beta, horizon=None):
     """Independent oracle: every shifted suffix is lexicographically at most
-    the quasi-greedy expansion of 1."""
-    w = beta.digits(horizon)
+    the quasi-greedy expansion of 1, read to horizon (default len(word))
+    digits."""
+    w = beta.digits(len(word) if horizon is None else horizon)
     n = len(word)
     for k in range(n):
         suffix = tuple(word[k:])
         if suffix > w[:n - k]:
             return False
     return True
+
+
+def test_lex_oracle_reads_long_words(beta_golden):
+    """The oracle reads w(beta) to the word's length: with 64 digits it
+    once rejected (10)^40 on golden."""
+    assert oracle_admissible_lex((1, 0) * 40, beta_golden)
+    assert not oracle_admissible_lex((1, 0) * 40 + (1, 1), beta_golden)
 
 
 def test_admissible_golden_matches_forbidden_factor_oracle(beta_golden):
@@ -112,13 +120,33 @@ def test_z_values_golden(beta_golden):
     rep = z_values(beta_golden, 12)
     assert rep.z == [0, 1] * 6
     assert rep.max_z == 1
-    assert rep.spec_flag
+    assert rep.gap == 2
 
 
 def test_z_values_two(beta_two):
     rep = z_values(beta_two, 10)
     assert rep.z == [0] * 10
-    assert rep.spec_flag
+    assert rep.gap == 1
+
+
+def test_specification_gap_is_exact(beta_figure):
+    """w = (201001)^inf has longest zero run M = 2: u 0^3 v is admissible
+    for every pair of admissible 6-words, u 0^2 v is not (lex oracle)."""
+    assert z_values(beta_figure, 8).gap == 3
+    words = enumerate_admissible(beta_figure, 6)
+    for k, failures in ((2, 162), (3, 0)):
+        assert sum(not oracle_admissible_lex(u + bytes(k) + v, beta_figure)
+                   for u in words for v in words) == failures
+
+
+def test_specification_gap_does_not_depend_on_the_window(bench_bases):
+    """(10000000) has gap 8 at every window; a base whose w(beta) has no
+    known periodic form leaves the gap undecided."""
+    beta = BetaNumber.from_digit_string("(10000000)")
+    assert [z_values(beta, n).gap for n in (4, 16, 64)] == [8, 8, 8]
+    for name in ("three_halves", "one_seven"):
+        rep = z_values(bench_bases[name], 32)
+        assert rep.gap is None and rep.max_z >= 1
 
 
 def test_z_values_match_a_digit_scan(bench_bases):
@@ -216,6 +244,32 @@ def test_markov_approx_is_the_confined_graph(bench_bases, name):
                 assert read(approx, w) == read(oracle, w)
 
 
+class PeriodicBase:
+    """A stand-in base with w(beta) = period^inf, exposing what `Automaton`
+    reads; a long period's polynomial is too costly to isolate a root of."""
+
+    def __init__(self, period):
+        self.period, self.digit_bound, self._w = period, max(period), []
+
+    def digits(self, n):
+        while len(self._w) < n:
+            self._w.append(self.period[len(self._w) % len(self.period)])
+        return tuple(self._w[:n])
+
+    def periodic_form(self):
+        return (), self.period
+
+
+def test_periodic_stream_reads_until_a_state_repeats():
+    """w = ((10)^300 00)^inf: (10)^inf fails at digit 601, past 256 copies
+    of its period, while (100)^inf and 0^inf are admissible."""
+    beta = PeriodicBase((1, 0) * 300 + (0, 0))
+    assert not periodic_stream_admissible(beta, (1, 0))
+    assert is_admissible((1, 0) * 300, beta)
+    assert periodic_stream_admissible(beta, (1, 0, 0))
+    assert periodic_stream_admissible(beta, (0,))
+
+
 def test_periodic_stream_admissible(beta_golden):
     assert periodic_stream_admissible(beta_golden, (1, 0))
     assert periodic_stream_admissible(beta_golden, (0,))
@@ -256,3 +310,25 @@ def test_lex_oracle_agreement(bench_bases, name, data):
         st.integers(min_value=0, max_value=beta.digit_bound),
         min_size=1, max_size=10)))
     assert is_admissible(word, beta) == oracle_admissible_lex(word, beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix=st.lists(st.integers(min_value=0, max_value=2), max_size=3),
+       period=st.lists(st.integers(min_value=0, max_value=2), min_size=1,
+                       max_size=3),
+       data=st.data())
+def test_lex_oracle_agreement_on_random_bases(prefix, period, data):
+    """A random self-admissible eventually periodic w(beta) gives a base;
+    the automaton agrees with the lex oracle on random words there."""
+    prefix, period = tuple(prefix), tuple(period)
+    assume((prefix + period)[0] >= 1 and any(period)
+           and _check_self_admissible_ep(prefix, period))
+    try:
+        beta = BetaNumber.from_digit_string(format_periodic(prefix, period))
+    except DegenerateRoot:
+        assume(False)
+    for _ in range(10):
+        word = tuple(data.draw(st.lists(
+            st.integers(min_value=0, max_value=beta.digit_bound),
+            min_size=1, max_size=16)))
+        assert is_admissible(word, beta) == oracle_admissible_lex(word, beta)
