@@ -28,6 +28,7 @@ from typing import Hashable, Iterator, Optional, Protocol
 from .errors import BudgetExceeded, UsageError
 
 TAIL_WORDS = 4096  # bound on the words in one state's tail list
+EDGE_LABELS = 10 ** 6  # bound on the labels one `edges` call scans
 
 
 class Presentation(Protocol):
@@ -61,7 +62,10 @@ def read(pres: Presentation, digits, start=None):
 
 
 def edges(pres: Presentation, state) -> list:
-    """(label, target) pairs leaving state, in increasing label order."""
+    """(label, target) pairs leaving state, in increasing label order;
+    BudgetExceeded when the alphabet has more than EDGE_LABELS labels."""
+    if pres.alphabet_bound >= EDGE_LABELS:
+        raise BudgetExceeded(f"more than {EDGE_LABELS} edge labels to scan")
     step = pres.step
     out = []
     for s in range(pres.alphabet_bound + 1):

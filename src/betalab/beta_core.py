@@ -142,7 +142,6 @@ class BetaNumber:
         self._frac = frac
         self._ctx = ctx
         self.source = source
-        self.info: dict = {}
         if frac is not None:
             if frac <= 1:
                 raise InvalidBeta(f"beta must exceed 1, got {frac}")
@@ -461,11 +460,8 @@ def _largest_root_above_one(asc) -> dict:
 
 
 def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:
-    """The simple base beta(n) encoded by the truncated expansion of 1.
-
-    Trailing zero digits shrink the effective truncation index, which is
-    reported in the result's info dict.
-    """
+    """The simple base beta(n) encoded by the truncated expansion of 1,
+    with its trailing zero digits dropped."""
     if n < 1:
         raise UsageError("n must be >= 1")
     trunc = list(beta.digits(n))
@@ -475,8 +471,5 @@ def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:
         raise DegenerateRoot("truncation is all zeros")
     if tuple(trunc) == (1,):
         raise DegenerateRoot("truncation (1) gives beta(n) = 1")
-    approx = beta_from_expansion(tuple(trunc), ())
-    approx.info["requested_n"] = n
-    approx.info["effective_n"] = len(trunc)
-    return approx
+    return beta_from_expansion(tuple(trunc), ())
 

@@ -270,9 +270,8 @@ def cmd_separation(args):
     with _open(args.words_file) as fh:
         words = [_parse_word(line) for line in fh if line.strip()]
     g = MistakeFunction.parse(args.g)
-    inst = SeparationInstance(tuple(words), window=args.window, g=g)
-    if args.exact:
-        inst.exact_budget = max(inst.exact_budget, len(words))
+    inst = SeparationInstance(tuple(words), window=args.window, g=g,
+                              exact=args.exact)
     search = max_separated if args.subcommand == "separated" else min_spanning
     res = search(inst)
     return {"size": res.size, "exact": res.exact,
@@ -484,8 +483,15 @@ def cmd_exotic(args):
 
 # --- parser ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors and its subparsers' are usage errors, with exit code 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="betalab",
         description="beta-shift expansions, admissibility, entropy "
                     "estimates, and irregular-point construction")

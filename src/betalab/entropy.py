@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -27,6 +26,7 @@ from .errors import (
     NotAdmissibleInput,
     UsageError,
 )
+from .observables import exact
 from .parry import (
     Automaton,
     enumerate_admissible,
@@ -116,7 +116,7 @@ class SeparationInstance:
     words: tuple
     window: int = 1
     g: MistakeFunction = field(default_factory=MistakeFunction.zero)
-    exact_budget: int = EXACT_WORDS_BUDGET
+    exact: bool = False  # search exactly above EXACT_WORDS_BUDGET words too
 
     def __post_init__(self):
         self.words = tuple(self.words)
@@ -184,7 +184,7 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
     k = len(inst.words)
     if inst.threshold == 0:
         return _distinct_words(inst)
-    if k <= inst.exact_budget:
+    if inst.exact or k <= EXACT_WORDS_BUDGET:
         full = (1 << k) - 1
         adj = [full ^ m for m in inst.cover_masks]
         best_mask = 0
@@ -227,21 +227,22 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
     k = len(inst.words)
     cover_masks = inst.cover_masks
     full = (1 << k) - 1
-    greedy: list[int] = []
-    covered = 0
-    while covered != full:
-        best, gain = None, -1
-        for c, m in enumerate(cover_masks):
-            g = (m & ~covered).bit_count()
-            if g > gain:
-                best, gain = c, g
-        greedy.append(best)
-        covered |= cover_masks[best]
-    if k > inst.exact_budget:
+    if not inst.exact and k > EXACT_WORDS_BUDGET:
+        greedy: list[int] = []
+        covered = 0
+        while covered != full:
+            best, gain = None, -1
+            for c, m in enumerate(cover_masks):
+                g = (m & ~covered).bit_count()
+                if g > gain:
+                    best, gain = c, g
+            greedy.append(best)
+            covered |= cover_masks[best]
         witness = [inst.words[i] for i in greedy]
         return SeparationResult(len(witness), witness, False, "upper")
+    # the whole set covers itself, so the search returns by size k
     tried = 0
-    for size in range(1, len(greedy) + 1):
+    for size in range(1, k + 1):
         for combo in combinations(range(k), size):
             tried += 1
             if tried > EXACT_NODE_BUDGET:
@@ -253,7 +254,6 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
             if m == full:
                 witness = [inst.words[i] for i in combo]
                 return SeparationResult(size, witness, True, "exact")
-    raise BudgetExceeded("exact cover search failed below greedy bound")
 
 
 # --- Katok-style finite-scale estimates -----------------------------------
@@ -266,7 +266,8 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
     The sampler gives N equally likely words of length n.  Dropping mass
     gamma (read exactly, as its decimal literal) drops the floor(gamma N)
     lexicographically first; each row reports (1/n) log of the kept set's
-    separated (or spanning) count under g and under zero mistakes.
+    separated (or spanning) count under g and under zero mistakes; the
+    latter is the number of distinct kept words for either method.
 
     Each row is a finite-n estimate.  ``exact_<label>`` False means the
     count came from the greedy search: a lower bound for "separated", an
@@ -282,26 +283,24 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
         raise UsageError("gamma must lie in (0, 1)")
     if not n_list or any(n < 1 for n in n_list):
         raise UsageError("at least one word length, each >= 1, is required")
+    search = max_separated if method == "separated" else min_spanning
     rows = []
     for n in n_list:
         sample = sorted(sampler(n))
         if not sample:
             raise InsufficientSample(f"sampler produced nothing at n={n}")
-        dropped = math.floor(Fraction(str(gamma)) * len(sample))
-        z_words = tuple(sample[dropped:])
-        row = {"n": n, "kept_words": len(z_words),
-               "kept_mass": round(len(z_words) / len(sample), 12)}
-        for label, gg in (("g", g), ("zero", MistakeFunction.zero())):
-            inst = SeparationInstance(z_words, window=window, g=gg)
-            res = max_separated(inst) if method == "separated" \
-                else min_spanning(inst)
+        dropped = math.floor(exact(gamma, "gamma") * len(sample))
+        inst = SeparationInstance(sample[dropped:], window=window, g=g)
+        row = {"n": n, "kept_words": len(inst.words),
+               "kept_mass": round(len(inst.words) / len(sample), 12)}
+        for label, res in (("g", search(inst)),
+                           ("zero", _distinct_words(inst))):
             row[f"count_{label}"] = res.size
-            row[f"estimate_{label}"] = math.log(res.size) / n if res.size else 0.0
+            row[f"estimate_{label}"] = math.log(res.size) / n
             row[f"exact_{label}"] = res.exact
         row["difference"] = abs(row["estimate_g"] - row["estimate_zero"])
         rows.append(row)
-    return {"gamma": gamma, "window": window, "mistake_function": g.name,
-            "method": method, "rows": rows}
+    return {"gamma": gamma, "mistake_function": g.name, "rows": rows}
 
 
 def uniform_admissible_sampler(beta):
@@ -414,7 +413,6 @@ def cover_cost(tree: CylinderTree, s: float, n_min: int,
 class CoverEntropyReport:
     estimate: float
     bracket: tuple[float, float]
-    n_min: int
     depth: int
     monotonicity: list  # rows (s, [(N, M)]) certifying M nondecreasing in N
 
@@ -447,7 +445,7 @@ def bowen_entropy(tree: CylinderTree, n_min: int = 1) -> CoverEntropyReport:
         mono.append((s, row))
     return CoverEntropyReport(
         estimate=est, bracket=(est - BISECTION_TOL, est + BISECTION_TOL),
-        n_min=n_min, depth=tree.depth, monotonicity=mono)
+        depth=tree.depth, monotonicity=mono)
 
 
 def box_dimension_estimate(tree: CylinderTree, beta, depth_list) -> dict:
@@ -461,7 +459,7 @@ def box_dimension_estimate(tree: CylinderTree, beta, depth_list) -> dict:
             lambda a: cover_cost(tree, a * log_b, 1, max_depth=d),
             0.0, 2.0)
         rows.append({"depth": d, "alpha": est})
-    return {"rows": rows, "estimate": rows[-1]["alpha"], "log_beta": log_b}
+    return {"rows": rows, "estimate": rows[-1]["alpha"]}
 
 
 def cylinder_diameter_bounds(beta, word) -> tuple[float, float]:

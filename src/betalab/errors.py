@@ -58,15 +58,11 @@ class DepthTooShallow(UsageError):
 
 
 class GrowthViolation(UsageError):
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
+    pass
 
 
 class EmptyPool(UsageError):
-    def __init__(self, message, target=None):
-        super().__init__(message)
-        self.target = target
+    pass
 
 
 class NoSingleEditFound(UsageError):
@@ -78,6 +74,4 @@ class NotFound(UsageError):
 
 
 class OscillationNotObserved(UsageError):
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    pass

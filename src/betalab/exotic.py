@@ -134,60 +134,49 @@ def build_nested(N_seq: Sequence[int],
 
 
 def no_short_periodics(shift: NestedShift, level: int) -> dict:
-    """Every periodic stream of period <= level eventually hits a forbidden
-    factor within four times the longest pattern; returns the breaking
-    factor per candidate period word."""
+    """Whether every periodic stream v^inf with |v| = p <= level hits a
+    forbidden factor; returns the first breaking factor per period word v.
+    A factor of length L occurs in v^inf exactly when it occurs in the
+    first L + p - 1 digits, so longest // p + 2 copies of v decide it."""
     rows = []
     auto = shift.automata[level - 1]
-    horizon = max(len(p) for a in shift.automata[:level]
-                  for p in a.patterns) * 4
+    longest = max(map(len, auto.patterns))
     for p_len in range(1, level + 1):
         for v in product((0, 1), repeat=p_len):
-            occ = auto.occurrences(v * (horizon // p_len + 1))[:1]
+            occ = auto.occurrences(v * (longest // p_len + 2))[:1]
             rows.append({"period_word": v,
                          "excluded": bool(occ),
                          "breaking_factor": occ[0][2] if occ else None})
-    return {"level": level, "rows": rows,
-            "all_excluded": all(r["excluded"] for r in rows)}
+    return {"rows": rows, "all_excluded": all(r["excluded"] for r in rows)}
 
 
 def single_edit_repair(word, shift: NestedShift, level: int) -> dict:
     """One edit breaking every forbidden factor at the edited position.
 
-    An edit at p works when the edited word has no forbidden occurrence
-    overlapping p and introduces no occurrence absent from the input.
-    Occurrences elsewhere in the word (untouched by the edit) may remain;
-    repair is local by design.
+    Words are binary (`FactorAutomaton.occurrences` refuses other digits),
+    so the edit at p is 1 - word[p].  It works when the edited word has no
+    forbidden occurrence overlapping p and introduces none absent from the
+    input; occurrences elsewhere may remain, as repair is local by design.
     """
     word = tuple(word)
     auto = shift.automata[level - 1]
     before = set(auto.occurrences(word))
     if not before:
-        return {"word": word, "edit": None, "repaired": word,
+        return {"edit": None, "repaired": word,
                 "working_positions": 0, "already_admissible": True}
-    working = []
-    first_fix = None
-    for pos in range(len(word)):
-        for sym in (0, 1):
-            if sym == word[pos]:
-                continue
-            cand = word[:pos] + (sym,) + word[pos + 1:]
-            after = auto.occurrences(cand)
-            if any(a <= pos < b for a, b, _ in after):
-                continue
-            if not set(after) <= before:
-                continue
-            working.append(pos)
-            if first_fix is None:
-                first_fix = (pos, sym, cand, not after)
-            break
+    working, first_fix = 0, None
+    for pos, d in enumerate(word):
+        cand = word[:pos] + (1 - d,) + word[pos + 1:]
+        after = auto.occurrences(cand)
+        if set(after) <= before and not any(a <= pos < b for a, b, _ in after):
+            working += 1
+            first_fix = first_fix or (pos, cand)
     if first_fix is None:
         raise NoSingleEditFound(f"no single edit repairs {word}")
-    pos, sym, cand, clean = first_fix
-    return {"word": word, "edit": (pos, sym), "repaired": cand,
-            "working_positions": len(working),
+    pos, cand = first_fix
+    return {"edit": (pos, cand[pos]), "repaired": cand,
+            "working_positions": working,
             "lower_bound": len(word) * (1 - 2 / shift.N_seq[0]),
-            "fully_admissible": clean,
             "already_admissible": False}
 
 
@@ -214,4 +203,4 @@ def nested_entropy_report(shift: NestedShift, level: int, n_max: int) -> dict:
         drop = rates[lvl - 1] - rates[lvl]
         drops.append({"level": lvl, "drop": drop, "epsilon": eps,
                       "within": drop < eps})
-    return {"n_max": n_max, "counts": table, "rates": rates, "drops": drops}
+    return {"counts": table, "rates": rates, "drops": drops}

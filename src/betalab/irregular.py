@@ -77,7 +77,7 @@ def validate_schedule(block_lengths: Sequence[int],
         if b >= a:
             raise GrowthViolation(
                 f"growth certificate fails to decrease at level {k}: "
-                f"{float(b):.4g} >= {float(a):.4g}", level=k)
+                f"{float(b):.4g} >= {float(a):.4g}")
     return IrregularSchedule(n, N, d, times, certs)
 
 
@@ -85,7 +85,6 @@ def validate_schedule(block_lengths: Sequence[int],
 class WordPool:
     level: int
     target: Fraction
-    tolerance: Fraction
     words: tuple
     achieved: tuple[Fraction, Fraction]  # (min, max) block average over the pool
 
@@ -174,11 +173,9 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
         kept = thin_separated(iter_words(level_set, n_k), pool_cap)
         if not kept:
             raise EmptyPool(f"no admissible length-{n_k} word within "
-                            f"{float(delta_k)} of {float(alpha)} at level {k}",
-                            target=float(alpha))
+                            f"{float(delta_k)} of {float(alpha)} at level {k}")
         avgs = [phi.average_on_word(w) for w in kept]
-        pools.append(WordPool(level=k, target=alpha, tolerance=delta_k,
-                              words=tuple(kept),
+        pools.append(WordPool(level=k, target=alpha, words=tuple(kept),
                               achieved=(min(avgs), max(avgs))))
     return pools
 
@@ -283,14 +280,10 @@ def construct_irregular_point(beta, phi: Observable,
     bad = [r for r in rows if not r["within_bound"]]
     if bad:
         raise OscillationNotObserved(
-            f"residual exceeds bound at level {bad[0]['level']}",
-            diagnostics={"rows": rows})
+            f"residual exceeds bound at level {bad[0]['level']}")
     if gap > 0 and not oscillates:
-        raise OscillationNotObserved(
-            "consecutive averages fail to separate",
-            diagnostics={"rows": rows, "diffs": list(map(float, diffs))})
-    return {"seed": seed, "targets": (float(a1), float(a2)), "rows": rows,
-            "oscillates": oscillates, "edits": point.edits,
+        raise OscillationNotObserved("consecutive averages fail to separate")
+    return {"rows": rows, "oscillates": oscillates, "edits": point.edits,
             "point": point}
 
 
@@ -313,10 +306,9 @@ def enumerate_glued_family(beta, schedule: IrregularSchedule,
     for combo in product(*slot_choices):
         selections = [combo[a:b] for a, b in zip([0] + ends, ends)]
         family.append(glue_blocks(beta, schedule, selections).digits)
-    distinct = len(set(family))
     t_k = schedule.times[-1]
     return {"count": len(family), "expected": expected,
-            "distinct": distinct, "pairwise_distinct": distinct == len(family),
+            "pairwise_distinct": len(set(family)) == len(family),
             "entropy_proxy": math.log(len(family)) / t_k if family else 0.0,
             "pool_exponents": [math.log(s) / n if s > 1 else 0.0
                                for s, n in zip(sizes, schedule.block_lengths)],
@@ -345,7 +337,6 @@ def edp_ball_check(family: Sequence[bytes],
                          "j": None, "l": None, "coarse": False, "pass": True})
             continue
         hits = sum(1 for w in family if as_word(w[:n]) == prefix)
-        measure = hits / total
         j = bisect_right(t, n)  # completed levels: t_{j-1} <= n < t_j
         t_j = t[j - 1] if j >= 1 else 0
         if j >= len(schedule.block_lengths):
@@ -356,10 +347,10 @@ def edp_ball_check(family: Sequence[bytes],
             s_next = pool_sizes[j]
         T_j = math.prod(pool_sizes[i] ** schedule.multiplicities[i]
                         for i in range(j))
-        bound = (1.0 / T_j) * (1.0 / (s_next ** l) if s_next > 0 else 1.0)
-        coarse = l == 0
-        rows.append({"n": n, "measure": measure, "bound": bound, "j": j,
-                     "l": l, "coarse": coarse,
-                     "pass": measure <= bound + 1e-12})
+        s_l = s_next ** l if s_next > 0 else 1
+        # decided in integers: hits / total <= 1 / (T_j s_l)
+        rows.append({"n": n, "measure": hits / total,
+                     "bound": (1.0 / T_j) * (1.0 / s_l), "j": j, "l": l,
+                     "coarse": l == 0, "pass": hits * T_j * s_l <= total})
     return {"rows": rows, "all_pass": all(r["pass"] for r in rows),
             "family_size": total}

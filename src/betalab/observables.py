@@ -102,6 +102,8 @@ def block_indicator(block: tuple[int, ...], alphabet_bound: int) -> Observable:
 
 def parse_observable(spec: str, alphabet_bound: int) -> Observable:
     """Parse CLI observable specs: "freq:1", "const:0.5", "block:101"."""
+    if alphabet_bound > 255:  # one entry per digit; words are bytes
+        raise UsageError(f"digit bound {alphabet_bound} exceeds 255")
     kind, _, arg = spec.partition(":")
     try:
         if kind == "freq":

@@ -168,17 +168,16 @@ def repair_word(word: SymbolWord, beta: BetaNumber) -> SymbolWord:
 @dataclass
 class MarkovApprox(Automaton):
     """n-step Markov subsystem: the labelled graph of the simple base
-    beta(n), whose vertices are the first effective_order vertices of
-    beta's graph, read as the Automaton of approx_beta."""
+    beta(n), read as the Automaton of approx_beta; its vertices are the
+    first m of beta's graph, m the last index of a nonzero in w_1 .. w_n."""
 
     base_beta: BetaNumber
-    effective_order: int  # after dropping trailing zero digits
     approx_beta: BetaNumber
 
     def __post_init__(self):
         super().__init__(self.approx_beta)
-        # the labels' bound w_1, not approx_beta's digit bound: at effective
-        # order 1, beta(n) = w_1 is an integer whose digit bound is w_1 - 1
+        # the labels' bound w_1, not approx_beta's digit bound: at m = 1,
+        # beta(n) = w_1 is an integer whose digit bound is w_1 - 1
         self.alphabet_bound = self.base_beta.digit_bound
 
     @property
@@ -191,10 +190,8 @@ class MarkovApprox(Automaton):
 
 
 def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
-    approx = simple_beta_approx(beta, n)
     return MarkovApprox(base_beta=beta,
-                        effective_order=approx.info["effective_n"],
-                        approx_beta=approx)
+                        approx_beta=simple_beta_approx(beta, n))
 
 
 def enumerate_admissible(beta: BetaNumber, n: int):

@@ -156,6 +156,14 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["irregular", "--beta", "2", "--phi", "const:1.7e308", "--alpha",
      "1.7e308,1.7e308", "--n-list", "8,10", "--N-list", "10,1",
      "--delta-list", "0.1,0.05"],
+    # argparse reads "-inf,0" as an option: its own error, now a usage error
+    ["pools", "--beta-poly", "1,-1,-1", "--phi", "freq:1", "--alpha",
+     "-inf,0", "--levels", "2"],
+    # thinning keeps 0000 and no other length-4 golden word (at most two 1s)
+    ["glued-family", "--beta-poly", "1,-1,-1"],
+    # an observable table over 10^400 digits grew without bound
+    ["witnesses", "--beta", "1e400", "--phi", "freq:1"],
+    ["pools", "--beta", "1e400", "--phi", "freq:1", "--alpha", "0.5,0"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -268,6 +276,61 @@ def test_string_flag_fuzz_never_raises(data):
         assert json.loads(out.getvalue())["payload"]["rows"]
 
 
+SHORT_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+FLAG_TEXT = st.one_of(
+    NUMBER_TEXT, SHORT_DIGITS,
+    st.builds("{}/{}".format, st.integers(-9, 99), st.integers(0, 99)))
+
+
+def _flag_value(data, flag):
+    """Text for one string flag: the shared pool, or a well-formed value of
+    the flag's own shape (a polynomial of degree <= 4 with coefficients in
+    [-3, 3], a digit string with a period, a mistake function spec)."""
+    if data.draw(st.booleans()):
+        return data.draw(FLAG_TEXT)
+    if flag == "--beta-poly":
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=1,
+                                    max_size=5))
+        return ",".join(map(str, coeffs))
+    if flag == "--beta-digits":
+        digits = data.draw(SHORT_DIGITS)
+        cut = data.draw(st.integers(0, len(digits) - 1))
+        return f"{digits[:cut]}({digits[cut:]})"
+    if flag == "--g":
+        return data.draw(st.sampled_from(["zero", "log"])
+                         | SHORT_DIGITS.map("const:{}".format))
+    return data.draw(FLAG_TEXT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_base_word_and_point_flag_fuzz_never_raises(data):
+    """Any text in --x, --g, --word, --beta, --beta-poly or --beta-digits
+    gives a report or a typed error: exit 0, 1, 2 or 3, and any error
+    output is the one JSON error line.  A value is attached with "=" or
+    passed as the next argument, where one starting with "-" is argparse's
+    error."""
+    flag = data.draw(st.sampled_from(["--x", "--g", "--word", "--beta",
+                                      "--beta-poly", "--beta-digits"]))
+    value = _flag_value(data, flag)
+    n = str(data.draw(st.integers(0, 16)))
+    base = {"--x": ["expand", "--beta", "2", "--n", n],
+            "--g": ["katok", "--beta", "2", "--n-list", "4"],
+            "--word": [data.draw(st.sampled_from(["admissible", "repair"])),
+                       "--beta", "2"]}.get(flag, ["count", "--n", n])
+    pair = [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(base + pair)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        line, = err.getvalue().splitlines()
+        assert json.loads(line)["error"] in ("usage", "resource")
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["payload"]
+
+
 @pytest.mark.parametrize("argv", [
     ["bowen", "--tree", "{path}"],
     ["boxdim", "--tree", "{path}", "--beta", "2"],
@@ -298,6 +361,19 @@ def test_graph_reaches_long_zero_runs_near_one(capsys):
     assert json.loads(err)["error"] == "resource"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--beta", "1e400", "--n", "3"],
+    ["katok", "--beta", "1e400", "--n-list", "4"],
+    ["bowen", "--beta", "1e400", "--depth", "3"],
+])
+def test_alphabet_past_the_edge_scan_exits_3(capsys, argv):
+    """Counting and enumeration scan each state's edge labels one by one;
+    past 10^6 labels that is a resource error, where it once never ended."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "resource"
+
+
 def test_malformed_beta_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--beta", "x", "--n", "5")
     assert code == 2
@@ -321,10 +397,10 @@ def test_witnesses_has_no_degenerate_flag(capsys):
                          "--phi", "freq:1")
     assert code == 0 and rep["checks"] == [{"name": "gap-positive",
                                             "pass": True}]
-    with pytest.raises(SystemExit) as exc:
-        main(["witnesses", "--beta", "2", "--phi", "freq:1",
-              "--allow-degenerate"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "witnesses", "--beta", "2", "--phi",
+                             "freq:1", "--allow-degenerate")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_every_error_has_an_exit_code():
@@ -346,6 +422,11 @@ def test_csv_emit(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",") == ["n", "count", "rate"]
     assert lines[1].startswith("1,2,")
+    # a payload without rows is written as sorted key/value pairs
+    code, out, _ = run_cli(capsys, "count", "--beta", "2", "--n", "5",
+                           "--emit", "csv")
+    assert code == 0
+    assert out.splitlines() == ["key,value", "count,32", "n,5"]
 
 
 def test_determinism(capsys):
@@ -452,7 +533,7 @@ def test_separation_window_zero_exits_2(tmp_path, capsys, which):
     assert json.loads(err)["error"] == "usage"
 
 
-def test_bowen_and_boxdim(capsys):
+def test_bowen_and_boxdim(capsys, tmp_path):
     code, rep = run_json(capsys, "bowen", "--beta", "2", "--depth", "12")
     assert code == 0
     assert abs(rep["payload"]["estimate"] - math.log(2)) < 0.01
@@ -461,6 +542,15 @@ def test_bowen_and_boxdim(capsys):
                          "--depths", "24")
     assert code == 0
     assert rep["checks"][0]["pass"]
+    # a tree file carries no base: boxdim reads its beta from the flags
+    trie = "{}"
+    for _ in range(10):
+        trie = '{"0": %s, "1": %s}' % (trie, trie)
+    path = tmp_path / "full.json"
+    path.write_text('{"alphabet_bound": 1, "trie": %s}' % trie)
+    code, rep = run_json(capsys, "boxdim", "--tree", str(path), "--beta", "2")
+    assert code == 0 and rep["checks"][0]["pass"]
+    assert abs(rep["payload"]["estimate"] - 1) < 0.01
 
 
 def test_diam_at_a_prefix_of_w_beta(capsys):

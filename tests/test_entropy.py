@@ -237,6 +237,22 @@ def test_katok_zero_mistakes_full_shift(beta_two):
         assert row["difference"] == 0.0
 
 
+@pytest.mark.parametrize("name, n_list, window", [
+    ("two", [3, 4], 1), ("golden", [4, 5], 2)])
+def test_katok_spanning_matches_the_oracle(bench_bases, name, n_list,
+                                           window):
+    """method="spanning": count_g is the smallest cover of the kept words
+    (at most 20) by the brute-force oracle, and count_zero their number."""
+    sampler = uniform_admissible_sampler(bench_bases[name])
+    rep = katok_entropy_estimate(sampler, MistakeFunction.constant(1), 0.1,
+                                 n_list, window=window, method="spanning")
+    for n, row in zip(n_list, rep["rows"]):
+        kept = sorted(sampler(n))[-row["kept_words"]:]
+        assert len(kept) <= 20 and row["exact_g"] and row["exact_zero"]
+        assert row["count_g"] == oracle_min_spanning(kept, 1, window)
+        assert row["count_zero"] == len(kept)
+
+
 @pytest.mark.parametrize("gamma,size,kept", [
     (0.1, 10, 9), (0.1, 30, 27), (0.1, 70, 63), (0.3, 10, 7)])
 def test_katok_drops_whole_gamma_mass(gamma, size, kept):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -161,6 +162,69 @@ def test_single_edit_repair_abundance_on_all_powers():
     for w in shift.forbidden_sets[0] + shift.forbidden_sets[1]:
         rep = single_edit_repair(w, shift, 2)
         assert rep["working_positions"] >= len(w) * (1 - 2 / 4), w
+
+
+def oracle_working_positions(word, patterns):
+    """Positions p whose edit 1 - word[p] leaves no occurrence over p and
+    adds none, by rescanning every pattern after every edit."""
+    before = set(oracle_occurrences(word, patterns))
+    works = []
+    for pos in range(len(word)):
+        cand = word[:pos] + (1 - word[pos],) + word[pos + 1:]
+        after = oracle_occurrences(cand, patterns)
+        if set(after) <= before and not any(a <= pos < b for a, b, _ in after):
+            works.append(pos)
+    return works
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_single_edit_repair_matches_brute_force(level):
+    """The working count and the first fix agree with the oracle on random
+    binary words: short ones, and ones holding a forbidden power with a
+    few digits around it and a few flipped, many of which have a position
+    whose edit fails."""
+    shift = build_nested((4, 6, 8))
+    patterns = [p for f in shift.forbidden_sets[:level] for p in f]
+    rng = random.Random(level)
+    bits = lambda n: tuple(rng.randrange(2) for _ in range(n))
+    failing = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            word = bits(rng.randrange(4, 17))
+        else:
+            word = list(bits(rng.randrange(4)) + rng.choice(patterns)
+                        + bits(rng.randrange(4)))
+            for _ in range(rng.randrange(3)):
+                word[rng.randrange(len(word))] ^= 1
+            word = tuple(word)
+        rep = single_edit_repair(word, shift, level)
+        if not oracle_occurrences(word, patterns):
+            assert rep["already_admissible"]
+            continue
+        works = oracle_working_positions(word, patterns)
+        assert rep["working_positions"] == len(works)
+        pos, fixed = works[0], list(word)
+        fixed[pos] = 1 - word[pos]
+        assert rep["edit"] == (pos, fixed[pos])
+        assert rep["repaired"] == tuple(fixed)
+        failing += len(works) < len(word)
+    assert failing > 0
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_no_short_periodics_horizon_is_exact(level):
+    """Reading longest // p + 2 copies of v finds the same first breaking
+    factor as a read of 4 * longest + 1 copies."""
+    shift = build_nested((4, 6, 8))
+    patterns = shift.automata[level - 1].patterns
+    longest = max(map(len, patterns))
+    rep = no_short_periodics(shift, level)
+    assert rep["all_excluded"]
+    for row in rep["rows"]:
+        v = row["period_word"]
+        occ = oracle_occurrences(v * (4 * longest + 1), patterns)
+        first = min(occ, key=lambda o: (o[1], patterns.index(o[2])))
+        assert row["breaking_factor"] == first[2]
 
 
 def test_single_edit_repair_identity_on_admissible():

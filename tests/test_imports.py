@@ -1,10 +1,11 @@
 """Every name a library module imports is used in that module, and every
-public name it defines is used by the library or the benchmark.
+public name, dataclass field and instance attribute it defines is used by
+the library or the benchmark.
 
-Deleting code can leave its imports behind, and a public function can
-outlive its last caller; these checks find both with the standard
-library's ``ast``.  ``__init__.py`` is skipped by the import check: its
-imports are the package's re-exports.
+Deleting code can leave its imports behind, a public function can outlive
+its last caller, and a field can outlive its last reader; these checks
+find all three with the standard library's ``ast``.  ``__init__.py`` is
+skipped by the import check: its imports are the package's re-exports.
 """
 
 import ast
@@ -88,12 +89,18 @@ def unused_definitions(defining: dict, using: list) -> list[str]:
             if name.rpartition(".")[2] not in used]
 
 
+def library_and_benchmark() -> tuple[dict, list]:
+    """Library module name -> source, and every library and benchmark
+    source."""
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return sources, [*sources.values(), *bench]
+
+
 def test_every_public_name_has_a_caller():
     """A public function, class or method that only its own tests call is
     dead code: delete it, or call it."""
-    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    users = [*sources.values(),
-             *(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))]
+    sources, users = library_and_benchmark()
     assert unused_definitions(sources, users) == []
 
 
@@ -110,3 +117,83 @@ def test_unused_definition_is_found():
               "METHODS = ('Box.traced',)\n")
     assert unused_definitions({"lib": lib}, [lib, caller]) == [
         "lib.orphan", "lib.Box.stale"]
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def public_attributes(source: str) -> list[str]:
+    """Public dataclass fields and instance attributes, as "Class.name": the
+    annotated names in a dataclass body, less the InitVar and ClassVar
+    pseudo-fields, then every self.name a method of the class assigns."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = []
+        if any(map(_is_dataclass, cls.decorator_list)):
+            names += [item.target.id for item in cls.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and ast.unparse(item.annotation).split("[")[0]
+                      .rpartition(".")[2] not in ("InitVar", "ClassVar")]
+        names += [node.attr for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"]
+        out += [f"{cls.name}.{name}" for name in dict.fromkeys(names)
+                if not name.startswith("_")]
+    return out
+
+
+def read_attributes(source: str) -> set[str]:
+    """Every attribute a module reads; ``x.a[k] = v`` writes into x.a and
+    does not count as reading it."""
+    tree = ast.parse(source)
+    written_into = {id(node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Subscript)
+                    and not isinstance(node.ctx, ast.Load)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in written_into}
+
+
+def unread_attributes(defining: dict, using: list) -> list[str]:
+    """Public fields and attributes (module name -> source) that no source
+    in using reads; the tests are not among the readers."""
+    read = set().union(*map(read_attributes, using))
+    return [f"{module}.{name}" for module, source in sorted(defining.items())
+            for name in public_attributes(source)
+            if name.rpartition(".")[2] not in read]
+
+
+def test_every_field_and_attribute_is_read():
+    """A field, exception attribute or instance attribute that only tests
+    read is dead state: delete it, or read it."""
+    sources, users = library_and_benchmark()
+    assert unread_attributes(sources, users) == []
+
+
+def test_unread_attribute_is_found():
+    lib = ("from dataclasses import InitVar, dataclass\n\n"
+           "@dataclass\n"
+           "class Report:\n"
+           "    size: int\n"
+           "    stale: int\n"
+           "    table: InitVar[dict]\n\n"
+           "    def __post_init__(self, table):\n"
+           "        self.count = len(table)\n"
+           "        self.info = {}\n"
+           "        self.info['n'] = 1\n\n"
+           "class Box:\n"
+           "    def __init__(self):\n"
+           "        self.width = 1\n"
+           "        self.unused = 2\n"
+           "        self._private = 3\n")
+    caller = "r = Report(1, 2, {})\nprint(r.size, r.count, Box().width)\n"
+    assert unread_attributes({"lib": lib}, [lib, caller]) == [
+        "lib.Report.stale", "lib.Report.info", "lib.Box.unused"]

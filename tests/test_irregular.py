@@ -60,9 +60,8 @@ def test_schedule_single_level_trivially_valid():
 
 
 def test_schedule_rejects_constant_multiplicities():
-    with pytest.raises(GrowthViolation) as exc:
+    with pytest.raises(GrowthViolation, match="at level 2"):
         validate_schedule((20, 30, 40), (1, 1, 1), (0.1, 0.05, 0.02))
-    assert exc.value.level is not None
 
 
 def test_schedule_rejects_non_monotone_inputs():
@@ -80,10 +79,10 @@ def test_pools_golden_both_targets(beta_golden):
                              (0.5, 0.0), sch)
     assert pools[0].target == 0.5 and pools[0].size > 0
     assert pools[1].target == 0.0 and pools[1].size > 0
-    for pool in pools:
+    for pool, tolerance in zip(pools, sch.tolerances):
         lo, hi = pool.achieved
-        assert abs(lo - pool.target) < pool.tolerance + 1e-12
-        assert abs(hi - pool.target) < pool.tolerance + 1e-12
+        assert abs(lo - pool.target) < tolerance + 1e-12
+        assert abs(hi - pool.target) < tolerance + 1e-12
 
 
 def test_pools_pairwise_separated(beta_golden):
@@ -97,9 +96,8 @@ def test_pools_pairwise_separated(beta_golden):
 
 def test_pools_unreachable_target(beta_golden):
     sch = validate_schedule((24,), (2,), (0.1,))
-    with pytest.raises(EmptyPool) as exc:
+    with pytest.raises(EmptyPool, match="of 0.9 at level 1"):
         build_word_pools(beta_golden, digit_frequency(1, 1), (0.9, 0.0), sch)
-    assert exc.value.target == 0.9
 
 
 def test_pools_full_shift_contains_zero_word(beta_two):
@@ -201,10 +199,9 @@ def test_empty_level_set_raises_fast(beta_golden):
         level_set = _LevelSet(Automaton(beta_golden), phi, Fraction(alpha),
                               Fraction(1, 200), 40)
         assert list(automata.iter_words(level_set, 40)) == []
-        with pytest.raises(EmptyPool) as exc:
+        with pytest.raises(EmptyPool, match=f"of {alpha} at level 1"):
             build_word_pools(beta_golden, phi, (alpha, 0.0),
                              validate_schedule((40,), (1,), (0.005,)))
-        assert exc.value.target == alpha
     assert time.monotonic() - start < 1.0
 
 
@@ -368,6 +365,16 @@ def test_construct_degenerate_targets_converge(beta_two):
     assert not rep["oscillates"]
 
 
+def test_construct_raises_when_a_residual_exceeds_its_bound(beta_two):
+    """Pools built for the swapped targets average 0 where 1 is due: the
+    level-1 residual 1 exceeds its bound 0.05 + 2/6."""
+    sch = validate_schedule((6, 8), (3, 20), (0.05, 0.02))
+    phi = digit_frequency(1, 1)
+    pools = build_word_pools(beta_two, phi, (0.0, 1.0), sch)
+    with pytest.raises(OscillationNotObserved, match="at level 1"):
+        construct_irregular_point(beta_two, phi, (1.0, 0.0), sch, pools)
+
+
 def test_construct_exact_alternation_full_shift(beta_two):
     # pools {1^n} and {0^n}: averages hit the alternating targets exactly
     # up to boundary truncation
@@ -449,6 +456,20 @@ def test_family_and_balls_ignore_the_word_type(beta_golden, form):
     rep = edp_ball_check(fam["family"], sch, [3, 2], samples)
     assert rep == edp_ball_check(ref["family"], sch, [3, 2], samples)
     assert rep["rows"][:4] == rep["rows"][4:] and rep["all_pass"]
+
+
+def test_edp_ball_check_is_exact():
+    """The centre's one hit among 1,999,999 words has measure above the
+    bound 1/(2 * 10^6) by 2.5e-13: the ball check fails, decided in
+    integers (a float check with a 1e-12 tie passed it)."""
+    sch = validate_schedule((4, 6), (1, 1), (0.2, 0.1))
+    centre, other = bytes(10), b"\1" * 10
+    family = [centre] + [other] * 1_999_998
+    row, = edp_ball_check(family, sch, [2 * 10 ** 6, 2],
+                          [(centre, 4)])["rows"]
+    assert (row["j"], row["l"], row["bound"]) == (1, 0, 5e-7)
+    assert 2.4e-13 < row["measure"] - row["bound"] < 2.6e-13
+    assert not row["pass"]
 
 
 def test_edp_counting_identity(beta_two):

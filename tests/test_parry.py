@@ -236,7 +236,8 @@ def test_markov_approx_is_the_confined_graph(bench_bases, name):
             continue
         oracle = OracleMarkov(beta, order)
         assert approx.alphabet_bound == oracle.alphabet_bound
-        assert approx.effective_order == len(oracle.labels)
+        # w(beta(n)) = (w_1 .. w_m - 1)^inf, m the confined graph's order
+        assert len(approx.approx_beta.periodic_form()[1]) == len(oracle.labels)
         for n in range(1, 9):
             assert approx.enumerate_words(n) == enumerate_words(oracle, n)
         for n in range(1, 6):
