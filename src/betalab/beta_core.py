@@ -1,13 +1,13 @@
 """Controlled-precision arithmetic for beta, expansions, and digit recovery.
 
-A base beta > 1 comes in three flavours: a rational (decimal literal), the
-root of an integer polynomial, or the number encoded by a self-admissible
-digit sequence.  All digit decisions are exact and run on integers: a
-rational base p/q steps an integer pair (N, M), an algebraic base steps
-integer numerators over one denominator, a vector in Q[x]/(p) for the
-irreducible p vanishing at beta.  Adaptive dyadic root enclosures are used
-only to resolve floors, by an interval Horner on integer numerators.  A
-comparison that cannot be resolved below the precision cap raises
+A base beta > 1 is read from a decimal literal, an integer polynomial or a
+self-admissible digit sequence, and held one way: as its minimal polynomial
+p with a root enclosure, a rational p/q being the root of qx - p.  All
+digit decisions are exact and run on integers: the greedy state is integer
+numerators over one denominator, a vector in Q[x]/(p).  Adaptive dyadic
+root enclosures are used only to resolve floors, by an interval Horner on
+integer numerators; a rational root is its own enclosure.  A comparison
+that cannot be resolved below the precision cap raises
 UndecidableAtPrecision instead of guessing.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DegenerateRoot,
@@ -47,26 +47,27 @@ def _poly_at(coeffs_asc: Sequence[int], x: Fraction) -> Fraction:
 
 
 class AlgebraicContext:
-    """beta's minimal polynomial (irreducible, degree >= 2) plus a refinable
-    root enclosure.
+    """beta's minimal polynomial (irreducible, leading coefficient > 0) plus
+    a refinable root enclosure.
 
-    The enclosure endpoints are dyadic rationals carrying opposite signs of
+    The root of a linear polynomial is its own enclosure, lo = hi.  Above
+    degree 1 the endpoints are dyadic rationals carrying opposite signs of
     the polynomial, so bisection refines them exactly; the root is
     irrational, so no midpoint ever hits it.
     """
 
     def __init__(self, poly_asc: tuple[int, ...], lo: Fraction, hi: Fraction):
-        if len(poly_asc) < 3:
-            raise InvalidBeta("minimal polynomial must have degree >= 2")
         self.poly_asc = poly_asc
-        self.lo = lo
-        self.hi = hi
+        self._grid = None
+        if len(poly_asc) == 2:
+            self.lo = self.hi = Fraction(-poly_asc[0], poly_asc[1])
+            return
+        self.lo, self.hi = lo, hi
         s_lo = _poly_at(poly_asc, lo)
         s_hi = _poly_at(poly_asc, hi)
         if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
             raise InvalidBeta("enclosure endpoints must straddle the root")
         self._sign_lo = s_lo > 0
-        self._grid = None
 
     @property
     def degree(self) -> int:
@@ -134,24 +135,16 @@ class AlgebraicContext:
 class BetaNumber:
     """A real beta > 1 with digit bound and lazily computed expansion of 1."""
 
-    def __init__(self, *, frac: Optional[Fraction] = None,
-                 ctx: Optional[AlgebraicContext] = None,
-                 source: str = "decimal-literal"):
-        if (frac is None) == (ctx is None):
-            raise InvalidBeta("exactly one of frac/ctx required")
-        self._frac = frac
+    def __init__(self, ctx: AlgebraicContext, source: str = "decimal-literal"):
         self._ctx = ctx
         self.source = source
-        if frac is not None:
-            if frac <= 1:
-                raise InvalidBeta(f"beta must exceed 1, got {frac}")
-            self.digit_bound = int(frac) - 1 if frac.denominator == 1 else int(frac)
-        else:
-            ctx.refine_to(Fraction(1, 2 ** 16))
-            if ctx.hi <= 1:
-                raise InvalidBeta("root enclosure at or below 1")
-            self.digit_bound = ctx.floor_vector(
-                (0, 1) + (0,) * (ctx.degree - 2), 1)
+        ctx.refine_to(Fraction(1, 2 ** 16))
+        if ctx.hi <= 1:
+            raise InvalidBeta(f"beta must exceed 1, got {ctx.hi}")
+        # the first greedy digit of 1, less one when it ends the expansion:
+        # beta - 1 for an integer beta, floor(beta) otherwise
+        digit, (nums, _) = _greedy_step(self, _point(self, Fraction(1)))
+        self.digit_bound = digit if any(nums) else digit - 1
         # quasi-greedy expansion cache
         self._w: list[int] = []
         self._w_periodic = None
@@ -166,7 +159,8 @@ class BetaNumber:
             frac = Fraction(text) if not isinstance(text, Fraction) else text
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidBeta(f"cannot parse beta literal {text!r}") from exc
-        return cls(frac=frac, source="decimal-literal")
+        return cls(AlgebraicContext((-frac.numerator, frac.denominator),
+                                    frac, frac))
 
     @classmethod
     def from_polynomial(cls, coeffs_desc: Sequence[int]) -> "BetaNumber":
@@ -176,7 +170,7 @@ class BetaNumber:
             coeffs_desc.pop(0)
         if len(coeffs_desc) < 2:
             raise InvalidBeta("polynomial must be non-constant")
-        return cls(**_largest_root_above_one(tuple(reversed(coeffs_desc))),
+        return cls(_largest_root_above_one(tuple(reversed(coeffs_desc))),
                    source="polynomial-root")
 
     @classmethod
@@ -187,8 +181,6 @@ class BetaNumber:
     # -- numeric access ----------------------------------------------------
 
     def enclosure(self, width: Fraction = Fraction(1, 2 ** 60)) -> tuple[Fraction, Fraction]:
-        if self._frac is not None:
-            return self._frac, self._frac
         self._ctx.refine_to(width)
         return self._ctx.lo, self._ctx.hi
 
@@ -202,15 +194,12 @@ class BetaNumber:
         return math.log(self.value)
 
     def is_rational(self) -> bool:
-        return self._frac is not None
+        return self._ctx.degree == 1
 
     def compare(self, other: "BetaNumber") -> int:
-        """-1, 0, 1 ordering: 0 on equal minimal data (the rational, or the
-        polynomial whose largest real root a context holds), else both
+        """-1, 0, 1 ordering: 0 on equal minimal polynomials, else both
         enclosures are refined until they separate."""
-        mine, theirs = (b._frac if b._ctx is None else b._ctx.poly_asc
-                        for b in (self, other))
-        if mine == theirs:
+        if self._ctx.poly_asc == other._ctx.poly_asc:
             return 0
         width = Fraction(1, 2 ** 32)
         cap = Fraction(1, 2 ** precision_cap())
@@ -253,16 +242,16 @@ class BetaNumber:
     def _step_w(self) -> None:
         """Append one greedy digit of 1 and look for a repeated orbit state.
 
-        A rational p/q with q > 1 has orbit denominators q^n, so no state
-        repeats and none is compared.  An algebraic orbit runs Brent's cycle
-        detection on its canonical integer state: O(1) memory, no cap.
+        An eventually periodic w(beta) makes beta an algebraic integer
+        (Parry 1960), so only a monic minimal polynomial can cycle.  Its
+        orbit keeps the denominator 1, so its states are canonical, and
+        Brent's cycle detection compares them: O(1) memory, no cap.
         """
         if self._orbit is None:
             self._orbit = _point(self, Fraction(1))
             self._brent = (self._orbit, 1, 0)
         digit, r_new = _greedy_step(self, self._orbit)
-        zero = r_new[0] == 0 if self._ctx is None else not any(r_new[0])
-        if zero:
+        if not any(r_new[0]):
             # finite greedy expansion: switch to the quasi-greedy periodic form
             period = tuple(self._w) + (digit - 1,)
             if all(d == 0 for d in period):
@@ -273,7 +262,7 @@ class BetaNumber:
             return
         self._w.append(digit)
         self._orbit = r_new
-        if self._ctx is None:
+        if self._ctx.poly_asc[-1] != 1:
             return
         saved, power, lam = self._brent
         if r_new == saved:
@@ -299,35 +288,28 @@ class BetaNumber:
 
 def _point(beta: BetaNumber, x: Fraction):
     """x in the exact integer state _greedy_step works on."""
-    if beta.is_rational():
-        return x.numerator, x.denominator
     return (x.numerator,) + (0,) * (beta._ctx.degree - 1), x.denominator
 
 
 def _greedy_step(beta: BetaNumber, r):
     """(digit, remainder) = (floor(beta*r), beta*r - floor(beta*r)), exact.
 
-    For beta = p/q the state is an integer pair (N, M) for N/M.  For an
-    algebraic base it is (nums, den), the value sum nums[i] * beta^i / den
-    in Q[x]/(poly): multiplying by beta shifts nums up and subtracts the top
-    coefficient times the polynomial.  A leading coefficient c != 1 scales
-    den by c, and the state is then reduced by the gcd, so equal values
-    have equal states.
+    The state is (nums, den), the value sum nums[i] * beta^i / den in
+    Q[x]/(poly): multiplying by beta shifts nums up and subtracts the top
+    coefficient times the polynomial, and the leading coefficient scales
+    den.  For beta = p/q this is N/M -> pN/(qM), floored by one integer
+    division.
     """
-    if beta._frac is not None:
-        t, m = beta._frac.numerator * r[0], beta._frac.denominator * r[1]
-        d = t // m
-        return d, (t - d * m, m)
     ctx = beta._ctx
     nums, den = r
     poly = ctx.poly_asc
+    if len(poly) == 2:
+        t, den = -poly[0] * nums[0], poly[1] * den
+        d = t // den
+        return d, ((t - d * den,), den)
     lead, top = poly[-1], nums[-1]
     t = [lead * a - top * c for a, c in zip((0, *nums[:-1]), poly)]
     den *= lead
-    if lead != 1:
-        g = math.gcd(den, *t) if lead > 0 else -math.gcd(den, *t)
-        t = [c // g for c in t]
-        den //= g
     d = ctx.floor_vector(t, den)
     t[0] -= d * den
     return d, (tuple(t), den)
@@ -413,7 +395,7 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
         for j, a in enumerate(prefix, start=1):
             coeffs[p - j] -= a
     # a self-admissible sequence has exactly one root above 1 (Parry 1960)
-    beta = BetaNumber(**_largest_root_above_one(tuple(coeffs)),
+    beta = BetaNumber(_largest_root_above_one(tuple(coeffs)),
                       source="digit-sequence")
     # store the quasi-greedy normalization of the given digits as w(beta)
     if period:
@@ -426,15 +408,15 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
     return beta
 
 
-def _largest_root_above_one(asc) -> dict:
+def _largest_root_above_one(asc) -> AlgebraicContext:
     """The largest real root > 1 of an integer polynomial (ascending
-    coefficients) as BetaNumber keywords: frac= when it is rational, else
-    ctx= on the irreducible factor that carries it.
+    coefficients), as the context of the irreducible factor that carries it.
 
     The real roots of the square-free part are isolated once and the last
     interval is refined until it lies above 1.  It holds no other root, and
     an irreducible factor has only simple roots, so exactly one factor
-    changes sign between its ends.
+    changes sign between its ends, or vanishes where sympy isolates the
+    root as a point.
     """
     from sympy import Poly, Symbol
 
@@ -448,14 +430,10 @@ def _largest_root_above_one(asc) -> dict:
     if b <= 1:
         raise InvalidBeta("largest real root is not above 1")
     lo, hi = Fraction(str(a)), Fraction(str(b))
-    if lo == hi:
-        return {"frac": lo}
     for fac, _ in poly.factor_list()[1]:
         fasc = tuple(int(c) for c in reversed(fac.all_coeffs()))
-        if _poly_at(fasc, lo) * _poly_at(fasc, hi) < 0:
-            if len(fasc) == 2:
-                return {"frac": Fraction(-fasc[0], fasc[1])}
-            return {"ctx": AlgebraicContext(fasc, lo, hi)}
+        if _poly_at(fasc, lo) * _poly_at(fasc, hi) <= 0:
+            return AlgebraicContext(fasc, lo, hi)
     raise InvalidBeta("no irreducible factor changes sign around the root")
 
 

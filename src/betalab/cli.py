@@ -317,7 +317,10 @@ def cmd_bowen(args):
 
 def cmd_diam(args):
     beta = _beta_from_args(args)
-    lo, hi = cylinder_diameter_bounds(beta, _parse_word(args.word))
+    word = _parse_word(args.word)
+    if not word:
+        raise UsageError("--word must not be empty")
+    lo, hi = cylinder_diameter_bounds(beta, word)
     return {"lower": lo, "upper": hi}, [("lower-at-most-upper", lo <= hi)]
 
 

@@ -9,7 +9,9 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .errors import UsageError
+from .errors import BudgetExceeded, UsageError
+
+BLOCK_TABLE = 1 << 16  # bound on the entries of a block indicator's table
 
 
 def exact(value, what: str) -> Fraction:
@@ -95,6 +97,9 @@ def constant(value: float, alphabet_bound: int) -> Observable:
 
 def block_indicator(block: tuple[int, ...], alphabet_bound: int) -> Observable:
     r = len(block)
+    if (alphabet_bound + 1) ** r > BLOCK_TABLE:
+        raise BudgetExceeded(f"block table of {alphabet_bound + 1}^{r} "
+                             f"entries exceeds {BLOCK_TABLE}")
     table = {b: int(b == tuple(block))
              for b in product(range(alphabet_bound + 1), repeat=r)}
     return Observable(name=f"block:{''.join(map(str, block))}", range_r=r, table=table)

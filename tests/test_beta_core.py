@@ -44,7 +44,7 @@ def oracle_greedy_fraction(x, beta, n):
     digits = []
     if beta.is_rational():
         for _ in range(n):
-            t = beta._frac * r
+            t = beta.enclosure()[0] * r
             digits.append(math.floor(t))
             r = t - digits[-1]
         return digits
@@ -331,10 +331,12 @@ def test_non_monic_linear_root_is_rational():
     assert beta.digit_bound == 1
 
 
-def test_context_rejects_a_linear_polynomial():
-    # a rational root has no enclosure to refine; it is a frac= base
-    with pytest.raises(InvalidBeta):
-        AlgebraicContext((-3, 2), 1, 2)
+def test_context_of_a_linear_polynomial_is_its_exact_root():
+    # a rational root is its own enclosure, whatever enclosure is given
+    ctx = AlgebraicContext((-3, 2), 1, 2)
+    assert ctx.lo == ctx.hi == Fraction(3, 2)
+    ctx.refine_to(Fraction(1, 2 ** 64))
+    assert ctx.lo == ctx.hi == Fraction(3, 2)
 
 
 def test_enclosure_shrinks(beta_tribonacci):
@@ -367,15 +369,21 @@ def test_greedy_step_matches_fraction_oracle(bench_bases, name, k, n):
 
 
 def test_non_monic_base_matches_fraction_oracle():
-    # 2x^2 - 3x - 1: the state denominator grows by 2 and is gcd-reduced
-    beta = BetaNumber.from_polynomial([2, -3, -1])
-    for x in (Fraction(0), Fraction(3, 10), Fraction(999999, 10 ** 6)):
-        digits = oracle_greedy_fraction(x, copy.deepcopy(beta), 48)
-        assert list(greedy_expansion(x, copy.deepcopy(beta), 48).digits) == digits
-        r = _point(beta, x)
-        for _ in range(48):
-            _, r = _greedy_step(beta, r)
-            assert math.gcd(r[1], *r[0]) == 1  # equal values, equal states
+    # the state denominator grows by the leading coefficient each step; a
+    # non-monic beta is no algebraic integer, so w(beta) never repeats
+    for coeffs in ([2, -3, -1], [3, -5, -1], [5, -7, -3]):
+        beta, lead = BetaNumber.from_polynomial(coeffs), coeffs[0]
+        for x in (Fraction(0), Fraction(3, 10), Fraction(999999, 10 ** 6)):
+            digits = oracle_greedy_fraction(x, copy.deepcopy(beta), 48)
+            word = greedy_expansion(x, copy.deepcopy(beta), 48)
+            assert list(word.digits) == digits
+            r = _point(beta, x)
+            den0 = r[1]
+            for k in range(1, 49):
+                _, r = _greedy_step(beta, r)
+                assert r[1] == lead ** k * den0
+        beta.digits(300)
+        assert beta.periodic_form() is None
 
 
 def test_floor_on_closed_upper_endpoint_needs_no_refinement():

@@ -84,6 +84,11 @@ def test_expansion_of_one_periodic_form(capsys):
                          "201001", "--n", "12")
     assert code == 0
     assert rep["payload"]["periodic_form"] == "(201000)"
+    # commas and spaces between digits are skipped
+    code, rep = run_json(capsys, "expansion-of-one", "--beta-digits",
+                         "2,0(1 0)", "--n", "6")
+    assert code == 0
+    assert rep["payload"]["periodic_form"] == "20(10)"
 
 
 def test_expansion_of_one_without_periodic_form(capsys):
@@ -164,6 +169,8 @@ def test_expansion_of_one_without_periodic_form(capsys):
     # an observable table over 10^400 digits grew without bound
     ["witnesses", "--beta", "1e400", "--phi", "freq:1"],
     ["pools", "--beta", "1e400", "--phi", "freq:1", "--alpha", "0.5,0"],
+    # the empty word once failed on "n_max", a parameter nobody set
+    ["diam", "--beta", "2", "--word="],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -176,6 +183,8 @@ def test_malformed_number_exits_2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+    if argv[0] == "diam":
+        assert "--word" in json.loads(err)["message"]
 
 
 # cheap base argv per subcommand (a key may carry a switch), and its integer
@@ -365,10 +374,12 @@ def test_graph_reaches_long_zero_runs_near_one(capsys):
     ["count", "--beta", "1e400", "--n", "3"],
     ["katok", "--beta", "1e400", "--n-list", "4"],
     ["bowen", "--beta", "1e400", "--depth", "3"],
+    ["witnesses", "--beta", "255", "--phi", "block:1010"],
 ])
 def test_alphabet_past_the_edge_scan_exits_3(capsys, argv):
     """Counting and enumeration scan each state's edge labels one by one;
-    past 10^6 labels that is a resource error, where it once never ended."""
+    past 10^6 labels that is a resource error, where it once never ended.
+    A block table past 2^16 entries is one too: 256^4 ran out of memory."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "resource"

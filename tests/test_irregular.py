@@ -69,6 +69,8 @@ def test_schedule_rejects_non_monotone_inputs():
         validate_schedule((20, 20), (4, 8), (0.1, 0.05))
     with pytest.raises(GrowthViolation):
         validate_schedule((20, 30), (4, 8), (0.05, 0.1))
+    with pytest.raises(UsageError, match="multiplicities must be >= 1"):
+        validate_schedule((20, 30), (4, 0), (0.1, 0.05))
 
 
 # --- pools -------------------------------------------------------------------
@@ -98,6 +100,9 @@ def test_pools_unreachable_target(beta_golden):
     sch = validate_schedule((24,), (2,), (0.1,))
     with pytest.raises(EmptyPool, match="of 0.9 at level 1"):
         build_word_pools(beta_golden, digit_frequency(1, 1), (0.9, 0.0), sch)
+    with pytest.raises(UsageError, match="exactly two targets"):
+        build_word_pools(beta_golden, digit_frequency(1, 1), (0.5, 0.0, 0.5),
+                         sch)
 
 
 def test_pools_full_shift_contains_zero_word(beta_two):
@@ -336,6 +341,8 @@ def test_glue_rejects_wrong_shape(beta_two):
     sch = validate_schedule((4,), (2,), (0.5,))
     with pytest.raises(UsageError):
         glue_blocks(beta_two, sch, [[(1, 1, 1, 1)]])
+    with pytest.raises(UsageError, match="has length 3, expected 4"):
+        glue_blocks(beta_two, sch, [[(1, 1, 1, 1), (1, 1, 1)]])
 
 
 # --- the irregular point ------------------------------------------------------
@@ -430,6 +437,8 @@ def test_edp_ball_bounds(beta_two):
                               [((1, 0, 1, 0) + (0,) * 16, 4)])
     # (1010...) may or may not be in family prefixes; measure is just exact
     assert 0.0 <= disjoint["rows"][0]["measure"] <= 1.0
+    with pytest.raises(UsageError, match="empty family"):
+        edp_ball_check([], sch, [2, 2], [(member, sch.times[0])])
 
 
 @pytest.mark.parametrize("form", ["tuple", "bytes", "symbol", "mixed"])

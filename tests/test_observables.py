@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from betalab.errors import UsageError
+from betalab.errors import BudgetExceeded, UsageError
 from betalab.observables import (
     Observable,
     block_indicator,
@@ -49,6 +49,16 @@ def test_word_shorter_than_range_rejected():
     phi = block_indicator((1, 0, 1), 1)
     with pytest.raises(UsageError):
         phi.average_on_word((1, 0))
+
+
+def test_block_table_past_the_bound_is_a_resource_error():
+    """(b + 1)^r entries past 2^16 raise before the table is built; a
+    10^6-entry table took seconds, and 256^4 entries ran out of memory."""
+    assert len(parse_observable("block:" + "1" * 16, 1).numerators) == 2 ** 16
+    for spec, bound in (("block:" + "1" * 17, 1), ("block:101", 99),
+                        ("block:1010", 255)):
+        with pytest.raises(BudgetExceeded, match="exceeds 65536"):
+            parse_observable(spec, bound)
 
 
 def test_parse_observable():

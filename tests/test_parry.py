@@ -127,6 +127,8 @@ def test_z_values_two(beta_two):
     rep = z_values(beta_two, 10)
     assert rep.z == [0] * 10
     assert rep.gap == 1
+    with pytest.raises(UsageError, match="n_max"):
+        z_values(beta_two, 0)
 
 
 def test_specification_gap_is_exact(beta_figure):

@@ -101,7 +101,7 @@ def test_parse_digit_string_forms():
 
 
 def test_parse_digit_string_rejects_garbage():
-    for text in ("1(2", "[1", "1[x]", "[]", "\u00b2"):
+    for text in ("1(2", "[1", "1[x]", "[]", "\u00b2", ""):
         with pytest.raises(UsageError):
             parse_digit_string(text)
 
