@@ -2,13 +2,12 @@
 
 A base beta > 1 is read from a decimal literal, an integer polynomial or a
 self-admissible digit sequence, and held one way: as its minimal polynomial
-p with a root enclosure, a rational p/q being the root of qx - p.  All
+f with a root enclosure, a rational p/q being the root of qx - p.  All
 digit decisions are exact and run on integers: the greedy state is integer
-numerators over one denominator, a vector in Q[x]/(p).  Adaptive dyadic
-root enclosures are used only to resolve floors, by an interval Horner on
-integer numerators; a rational root is its own enclosure.  A comparison
-that cannot be resolved below the precision cap raises
-UndecidableAtPrecision instead of guessing.
+numerators over one denominator, a vector in Q[x]/(f).  Dyadic root
+enclosures, exact for a rational root, resolve floors by an interval Horner
+on integer numerators.  A comparison that cannot be resolved below the
+precision cap raises UndecidableAtPrecision instead of guessing.
 """
 
 from __future__ import annotations
@@ -415,8 +414,7 @@ def _largest_root_above_one(asc) -> AlgebraicContext:
     The real roots of the square-free part are isolated once and the last
     interval is refined until it lies above 1.  It holds no other root, and
     an irreducible factor has only simple roots, so exactly one factor
-    changes sign between its ends, or vanishes where sympy isolates the
-    root as a point.
+    changes sign between its ends.  A root isolated as a point is rational.
     """
     from sympy import Poly, Symbol
 
@@ -430,9 +428,11 @@ def _largest_root_above_one(asc) -> AlgebraicContext:
     if b <= 1:
         raise InvalidBeta("largest real root is not above 1")
     lo, hi = Fraction(str(a)), Fraction(str(b))
+    if lo == hi:
+        return AlgebraicContext((-lo.numerator, lo.denominator), lo, hi)
     for fac, _ in poly.factor_list()[1]:
         fasc = tuple(int(c) for c in reversed(fac.all_coeffs()))
-        if _poly_at(fasc, lo) * _poly_at(fasc, hi) <= 0:
+        if _poly_at(fasc, lo) * _poly_at(fasc, hi) < 0:
             return AlgebraicContext(fasc, lo, hi)
     raise InvalidBeta("no irreducible factor changes sign around the root")
 

@@ -262,14 +262,17 @@ def oracle_largest_root(factors):
     ([1, -1, -1], [1, -3, 1]),
     ([1, -2], [1, -1, -1]),
     ([1, -1, -1], [1, -1, -1]),
+    ([1, -2], [1, 0, -5]),
 ])
 def test_from_polynomial_is_largest_root_of_product(factors):
     """beta is the largest real root > 1 whatever the factorization: for
-    (x^2 - 3)(x^2 - x - 1) it is sqrt(3), not the golden mean."""
+    (x^2 - 3)(x^2 - x - 1) it is sqrt(3), not the golden mean, and for
+    (x - 2)(x^2 - 5) it is sqrt(5), not the rational root 2 below it."""
     beta = BetaNumber.from_polynomial(
         [int(c) for c in numpy.polymul(*factors)])
-    assert abs(beta.value - oracle_largest_root(factors)) < 1e-9
-    assert beta.is_rational() == (factors[0] == [1, -2])
+    root = oracle_largest_root(factors)
+    assert abs(beta.value - root) < 1e-9
+    assert beta.is_rational() == (abs(root - round(root)) < 1e-9)
 
 
 def test_digit_string_bases_sum_to_one(battery):
