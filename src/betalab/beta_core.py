@@ -17,13 +17,7 @@ import os
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    DegenerateRoot,
-    InvalidBeta,
-    NotSelfAdmissible,
-    UndecidableAtPrecision,
-    UsageError,
-)
+from .errors import UndecidableAtPrecision, UsageError
 from .words import (
     SymbolWord,
     format_periodic,
@@ -65,7 +59,7 @@ class AlgebraicContext:
         s_lo = _poly_at(poly_asc, lo)
         s_hi = _poly_at(poly_asc, hi)
         if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
-            raise InvalidBeta("enclosure endpoints must straddle the root")
+            raise UsageError("enclosure endpoints must straddle the root")
         self._sign_lo = s_lo > 0
 
     @property
@@ -109,8 +103,6 @@ class AlgebraicContext:
         gives, so floors, the closed upper endpoint and the precision cap
         decide exactly as they would there.
         """
-        if not any(nums[1:]):
-            return nums[0] // den
         width = None
         while True:
             lo, hi, q = self.enclose(nums, den)
@@ -139,7 +131,7 @@ class BetaNumber:
         self.source = source
         ctx.refine_to(Fraction(1, 2 ** 16))
         if ctx.hi <= 1:
-            raise InvalidBeta(f"beta must exceed 1, got {ctx.hi}")
+            raise UsageError(f"beta must exceed 1, got {ctx.hi}")
         # the first greedy digit of 1, less one when it ends the expansion:
         # beta - 1 for an integer beta, floor(beta) otherwise
         digit, (nums, _) = _greedy_step(self, _point(self, Fraction(1)))
@@ -157,7 +149,7 @@ class BetaNumber:
         try:
             frac = Fraction(text) if not isinstance(text, Fraction) else text
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidBeta(f"cannot parse beta literal {text!r}") from exc
+            raise UsageError(f"cannot parse beta literal {text!r}") from exc
         return cls(AlgebraicContext((-frac.numerator, frac.denominator),
                                     frac, frac))
 
@@ -168,7 +160,7 @@ class BetaNumber:
         while coeffs_desc and coeffs_desc[0] == 0:
             coeffs_desc.pop(0)
         if len(coeffs_desc) < 2:
-            raise InvalidBeta("polynomial must be non-constant")
+            raise UsageError("polynomial must be non-constant")
         return cls(_largest_root_above_one(tuple(reversed(coeffs_desc))),
                    source="polynomial-root")
 
@@ -254,7 +246,7 @@ class BetaNumber:
             # finite greedy expansion: switch to the quasi-greedy periodic form
             period = tuple(self._w) + (digit - 1,)
             if all(d == 0 for d in period):
-                raise InvalidBeta("degenerate expansion (beta would be 1)")
+                raise UsageError("degenerate expansion (beta would be 1)")
             self._w_periodic = (tuple(), period)
             self._w.append(period[-1])
             self._orbit = None
@@ -363,17 +355,17 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
             prefix = prefix[:-1]
     digits_all = prefix + period
     if not digits_all:
-        raise NotSelfAdmissible("empty digit sequence")
+        raise UsageError("empty digit sequence")
     if digits_all[0] < 1:
-        raise NotSelfAdmissible("leading digit must be >= 1")
+        raise UsageError("leading digit must be >= 1")
     if any(d < 0 for d in digits_all):
-        raise NotSelfAdmissible("digits must be nonnegative")
+        raise UsageError("digits must be nonnegative")
     if not _check_self_admissible_ep(prefix, period):
-        raise NotSelfAdmissible(
+        raise UsageError(
             f"sequence {format_periodic(prefix, period)} fails sigma^k(w) <= w"
         )
     if not period and prefix == (1,):
-        raise DegenerateRoot("sequence (1,0,0,...) gives beta = 1")
+        raise UsageError("sequence (1,0,0,...) gives beta = 1")
 
     # integer polynomial vanishing at the encoded beta
     p, q = len(prefix), len(period)
@@ -402,7 +394,7 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
     else:
         quasi = prefix[:-1] + (prefix[-1] - 1,)
         if all(d == 0 for d in quasi):
-            raise DegenerateRoot("quasi-greedy form degenerates to all zeros")
+            raise UsageError("quasi-greedy form degenerates to all zeros")
         beta._w_periodic = (tuple(), quasi)
     return beta
 
@@ -421,12 +413,12 @@ def _largest_root_above_one(asc) -> AlgebraicContext:
     poly = Poly(list(reversed(asc)), Symbol("x")).sqf_part()
     intervals = poly.intervals()
     if not intervals or intervals[-1][0][1] <= 1:
-        raise InvalidBeta("polynomial has no real root above 1")
+        raise UsageError("polynomial has no real root above 1")
     (a, b), _ = intervals[-1]
     while a <= 1 < b:
         a, b = poly.refine_root(a, b, steps=8)
     if b <= 1:
-        raise InvalidBeta("largest real root is not above 1")
+        raise UsageError("largest real root is not above 1")
     lo, hi = Fraction(str(a)), Fraction(str(b))
     if lo == hi:
         return AlgebraicContext((-lo.numerator, lo.denominator), lo, hi)
@@ -434,7 +426,7 @@ def _largest_root_above_one(asc) -> AlgebraicContext:
         fasc = tuple(int(c) for c in reversed(fac.all_coeffs()))
         if _poly_at(fasc, lo) * _poly_at(fasc, hi) < 0:
             return AlgebraicContext(fasc, lo, hi)
-    raise InvalidBeta("no irreducible factor changes sign around the root")
+    raise UsageError("no irreducible factor changes sign around the root")
 
 
 def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:
@@ -446,8 +438,8 @@ def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:
     while trunc and trunc[-1] == 0:
         trunc.pop()
     if not trunc:
-        raise DegenerateRoot("truncation is all zeros")
+        raise UsageError("truncation is all zeros")
     if tuple(trunc) == (1,):
-        raise DegenerateRoot("truncation (1) gives beta(n) = 1")
+        raise UsageError("truncation (1) gives beta(n) = 1")
     return beta_from_expansion(tuple(trunc), ())
 

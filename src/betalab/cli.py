@@ -295,6 +295,8 @@ def _tree_from_args(args) -> tuple[CylinderTree, BetaNumber | None]:
     if args.tree:
         with _open(args.tree) as fh:
             return CylinderTree.from_json(fh.read()), None
+    if args.depth < 1:
+        raise UsageError("--depth must be >= 1")
     beta = _beta_from_args(args)
     if args.markov_n is not None:
         return CylinderTree.from_markov(

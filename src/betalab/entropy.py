@@ -18,14 +18,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from . import automata
-from .errors import (
-    BudgetExceeded,
-    DepthTooShallow,
-    InsufficientSample,
-    LengthMismatch,
-    NotAdmissibleInput,
-    UsageError,
-)
+from .errors import BudgetExceeded, UsageError
 from .observables import exact
 from .parry import (
     Automaton,
@@ -83,7 +76,7 @@ def window_bad_count(x, y, window: int) -> int:
     the words are any int sequences (bytes, tuples, SymbolWords), read as
     they are."""
     if len(x) != len(y):
-        raise LengthMismatch(f"{len(x)} vs {len(y)}")
+        raise UsageError(f"{len(x)} vs {len(y)}")
     n = len(x)
     if window < 1:
         raise UsageError("window must be >= 1")
@@ -124,7 +117,7 @@ class SeparationInstance:
             raise UsageError("empty word set")
         n = len(self.words[0])
         if any(len(w) != n for w in self.words):
-            raise LengthMismatch("all words must share one length")
+            raise UsageError("all words must share one length")
         if self.window < 1:
             raise UsageError("window must be >= 1")
         if min(min(w, default=0) for w in self.words) < 0:
@@ -288,7 +281,7 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
     for n in n_list:
         sample = sorted(sampler(n))
         if not sample:
-            raise InsufficientSample(f"sampler produced nothing at n={n}")
+            raise UsageError(f"sampler produced nothing at n={n}")
         dropped = math.floor(exact(gamma, "gamma") * len(sample))
         inst = SeparationInstance(sample[dropped:], window=window, g=g)
         row = {"n": n, "kept_words": len(inst.words),
@@ -394,7 +387,7 @@ def cover_cost(tree: CylinderTree, s: float, n_min: int,
         raise UsageError(f"N must be >= 1, got {n_min}")
     depth_cap = tree.depth if max_depth is None else min(max_depth, tree.depth)
     if n_min > depth_cap:
-        raise DepthTooShallow(f"N={n_min} exceeds usable depth {depth_cap}")
+        raise UsageError(f"N={n_min} exceeds usable depth {depth_cap}")
     decay = math.exp(-s)
     below: dict = {}
     for d in range(depth_cap, -1, -1):
@@ -453,8 +446,10 @@ def box_dimension_estimate(tree: CylinderTree, beta, depth_list) -> dict:
     log_b = beta.log
     rows = []
     for d in depth_list:
+        if d < 1:
+            raise UsageError(f"depth {d} must be >= 1")
         if d > tree.depth:
-            raise DepthTooShallow(f"depth {d} exceeds tree depth {tree.depth}")
+            raise UsageError(f"depth {d} exceeds tree depth {tree.depth}")
         est = _crossing(
             lambda a: cover_cost(tree, a * log_b, 1, max_depth=d),
             0.0, 2.0)
@@ -466,7 +461,7 @@ def cylinder_diameter_bounds(beta, word) -> tuple[float, float]:
     """[beta^-(n+z_n), beta^-n] in the d_beta metric; exact at w(beta) prefixes."""
     sw = SymbolWord(word, beta.digit_bound)
     if not is_admissible(sw, beta):
-        raise NotAdmissibleInput(f"{sw} is not admissible")
+        raise UsageError(f"{sw} is not admissible")
     n = len(sw)
     zn = z_values(beta, n).z[n - 1]
     b = beta.value
@@ -480,6 +475,8 @@ def cylinder_diameter_bounds(beta, word) -> tuple[float, float]:
 def dimension_bounds(h: float, beta, z_ratio: float,
                      bounded_z_certificate: bool = False) -> dict:
     """Entropy-to-dimension sandwich in the d_beta metric."""
+    if not (math.isfinite(h) and math.isfinite(z_ratio)):
+        raise UsageError("entropy and z ratio must be finite")
     if h < 0 or z_ratio < 0:
         raise UsageError("entropy and z ratio must be nonnegative")
     log_b = beta.log

@@ -1,7 +1,14 @@
 """Exception hierarchy shared by all betalab modules.
 
-Every error belongs to one of two families, the CLI exit codes: input/usage
-problems (exit 2) and resource limits hit at runtime (exit 3).
+Five classes, one per CLI exit code and the two resource limits that
+reports tell apart:
+
+- ``BetalabError``: the base of all betalab errors.
+- ``UsageError`` (exit 2): bad input, or inputs for which the requested
+  object does not exist; the message names the check that failed.
+- ``ResourceError`` (exit 3): a resource ran out at runtime, either
+  ``BudgetExceeded`` (a search or size budget) or
+  ``UndecidableAtPrecision`` (the precision cap).
 """
 
 
@@ -17,61 +24,9 @@ class ResourceError(BetalabError):
     """A configured precision or search budget was exhausted."""
 
 
-class InvalidBeta(UsageError):
-    pass
+class BudgetExceeded(ResourceError):
+    """A search or size budget was exhausted."""
 
 
 class UndecidableAtPrecision(ResourceError):
-    pass
-
-
-class NotSelfAdmissible(UsageError):
-    pass
-
-
-class DegenerateRoot(UsageError):
-    pass
-
-
-class AlphabetMismatch(UsageError):
-    pass
-
-
-class NotAdmissibleInput(UsageError):
-    pass
-
-
-class LengthMismatch(UsageError):
-    pass
-
-
-class BudgetExceeded(ResourceError):
-    pass
-
-
-class InsufficientSample(UsageError):
-    pass
-
-
-class DepthTooShallow(UsageError):
-    pass
-
-
-class GrowthViolation(UsageError):
-    pass
-
-
-class EmptyPool(UsageError):
-    pass
-
-
-class NoSingleEditFound(UsageError):
-    pass
-
-
-class NotFound(UsageError):
-    pass
-
-
-class OscillationNotObserved(UsageError):
-    pass
+    """A comparison stayed undecided at the precision cap."""

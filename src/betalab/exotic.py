@@ -19,12 +19,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import automata
-from .errors import (
-    AlphabetMismatch,
-    BudgetExceeded,
-    NoSingleEditFound,
-    UsageError,
-)
+from .errors import BudgetExceeded, UsageError
 
 FORBIDDEN_LIST_BUDGET = 10 ** 5
 
@@ -75,9 +70,9 @@ class FactorAutomaton:
         """All forbidden occurrences as (start, end, pattern) intervals, by
         end and then in pattern order, from one scan; the periodic-point
         check and the single-edit repair read it.  A digit outside {0, 1}
-        raises AlphabetMismatch."""
+        raises UsageError."""
         if not {0, 1}.issuperset(word):
-            raise AlphabetMismatch("word uses digits outside {0, 1}")
+            raise UsageError("word uses digits outside {0, 1}")
         delta, ends, patterns = self.delta, self.ends, self.patterns
         out = []
         s = 0
@@ -172,7 +167,7 @@ def single_edit_repair(word, shift: NestedShift, level: int) -> dict:
             working += 1
             first_fix = first_fix or (pos, cand)
     if first_fix is None:
-        raise NoSingleEditFound(f"no single edit repairs {word}")
+        raise UsageError(f"no single edit repairs {word}")
     pos, cand = first_fix
     return {"edit": (pos, cand[pos]), "repaired": cand,
             "working_positions": working,

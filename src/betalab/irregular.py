@@ -24,14 +24,7 @@ from operator import mul, ne
 from typing import Sequence
 
 from .automata import edges, iter_words
-from .errors import (
-    BudgetExceeded,
-    EmptyPool,
-    GrowthViolation,
-    NotAdmissibleInput,
-    OscillationNotObserved,
-    UsageError,
-)
+from .errors import BudgetExceeded, UsageError
 from .observables import Observable, exact
 from .parry import Automaton, is_admissible, zero_last_nonzero
 from .words import as_word
@@ -67,15 +60,15 @@ def validate_schedule(block_lengths: Sequence[int],
     if any(v < 1 for v in n) or any(v < 1 for v in N):
         raise UsageError("block lengths and multiplicities must be >= 1")
     if any(a >= b for a, b in zip(n, n[1:])):
-        raise GrowthViolation("block lengths must strictly increase")
+        raise UsageError("block lengths must strictly increase")
     if any(v <= 0 for v in d) or any(a <= b for a, b in zip(d, d[1:])):
-        raise GrowthViolation("tolerances must be positive and strictly decreasing")
+        raise UsageError("tolerances must be positive and strictly decreasing")
     times = tuple(accumulate(map(mul, n, N)))
     certs = tuple(max(Fraction(n[k + 1], N[k]), Fraction(times[k], N[k + 1]))
                   for k in range(len(n) - 1))
     for k, (a, b) in enumerate(zip(certs, certs[1:]), start=2):
         if b >= a:
-            raise GrowthViolation(
+            raise UsageError(
                 f"growth certificate fails to decrease at level {k}: "
                 f"{float(b):.4g} >= {float(a):.4g}")
     return IrregularSchedule(n, N, d, times, certs)
@@ -172,8 +165,8 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
         level_set = _LevelSet(Automaton(beta), phi, alpha, delta_k, n_k)
         kept = thin_separated(iter_words(level_set, n_k), pool_cap)
         if not kept:
-            raise EmptyPool(f"no admissible length-{n_k} word within "
-                            f"{float(delta_k)} of {float(alpha)} at level {k}")
+            raise UsageError(f"no admissible length-{n_k} word within "
+                             f"{float(delta_k)} of {float(alpha)} at level {k}")
         avgs = [phi.average_on_word(w) for w in kept]
         pools.append(WordPool(level=k, target=alpha, words=tuple(kept),
                               achieved=(min(avgs), max(avgs))))
@@ -223,7 +216,7 @@ def glue_blocks(beta, schedule: IrregularSchedule,
                 raise UsageError(f"level {k} word has length {len(word)}, "
                                  f"expected {n_k}")
             if not is_admissible(word, beta):
-                raise NotAdmissibleInput(f"selection at level {k} slot {slot}")
+                raise UsageError(f"selection at level {k} slot {slot}")
             pos = None
             if repair and len(ledger) + 1 < total_blocks:
                 word, pos = zero_last_nonzero(word)
@@ -253,7 +246,7 @@ def construct_irregular_point(beta, phi: Observable,
     """Glue randomly selected pool words and certify the running averages
     in Q; the rows report them as floats.
 
-    Raises OscillationNotObserved when a residual exceeds its ledger bound
+    Raises UsageError when a residual exceeds its ledger bound
     or (for distinct targets) consecutive averages fail to separate.
     """
     if len(pools) != schedule.levels:
@@ -279,10 +272,9 @@ def construct_irregular_point(beta, phi: Observable,
     oscillates = gap > 0 and bool(diffs) and all(d > gap / 2 for d in diffs)
     bad = [r for r in rows if not r["within_bound"]]
     if bad:
-        raise OscillationNotObserved(
-            f"residual exceeds bound at level {bad[0]['level']}")
+        raise UsageError(f"residual exceeds bound at level {bad[0]['level']}")
     if gap > 0 and not oscillates:
-        raise OscillationNotObserved("consecutive averages fail to separate")
+        raise UsageError("consecutive averages fail to separate")
     return {"rows": rows, "oscillates": oscillates, "edits": point.edits,
             "point": point}
 

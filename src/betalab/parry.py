@@ -21,13 +21,7 @@ from typing import Optional
 
 from . import automata
 from .beta_core import BetaNumber, simple_beta_approx
-from .errors import (
-    AlphabetMismatch,
-    BudgetExceeded,
-    NotAdmissibleInput,
-    NotFound,
-    UsageError,
-)
+from .errors import BudgetExceeded, UsageError
 from .observables import Observable
 from .words import SymbolWord
 
@@ -75,14 +69,14 @@ def is_admissible(word, beta: BetaNumber) -> bool:
     """Parry's criterion, decided by one read of the labelled graph; word is
     a SymbolWord or any int sequence, read without a copy.
 
-    Raises AlphabetMismatch for any digit outside {0..b}, wherever it sits.
+    Raises UsageError for any digit outside {0..b}, wherever it sits.
     Such a digit has no edge, so the alphabet is checked only when the read
     fails.
     """
     if automata.read(Automaton(beta), word) is not None:
         return True
     if min(word) < 0 or max(word) > beta.digit_bound:
-        raise AlphabetMismatch(
+        raise UsageError(
             f"word uses digits outside {{0..{beta.digit_bound}}}")
     return False
 
@@ -161,7 +155,7 @@ def zero_last_nonzero(word: bytes):
 def repair_word(word: SymbolWord, beta: BetaNumber) -> SymbolWord:
     """The one-symbol repair (`zero_last_nonzero`) of an admissible word."""
     if not is_admissible(word, beta):
-        raise NotAdmissibleInput(f"word {word} is not admissible")
+        raise UsageError(f"word {word} is not admissible")
     return SymbolWord(zero_last_nonzero(word.digits)[0], word.alphabet_bound)
 
 
@@ -219,6 +213,8 @@ def periodic_witnesses(beta: BetaNumber, observable: Observable,
                        max_period: int):
     """The first admissible periodic words, by period then lexicographically,
     whose exact per-period averages realize the extreme gap up to max_period."""
+    if max_period < 1:
+        raise UsageError("max_period must be >= 1")
     found = [(observable.periodic_average(word), word)
              for p in range(max(1, observable.range_r), max_period + 1)
              for word in enumerate_admissible(beta, p)
@@ -226,7 +222,7 @@ def periodic_witnesses(beta: BetaNumber, observable: Observable,
     (val_lo, lo), (val_hi, hi) = (f(found, key=lambda x: x[0], default=(0, 0))
                                   for f in (min, max))
     if val_hi == val_lo:  # also when nothing was found: both default to 0
-        raise NotFound(
+        raise UsageError(
             "all periodic averages coincide up to the searched period")
     return (SymbolWord(lo, beta.digit_bound), val_lo,
             SymbolWord(hi, beta.digit_bound), val_hi)

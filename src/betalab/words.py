@@ -13,17 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import AlphabetMismatch, UsageError
+from .errors import UsageError
 
 
 def as_word(digits) -> bytes:
     """Any int sequence or SymbolWord as a bytes word (bytes as they are);
-    AlphabetMismatch for a digit outside 0..255."""
+    UsageError for a digit outside 0..255."""
     try:
         return bytes(digits)
     except (TypeError, ValueError) as exc:
-        raise AlphabetMismatch(f"word digits must lie in 0..255: {exc}") \
-            from exc
+        raise UsageError(f"word digits must lie in 0..255: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,8 @@ class SymbolWord:
                              "not fit in a byte")
         digits = as_word(self.digits)
         if digits and max(digits) > self.alphabet_bound:
-            raise AlphabetMismatch(f"digit {max(digits)} outside alphabet "
-                                   f"{{0..{self.alphabet_bound}}}")
+            raise UsageError(f"digit {max(digits)} outside alphabet "
+                             f"{{0..{self.alphabet_bound}}}")
         object.__setattr__(self, "digits", digits)
 
     def __bytes__(self) -> bytes:

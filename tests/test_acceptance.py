@@ -15,7 +15,7 @@ from itertools import combinations, product
 import pytest
 
 from betalab.beta_core import greedy_expansion, simple_beta_approx
-from betalab.errors import DegenerateRoot
+from betalab.errors import UsageError
 from betalab.entropy import (
     CylinderTree,
     MistakeFunction,
@@ -107,8 +107,9 @@ def test_criterion_4_markov_approximation(battery, beta_golden):
         for n in [i for i in nonzero if i <= 12] + [30]:
             try:
                 bn = simple_beta_approx(beta, n)
-            except DegenerateRoot:
-                continue  # truncation (1) encodes no base > 1
+            except UsageError as exc:  # truncation (1): no base > 1
+                assert "truncation (1)" in str(exc)
+                continue
             assert bn.value <= beta.value + 1e-12
             values.append((n, bn.value))
         for (n1, v1), (n2, v2) in zip(values, values[1:]):

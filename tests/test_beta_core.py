@@ -20,13 +20,7 @@ from betalab.beta_core import (
     greedy_expansion,
     simple_beta_approx,
 )
-from betalab.errors import (
-    DegenerateRoot,
-    InvalidBeta,
-    NotSelfAdmissible,
-    UndecidableAtPrecision,
-    UsageError,
-)
+from betalab.errors import UndecidableAtPrecision, UsageError
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -81,14 +75,14 @@ def oracle_greedy_fraction(x, beta, n):
 
 
 def test_rejects_beta_at_most_one():
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(UsageError, match="beta must exceed 1, got 1$"):
         BetaNumber.from_decimal("1")
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(UsageError, match="beta must exceed 1, got 1/2"):
         BetaNumber.from_decimal("0.5")
 
 
 def test_rejects_garbage_literal():
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(UsageError, match="cannot parse beta literal 'abc'"):
         BetaNumber.from_decimal("abc")
 
 
@@ -161,13 +155,23 @@ def test_greedy_expansion_domain(beta_golden):
         greedy_expansion(Fraction(3, 2), beta_golden, 8)
 
 
+def test_greedy_expansion_of_zero_is_all_zeros(bench_bases):
+    """The zero state is a constant vector, whose interval Horner enclosure
+    is one point: every floor is 0, decided without refining beta."""
+    for beta in bench_bases.values():
+        beta = copy.deepcopy(beta)
+        enclosure = (beta._ctx.lo, beta._ctx.hi)
+        assert greedy_expansion(0, beta, 64).digits == bytes(64)
+        assert (beta._ctx.lo, beta._ctx.hi) == enclosure
+
+
 def test_beta_from_expansion_round_trip(beta_golden):
     again = beta_from_expansion((), (1, 0))
     assert abs(again.value - PHI) < 1e-12
 
 
 def test_beta_from_expansion_rejects_non_self_admissible():
-    with pytest.raises(NotSelfAdmissible):
+    with pytest.raises(UsageError, match=r"fails sigma\^k\(w\) <= w"):
         beta_from_expansion((1, 0, 1, 1), ())
 
 
@@ -305,7 +309,7 @@ def test_simple_beta_approx_trailing_zeros(beta_golden):
 
 
 def test_simple_beta_approx_degenerate(beta_two):
-    with pytest.raises(DegenerateRoot):
+    with pytest.raises(UsageError, match=r"truncation \(1\) gives beta\(n\)"):
         simple_beta_approx(beta_two, 1)
 
 

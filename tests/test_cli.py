@@ -1,34 +1,53 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
+import pkgutil
 import shlex
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import betalab
 from betalab import errors
 from betalab.cli import build_parser, main
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of main; a JSON report or error line
+    holding NaN or Infinity fails the calling test."""
     code = main(list(argv))
     out = capsys.readouterr()
+    for text in (out.out, out.err):
+        if text.startswith("{"):
+            strict_json(text)
     return code, out.out, out.err
 
 
 def run_json(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv)
-    return code, json.loads(out)
+    return code, strict_json(out)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _readme_cli_commands():
     """argv of each betalab line in the README's sh block under "## CLI",
     with backslash continuations joined; the --help line is left out."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
     lines = block.split("\n```", 1)[0].replace("\\\n", " ").splitlines()
     commands = [shlex.split(line, comments=True) for line in lines]
     return [argv[1:] for argv in commands
@@ -49,6 +68,20 @@ def test_readme_cli_example_exits_0(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["subcommand"] == argv[0]
+
+
+def test_readme_python_example():
+    """The README's quick example runs, and the result in the comment of
+    each expression line is the value of that expression."""
+    block = README.read_text().split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace, results = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            results.append((repr(eval(code, namespace)), comment.split()[0]))
+        except SyntaxError:  # an import or an assignment
+            exec(code, namespace)
+    assert results == [("144", "144"), ("False", "False")]
 
 
 def test_count_full_shift(capsys):
@@ -171,6 +204,19 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["pools", "--beta", "1e400", "--phi", "freq:1", "--alpha", "0.5,0"],
     # the empty word once failed on "n_max", a parameter nobody set
     ["diam", "--beta", "2", "--word="],
+    # a non-finite entropy or z ratio once gave NaN or Infinity in the report
+    ["dims", "--beta", "2", "--entropy", "nan"],
+    ["dims", "--beta", "2", "--entropy", "inf"],
+    ["dims", "--beta", "2", "--entropy", "0.5", "--zratio", "nan"],
+    ["dims", "--beta", "2", "--entropy", "0.5", "--zratio", "inf"],
+    # a depth or period below 1 once failed on N or on the periodic averages
+    ["bowen", "--beta", "2", "--depth", "0"],
+    ["bowen", "--beta", "2", "--depth", "-3"],
+    ["boxdim", "--beta", "2", "--depth", "0"],
+    ["boxdim", "--beta", "2", "--depths", "0"],
+    ["boxdim", "--beta-poly", "1,-1,-1", "--markov-n", "3", "--depth", "0"],
+    ["witnesses", "--beta", "2", "--phi", "freq:1", "--max-period", "0"],
+    ["witnesses", "--beta", "2", "--phi", "freq:1", "--max-period", "-1"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -182,9 +228,17 @@ def test_malformed_number_exits_2(capsys, tmp_path, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert json.loads(err)["error"] == "usage"
+    error = strict_json(err)
+    assert error["error"] == "usage"
+    message = error["message"]
     if argv[0] == "diam":
-        assert "--word" in json.loads(err)["message"]
+        assert "--word" in message
+    if argv[0] == "dims":
+        assert "finite" in message
+    for flag, name in (("--depth", "depth"), ("--depths", "depth"),
+                       ("--max-period", "max_period")):
+        if flag in argv and int(argv[argv.index(flag) + 1]) < 1:
+            assert name in message and not message.startswith("N=")
 
 
 # cheap base argv per subcommand (a key may carry a switch), and its integer
@@ -416,14 +470,24 @@ def test_witnesses_has_no_degenerate_flag(capsys):
 
 def test_every_error_has_an_exit_code():
     """main maps UsageError to exit 2 and ResourceError to exit 3; every
-    other BetalabError would escape it as a traceback."""
-    classes = [c for c in vars(errors).values() if isinstance(c, type)
-               and issubclass(c, errors.BetalabError)]
-    assert len(classes) > 10
-    for cls in classes:
-        if cls not in (errors.BetalabError, errors.UsageError,
-                       errors.ResourceError):
-            assert issubclass(cls, (errors.UsageError, errors.ResourceError))
+    other BetalabError would escape it as a traceback.  The errors module
+    holds those two, their base and the two resource limits that reports
+    tell apart, and no other betalab module defines an exception."""
+    classes = {name: c for name, c in vars(errors).items()
+               if isinstance(c, type)}
+    assert sorted(classes) == ["BetalabError", "BudgetExceeded",
+                               "ResourceError", "UndecidableAtPrecision",
+                               "UsageError"]
+    assert issubclass(errors.UsageError, errors.BetalabError)
+    assert issubclass(errors.ResourceError, errors.BetalabError)
+    assert issubclass(errors.BudgetExceeded, errors.ResourceError)
+    assert issubclass(errors.UndecidableAtPrecision, errors.ResourceError)
+    for info in pkgutil.iter_modules(betalab.__path__):
+        module = importlib.import_module(f"betalab.{info.name}")
+        if module is not errors:
+            assert not [c for c in vars(module).values()
+                        if isinstance(c, type) and issubclass(c, BaseException)
+                        and c.__module__ == module.__name__]
 
 
 def test_csv_emit(capsys):

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from betalab.automata import read
-from betalab.errors import AlphabetMismatch, NoSingleEditFound, UsageError
+from betalab.errors import UsageError
 from betalab.exotic import (
     FactorAutomaton,
     build_nested,
@@ -65,12 +65,12 @@ def test_one_pass_queries_match_naive_scan(patterns):
 def test_occurrences_reject_digits_outside_the_alphabet(word):
     # a complete table over {0, 1} has no column for 2 and would read -1
     # as its 1-column
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(UsageError, match=r"digits outside \{0, 1\}"):
         build_nested((4, 6)).automata[1].occurrences(word)
 
 
 def test_single_edit_repair_rejects_digits_outside_the_alphabet():
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(UsageError, match=r"digits outside \{0, 1\}"):
         single_edit_repair((2,) * 7, build_nested((4, 6)), 1)
 
 

@@ -8,14 +8,7 @@ import pytest
 
 from betalab import automata
 from betalab.beta_core import BetaNumber
-from betalab.errors import (
-    BudgetExceeded,
-    EmptyPool,
-    GrowthViolation,
-    NotAdmissibleInput,
-    OscillationNotObserved,
-    UsageError,
-)
+from betalab.errors import BudgetExceeded, UsageError
 from betalab.irregular import (
     GluedPoint,
     _LevelSet,
@@ -60,14 +53,14 @@ def test_schedule_single_level_trivially_valid():
 
 
 def test_schedule_rejects_constant_multiplicities():
-    with pytest.raises(GrowthViolation, match="at level 2"):
+    with pytest.raises(UsageError, match="fails to decrease at level 2"):
         validate_schedule((20, 30, 40), (1, 1, 1), (0.1, 0.05, 0.02))
 
 
 def test_schedule_rejects_non_monotone_inputs():
-    with pytest.raises(GrowthViolation):
+    with pytest.raises(UsageError, match="lengths must strictly increase"):
         validate_schedule((20, 20), (4, 8), (0.1, 0.05))
-    with pytest.raises(GrowthViolation):
+    with pytest.raises(UsageError, match="tolerances must be positive"):
         validate_schedule((20, 30), (4, 8), (0.05, 0.1))
     with pytest.raises(UsageError, match="multiplicities must be >= 1"):
         validate_schedule((20, 30), (4, 0), (0.1, 0.05))
@@ -98,7 +91,7 @@ def test_pools_pairwise_separated(beta_golden):
 
 def test_pools_unreachable_target(beta_golden):
     sch = validate_schedule((24,), (2,), (0.1,))
-    with pytest.raises(EmptyPool, match="of 0.9 at level 1"):
+    with pytest.raises(UsageError, match="word within 0.1 of 0.9 at level 1"):
         build_word_pools(beta_golden, digit_frequency(1, 1), (0.9, 0.0), sch)
     with pytest.raises(UsageError, match="exactly two targets"):
         build_word_pools(beta_golden, digit_frequency(1, 1), (0.5, 0.0, 0.5),
@@ -178,7 +171,7 @@ def test_level_set_equals_enumerate_then_filter(bench_bases, name, spec):
                 pool = build_word_pools(beta, phi, (alpha, 0), sch)[0]
                 assert list(pool.words) == oracle_thin(accepted)
             else:
-                with pytest.raises(EmptyPool):
+                with pytest.raises(UsageError, match="no admissible length-"):
                     build_word_pools(beta, phi, (alpha, 0), sch)
 
 
@@ -204,7 +197,7 @@ def test_empty_level_set_raises_fast(beta_golden):
         level_set = _LevelSet(Automaton(beta_golden), phi, Fraction(alpha),
                               Fraction(1, 200), 40)
         assert list(automata.iter_words(level_set, 40)) == []
-        with pytest.raises(EmptyPool, match=f"of {alpha} at level 1"):
+        with pytest.raises(UsageError, match=f"of {alpha} at level 1"):
             build_word_pools(beta_golden, phi, (alpha, 0.0),
                              validate_schedule((40,), (1,), (0.005,)))
     assert time.monotonic() - start < 1.0
@@ -333,7 +326,7 @@ def test_glued_points_pass_the_lex_oracle(bench_bases, name):
 
 def test_glue_rejects_inadmissible_selection(beta_golden):
     sch = validate_schedule((4,), (1,), (0.5,))
-    with pytest.raises(NotAdmissibleInput):
+    with pytest.raises(UsageError, match="selection at level 1 slot 0"):
         glue_blocks(beta_golden, sch, [[(1, 1, 0, 0)]])
 
 
@@ -378,7 +371,7 @@ def test_construct_raises_when_a_residual_exceeds_its_bound(beta_two):
     sch = validate_schedule((6, 8), (3, 20), (0.05, 0.02))
     phi = digit_frequency(1, 1)
     pools = build_word_pools(beta_two, phi, (0.0, 1.0), sch)
-    with pytest.raises(OscillationNotObserved, match="at level 1"):
+    with pytest.raises(UsageError, match="exceeds bound at level 1"):
         construct_irregular_point(beta_two, phi, (1.0, 0.0), sch, pools)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from betalab.errors import AlphabetMismatch, UsageError
+from betalab.errors import UsageError
 from betalab.words import (
     SymbolWord,
     as_word,
@@ -40,7 +40,7 @@ def test_words_wider_than_a_byte_are_usage_errors():
             SymbolWord(digits, bound)
     assert SymbolWord((255,), 255).digits == b"\xff"
     for bad in ((256,), (1, -1), [0, 300]):
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(UsageError, match=r"must lie in 0\.\.255"):
             as_word(bad)
     word = b"\x00\x01"
     assert as_word(word) is word
