@@ -149,10 +149,6 @@ def iter_words(pres: Presentation, n: int) -> Iterator[bytes]:
     return chain.from_iterable(_runs(edges_of, pres.initial, n - m, m))
 
 
-def enumerate_words(pres: Presentation, n: int,
-                    budget: Optional[int] = None) -> list[bytes]:
-    """All words of length n in lexicographic order, as a list; raises
-    BudgetExceeded, before enumerating, when there are more than budget."""
-    if budget is not None and count(pres, n) > budget:
-        raise BudgetExceeded(f"more than {budget} words")
+def enumerate_words(pres: Presentation, n: int) -> list[bytes]:
+    """All words of length n in lexicographic order, as a list."""
     return list(iter_words(pres, n))

@@ -39,7 +39,7 @@ from .entropy import (
     min_spanning,
     uniform_admissible_sampler,
 )
-from .errors import ResourceError, UsageError
+from .errors import BudgetExceeded, ResourceError, UsageError
 from .exotic import (
     build_nested,
     nested_entropy_report,
@@ -217,12 +217,22 @@ def cmd_graph(args):
             "back_edge_counts": labels}, []
 
 
+def _decimal(count: int) -> int:
+    """count, or BudgetExceeded past Python's int-to-decimal digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and count >= 10 ** limit:
+        raise BudgetExceeded(f"count has more than {limit} decimal digits")
+    return count
+
+
 def cmd_count(args):
     beta = _beta_from_args(args)
     if not args.profile:
-        return {"n": args.n, "count": count_admissible(beta, args.n)}, []
+        return {"n": args.n,
+                "count": _decimal(count_admissible(beta, args.n))}, []
     rows = [{"n": n, "count": c, "rate": r}
             for n, c, r in count_profile(beta, args.n)]
+    _decimal(rows[-1]["count"])  # counts never decrease with n
     rates = [r["rate"] for r in rows]
     ok = all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
     return {"rows": rows, "log_beta": beta.log}, [("rate-non-increasing", ok)]

@@ -3,12 +3,13 @@
 The language of a beta-shift is read in the labelled graph whose vertex i
 carries one forward edge labelled w_i(beta) plus back-edges to vertex 1
 labelled 0 .. w_i(beta)-1 (Parry 1960).  `Automaton` presents that graph
-to the generic reader, counter and enumerator of `betalab.automata`; the
-tests keep Parry's lexicographic shift criterion on w(beta) as an
-independent oracle for it on every base in the battery.  The n-step Markov
-approximation is the `Automaton` of the simple base beta(n).  This module
-is also the one home of the distances z_n to the next nonzero digit of
-w(beta) and of the one-symbol repair that glues admissible words.
+to the generic reader and enumerator of `betalab.automata`; the tests keep
+Parry's lexicographic shift criterion on w(beta) as an independent oracle
+for it on every base in the battery.  Words are counted by Parry's renewal
+on w(beta), with the generic count DP as the tests' oracle.  The n-step
+Markov approximation is the `Automaton` of the simple base beta(n).  This
+module is also the one home of the distances z_n to the next nonzero digit
+of w(beta) and of the one-symbol repair that glues admissible words.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
+from operator import mul
 from typing import Optional
 
 from . import automata
@@ -81,19 +83,37 @@ def is_admissible(word, beta: BetaNumber) -> bool:
     return False
 
 
+def _word_counts(beta: BetaNumber, n_max: int) -> list[int]:
+    """#L_1 .. #L_n_max by Parry's renewal #L_n = 1 + sum_{i<=n} w_i #L_{n-i}.
+    For w(beta) = pre per^inf (or its first n_max digits, then 0^inf) this is
+    N/D, N = 1 + .. + z^(q-1), D = (1 - z^q)(1 - P) - z^p Q with P, Q the
+    digit polynomials of pre and per (Flatto, Lagarias & Poonen 1994), so
+    c_n = [n < q] - sum_j D_j c_{n-j} over D's nonzero terms."""
+    digits = beta.digits(n_max)
+    pre, per = beta.periodic_form() or (digits, (0,))
+    q = len(per)
+    s = (0,) * q + (-1, *pre, *per)  # P - 1 + z^p Q, shifted right by q
+    neg_d = [a - b for a, b in zip(s[q + 1:], s[1:])]  # -D_1 .. -D_(p+q)
+    coef = [x for x in neg_d if x]
+    c = [1]
+    for n in range(1, n_max + 1):
+        c.append((n < q) + sum(map(mul, coef, compress(reversed(c), neg_d))))
+    return c[1:]
+
+
 def count_admissible(beta: BetaNumber, n: int) -> int:
-    """Exact number of admissible words of length n (big-integer DP)."""
+    """Exact number of admissible words of length n."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    return automata.count(Automaton(beta), n)
+    return _word_counts(beta, n)[-1]
 
 
 def count_profile(beta: BetaNumber, n_max: int):
     """(n, count, log(count)/n) rows for n = 1..n_max."""
     if n_max < 1:
         raise UsageError("n must be >= 1")
-    return [(n, c, math.log(c) / n) for n, c in
-            enumerate(automata.path_counts(Automaton(beta), n_max), start=1)]
+    return [(n, c, math.log(c) / n)
+            for n, c in enumerate(_word_counts(beta, n_max), start=1)]
 
 
 @dataclass
@@ -190,8 +210,10 @@ def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
 
 def enumerate_admissible(beta: BetaNumber, n: int):
     """All admissible words of length n via graph DFS, lexicographic order;
-    BudgetExceeded past 10^6 words."""
-    return automata.enumerate_words(Automaton(beta), n, 10 ** 6)
+    BudgetExceeded, before enumerating, past 10^6 words."""
+    if n > 0 and _word_counts(beta, n)[-1] > 10 ** 6:
+        raise BudgetExceeded("more than 1000000 words")
+    return automata.enumerate_words(Automaton(beta), n)
 
 
 def periodic_stream_admissible(beta: BetaNumber, period_digits) -> bool:
@@ -213,10 +235,11 @@ def periodic_witnesses(beta: BetaNumber, observable: Observable,
                        max_period: int):
     """The first admissible periodic words, by period then lexicographically,
     whose exact per-period averages realize the extreme gap up to max_period."""
-    if max_period < 1:
-        raise UsageError("max_period must be >= 1")
+    r = observable.range_r  # at least 1
+    if max_period < r:
+        raise UsageError(f"max_period must be >= {r}, the observable's range")
     found = [(observable.periodic_average(word), word)
-             for p in range(max(1, observable.range_r), max_period + 1)
+             for p in range(r, max_period + 1)
              for word in enumerate_admissible(beta, p)
              if periodic_stream_admissible(beta, word)]
     (val_lo, lo), (val_hi, hi) = (f(found, key=lambda x: x[0], default=(0, 0))

@@ -15,7 +15,8 @@ from betalab.errors import BudgetExceeded, UsageError
 from betalab.exotic import build_nested
 from betalab.irregular import _LevelSet
 from betalab.observables import digit_frequency
-from betalab.parry import Automaton, is_admissible, markov_approx
+from betalab.parry import (Automaton, enumerate_admissible, is_admissible,
+                           markov_approx)
 
 PRESENTATIONS = {
     "beta-golden": lambda b: Automaton(b["golden"]),
@@ -112,13 +113,6 @@ def test_words_wider_than_a_byte_are_refused():
     assert read(pres, (256, 300)) is None and read(pres, (256, 0)) == 0
 
 
-def test_enumeration_budget(beta_golden):
-    auto = Automaton(beta_golden)
-    assert len(enumerate_words(auto, 5, budget=13)) == 13
-    with pytest.raises(BudgetExceeded):
-        enumerate_words(auto, 5, budget=12)
-
-
 def _traced(fn):
     """fn's result, with the peak and the still-allocated bytes that
     tracemalloc saw above what was allocated before the call."""
@@ -133,11 +127,11 @@ def _traced(fn):
 
 
 def test_budget_is_checked_before_enumerating(bench_bases):
-    """2^40 words exceed a budget of 10^6: the count says so before any
-    word is built."""
+    """2^40 words exceed enumerate_admissible's budget of 10^6: the count
+    says so before any word is built."""
     def over_budget():
         with pytest.raises(BudgetExceeded):
-            enumerate_words(Automaton(bench_bases["two"]), 40, budget=10 ** 6)
+            enumerate_admissible(bench_bases["two"], 40)
     _, peak, _ = _traced(over_budget)
     assert peak < 256 * 1024, peak
 

@@ -6,6 +6,7 @@ import json
 import math
 import pkgutil
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,8 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["boxdim", "--beta-poly", "1,-1,-1", "--markov-n", "3", "--depth", "0"],
     ["witnesses", "--beta", "2", "--phi", "freq:1", "--max-period", "0"],
     ["witnesses", "--beta", "2", "--phi", "freq:1", "--max-period", "-1"],
+    # a period below the observable's range once searched nothing
+    ["witnesses", "--beta", "2", "--phi", "block:101", "--max-period", "2"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -239,6 +242,8 @@ def test_malformed_number_exits_2(capsys, tmp_path, argv):
                        ("--max-period", "max_period")):
         if flag in argv and int(argv[argv.index(flag) + 1]) < 1:
             assert name in message and not message.startswith("N=")
+    if "block:101" in argv:
+        assert message == "max_period must be >= 3, the observable's range"
 
 
 # cheap base argv per subcommand (a key may carry a switch), and its integer
@@ -425,18 +430,44 @@ def test_graph_reaches_long_zero_runs_near_one(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["count", "--beta", "1e400", "--n", "3"],
     ["katok", "--beta", "1e400", "--n-list", "4"],
     ["bowen", "--beta", "1e400", "--depth", "3"],
     ["witnesses", "--beta", "255", "--phi", "block:1010"],
 ])
 def test_alphabet_past_the_edge_scan_exits_3(capsys, argv):
-    """Counting and enumeration scan each state's edge labels one by one;
-    past 10^6 labels that is a resource error, where it once never ended.
-    A block table past 2^16 entries is one too: 256^4 ran out of memory."""
+    """Enumeration and the cylinder DAG scan each state's edge labels one by
+    one; past 10^6 labels, or past 10^6 words to enumerate, that is a
+    resource error, where it once never ended.  A block table past 2^16
+    entries is one too: 256^4 ran out of memory."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "resource"
+
+
+def test_count_of_a_large_alphabet_is_exact(capsys):
+    """Counting follows Parry's renewal and scans no labels: the integer
+    base 10^400 has w = (10^400 - 1)^inf and 10^1200 words of length 3,
+    and 999999.5 (once 6 s) lies within Renyi's bounds
+    beta^n <= #L_n <= beta^(n+1)/(beta - 1), in exact rationals."""
+    code, rep = run_json(capsys, "count", "--beta", "1e400", "--n", "3")
+    assert code == 0 and rep["payload"]["count"] == 10 ** 1200
+    code, rep = run_json(capsys, "count", "--beta", "999999.5", "--n", "16")
+    beta, count = Fraction(1999999, 2), rep["payload"]["count"]
+    assert code == 0
+    assert beta ** 16 <= count <= beta ** 17 / (beta - 1)
+
+
+def test_count_past_the_decimal_digit_limit_exits_3(capsys):
+    """10^4400 has more decimal digits than Python writes by default
+    (4,300): a resource error before any output, where the report once
+    stopped halfway with a ValueError traceback; 2^14284 has 4,300."""
+    code, out, err = run_cli(capsys, "count", "--beta", "1e400", "--n", "11")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "resource",
+        "message": "count has more than 4300 decimal digits"}
+    code, out, _ = run_cli(capsys, "count", "--beta", "2", "--n", "14284")
+    assert code == 0 and len(out) > 4300
 
 
 def test_malformed_beta_exits_2(capsys):

@@ -1,16 +1,18 @@
 import math
+import random
 import re
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from betalab.automata import count, enumerate_words, read
+from betalab.automata import count, enumerate_words, path_counts, read
 from betalab.beta_core import BetaNumber, _check_self_admissible_ep
-from betalab.errors import UsageError
+from betalab.errors import BudgetExceeded, UsageError
 from betalab.observables import constant, digit_frequency
 from betalab.parry import (
     Automaton,
+    _word_counts,
     count_admissible,
     count_profile,
     enumerate_admissible,
@@ -102,6 +104,78 @@ def test_count_profile_rates_non_increasing(battery):
         rates = [r for _, _, r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
         assert abs(rates[-1] - beta.log) < 0.05
+
+
+@pytest.fixture(scope="module")
+def renewal_bases(bench_bases):
+    """The bench bases, 21(01) and 1 + sqrt(3) with w = (21)^inf, and
+    seeded random self-admissible eventually periodic bases that have a
+    preperiod."""
+    bases = {**bench_bases,
+             "21(01)": BetaNumber.from_digit_string("21(01)"),
+             "1+sqrt3": BetaNumber.from_polynomial([1, -2, -2])}
+    rng = random.Random(20)
+    while len(bases) < len(bench_bases) + 10:
+        prefix = tuple(rng.choices(range(3), k=rng.randint(1, 3)))
+        period = tuple(rng.choices(range(3), k=rng.randint(1, 3)))
+        if (prefix[0] >= 1 and any(period)
+                and _check_self_admissible_ep(prefix, period)):
+            text = format_periodic(prefix, period)
+            try:
+                bases[text] = BetaNumber.from_digit_string(text)
+            except UsageError as exc:
+                assert re.search("degenerates|gives beta = 1", str(exc))
+    return bases
+
+
+def test_word_counts_equal_the_count_dp(renewal_bases):
+    """Parry's renewal against the generic state DP on the labelled graph,
+    up to n = 300, on bases with and without a periodic w(beta)."""
+    for name, beta in renewal_bases.items():
+        assert _word_counts(beta, 300) == \
+            path_counts(Automaton(beta), 300), name
+    forms = [beta.periodic_form() for beta in renewal_bases.values()]
+    assert None in forms and any(form and form[0] for form in forms)
+
+
+def test_word_counts_equal_the_lex_criterion(renewal_bases):
+    """Brute force: the words that pass the lex oracle, grown one digit at
+    a time from the admissible words one shorter (the language is closed
+    under prefixes), up to n = 12 or past 10,000 words."""
+    for name, beta in renewal_bases.items():
+        words, counts = [()], []
+        while len(counts) < 12 and len(words) <= 10_000:
+            words = [w + (d,) for w in words
+                     for d in range(beta.digit_bound + 1)
+                     if oracle_admissible_lex(w + (d,), beta)]
+            counts.append(len(words))
+        assert len(counts) >= 8, name
+        assert _word_counts(beta, len(counts)) == counts, name
+
+
+def test_word_counts_before_and_after_the_periodic_form():
+    """(201001) read from its polynomial finds its periodic form at the
+    sixth digit: counts to n = 5 from the first five digits then 0^inf
+    equal those from the form."""
+    beta = BetaNumber.from_polynomial([1, -2, 0, -1, 0, 0, -2])
+    before = _word_counts(beta, 5)
+    assert beta.periodic_form() is None
+    beta.digits(6)
+    assert beta.periodic_form() == ((), (2, 0, 1, 0, 0, 1))
+    assert _word_counts(beta, 5) == before
+    assert _word_counts(beta, 40) == \
+        path_counts(Automaton(BetaNumber.from_digit_string("(201001)")), 40)
+
+
+def test_enumerate_admissible_budget(beta_golden):
+    """The 10^6-word budget is decided from the count, before enumerating:
+    F_30 = 832,040 golden words of length 28 fit it, and the F_31 =
+    1,346,269 of length 29 do not."""
+    assert len(enumerate_admissible(beta_golden, 5)) == 13
+    assert count_admissible(beta_golden, 28) == 832_040
+    assert count_admissible(beta_golden, 29) == 1_346_269
+    with pytest.raises(BudgetExceeded, match="more than 1000000 words"):
+        enumerate_admissible(beta_golden, 29)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
