@@ -430,6 +430,8 @@ def test_graph_reaches_long_zero_runs_near_one(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # 10^6 + 1 digits: one label past the bound
+    ["bowen", "--beta", "1000000.5", "--depth", "3"],
     ["katok", "--beta", "1e400", "--n-list", "4"],
     ["bowen", "--beta", "1e400", "--depth", "3"],
     ["witnesses", "--beta", "255", "--phi", "block:1010"],
