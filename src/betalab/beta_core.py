@@ -1,13 +1,17 @@
 """Controlled-precision arithmetic for beta, expansions, and digit recovery.
 
 A base beta > 1 is read from a decimal literal, an integer polynomial or a
-self-admissible digit sequence, and held one way: as its minimal polynomial
-f with a root enclosure, a rational p/q being the root of qx - p.  All
-digit decisions are exact and run on integers: the greedy state is integer
-numerators over one denominator, a vector in Q[x]/(f).  Dyadic root
-enclosures, exact for a rational root, resolve floors by an interval Horner
-on integer numerators.  A comparison that cannot be resolved below the
-precision cap raises UndecidableAtPrecision instead of guessing.
+self-admissible digit sequence, and held one way: as a squarefree integer
+polynomial p with p(beta) = 0 and a root enclosure holding no other root
+of p, a rational p/q being the root of qx - p.  Roots are isolated by a
+Sturm chain on integers, and p need not be minimal: a zero test that an
+enclosure cannot settle is decided by a gcd with p, which also shrinks p
+toward beta's minimal polynomial (dynamic evaluation).  All digit
+decisions are exact and run on integers: the greedy state is integer
+numerators over one denominator, a vector in Q[x]/(p).  Dyadic root
+enclosures, exact for a rational root, resolve floors by an interval
+Horner on integer numerators.  A comparison that cannot be resolved below
+the precision cap raises UndecidableAtPrecision instead of guessing.
 """
 
 from __future__ import annotations
@@ -32,21 +36,77 @@ def precision_cap() -> int:
     return int(os.environ.get("BETALAB_PRECISION_BITS", DEFAULT_PRECISION_BITS))
 
 
-def _poly_at(coeffs_asc: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs_asc):
-        acc = acc * x + c
-    return acc
+# --- integer polynomials: ascending coefficients, no trailing zeros --------
+
+def _sign_at(poly_asc: Sequence[int], x: Fraction) -> int:
+    """Sign of poly(x), on integers: the sign of d^deg poly(n/d), x = n/d."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(poly_asc):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _primitive(poly) -> tuple[int, ...]:
+    """poly divided by its positive content, trailing zeros dropped."""
+    poly = list(poly)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    g = math.gcd(*poly)
+    return tuple(c // g for c in poly)
+
+
+def _prem(a, b) -> list[int]:
+    """A remainder of a by b times a positive constant: m*a = q*b + r with
+    m > 0 and deg r < deg b, so that r keeps the sign Sturm chains need."""
+    r = list(a)
+    lead, sign, db = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0), len(b) - 1
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            shift = len(r) - db
+            r = [lead * c for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= sign * top * c
+    return r
+
+
+def _gcd(a, b) -> tuple[int, ...]:
+    """Primitive gcd of two integer polynomials, leading coefficient > 0."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a if a[-1] > 0 else tuple(-c for c in a)
+
+
+def _squarefree(poly) -> tuple[int, ...]:
+    """p / gcd(p, p'), primitive with leading coefficient > 0.  The exact
+    integer division holds since the gcd is primitive (Gauss's lemma)."""
+    g = _gcd(poly, [i * c for i, c in enumerate(poly)][1:])
+    r = list(_primitive(poly))
+    q = [0] * (len(r) - len(g) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(g) - 1] // g[-1]
+        for i, c in enumerate(g):
+            r[k + i] -= q[k] * c
+    return tuple(q) if q[-1] > 0 else tuple(-c for c in q)
+
+
+def _variations(chain, x: Fraction) -> int:
+    """Sign changes of a Sturm chain at x, zeros skipped."""
+    signs = [s for s in (_sign_at(f, x) for f in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 class AlgebraicContext:
-    """beta's minimal polynomial (irreducible, leading coefficient > 0) plus
-    a refinable root enclosure.
+    """A squarefree integer polynomial p with p(beta) = 0 (leading
+    coefficient > 0) plus a refinable root enclosure holding no other root.
 
     The root of a linear polynomial is its own enclosure, lo = hi.  Above
     degree 1 the endpoints are dyadic rationals carrying opposite signs of
-    the polynomial, so bisection refines them exactly; the root is
-    irrational, so no midpoint ever hits it.
+    p, so bisection refines them exactly; the root is irrational, so no
+    midpoint ever hits it.
     """
 
     def __init__(self, poly_asc: tuple[int, ...], lo: Fraction, hi: Fraction):
@@ -56,9 +116,8 @@ class AlgebraicContext:
             self.lo = self.hi = Fraction(-poly_asc[0], poly_asc[1])
             return
         self.lo, self.hi = lo, hi
-        s_lo = _poly_at(poly_asc, lo)
-        s_hi = _poly_at(poly_asc, hi)
-        if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
+        s_lo = _sign_at(poly_asc, lo)
+        if s_lo * _sign_at(poly_asc, hi) >= 0:
             raise UsageError("enclosure endpoints must straddle the root")
         self._sign_lo = s_lo > 0
 
@@ -70,7 +129,7 @@ class AlgebraicContext:
         while self.hi - self.lo > width:
             self._grid = None
             mid = (self.lo + self.hi) / 2
-            if (_poly_at(self.poly_asc, mid) > 0) == self._sign_lo:
+            if (_sign_at(self.poly_asc, mid) > 0) == self._sign_lo:
                 self.lo = mid
             else:
                 self.hi = mid
@@ -95,6 +154,29 @@ class AlgebraicContext:
             lo, hi = min(ps) + c, max(ps) + c
         return lo, hi, den * powers[len(nums) - 1]
 
+    def _root_factor(self, nums):
+        """gcd(sum nums[i] x^i, p) when beta is its root, so that
+        sum nums[i] beta^i = 0; else None.  The zero vector needs no gcd,
+        and neither does an enclosure without 0."""
+        if not any(nums):
+            return self.poly_asc
+        lo, hi, _ = self.enclose(nums, 1)
+        if lo > 0 or hi < 0:
+            return None
+        g = _gcd(nums, self.poly_asc)
+        # g divides p, so the enclosure holds no root of g but beta
+        return g if _sign_at(g, self.lo) * _sign_at(g, self.hi) <= 0 else None
+
+    def is_zero(self, nums) -> bool:
+        """Whether sum nums[i] beta^i is 0.  A proper factor of p that
+        decides it replaces p (dynamic evaluation; Della Dora, Dicrescenzo
+        and Duval 1985), so a state built before a True answer is void."""
+        g = self._root_factor(nums)
+        if g is not None and len(g) < len(self.poly_asc):
+            self.poly_asc, self._grid = g, None
+            self._sign_lo = _sign_at(g, self.lo) > 0
+        return g is not None
+
     def floor_vector(self, nums: tuple[int, ...], den: int) -> int:
         """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
 
@@ -116,6 +198,11 @@ class AlgebraicContext:
                 cap = precision_cap()
                 width = self.hi - self.lo
             if width < Fraction(1, 2 ** cap):
+                # a vector in Q[x]/(p) for a reducible p can equal an
+                # integer without being constant: the gcd decides that
+                if f_lo + 1 == f_hi and self._root_factor(
+                        (nums[0] - f_hi * den, *nums[1:])) is not None:
+                    return f_hi
                 raise UndecidableAtPrecision(
                     f"floor undecided at {cap} bits: value in [{lo / q}, {hi / q}]"
                 )
@@ -177,8 +264,13 @@ class BetaNumber:
 
     @property
     def value(self) -> float:
+        """beta rounded to the nearest float: the enclosure is refined until
+        both ends round alike, so the float does not depend on where the
+        isolation started."""
         lo, hi = self.enclosure()
-        return float((lo + hi) / 2)
+        while float(lo) != float(hi):
+            lo, hi = self.enclosure((hi - lo) / 2 ** 8)
+        return float(lo)
 
     @property
     def log(self) -> float:
@@ -188,10 +280,10 @@ class BetaNumber:
         return self._ctx.degree == 1
 
     def compare(self, other: "BetaNumber") -> int:
-        """-1, 0, 1 ordering: 0 on equal minimal polynomials, else both
-        enclosures are refined until they separate."""
-        if self._ctx.poly_asc == other._ctx.poly_asc:
-            return 0
+        """-1, 0, 1 ordering: 0 once the enclosures overlap where the gcd of
+        the two polynomials changes sign (its one root there is both bases),
+        else both enclosures are refined until they separate."""
+        common = _gcd(self._ctx.poly_asc, other._ctx.poly_asc)
         width = Fraction(1, 2 ** 32)
         cap = Fraction(1, 2 ** precision_cap())
         while True:
@@ -201,6 +293,9 @@ class BetaNumber:
                 return -1
             if b_hi < a_lo:
                 return 1
+            if _sign_at(common, max(a_lo, b_lo)) * _sign_at(
+                    common, min(a_hi, b_hi)) <= 0:
+                return 0
             if width < cap:
                 raise UndecidableAtPrecision("comparison undecided at cap")
             width /= 2 ** 16
@@ -233,16 +328,19 @@ class BetaNumber:
     def _step_w(self) -> None:
         """Append one greedy digit of 1 and look for a repeated orbit state.
 
-        An eventually periodic w(beta) makes beta an algebraic integer
-        (Parry 1960), so only a monic minimal polynomial can cycle.  Its
-        orbit keeps the denominator 1, so its states are canonical, and
-        Brent's cycle detection compares them: O(1) memory, no cap.
+        A rational beta never cycles: an integer's expansion is finite, and
+        an eventually periodic w(beta) makes beta an algebraic integer
+        (Parry 1960).  On every other base Brent's cycle detection compares
+        orbit states by value, O(1) memory and no cap.  Both tests are
+        `is_zero`, since p need not be minimal and a vector in Q[x]/(p)
+        then does not fix its value.
         """
         if self._orbit is None:
             self._orbit = _point(self, Fraction(1))
             self._brent = (self._orbit, 1, 0)
+        ctx = self._ctx
         digit, r_new = _greedy_step(self, self._orbit)
-        if not any(r_new[0]):
+        if ctx.is_zero(r_new[0]):
             # finite greedy expansion: switch to the quasi-greedy periodic form
             period = tuple(self._w) + (digit - 1,)
             if all(d == 0 for d in period):
@@ -253,10 +351,11 @@ class BetaNumber:
             return
         self._w.append(digit)
         self._orbit = r_new
-        if self._ctx.poly_asc[-1] != 1:
+        if ctx.degree == 1:
             return
         saved, power, lam = self._brent
-        if r_new == saved:
+        (nums, den), (s_nums, s_den) = r_new, saved
+        if ctx.is_zero([a * s_den - b * den for a, b in zip(nums, s_nums)]):
             self._w_periodic = self._split_period(lam + 1)
         else:
             lam += 1
@@ -401,32 +500,42 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
 
 def _largest_root_above_one(asc) -> AlgebraicContext:
     """The largest real root > 1 of an integer polynomial (ascending
-    coefficients), as the context of the irreducible factor that carries it.
+    coefficients), as a context on the polynomial's squarefree part p.
 
-    The real roots of the square-free part are isolated once and the last
-    interval is refined until it lies above 1.  It holds no other root, and
-    an irreducible factor has only simple roots, so exactly one factor
-    changes sign between its ends.  A root isolated as a point is rational.
+    A Sturm chain of p (Sturm 1829; positive contents only, so that its
+    signs survive) counts the roots in (1, B], B a power of two above
+    Cauchy's bound, and bisection keeps the largest one until it is alone
+    in (lo, hi] with p(lo) != 0.  A rational root a/b has b | c, the
+    leading coefficient, and two such fractions lie 1/c^2 apart, so once
+    the enclosure is narrower only its fraction nearest the midpoint with
+    denominator <= c can be the root.
     """
-    from sympy import Poly, Symbol
-
-    poly = Poly(list(reversed(asc)), Symbol("x")).sqf_part()
-    intervals = poly.intervals()
-    if not intervals or intervals[-1][0][1] <= 1:
+    p = _squarefree(asc)
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
+    lo, hi = Fraction(1), Fraction(2)
+    while hi <= 1 + Fraction(max(map(abs, p[:-1])), p[-1]):
+        hi *= 2
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    if v_lo == v_hi:
         raise UsageError("polynomial has no real root above 1")
-    (a, b), _ = intervals[-1]
-    while a <= 1 < b:
-        a, b = poly.refine_root(a, b, steps=8)
-    if b <= 1:
-        raise UsageError("largest real root is not above 1")
-    lo, hi = Fraction(str(a)), Fraction(str(b))
-    if lo == hi:
-        return AlgebraicContext((-lo.numerator, lo.denominator), lo, hi)
-    for fac, _ in poly.factor_list()[1]:
-        fasc = tuple(int(c) for c in reversed(fac.all_coeffs()))
-        if _poly_at(fasc, lo) * _poly_at(fasc, hi) < 0:
-            return AlgebraicContext(fasc, lo, hi)
-    raise UsageError("no irreducible factor changes sign around the root")
+    while v_lo - v_hi > 1 or _sign_at(p, lo) == 0:
+        mid = (lo + hi) / 2
+        v_mid = _variations(chain, mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
+        else:
+            hi, v_hi = mid, v_mid
+    root = hi
+    if _sign_at(p, hi):
+        ctx = AlgebraicContext(p, lo, hi)
+        c = p[-1]
+        ctx.refine_to(Fraction(1, 2 * c * c))
+        root = ((ctx.lo + ctx.hi) / 2).limit_denominator(c)
+        if not (ctx.lo < root < ctx.hi and _sign_at(p, root) == 0):
+            return ctx
+    return AlgebraicContext((-root.numerator, root.denominator), root, root)
 
 
 def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betalab.beta_core import (
     AlgebraicContext,
@@ -21,6 +21,7 @@ from betalab.beta_core import (
     simple_beta_approx,
 )
 from betalab.errors import UndecidableAtPrecision, UsageError
+from betalab.words import format_periodic
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -279,6 +280,192 @@ def test_from_polynomial_is_largest_root_of_product(factors):
     assert beta.is_rational() == (abs(root - round(root)) < 1e-9)
 
 
+def sympy_largest_root(coeffs_desc):
+    """sympy's largest real root R of the polynomial when R > 1, else
+    None: (poly, R, a, b) with poly the square-free part and [a, b]
+    sympy's isolating interval of R.  The test extra's oracle, independent
+    of betalab's Sturm chain."""
+    from sympy import Poly, Symbol
+
+    poly = Poly(coeffs_desc, Symbol("x")).sqf_part()
+    roots = poly.real_roots()
+    if not roots:
+        return None
+    (a, b), _ = poly.intervals()[-1]
+    if roots[-1].is_Rational:
+        a = b = roots[-1]
+    while a < 1 < b:  # R is irrational, so it is not 1
+        a, b = poly.refine_root(a, b, steps=8)
+    if a < 1 or a == b == 1:
+        return None
+    return poly, roots[-1], Fraction(str(a)), Fraction(str(b))
+
+
+def assert_root_matches_sympy(oracle, beta):
+    """is_rational agrees with sympy, and beta's enclosure holds sympy's
+    root: exactly, or where it meets sympy's isolating interval the
+    square-free part changes sign."""
+    poly, root, a, b = oracle
+    lo, hi = beta.enclosure()
+    assert beta.is_rational() == root.is_Rational
+    if root.is_Rational:
+        assert lo == hi == Fraction(root.p, root.q)
+        return
+    lo, hi = max(lo, a), min(hi, b)
+    assert lo <= hi and poly.eval(lo) * poly.eval(hi) <= 0
+
+
+polynomial_factors = st.lists(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(
+        lambda f: f[0] != 0),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=polynomial_factors, repeat=st.booleans())
+# Sturm chains whose degree drops by two, where a pseudo-remainder taken
+# with a negative multiplier flips a sign and miscounts the roots
+@example(factors=[[-2, 0, 1], [1, 0, 2]], repeat=False)
+@example(factors=[[-1, 3, 0, 0, 0, -4, -4]], repeat=False)
+# the rational root 13/5 of 5x^2 - 13x: an enclosure only narrower than
+# 1/(2c) = 1/10 puts 5/2 nearer its midpoint
+@example(factors=[[5, -13], [3, 0, 0]], repeat=False)
+def test_root_isolation_matches_sympy(factors, repeat):
+    """Integer polynomials of degree <= 8 with small coefficients, as
+    products of up to three factors, the first repeated when asked: the
+    enclosure holds sympy's largest real root > 1, is_rational agrees with
+    sympy's factorization, and "no real root above 1" is raised exactly
+    when sympy finds none."""
+    if repeat:
+        factors = [factors[0]] + factors
+    coeffs = [1]
+    for f in factors:
+        coeffs = [int(c) for c in numpy.polymul(coeffs, f)]
+    if len(coeffs) > 9:
+        return
+    oracle = sympy_largest_root(coeffs)
+    if oracle is None:
+        with pytest.raises(UsageError, match="no real root above 1"):
+            BetaNumber.from_polynomial(coeffs)
+    else:
+        assert_root_matches_sympy(oracle, BetaNumber.from_polynomial(coeffs))
+
+
+def test_simple_approximations_match_sympy():
+    """The 77 simple approximations beta(n) of 1.7 and 3/2, n = 2..40
+    (3/2 at n = 2 truncates to (1)), of degree up to 39: each root agrees
+    with sympy's, from the digit string and from its polynomial."""
+    from sympy import Poly, Symbol
+
+    checked = reducible = 0
+    for text in ("1.7", "3/2"):
+        beta = BetaNumber.from_decimal(text)
+        for n in range(2, 41):
+            trunc = list(beta.digits(n))
+            while trunc[-1] == 0:
+                trunc.pop()
+            if trunc == [1]:
+                continue
+            coeffs = [1] + [-d for d in trunc]
+            oracle = sympy_largest_root(coeffs)
+            assert_root_matches_sympy(oracle, simple_beta_approx(beta, n))
+            assert_root_matches_sympy(oracle,
+                                      BetaNumber.from_polynomial(coeffs))
+            checked += 1
+            reducible += not Poly(coeffs, Symbol("x")).is_irreducible
+    assert (checked, reducible) == (77, 22)
+
+
+@pytest.mark.parametrize("coeffs, form", [
+    ([1, 0, -5, -2], ((), (2, 0))),
+    ([1, 1, -3, -2], ((), (1, 0))),
+    ([2, -1, -3, -1], ((), (1, 0))),
+    ([1, -1, -1, 0, 0], ((), (1, 0))),
+    ([1, -2, 0, 0, 1], ((), (1, 1, 0))),
+    ([2, -3, -6, 2, 2], ((2,), (1, 0))),
+])
+def test_reducible_products_keep_their_expansion_of_one(coeffs, form):
+    """(x^2 - 2x - 1)(x + 2), (x^2 - x - 1)(x + 2), (x^2 - x - 1)(2x + 1),
+    x^2 (x^2 - x - 1), (x^3 - x^2 - x - 1)(x - 1), and the root of
+    x^3 - 2x^2 - 2x + 2, w = 2(10)^inf, times 2x + 1.  beta's vectors live
+    in Q[x]/(p) for the reducible squarefree part p, where they do not fix
+    a value, so the floors on an integer, the finite expansion (21 for
+    1 + sqrt 2, 11 for the golden mean) and the eventual period of the
+    last orbit, whose p is not monic, are seen only by a zero test by
+    value."""
+    beta = BetaNumber.from_polynomial(coeffs)
+    beta.digits(40)
+    assert beta.periodic_form() == form
+    digits = BetaNumber.from_digit_string(format_periodic(*form))
+    assert beta.compare(digits) == 0 and digits.compare(beta) == 0
+
+
+def test_rational_root_of_a_reducible_product():
+    # (2x - 3)(x^2 + 1): the rational root 3/2 gives the degree-1 context
+    beta = BetaNumber.from_polynomial([2, -3, 2, -3])
+    assert beta.is_rational()
+    assert beta.enclosure() == (Fraction(3, 2), Fraction(3, 2))
+    beta.digits(40)
+    assert beta.periodic_form() is None
+    assert beta.compare(BetaNumber.from_decimal("3/2")) == 0
+
+
+def test_zero_test_shrinks_the_polynomial():
+    """The gcd that finds the finite expansion 11 of the golden mean from
+    (x^2 - x - 1)(2x + 1) is x^2 - x - 1, which replaces the polynomial;
+    the enclosure still isolates beta."""
+    beta = BetaNumber.from_polynomial([2, -1, -3, -1])
+    assert beta._ctx.poly_asc == (-1, -3, -1, 2)
+    beta.digits(2)
+    assert beta._ctx.poly_asc == (-1, -1, 1)
+    lo, hi = beta.enclosure(Fraction(1, 2 ** 80))
+    assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
+    assert abs(beta.value - PHI) < 1e-15
+
+
+def test_is_zero_needs_the_gcd_to_carry_beta():
+    """r = (x + 2)(10^7 x - 16180340) shares the factor x + 2 with
+    p = (x^2 - x - 1)(x + 2), and its enclosure at 2^-16 holds 0, yet
+    r(phi) != 0: only a gcd that changes sign on the enclosure vanishes
+    at beta."""
+    beta = BetaNumber.from_polynomial([1, 1, -3, -2])
+    r = (-32360680, 3819660, 10 ** 7)
+    lo, hi, _ = beta._ctx.enclose(r, 1)
+    assert lo < 0 < hi
+    assert not beta._ctx.is_zero(r)
+    assert beta._ctx.poly_asc == (-2, -3, 1, 1)
+
+
+def test_value_is_rounded_from_beta_not_from_a_midpoint():
+    """beta = b - 2^-80 or so, b = 3/2 + 2^-53 halfway between two
+    floats, from (x - b)(x - b - 1) - 2^-80 times 2^106, enclosed in
+    [b - 2^-62, b + 3 * 2^-62]: the enclosure's midpoint rounds up, beta
+    rounds down."""
+    big = 3 * 2 ** 52 + 1
+    coeffs = (big * (big + 2 ** 53) - 2 ** 26, -(2 ** 53) * (2 * big + 2 ** 53),
+              2 ** 106)
+    b = Fraction(big, 2 ** 53)
+    lo, hi = b - Fraction(1, 2 ** 62), b + Fraction(3, 2 ** 62)
+    beta = BetaNumber(AlgebraicContext(coeffs, lo, hi))
+    assert float((lo + hi) / 2) == 1.5 + 2 ** -52
+    assert beta.value == 1.5
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", [
+    ((-1, -1, 1), Fraction(3, 2), Fraction(13, 8)),
+    ((-1, -1, 1), Fraction(1), Fraction(2)),
+    ((-1, -1, 1), Fraction(161803, 100000), Fraction(161804, 100000)),
+    ((-3, 0, 1), Fraction(17, 10), Fraction(7, 4)),
+])
+def test_value_does_not_depend_on_the_starting_enclosure(coeffs, lo, hi):
+    """value is beta rounded to the nearest float, whatever enclosure the
+    isolation started from."""
+    beta = BetaNumber(AlgebraicContext(coeffs, lo, hi))
+    same = BetaNumber.from_polynomial(list(reversed(coeffs)))
+    ends = beta.enclosure(Fraction(1, 2 ** 200))
+    assert beta.value == same.value == float(ends[0]) == float(ends[1])
+
+
 def test_digit_string_bases_sum_to_one(battery):
     """sum of d_j beta^-j over w(beta) is 1 at the float root."""
     bases = [b for b in battery.values() if b.source == "digit-sequence"]
@@ -320,8 +507,9 @@ def test_compare(beta_two, beta_golden):
 
 
 def test_compare_equal_minimal_polynomials_needs_no_refinement():
-    """The same root from its polynomial and from its digits: equal minimal
-    polynomials give 0 before either enclosure is refined."""
+    """The same root from its polynomial and from its digits: the two
+    polynomials' gcd changes sign where the enclosures overlap, which gives
+    0 before either enclosure is refined far."""
     poly = BetaNumber.from_polynomial([1, -1, -1])
     digits = BetaNumber.from_digit_string("(10)")
     assert poly.compare(digits) == 0 and digits.compare(poly) == 0
@@ -330,8 +518,8 @@ def test_compare_equal_minimal_polynomials_needs_no_refinement():
 
 
 def test_non_monic_linear_root_is_rational():
-    """sympy isolates the root 5/3 of 3x - 5 in (1, 2), not as a point, so
-    the rational comes from the linear factor that changes sign there."""
+    """The root 5/3 of 3x - 5: once the enclosure is narrower than 1/3^2,
+    its one fraction with denominator <= 3 is tested, and it is the root."""
     beta = BetaNumber.from_polynomial([3, -5])
     assert beta.is_rational()
     assert beta.enclosure() == (Fraction(5, 3), Fraction(5, 3))

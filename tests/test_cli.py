@@ -85,6 +85,36 @@ def test_readme_python_example():
     assert results == [("144", "144"), ("False", "False")]
 
 
+@pytest.mark.parametrize("text, prefix, period", [
+    ("10(10)", (1, 0), (1, 0)),
+    ("(201001)", (), (2, 0, 1, 0, 0, 1)),
+    ("11", (1, 1), ()),
+    ("1001", (1, 0, 0, 1), ()),
+    ("2(01)", (2,), (0, 1)),
+])
+def test_beta_from_digits_enclosure_is_dyadic(capsys, text, prefix, period):
+    """The printed enclosure comes from the dyadic bisection: its ends are
+    dyadic, at most 2^-60 apart, and the digit string's polynomial
+    x^p (x^q - 1) - (x^q - 1) sum a_j x^(p-j) - sum c_i x^(q-i) (or
+    x^p - sum a_j x^(p-j) without a period) changes sign between them."""
+    def poly(x):
+        head = x ** len(prefix) - sum(
+            d * x ** (len(prefix) - j) for j, d in enumerate(prefix, 1))
+        if not period:
+            return head
+        q = len(period)
+        return (x ** q - 1) * head - sum(
+            d * x ** (q - i) for i, d in enumerate(period, 1))
+
+    code, rep = run_json(capsys, "beta-from-digits", "--digits", text)
+    assert code == 0
+    lo, hi = (Fraction(t) for t in rep["payload"]["enclosure"])
+    for end in (lo, hi):
+        assert end.denominator & (end.denominator - 1) == 0
+    assert 0 < hi - lo <= Fraction(1, 2 ** 60)
+    assert poly(lo) * poly(hi) < 0
+
+
 def test_count_full_shift(capsys):
     code, rep = run_json(capsys, "count", "--beta", "2", "--n", "5")
     assert code == 0

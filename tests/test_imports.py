@@ -9,7 +9,10 @@ skipped by the import check: its imports are the package's re-exports.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,3 +200,27 @@ def test_unread_attribute_is_found():
     caller = "r = Report(1, 2, {})\nprint(r.size, r.count, Box().width)\n"
     assert unread_attributes({"lib": lib}, [lib, caller]) == [
         "lib.Report.stale", "lib.Report.info", "lib.Box.unused"]
+
+
+RUNTIME_WITHOUT_SYMPY = """
+import sys
+import betalab.cli
+from betalab.beta_core import BetaNumber, simple_beta_approx
+BetaNumber.from_polynomial([1, -1, -1])
+BetaNumber.from_polynomial([1, -1, -1, -1])
+BetaNumber.from_digit_string("(201001)")
+simple_beta_approx(BetaNumber.from_decimal("1.7"), 30)
+assert betalab.cli.main(["count", "--beta-poly", "1,-1,-1", "--n", "10"]) == 0
+assert "sympy" not in sys.modules
+"""
+
+
+def test_runtime_does_not_import_sympy():
+    """sympy is the tests' root oracle, not a runtime dependency: a fresh
+    interpreter imports the CLI, builds polynomial, digit-string and
+    simple-approximation bases and runs a polynomial-base command without
+    importing it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_WITHOUT_SYMPY],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
