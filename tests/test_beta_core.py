@@ -334,8 +334,8 @@ def test_root_isolation_matches_sympy(factors, repeat):
     """Integer polynomials of degree <= 8 with small coefficients, as
     products of up to three factors, the first repeated when asked: the
     enclosure holds sympy's largest real root > 1, is_rational agrees with
-    sympy's factorization, and "no real root above 1" is raised exactly
-    when sympy finds none."""
+    sympy, and "no real root above 1" is raised exactly when sympy finds
+    none."""
     if repeat:
         factors = [factors[0]] + factors
     coeffs = [1]
