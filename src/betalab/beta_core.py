@@ -10,8 +10,9 @@ toward beta's minimal polynomial (dynamic evaluation).  All digit
 decisions are exact and run on integers: the greedy state is integer
 numerators over one denominator, a vector in Q[x]/(p).  Dyadic root
 enclosures, exact for a rational root, resolve floors by an interval
-Horner on integer numerators.  A comparison that cannot be resolved below
-the precision cap raises UndecidableAtPrecision instead of guessing.
+Horner on integer numerators, two products per step, chosen by sign.  A
+comparison that cannot be resolved below the precision cap raises
+UndecidableAtPrecision instead of guessing.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ class AlgebraicContext:
             self.lo = self.hi = Fraction(-poly_asc[0], poly_asc[1])
             return
         self.lo, self.hi = lo, hi
+        if lo < 0:
+            raise UsageError(f"enclosure must lie in [0, inf), got lo = {lo}")
         s_lo = _sign_at(poly_asc, lo)
         if s_lo * _sign_at(poly_asc, hi) >= 0:
             raise UsageError("enclosure endpoints must straddle the root")
@@ -139,7 +142,12 @@ class AlgebraicContext:
 
         Interval Horner over [lo, hi] = [a/D, b/D], on integer numerators
         over the common denominator den * D^(degree-1); (a, b, powers of D)
-        is cached until refine_to moves the enclosure.
+        is cached until refine_to moves the enclosure.  Every enclosure the
+        library builds lies above 1, so 0 < a <= b, and the sign of each
+        end of [l, h] picks the one product of [l, h] * [a, b] that bounds
+        it (Moore 1966): two products per step, the same interval as the
+        min and max of all four.  The rule needs only a >= 0, which
+        __init__ checks.
         """
         if self._grid is None:
             D = math.lcm(self.lo.denominator, self.hi.denominator)
@@ -149,9 +157,9 @@ class AlgebraicContext:
         a, b, powers = self._grid
         lo = hi = nums[-1]
         for k in range(1, len(nums)):
-            ps = (lo * a, lo * b, hi * a, hi * b)
             c = nums[-1 - k] * powers[k]
-            lo, hi = min(ps) + c, max(ps) + c
+            lo, hi = ((lo * a if lo >= 0 else lo * b) + c,
+                      (hi * b if hi >= 0 else hi * a) + c)
         return lo, hi, den * powers[len(nums) - 1]
 
     def _root_factor(self, nums):

@@ -84,16 +84,22 @@ def is_admissible(word, beta: BetaNumber) -> bool:
 
 
 def _word_counts(beta: BetaNumber, n_max: int) -> list[int]:
-    """#L_1 .. #L_n_max by Parry's renewal #L_n = 1 + sum_{i<=n} w_i #L_{n-i}.
-    For w(beta) = pre per^inf (or its first n_max digits, then 0^inf) this is
-    N/D, N = 1 + .. + z^(q-1), D = (1 - z^q)(1 - P) - z^p Q with P, Q the
-    digit polynomials of pre and per (Flatto, Lagarias & Poonen 1994), so
-    c_n = [n < q] - sum_j D_j c_{n-j} over D's nonzero terms."""
+    """#L_1 .. #L_n_max by Parry's renewal #L_n = 1 + sum_{i<=n} w_i #L_{n-i},
+    run over w(beta)'s nonzero digits while no periodic form is known.
+    For w(beta) = pre per^inf it is N/D, N = 1 + .. + z^(q-1),
+    D = (1 - z^q)(1 - P) - z^p Q with P, Q the digit polynomials of pre
+    and per (Flatto, Lagarias & Poonen 1994), so c_n = [n < q] -
+    sum_j D_j c_{n-j} over D's nonzero terms; q = n_max + 1 and -D = w
+    give the renewal itself."""
     digits = beta.digits(n_max)
-    pre, per = beta.periodic_form() or (digits, (0,))
-    q = len(per)
-    s = (0,) * q + (-1, *pre, *per)  # P - 1 + z^p Q, shifted right by q
-    neg_d = [a - b for a, b in zip(s[q + 1:], s[1:])]  # -D_1 .. -D_(p+q)
+    form = beta.periodic_form()
+    if form is None:
+        q, neg_d = n_max + 1, digits
+    else:
+        pre, per = form
+        q = len(per)
+        s = (0,) * q + (-1, *pre, *per)  # P - 1 + z^p Q, shifted right by q
+        neg_d = [a - b for a, b in zip(s[q + 1:], s[1:])]  # -D_1 .. -D_(p+q)
     coef = [x for x in neg_d if x]
     c = [1]
     for n in range(1, n_max + 1):

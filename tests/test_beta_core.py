@@ -590,6 +590,76 @@ def test_floor_on_closed_upper_endpoint_needs_no_refinement():
     assert ctx.floor_vector((-1, 8), 1) == 11
 
 
+def four_product_enclose(ctx, nums, den):
+    """The interval Horner that forms all four products [lo, hi] * [a, b]
+    at each step and keeps their min and max, on the same integer
+    numerators over den * D^(len(nums) - 1), [a/D, b/D] the root
+    enclosure.  Also returns the sign patterns of [lo, hi] it met."""
+    D = math.lcm(ctx.lo.denominator, ctx.hi.denominator)
+    a, b = int(ctx.lo * D), int(ctx.hi * D)
+    lo = hi = nums[-1]
+    patterns = set()
+    for k in range(1, len(nums)):
+        patterns.add((lo >= 0, hi >= 0))
+        ps = (lo * a, lo * b, hi * a, hi * b)
+        c = nums[-1 - k] * D ** k
+        lo, hi = min(ps) + c, max(ps) + c
+    return (lo, hi, den * D ** (len(nums) - 1)), patterns
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, -1, -1],  # golden
+    [1, -1, -1, -1],  # tribonacci
+    [1, -2, 0, -1, 0, 0, -2],  # (201001)
+    [2, -3, -1],  # non-monic
+    [2, -1, -3, -1],  # (x^2 - x - 1)(2x + 1), reducible
+    None,  # golden on [0, 2]: a = 0
+], ids=["golden", "tribonacci", "201001", "2x2-3x-1", "reducible",
+        "golden-from-0"])
+def test_enclose_is_the_four_product_interval(coeffs):
+    """The two sign-chosen products per step give exactly the interval of
+    all four, on random vectors with negative, zero and positive entries,
+    at the starting enclosure and after refining it to 2^-100."""
+    if coeffs is None:
+        ctx = AlgebraicContext((-1, -1, 1), Fraction(0), Fraction(2))
+    else:
+        ctx = BetaNumber.from_polynomial(coeffs)._ctx
+    rng = random.Random(22)
+    patterns = set()
+    for width in (None, Fraction(1, 2 ** 100)):
+        if width is not None:
+            ctx.refine_to(width)
+        for _ in range(300):
+            nums = [rng.choice((0, rng.randint(-9, 9),
+                                rng.randint(-10 ** 30, 10 ** 30)))
+                     for _ in range(ctx.degree)]
+            if rng.random() < 0.3:
+                # the first step's interval holds 0 when |nums[-1]| is
+                # past the inverse enclosure width
+                nums[-2] = -math.floor(nums[-1] * (ctx.lo + ctx.hi) / 2)
+            nums = tuple(nums)
+            den = rng.randint(1, 10 ** 6)
+            expected, seen = four_product_enclose(ctx, nums, den)
+            assert ctx.enclose(nums, den) == expected, (nums, den)
+            patterns |= seen
+    # at degree 2 the one step starts from lo = hi, which cannot straddle 0
+    straddle = {(False, True)} if ctx.degree > 2 else set()
+    assert patterns == {(True, True), (False, False)} | straddle
+
+
+def test_context_refuses_an_enclosure_below_zero():
+    """Above degree 1 the enclosure must lie in [0, inf), where the sign
+    of each Horner end picks its product; [-1/2, 2] straddles only the
+    root phi of x^2 - x - 1, yet it is refused."""
+    with pytest.raises(UsageError,
+                       match=r"must lie in \[0, inf\), got lo = -1/2"):
+        AlgebraicContext((-1, -1, 1), Fraction(-1, 2), Fraction(2))
+    with pytest.raises(UsageError, match="must straddle the root"):
+        AlgebraicContext((-1, -1, 1), Fraction(2), Fraction(3))
+    ctx = AlgebraicContext((-1, -1, 1), Fraction(0), Fraction(2))
+    assert ctx.floor_vector((0, 1), 1) == 1
+
+
 def _fib_lucas(n):
     f_prev, f = 0, 1  # F_0, F_1
     for _ in range(n - 1):

@@ -138,6 +138,16 @@ def test_word_counts_equal_the_count_dp(renewal_bases):
     assert None in forms and any(form and form[0] for form in forms)
 
 
+def test_word_counts_at_larger_n(bench_bases):
+    """The direct renewal over w(beta)'s nonzero digits, on the bases
+    whose w(beta) has no periodic form, against the state DP to n = 1000."""
+    for name in ("three_halves", "one_seven"):
+        beta = bench_bases[name]
+        assert _word_counts(beta, 1000) == \
+            path_counts(Automaton(beta), 1000), name
+        assert beta.periodic_form() is None
+
+
 def test_word_counts_equal_the_lex_criterion(renewal_bases):
     """Brute force: the words that pass the lex oracle, grown one digit at
     a time from the admissible words one shorter (the language is closed
