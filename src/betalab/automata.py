@@ -16,13 +16,18 @@ length n - m, and each word is its prefix plus one of its end state's tail
 words of length m, from a table built for that call.  m is the largest
 length with (b + 1)^m <= TAIL_WORDS, so one state's tail list holds at most
 TAIL_WORDS words.  Enumeration is lazy: a caller that stops early never
-walks the rest and wastes at most one tail list.
+walks the rest and wastes at most one tail list.  `enumerate_words` gives
+the words as a lazy ranked sequence, `Words`: it holds one path count per
+(state, level) and its tail lists, never the words, and a slice starts the
+walk at its first word's rank.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Hashable, Iterator, Optional, Protocol
 
 from .errors import BudgetExceeded, UsageError
@@ -105,14 +110,30 @@ def count(pres: Presentation, n: int) -> int:
     return path_counts(pres, n)[-1] if n > 0 else 1
 
 
-def _paths(edges_of, start, depth: int):
+def reach(edges_of, initial, depth: int) -> list[list]:
+    """The states at the ends of paths of j edges from initial, for
+    j = 0..depth, each level in first-seen order; ``edges_of(state)`` gives
+    a state's (label, target) pairs, as `edges` does."""
+    levels = [[initial]]
+    for _ in range(depth):
+        levels.append(list(dict.fromkeys(
+            t for state in levels[-1] for _, t in edges_of(state))))
+    return levels
+
+
+def _paths(edges_of, start, depth: int, resume=None):
     """(labels, end state) of every path of depth edges from start, in
-    lexicographic order of the labels (iterative DFS)."""
-    if depth == 0:
+    lexicographic order of the labels (iterative DFS).  Given a resume pair
+    (all but the last label of a path of depth edges, and for each edge an
+    iterator over its siblings that follow it), the walk yields the paths
+    after that one instead."""
+    if resume is not None:
+        word, stack = resume
+    elif depth == 0:
         yield b"", start
         return
-    word: list[int] = []
-    stack = [iter(edges_of(start))]
+    else:
+        word, stack = [], [iter(edges_of(start))]
     while stack:
         edge = next(stack[-1], None)
         if edge is None:
@@ -126,29 +147,113 @@ def _paths(edges_of, start, depth: int):
             yield bytes((*word, edge[0])), edge[1]
 
 
-def _runs(edges_of, initial, depth: int, m: int):
-    """One lazy run of words per prefix of length depth: the prefix
-    followed by each tail word of length m of its end state."""
-    tails: dict = {}
-    for head, state in _paths(edges_of, initial, depth):
+def _runs(edges_of, paths, m: int, tails: dict):
+    """One lazy run of words per (prefix, end state) of paths: the prefix
+    followed by each tail word of length m of its end state, from the
+    table tails (state -> its tail words), filled as states are met."""
+    for head, state in paths:
         ends = tails.get(state)
         if ends is None:
             ends = tails[state] = [w for w, _ in _paths(edges_of, state, m)]
         yield map(head.__add__, ends)
 
 
-def iter_words(pres: Presentation, n: int) -> Iterator[bytes]:
-    """Words of length n in lexicographic order, lazily, as bytes."""
+def _tail_length(pres: Presentation, n: int) -> int:
+    """The tail length m for words of length n; UsageError when the
+    alphabet does not fit in a byte."""
     if pres.alphabet_bound > 255:
         raise UsageError(f"alphabet {{0..{pres.alphabet_bound}}} does not "
                          "fit in a byte")
     m, size = 0, pres.alphabet_bound + 1
     while m < n and size ** (m + 1) <= TAIL_WORDS:
         m += 1
+    return m
+
+
+def iter_words(pres: Presentation, n: int) -> Iterator[bytes]:
+    """Words of length n in lexicographic order, lazily, as bytes."""
+    m = _tail_length(pres, n)
     edges_of = cache(partial(edges, pres))
-    return chain.from_iterable(_runs(edges_of, pres.initial, n - m, m))
+    paths = _paths(edges_of, pres.initial, n - m)
+    return chain.from_iterable(_runs(edges_of, paths, m, {}))
 
 
-def enumerate_words(pres: Presentation, n: int) -> list[bytes]:
-    """All words of length n in lexicographic order, as a list."""
-    return list(iter_words(pres, n))
+class Words(Sequence):
+    """The words of length n of a presentation in lexicographic order, as a
+    lazy ranked sequence of bytes.
+
+    It holds, for each level j and each state reachable by j edges, the
+    number of paths of n - j edges from that state (Nijenhuis & Wilf,
+    *Combinatorial Algorithms*, 1978): O(states x n) integers, never the
+    words.  ``words[i]`` follows those counts down from the initial state.
+    A slice ranks its first word the same way, down to the prefix of length
+    n - m, and walks on from there as `iter_words` does; the tail lists it
+    builds stay for later slices, at most TAIL_WORDS words per end state.
+    Iteration is `iter_words`, and ``==`` compares item by item with any
+    sequence.
+    """
+
+    def __init__(self, pres: Presentation, n: int):
+        self._pres, self._n, self._m = pres, n, _tail_length(pres, n)
+        self._edges_of = edges_of = cache(partial(edges, pres))
+        self._tails: dict = {}  # filled by slices, shared between them
+        levels = reach(edges_of, pres.initial, n)
+        below = dict.fromkeys(levels[-1], 1)
+        self._below = [below]  # [j][state]: paths of n - j edges from state
+        for states in reversed(levels[:-1]):
+            below = {state: sum(below[t] for _, t in edges_of(state))
+                     for state in states}
+            self._below.append(below)
+        self._below.reverse()
+        self._size = below[pres.initial]
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _descend(self, i: int, depth: int):
+        """The first depth labels of word i, their sibling iterators as
+        `_paths` resumes them, the state they end in and i's rank among
+        the words through that state."""
+        state, word, stack = self._pres.initial, [], []
+        for below in self._below[1:depth + 1]:
+            siblings = iter(self._edges_of(state))
+            for s, state in siblings:
+                if i < below[state]:
+                    break
+                i -= below[state]
+            word.append(s)
+            stack.append(siblings)
+        return word, stack, state, i
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            r = range(self._size)[key]
+            if not r:
+                return []
+            step = abs(r.step)
+            word, stack, state, i = self._descend(min(r[0], r[-1]),
+                                                  self._n - self._m)
+            paths = chain([(bytes(word), state)], _paths(
+                self._edges_of, None, self._n - self._m, (word[:-1], stack)))
+            runs = chain.from_iterable(
+                _runs(self._edges_of, paths, self._m, self._tails))
+            out = list(islice(runs, i, i + (len(r) - 1) * step + 1, step))
+            return out if r.step > 0 else out[::-1]
+        i = operator.index(key)
+        if not -self._size <= i < self._size:
+            raise IndexError("word index out of range")
+        return bytes(self._descend(i % self._size, self._n)[0])
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter_words(self._pres, self._n)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._size == len(other) and all(map(operator.eq, self, other))
+
+
+def enumerate_words(pres: Presentation, n: int) -> Words:
+    """All words of length n in lexicographic order, as a lazy ranked
+    sequence."""
+    return Words(pres, n)

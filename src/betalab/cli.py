@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -373,7 +372,7 @@ def _compact_schedule(levels: int):
     N = [5]
     t = n[0] * N[0]
     for k in range(1, levels):
-        N.append(max(1, math.ceil(t * (k + 1) / 3)))
+        N.append(max(1, -(-t * (k + 1) // 3)))
         t += n[k] * N[k]
     d = [0.1 * 2.0 ** (1 - k) for k in range(1, levels + 1)]
     return validate_schedule(n, N, d)

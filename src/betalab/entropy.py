@@ -58,7 +58,7 @@ class MistakeFunction:
 
     @classmethod
     def log2(cls) -> "MistakeFunction":
-        return cls("log", lambda n: math.ceil(math.log2(n)) if n > 1 else 0)
+        return cls("log", lambda n: (n - 1).bit_length() if n > 1 else 0)
 
     @classmethod
     def parse(cls, spec: str) -> "MistakeFunction":
@@ -335,10 +335,7 @@ class CylinderTree:
         """Words of length <= depth of a presentation (`betalab.automata`),
         one node per (state, level)."""
         edges_of = cache(partial(automata.edges, pres))
-        reach = [[pres.initial]]  # states reachable at each level
-        for _ in range(depth):
-            reach.append(list(dict.fromkeys(
-                t for state in reach[-1] for _, t in edges_of(state))))
+        reach = automata.reach(edges_of, pres.initial, depth)
         below: dict = {state: {} for state in reach[-1]}
         for states in reversed(reach[:-1]):
             below = {state: {s: below[t] for s, t in edges_of(state)}

@@ -118,7 +118,7 @@ def build_nested(N_seq: Sequence[int],
         # F_k: the N_k-th powers of all level-(k-1) admissible length-k
         # words; patterns stay tuples, like the level-1 runs
         F_k = [tuple(v) * N_seq[k - 1]
-               for v in automata.enumerate_words(matchers[-1], k)]
+               for v in automata.iter_words(matchers[-1], k)]
         cumulative = cumulative + F_k
         if sum(map(len, cumulative)) > FORBIDDEN_LIST_BUDGET:
             raise BudgetExceeded("forbidden lists exceed budget")

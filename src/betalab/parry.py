@@ -205,7 +205,8 @@ class MarkovApprox(Automaton):
         return self.approx_beta.log
 
     def enumerate_words(self, n: int):
-        """All accepted words of length n, lexicographic order."""
+        """All accepted words of length n in lexicographic order, as a lazy
+        ranked sequence (`betalab.automata.Words`)."""
         return automata.enumerate_words(self, n)
 
 
@@ -215,8 +216,9 @@ def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
 
 
 def enumerate_admissible(beta: BetaNumber, n: int):
-    """All admissible words of length n via graph DFS, lexicographic order;
-    BudgetExceeded, before enumerating, past 10^6 words."""
+    """All admissible words of length n in lexicographic order, as a lazy
+    ranked sequence (`betalab.automata.Words`); BudgetExceeded, before
+    enumerating, past 10^6 words."""
     if n > 0 and _word_counts(beta, n)[-1] > 10 ** 6:
         raise BudgetExceeded("more than 1000000 words")
     return automata.enumerate_words(Automaton(beta), n)

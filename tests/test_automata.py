@@ -8,7 +8,7 @@ from itertools import chain, islice, product
 
 import pytest
 
-from betalab.automata import (TAIL_WORDS, edges, enumerate_words,
+from betalab.automata import (TAIL_WORDS, Words, edges, enumerate_words,
                               iter_words, path_counts, read)
 from betalab.beta_core import BetaNumber, greedy_expansion
 from betalab.errors import BudgetExceeded, UsageError
@@ -58,6 +58,14 @@ def oracle_iter_words(pres, n):
     return chain.from_iterable(runs())
 
 
+def brute_force_words(pres, n):
+    """Every word over {0..b} of length n that the reader accepts, in
+    lexicographic order."""
+    symbols = range(pres.alphabet_bound + 1)
+    return [bytes(w) for w in product(symbols, repeat=n)
+            if read(pres, w) is not None]
+
+
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_path_count_equals_enumeration(bench_bases, name):
     """Counter, enumerator, word stream and reader agree with brute force
@@ -69,17 +77,51 @@ def test_path_count_equals_enumeration(bench_bases, name):
     n_max = 14 if pres.alphabet_bound == 1 else 10
     assert (pres.alphabet_bound + 1) ** n_max > TAIL_WORDS
     counts = path_counts(pres, n_max)
-    symbols = range(pres.alphabet_bound + 1)
     for n in range(1, n_max + 1):
         words = enumerate_words(pres, n)
         assert len(words) == counts[n - 1]
-        assert words == [bytes(w) for w in product(symbols, repeat=n)
-                         if read(pres, w) is not None]
+        assert words == brute_force_words(pres, n)
         assert words == list(map(bytes, oracle_iter_words(pres, n)))
         streamed = list(iter_words(pres, n))
         assert streamed == words
         assert all(type(w) is bytes and not gc.is_tracked(w)
                    for w in streamed)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_words_rank_like_the_list(bench_bases, name):
+    """Words answers len, indices, slices, == and random.choice as the list
+    of its words does: the brute-force list up to n_max, where a slice
+    resumes a prefix walk at most a few edges deep, and the streamed list
+    four symbols further, where it resumes deeper."""
+    pres = PRESENTATIONS[name](bench_bases)
+    n_max = 14 if pres.alphabet_bound == 1 else 10
+    counts = [1, *path_counts(pres, n_max + 4)]
+    rng = random.Random(f"words-{name}")
+    for n in [*range(n_max + 1), n_max + 4]:
+        words = enumerate_words(pres, n)
+        expected = (brute_force_words(pres, n) if n <= n_max
+                    else list(iter_words(pres, n)))
+        size = len(expected)
+        assert isinstance(words, Words) and len(words) == size == counts[n]
+        assert words == expected and expected == words
+        assert words == tuple(expected) and not words != expected
+        if expected:
+            assert words != expected[:-1] and expected[1:] != words
+            assert words != [*expected[:-1], bytes(n + 1)]
+            assert random.Random(n).choice(words) == \
+                random.Random(n).choice(expected)
+            for i in (0, -1, size - 1, -size,
+                      *(rng.randrange(-size, size) for _ in range(40))):
+                assert words[i] == expected[i], i
+        for i in (size, -size - 1, size + 7, -size - 7):
+            with pytest.raises(IndexError):
+                words[i]
+        for _ in range(30):
+            a, b = (rng.randint(-size - 3, size + 3) for _ in range(2))
+            step = rng.choice((None, 1, 1, 2, 3, -1, -2))
+            assert words[a:b:step] == expected[a:b:step], (a, b, step)
+        assert words[size:] == words[5:5] == words[:-size - 1] == []
 
 
 def test_iter_words_is_lazy(beta_golden):
@@ -151,6 +193,35 @@ def test_iter_words_memory_is_bounded_and_freed(beta_golden):
     assert lengths == {2000}
     assert peak < 4 * 1024 * 1024, peak
     assert left < 1024, left
+
+
+def test_words_memory_grows_with_states_times_n(bench_bases):
+    """markov_approx((201001)^inf, 6) has 2,551,913 words of length 18,
+    about 160 MB as a list of bytes; Words counts them and ranks the last,
+    the quasi-greedy (201000)^3, in under 1 MiB.  At n = 14 a full pass in
+    slices of 65,536 words, each checked against the stream, holds about
+    two slices at a time."""
+    approx = markov_approx(bench_bases["figure"], 6)
+
+    def count_and_last():
+        words = enumerate_words(approx, 18)
+        return len(words), words[-1]
+    (size, last), peak, _ = _traced(count_and_last)
+    assert size == path_counts(approx, 18)[-1] == 2_551_913
+    assert last == bytes((2, 0, 1, 0, 0, 0) * 3)
+    assert peak < 1 << 20, peak
+
+    stream, chunk = iter_words(approx, 14), 1 << 16
+
+    def full_pass():
+        words = enumerate_words(approx, 14)
+        return [len(words)] + [
+            words[i:i + chunk] == list(islice(stream, chunk))
+            for i in range(0, len(words), chunk)]
+    (size, *same), peak, _ = _traced(full_pass)
+    assert size == path_counts(approx, 14)[-1] > chunk
+    assert all(same) and next(stream, None) is None
+    assert peak < 16 << 20, peak
 
 
 READERS = {

@@ -734,6 +734,22 @@ def test_schedule_and_pools(capsys):
     assert all(r["size"] > 0 for r in rep["payload"]["rows"])
 
 
+def test_compact_schedule_multiplicities_are_integer_ceilings(capsys):
+    """N_1 = 5 and N_k = max(1, ceil(t (k + 1) / 3)), t the time after
+    level k - 1, in exact integers: a float ceiling printed the last
+    multiplicity at 11 levels as 192,397,254,485,545,504, 12 below it."""
+    for levels in range(1, 15):
+        code, rep = run_json(capsys, "schedule", "--levels", str(levels))
+        assert code == 0
+        n = [4 * (k + 1) for k in range(1, levels + 1)]
+        N, t = [5], 8 * 5
+        for k in range(1, levels):
+            N.append(max(1, math.ceil(Fraction(t * (k + 1), 3))))
+            t += n[k] * N[k]
+        assert rep["payload"]["multiplicities"] == N
+    assert N[10] == 192_397_254_485_545_516
+
+
 def test_glued_family_and_edp(capsys):
     code, rep = run_json(capsys, "glued-family", "--beta", "2",
                          "--levels", "2", "--pool-size", "2",

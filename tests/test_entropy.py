@@ -67,6 +67,20 @@ def test_mistake_function_parse_and_values():
         MistakeFunction.parse("cubic")
 
 
+def test_log_mistake_function_is_the_integer_ceiling():
+    """g(n) = ceil(log2 n) is the least e with 2^e >= n, decided on
+    integers: a float log2 gives 49 at n = 2^49 + 1, and errs at every
+    2^k + 1 from k = 49 on."""
+    g = MistakeFunction.log2()
+    assert [g(n) for n in range(-2, 2)] == [0, 0, 0, 0]
+    for k in range(1, 301):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            e = 0
+            while 2 ** e < n:
+                e += 1
+            assert g(n) == e, n
+
+
 def test_window_bad_count_matches_oracle():
     rng = random.Random(5)
     for _ in range(200):
