@@ -7,9 +7,7 @@ labelled sym in {0..b} or None.  Its words are the labels of paths from
 Every call keeps its own cache and stores nothing on the presentation.
 Reading fills a successor table (state -> symbol -> target) the first time
 a (state, symbol) pair is met, so each later digit costs one lookup, not a
-``step`` call.  Counting and enumeration cache each visited state's edges;
-counting groups parallel edges by target with a multiplicity, so k
-back-edges to one vertex cost one big-integer multiply, not k additions.
+``step`` call.  Counting and enumeration cache each visited state's edges.
 Enumeration yields ``bytes`` words (so b <= 255), which the cyclic garbage
 collector does not track, and shares suffixes: a DFS walks the prefixes of
 length n - m, and each word is its prefix plus one of its end state's tail
@@ -25,6 +23,7 @@ walk at its first word's rank.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Sequence
 from functools import cache, partial
 from itertools import chain, islice
@@ -82,24 +81,14 @@ def edges(pres: Presentation, state) -> list:
 
 def path_counts(pres: Presentation, n_max: int) -> list[int]:
     """Exact numbers of words of length 1..n_max (big-integer DP)."""
-    grouped: dict = {}
+    edges_of = cache(partial(edges, pres))
     counts = {pres.initial: 1}
     totals = []
     for _ in range(n_max):
         nxt: dict = {}
         for state, c in counts.items():
-            out = grouped.get(state)
-            if out is None:
-                mult: dict = {}
-                for _, t in edges(pres, state):
-                    mult[t] = mult.get(t, 0) + 1
-                out = grouped[state] = list(mult.items())
-            for t, m in out:
-                add = c if m == 1 else c * m
-                if t in nxt:
-                    nxt[t] += add
-                else:
-                    nxt[t] = add
+            for _, t in edges_of(state):
+                nxt[t] = nxt.get(t, 0) + c
         counts = nxt
         totals.append(sum(counts.values()))
     return totals
@@ -190,7 +179,8 @@ class Words(Sequence):
     n - m, and walks on from there as `iter_words` does; the tail lists it
     builds stay for later slices, at most TAIL_WORDS words per end state.
     Iteration is `iter_words`, and ``==`` compares item by item with any
-    sequence.
+    sequence.  ``bool`` and indexing read the exact count; past sys.maxsize
+    words, ``len`` and a slice that walks that far raise BudgetExceeded.
     """
 
     def __init__(self, pres: Presentation, n: int):
@@ -208,7 +198,12 @@ class Words(Sequence):
         self._size = below[pres.initial]
 
     def __len__(self) -> int:
+        if self._size > sys.maxsize:
+            raise BudgetExceeded(f"more than {sys.maxsize} words")
         return self._size
+
+    def __bool__(self) -> bool:
+        return self._size > 0
 
     def _descend(self, i: int, depth: int):
         """The first depth labels of word i, their sibling iterators as
@@ -230,14 +225,16 @@ class Words(Sequence):
             r = range(self._size)[key]
             if not r:
                 return []
-            step = abs(r.step)
+            step, span = abs(r.step), abs(r[-1] - r[0])
             word, stack, state, i = self._descend(min(r[0], r[-1]),
                                                   self._n - self._m)
+            if i + span >= sys.maxsize:
+                raise BudgetExceeded(f"slice walks past {sys.maxsize} words")
             paths = chain([(bytes(word), state)], _paths(
                 self._edges_of, None, self._n - self._m, (word[:-1], stack)))
             runs = chain.from_iterable(
                 _runs(self._edges_of, paths, self._m, self._tails))
-            out = list(islice(runs, i, i + (len(r) - 1) * step + 1, step))
+            out = list(islice(runs, i, i + span + 1, step))
             return out if r.step > 0 else out[::-1]
         i = operator.index(key)
         if not -self._size <= i < self._size:

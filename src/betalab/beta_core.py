@@ -351,8 +351,6 @@ class BetaNumber:
         if ctx.is_zero(r_new[0]):
             # finite greedy expansion: switch to the quasi-greedy periodic form
             period = tuple(self._w) + (digit - 1,)
-            if all(d == 0 for d in period):
-                raise UsageError("degenerate expansion (beta would be 1)")
             self._w_periodic = (tuple(), period)
             self._w.append(period[-1])
             self._orbit = None
@@ -451,6 +449,22 @@ def _check_self_admissible_ep(prefix, period):
     return self_admissible((prefix + period * (n // len(period) + 1))[:n])
 
 
+def renewal_denominator(prefix, period) -> tuple[int, ...]:
+    """Ascending coefficients of D = (1 - z^q)(1 - P) - z^p Q, where P and
+    Q are the digit polynomials sum_j a_j z^j of prefix (length p) and
+    period (length q).  For w(beta) = prefix period^inf the word counts
+    #L_n have generating function N/D with N = 1 + .. + z^(q-1) (Flatto,
+    Lagarias & Poonen 1994), and z^(p+q) D(1/z) vanishes at beta.  An empty
+    period drops the z^q term: D = 1 - P gives Parry's renewal on digits
+    whose period lies beyond the counts wanted."""
+    p, q = len(prefix), len(period)
+    d = [1, *(-a for a in prefix), *(-c for c in period)]  # 1 - P - z^p Q
+    if q:  # minus z^q (1 - P)
+        for k, c in enumerate(d[:p + 1]):
+            d[k + q] -= c
+    return tuple(d)
+
+
 def beta_from_expansion(prefix, period=()) -> BetaNumber:
     """Recover beta from an eventually periodic self-admissible digit sequence."""
     prefix = tuple(int(d) for d in prefix)
@@ -473,36 +487,12 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
         )
     if not period and prefix == (1,):
         raise UsageError("sequence (1,0,0,...) gives beta = 1")
-
-    # integer polynomial vanishing at the encoded beta
-    p, q = len(prefix), len(period)
-    if period:
-        # (x^q - 1) * (x^p - sum a_j x^{p-j}) = sum c_i x^{q-i}  (cleared form)
-        size = p + q + 1
-        coeffs = [0] * size  # ascending
-        coeffs[p + q] += 1
-        coeffs[p] -= 1
-        for j, a in enumerate(prefix, start=1):
-            coeffs[p + q - j] -= a
-            coeffs[p - j] += a
-        for i, c in enumerate(period, start=1):
-            coeffs[q - i] -= c
-    else:
-        coeffs = [0] * (p + 1)
-        coeffs[p] = 1
-        for j, a in enumerate(prefix, start=1):
-            coeffs[p - j] -= a
-    # a self-admissible sequence has exactly one root above 1 (Parry 1960)
-    beta = BetaNumber(_largest_root_above_one(tuple(coeffs)),
-                      source="digit-sequence")
-    # store the quasi-greedy normalization of the given digits as w(beta)
-    if period:
-        beta._w_periodic = (prefix, period)
-    else:
-        quasi = prefix[:-1] + (prefix[-1] - 1,)
-        if all(d == 0 for d in quasi):
-            raise UsageError("quasi-greedy form degenerates to all zeros")
-        beta._w_periodic = (tuple(), quasi)
+    if not period:  # the quasi-greedy form of a finite expansion
+        prefix, period = (), prefix[:-1] + (prefix[-1] - 1,)
+    # z^(p+q) D(1/z) vanishes at beta, its one root above 1 (Parry 1960)
+    beta = BetaNumber(_largest_root_above_one(
+        renewal_denominator(prefix, period)[::-1]), source="digit-sequence")
+    beta._w_periodic = (prefix, period)
     return beta
 
 
@@ -554,8 +544,6 @@ def simple_beta_approx(beta: BetaNumber, n: int) -> BetaNumber:
     trunc = list(beta.digits(n))
     while trunc and trunc[-1] == 0:
         trunc.pop()
-    if not trunc:
-        raise UsageError("truncation is all zeros")
     if tuple(trunc) == (1,):
         raise UsageError("truncation (1) gives beta(n) = 1")
     return beta_from_expansion(tuple(trunc), ())

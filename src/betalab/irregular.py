@@ -23,7 +23,7 @@ from itertools import accumulate, product
 from operator import mul, ne
 from typing import Sequence
 
-from .automata import edges, iter_words
+from .automata import edges, iter_words, reach
 from .errors import BudgetExceeded, UsageError
 from .observables import Observable, exact
 from .parry import Automaton, is_admissible, zero_last_nonzero
@@ -96,10 +96,12 @@ SEPARATION_THRESHOLD = 2  # pool words differ in more than this many digits
 
 class _LevelSet:
     """Length-n words of a presentation whose phi-average is within delta of
-    alpha, on states (position, state, last r-1 digits, partial Birkhoff
-    sum S times phi.den, an integer).  The strict window |S/(m den) - alpha|
-    < delta is decided once, in Q; forward and backward passes keep only
-    states that can still end inside it, so a walk never backtracks."""
+    alpha, on product states (position, state, last r-1 digits, partial
+    Birkhoff sum S times phi.den, an integer).  `automata.reach` layers the
+    product states reachable from the initial one, and a backward pass
+    keeps those that can still end inside the strict window
+    |S/(m den) - alpha| < delta, decided once, in Q; so a walk never
+    backtracks."""
 
     def __init__(self, pres, phi: Observable, alpha: Fraction,
                  delta: Fraction, n: int):
@@ -109,22 +111,24 @@ class _LevelSet:
         self.alphabet_bound = pres.alphabet_bound
         self.initial = (0, pres.initial, (), 0)
         edges_of = cache(partial(edges, pres))
-        levels: list[dict] = [{self.initial: []}]  # state -> its out-edges
-        for j in range(1, n + 1):
-            nxt: dict = {}
-            for (_, q, tail, total), out in levels[-1].items():
-                for s, t in edges_of(q):
-                    block = tail + (s,)
-                    dest = (j, t, block[1:], total + phi.numerator(block)) \
-                        if len(block) == r else (j, t, block, total)
-                    out.append((s, dest))
-                    nxt[dest] = []
-            levels.append(nxt)
+
+        @cache
+        def product_edges(state):
+            j, q, tail, total = state
+            out = []
+            for s, t in edges_of(q):
+                block = tail + (s,)
+                out.append((s, (j + 1, t, block[1:],
+                                total + phi.numerator(block))
+                            if len(block) == r else (j + 1, t, block, total)))
+            return out
+
+        levels = reach(product_edges, self.initial, n)
         centre, radius = alpha * m * phi.den, delta * m * phi.den
         live = {st: {} for st in levels[-1] if abs(st[3] - centre) < radius}
         for level in reversed(levels[:-1]):
-            for state, out in level.items():
-                kept = {s: t for s, t in out if t in live}
+            for state in level:
+                kept = {s: t for s, t in product_edges(state) if t in live}
                 if kept:
                     live[state] = kept
         self._live = live

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional
 
 from . import automata
-from .beta_core import BetaNumber, simple_beta_approx
+from .beta_core import BetaNumber, renewal_denominator, simple_beta_approx
 from .errors import BudgetExceeded, UsageError
 from .observables import Observable
 from .words import SymbolWord
@@ -84,22 +84,15 @@ def is_admissible(word, beta: BetaNumber) -> bool:
 
 
 def _word_counts(beta: BetaNumber, n_max: int) -> list[int]:
-    """#L_1 .. #L_n_max by Parry's renewal #L_n = 1 + sum_{i<=n} w_i #L_{n-i},
-    run over w(beta)'s nonzero digits while no periodic form is known.
-    For w(beta) = pre per^inf it is N/D, N = 1 + .. + z^(q-1),
-    D = (1 - z^q)(1 - P) - z^p Q with P, Q the digit polynomials of pre
-    and per (Flatto, Lagarias & Poonen 1994), so c_n = [n < q] -
-    sum_j D_j c_{n-j} over D's nonzero terms; q = n_max + 1 and -D = w
-    give the renewal itself."""
+    """#L_1 .. #L_n_max as the coefficients of N/D, D the
+    `renewal_denominator` of w(beta) and N = 1 + .. + z^(q-1): c_n =
+    [n < q] - sum_j D_j c_{n-j} over D's nonzero terms.  While no periodic
+    form is known, the first n_max digits stand for w(beta) with
+    q = n_max + 1, which is Parry's renewal #L_n = 1 + sum_i w_i #L_{n-i}."""
     digits = beta.digits(n_max)
-    form = beta.periodic_form()
-    if form is None:
-        q, neg_d = n_max + 1, digits
-    else:
-        pre, per = form
-        q = len(per)
-        s = (0,) * q + (-1, *pre, *per)  # P - 1 + z^p Q, shifted right by q
-        neg_d = [a - b for a, b in zip(s[q + 1:], s[1:])]  # -D_1 .. -D_(p+q)
+    prefix, period = beta.periodic_form() or (digits, ())
+    neg_d = [-x for x in renewal_denominator(prefix, period)[1:]]
+    q = len(period) or n_max + 1
     coef = [x for x in neg_d if x]
     c = [1]
     for n in range(1, n_max + 1):

@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import cache, partial
@@ -131,6 +132,48 @@ def test_iter_words_is_lazy(beta_golden):
     assert [next(words) for _ in range(3)] == \
         [bytes(60), bytes(59) + b"\x01", bytes(58) + b"\x01\x00"]
     assert list(iter_words(Automaton(beta_golden), 0)) == [b""]
+
+
+def oracle_golden_word(i, n):
+    """Word i, in lexicographic order, of the binary words of length n
+    without 11 (the golden shift's words): F_(m+2) words have length m, so
+    word i starts with 0 when i < F_(n+1) and with 10 otherwise."""
+    fib = [0, 1]
+    while len(fib) < n + 2:
+        fib.append(fib[-1] + fib[-2])
+    out = []
+    while n > 0:
+        if i < fib[n + 1]:
+            out.append(0)
+            n -= 1
+        else:
+            i -= fib[n + 1]
+            out += [1, 0][:n]
+            n -= 2
+    return bytes(out)
+
+
+def test_words_past_sys_maxsize(beta_golden):
+    """Golden words of length 100 number F_102 ~ 9.3 * 10^20, more than
+    sys.maxsize: len, and a slice or reversed walk over all of them, raise
+    BudgetExceeded, while bool, indices and short slices answer from the
+    exact count as the unranking oracle does."""
+    words = enumerate_words(Automaton(beta_golden), 100)
+    size = path_counts(Automaton(beta_golden), 100)[-1]
+    assert size > sys.maxsize
+    for call in (len, lambda w: w[:], lambda w: next(reversed(w))):
+        with pytest.raises(BudgetExceeded):
+            call(words)
+    assert words
+    assert words[-1] == b"\x01\x00" * 50 == oracle_golden_word(size - 1, 100)
+    for i in (0, 10 ** 20, size // 3, -10 ** 20):
+        assert words[i] == oracle_golden_word(i % size, 100), i
+    assert words[10 ** 20:10 ** 20 + 3] == \
+        [oracle_golden_word(10 ** 20 + k, 100) for k in range(3)]
+    assert words[size - 2:] == words[-2:] == \
+        [oracle_golden_word(size - k, 100) for k in (2, 1)]
+    assert [oracle_golden_word(i, 4) for i in range(8)] == \
+        list(enumerate_words(Automaton(beta_golden), 4))
 
 
 class _WideAlphabet:

@@ -14,6 +14,7 @@ from betalab.beta_core import (
     BetaNumber,
     _check_self_admissible_ep,
     _greedy_step,
+    _largest_root_above_one,
     _point,
     beta_from_expansion,
     expansion_of_one,
@@ -172,8 +173,64 @@ def test_beta_from_expansion_round_trip(beta_golden):
 
 
 def test_beta_from_expansion_rejects_non_self_admissible():
+    """The given digits are checked, not their quasi-greedy form: 1011
+    fails where (1010)^inf passes."""
     with pytest.raises(UsageError, match=r"fails sigma\^k\(w\) <= w"):
         beta_from_expansion((1, 0, 1, 1), ())
+    assert _check_self_admissible_ep((), (1, 0, 1, 0))
+
+
+def oracle_cleared_form(prefix, period):
+    """Ascending coefficients of the polynomial written out digit by digit:
+    (x^q - 1)(x^p - sum_j a_j x^(p-j)) - sum_i c_i x^(q-i) for a period
+    c_1 .. c_q after the prefix a_1 .. a_p, and x^p - sum_j a_j x^(p-j)
+    for a finite expansion."""
+    p, q = len(prefix), len(period)
+    if period:
+        coeffs = [0] * (p + q + 1)
+        coeffs[p + q] += 1
+        coeffs[p] -= 1
+        for j, a in enumerate(prefix, start=1):
+            coeffs[p + q - j] -= a
+            coeffs[p - j] += a
+        for i, c in enumerate(period, start=1):
+            coeffs[q - i] -= c
+    else:
+        coeffs = [0] * (p + 1)
+        coeffs[p] = 1
+        for j, a in enumerate(prefix, start=1):
+            coeffs[p - j] -= a
+    return tuple(coeffs)
+
+
+def test_beta_from_expansion_matches_the_cleared_form():
+    """Seeded random self-admissible (prefix, period) pairs over {0..3},
+    finite and periodic: the base has the polynomial and enclosure of the
+    cleared form's largest root, and w(beta) is the quasi-greedy form of
+    the digits."""
+    rng = random.Random(1994)
+    kinds = {"finite": 0, "periodic": 0}
+    while min(kinds.values()) < 120:
+        prefix, period = (tuple(rng.randint(0, 3)
+                                for _ in range(rng.randint(0, 5)))
+                          for _ in range(2))
+        if period and not any(period):
+            continue  # an all-zero period is trimmed away
+        if not period and (not prefix or prefix[-1] == 0 or prefix == (1,)):
+            continue  # trailing zeros are trimmed, and (1) is refused
+        if (prefix + period)[0] == 0 or not _check_self_admissible_ep(
+                prefix, period):
+            continue
+        kinds["periodic" if period else "finite"] += 1
+        beta = beta_from_expansion(prefix, period)
+        oracle = BetaNumber(_largest_root_above_one(
+            oracle_cleared_form(prefix, period)))
+        assert (beta._ctx.poly_asc, beta._ctx.lo, beta._ctx.hi) == \
+            (oracle._ctx.poly_asc, oracle._ctx.lo, oracle._ctx.hi), \
+            (prefix, period)
+        assert beta.periodic_form() == (
+            (prefix, period) if period
+            else ((), prefix[:-1] + (prefix[-1] - 1,)))
 
 
 def oracle_self_admissible_loop(prefix, period):
