@@ -13,6 +13,14 @@ enclosures, exact for a rational root, resolve floors by an interval
 Horner on integer numerators, two products per step, chosen by sign.  A
 comparison that cannot be resolved below the precision cap raises
 UndecidableAtPrecision instead of guessing.
+
+Above degree 1, greedy expansions decide their digits in fixed-point
+blocks: the exact state is enclosed once at scale 2^P, P never above the
+cap, on integer bounds of beta * 2^P that the context bisects for itself,
+and each digit is then two products on an outward-rounded integer
+interval.  Between blocks the exact state advances by the block's digits;
+a floor a block leaves undecided goes to the exact step, with its closed
+upper endpoint, gcd test and UndecidableAtPrecision.
 """
 
 from __future__ import annotations
@@ -113,6 +121,8 @@ class AlgebraicContext:
     def __init__(self, poly_asc: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.poly_asc = poly_asc
         self._grid = None
+        self._fixed = None  # (P, bl, bh): bl <= beta * 2^P <= bh = bl + 1
+        self._log2 = None  # m with log2(beta) < m / 2^10
         if len(poly_asc) == 2:
             self.lo = self.hi = Fraction(-poly_asc[0], poly_asc[1])
             return
@@ -184,6 +194,86 @@ class AlgebraicContext:
             self.poly_asc, self._grid = g, None
             self._sign_lo = _sign_at(g, self.lo) > 0
         return g is not None
+
+    def _beta_bounds(self, P: int) -> tuple[int, int]:
+        """(bl, bh) with bl <= beta * 2^P <= bh, cached at the largest P
+        asked for, a smaller P shifting them outward.  They are bisected on
+        integers from the enclosure scaled by 2^P, floored and ceiled, so
+        every midpoint lies inside (lo, hi), where the sign of p places it
+        against beta; the shared enclosure is never refined."""
+        if self._fixed is None or self._fixed[0] < P:
+            one = 1 << P
+            l = self.lo.numerator * one // self.lo.denominator
+            h = -(-self.hi.numerator * one // self.hi.denominator)
+            while h - l > 1:
+                m = (l + h) >> 1
+                positive = _sign_at(self.poly_asc, Fraction(m, one)) > 0
+                if positive == self._sign_lo:
+                    l = m
+                else:
+                    h = m
+            self._fixed = (P, l, h)
+        Q, bl, bh = self._fixed
+        return bl >> (Q - P), -(-bh >> (Q - P))
+
+    def _fixed_enclose(self, nums, den, P: int) -> tuple[int, int]:
+        """(vl, vh) with vl <= 2^P * sum nums[i] beta^i / den <= vh: a
+        fixed-point Horner on the bounds of beta * 2^P, each end rounded
+        outward, its product picked by its sign as in enclose."""
+        bl, bh = self._beta_bounds(P)
+        lo = hi = nums[-1] << P
+        for c in reversed(nums[:-1]):
+            c <<= P
+            lo = ((lo * (bl if lo >= 0 else bh)) >> P) + c
+            hi = -((-hi * (bh if hi >= 0 else bl)) >> P) + c
+        return lo // den, -(-hi // den)
+
+    def _block_plan(self, nums, den) -> tuple[int, int]:
+        """(k, guard) for a fixed-point block from the state (nums, den):
+        the guard is 64 bits plus the state's magnitude, from integer bit
+        lengths, and k is the largest length with ceil(k log2 beta) + guard
+        <= the precision cap, the upper bound _log2 / 2^10 standing for
+        log2 beta."""
+        if self._log2 is None:
+            bh = self._beta_bounds(64)[1]
+            self._log2 = (bh ** 1024).bit_length() - 64 * 1024
+        guard = 64 + max(0, max(map(abs, nums)).bit_length()
+                         - den.bit_length()
+                         + (self.degree * self._log2 >> 10) + 1)
+        return ((precision_cap() - guard) << 10) // self._log2, guard
+
+    def _block_digits(self, nums, den, n: int) -> tuple[list[int], int]:
+        """(digits, k): k <= n greedy digits of the state (nums, den), each
+        proved on integers, or fewer when a floor is undecided.
+
+        The state is enclosed once, as [vl, vh] at scale 2^P, by
+        _fixed_enclose on bl <= beta * 2^P <= bh; a digit then costs two
+        products: it is (vl * bl) >> 2P, kept only when (vh * bh) >> 2P
+        agrees.  The width grows by beta per digit, so P = ceil(k log2 beta)
+        + guard keeps it near 2^-64 or less through the block, and P never
+        passes the cap.  Of n > k_max digits, the first block takes the
+        remainder and the later ones k_max, so the last block, after which
+        the exact state need not advance, is the longest.
+        """
+        k_max, guard = self._block_plan(nums, den)
+        if k_max < 1:
+            return [], 0
+        k = (n - 1) % k_max + 1
+        P = -(-k * self._log2 >> 10) + guard
+        vl, vh = self._fixed_enclose(nums, den, P)
+        vl, vh = max(vl, 0), min(vh, 1 << P)  # the state lies in [0, 1)
+        bl, bh = self._beta_bounds(P)
+        P2 = 2 * P
+        mask = (1 << P2) - 1
+        digits = []
+        for _ in range(k):
+            pl, ph = vl * bl, vh * bh
+            d = pl >> P2
+            if ph >> P2 != d:
+                break
+            digits.append(d)
+            vl, vh = (pl & mask) >> P, ((ph & mask) >> P) + 1
+        return digits, k
 
     def floor_vector(self, nums: tuple[int, ...], den: int) -> int:
         """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
@@ -403,12 +493,26 @@ def _greedy_step(beta: BetaNumber, r):
         t, den = -poly[0] * nums[0], poly[1] * den
         d = t // den
         return d, ((t - d * den,), den)
-    lead, top = poly[-1], nums[-1]
-    t = [lead * a - top * c for a, c in zip((0, *nums[:-1]), poly)]
-    den *= lead
+    t, den = _times_beta(poly, nums, den)
     d = ctx.floor_vector(t, den)
     t[0] -= d * den
     return d, (tuple(t), den)
+
+
+def _times_beta(poly, nums, den):
+    """beta * (nums, den) in Q[x]/(poly), degree >= 2, as (list, den)."""
+    lead, top = poly[-1], nums[-1]
+    t = [lead * a - top * c for a, c in zip((0, *nums[:-1]), poly)]
+    return t, den * lead
+
+
+def _advance(poly, r, digits):
+    """The greedy state after the given digits of r, exact."""
+    nums, den = r
+    for d in digits:
+        nums, den = _times_beta(poly, nums, den)
+        nums[0] -= d * den
+    return tuple(nums), den
 
 
 def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
@@ -419,18 +523,42 @@ def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
 
 
 def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
-    """Greedy digits of x in [0, 1) under the base-beta partition."""
+    """Greedy digits of x in [0, 1) under the base-beta partition.
+
+    A rational beta takes the exact step per digit.  Above degree 1 the
+    digits come in fixed-point blocks (AlgebraicContext._block_digits),
+    each digit proved by outward-rounded integers; the exact state advances
+    between blocks, and a floor a block cannot decide takes the exact step.
+    Blocks never refine the shared root enclosure and, like the exact step,
+    never go past the precision cap.
+    """
     if n < 1:
         raise UsageError("n must be >= 1")
     x = Fraction(x)
     if not 0 <= x < 1:
         raise UsageError(f"x must lie in [0, 1), got {x}")
-    r = _point(beta, x)
+    return SymbolWord(tuple(_greedy_digits(beta, _point(beta, x), n)),
+                      beta.digit_bound)
+
+
+def _greedy_digits(beta: BetaNumber, r, n: int) -> list[int]:
+    """n greedy digits of the state r: in fixed-point blocks above degree
+    1, with the exact step for each floor a block leaves undecided."""
+    ctx = beta._ctx
+    blocks = ctx.degree > 1
     digits = []
-    for _ in range(n):
+    while len(digits) < n:
+        if blocks:
+            block, k = ctx._block_digits(*r, n - len(digits))
+            digits += block
+            if len(digits) == n:
+                break
+            r = _advance(ctx.poly_asc, r, block)
+            if block and len(block) == k:
+                continue
         d, r = _greedy_step(beta, r)
         digits.append(d)
-    return SymbolWord(tuple(digits), beta.digit_bound)
+    return digits
 
 
 def _check_self_admissible_ep(prefix, period):

@@ -13,8 +13,10 @@ from betalab.beta_core import (
     AlgebraicContext,
     BetaNumber,
     _check_self_admissible_ep,
+    _greedy_digits,
     _greedy_step,
     _largest_root_above_one,
+    _sign_at,
     _point,
     beta_from_expansion,
     expansion_of_one,
@@ -27,14 +29,15 @@ from betalab.words import format_periodic
 PHI = (1 + math.sqrt(5)) / 2
 
 
-def oracle_greedy_fraction(x, beta, n):
+def oracle_greedy_fraction(x, beta, n, cap=256):
     """Greedy digits of x by the greedy step on Fractions.
 
     An independent check of the integer kernel: the remainder is a Fraction
     (rational beta) or a Fraction vector in Q[x]/(p) multiplied by beta
     through p / lead, and floors come from an interval Horner on the
     Fraction endpoints of the root enclosure, refined by 2^8 until they
-    agree.
+    agree; a floor still undecided once the enclosure is narrower than
+    2^-cap raises UndecidableAtPrecision.
     """
     r = Fraction(x)
     digits = []
@@ -63,7 +66,8 @@ def oracle_greedy_fraction(x, beta, n):
                 return math.floor(lo)
             if math.floor(lo) + 1 == hi:
                 return math.floor(lo)
-            assert width >= Fraction(1, 2 ** 256)
+            if width < Fraction(1, 2 ** cap):
+                raise UndecidableAtPrecision(f"oracle floor at {cap} bits")
             width /= 2 ** 8
             ctx.refine_to(width)
 
@@ -740,6 +744,173 @@ def test_floor_vector_precision_cap(monkeypatch, n, cap, lucas_minus_one):
     else:
         with pytest.raises(UndecidableAtPrecision):
             ctx.floor_vector((f_prev, f), 1)
+
+
+@pytest.fixture(scope="module")
+def block_bases(bench_bases):
+    """bench_bases plus a non-monic, a reducible, a preperiodic and a
+    degree-9 simple base."""
+    return {**bench_bases,
+            "2x2-3x-1": BetaNumber.from_polynomial([2, -3, -1]),
+            # (x^2 - 3)(x^2 - x - 1): beta = sqrt 3, conjugate -sqrt 3
+            "reducible": BetaNumber.from_polynomial([1, -1, -4, 3, 3]),
+            "21(01)": BetaNumber.from_digit_string("21(01)"),
+            "simple-1.7": simple_beta_approx(BetaNumber.from_decimal("1.7"), 12)}
+
+
+@pytest.mark.parametrize("cap", [None, 96, 64],
+                         ids=["default-cap", "cap-96", "cap-64"])
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven", "2x2-3x-1",
+                                  "reducible", "21(01)", "simple-1.7"])
+def test_blocks_match_fraction_oracle(monkeypatch, block_bases, name, cap):
+    """Digits from fixed-point blocks equal the Fraction oracle's at the
+    lengths 1, k - 1, k, k + 1 and 700, k the block length of x's state;
+    where the oracle's floor is undecided at the cap, greedy_expansion
+    raises UndecidableAtPrecision too.  At 96 bits a block is a few dozen
+    digits; at 64 none fits the 64-bit guard, so only the exact step runs.
+    """
+    if cap is None:
+        monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    else:
+        monkeypatch.setenv("BETALAB_PRECISION_BITS", str(cap))
+    beta = block_bases[name]
+    rng = random.Random(26)
+    for _ in range(2):
+        x = Fraction(rng.randrange(10 ** 6), 10 ** 6)
+        k = 0
+        if not beta.is_rational():
+            k = copy.deepcopy(beta)._ctx._block_plan(*_point(beta, x))[0]
+            assert {None: k > 100, 96: 10 <= k <= 60, 64: k < 1}[cap], k
+        for n in sorted({n for n in (1, k - 1, k, k + 1, 700) if n >= 1}):
+            try:
+                expected = oracle_greedy_fraction(
+                    x, copy.deepcopy(beta), n, cap or 256)
+            except UndecidableAtPrecision:
+                with pytest.raises(UndecidableAtPrecision):
+                    greedy_expansion(x, copy.deepcopy(beta), n)
+            else:
+                word = greedy_expansion(x, copy.deepcopy(beta), n)
+                assert list(word.digits) == expected, (x, n)
+
+
+@pytest.mark.parametrize("n, undecided", [(150, True), (151, False)])
+def test_block_hands_an_undecided_floor_to_the_exact_step(n, undecided):
+    """r = (phi^n - L_n + [n even]) / phi = F_(n-2) + L_n - [n even] +
+    (F_(n-1) - L_n + [n even]) phi has phi r = 1 - phi^-n (n even) or
+    phi^-n (n odd), 2^-104 from an integer.  A one-digit block cannot
+    decide the floor below 1, and the exact step gives the digit; the one
+    above 0 is decided from the clamped lower end.  Later digits agree
+    with the exact step's too."""
+    beta = BetaNumber.from_polynomial([1, -1, -1])
+    exact = copy.deepcopy(beta)
+    f_prev, f, lucas = _fib_lucas(n)
+    s = 1 - n % 2
+    r = ((f - f_prev + lucas - s, f_prev - lucas + s), 1)
+    assert beta._ctx._block_digits(*r, 1) == ([] if undecided else [0], 1)
+    digits, state = [], r
+    for _ in range(40):
+        d, state = _greedy_step(exact, state)
+        digits.append(d)
+    assert digits[0] == 0
+    assert _greedy_digits(beta, r, 40) == digits
+
+
+@pytest.mark.parametrize("nums", [(0, 1, 0, 0), (0, -8, 0, 3)])
+def test_block_leaves_an_integer_floor_to_the_gcd(nums):
+    """On (x^2 - 3)(x^2 - x - 1), beta = sqrt 3, both vectors over 3 are
+    sqrt 3 / 3, so beta r = 1 exactly: no outward-rounded interval decides
+    that floor, whatever its P, and the exact step's gcd test gives 1, then
+    the zeros of remainder 0."""
+    beta = BetaNumber.from_polynomial([1, -1, -4, 3, 3])
+    exact = copy.deepcopy(beta)
+    r = (nums, 3)
+    # blocks of 1 to 40 digits: P and the rounding vary with the length
+    for n in range(1, 41):
+        assert beta._ctx._block_digits(*r, n) == ([], n)
+    digits, state = [], r
+    for _ in range(20):
+        d, state = _greedy_step(exact, state)
+        digits.append(d)
+    assert digits == [1] + [0] * 19
+    assert _greedy_digits(beta, r, 20) == digits
+
+
+def test_undecidable_figure_expansion_still_raises(monkeypatch, beta_figure):
+    """On (201001) the state's numerators grow, and x = 0.123457 meets a
+    floor the default cap cannot decide before 10,000 digits: the blocks
+    stop below the cap, so the exact step raises as it always did."""
+    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    with pytest.raises(UndecidableAtPrecision):
+        greedy_expansion(Fraction(123457, 10 ** 6),
+                         copy.deepcopy(beta_figure), 10_000)
+
+
+def test_blocks_leave_the_shared_enclosure_untouched(monkeypatch):
+    """A 700-digit expansion in blocks neither refines the root enclosure
+    nor calls floor_vector, and the cap means the same afterwards: the
+    Lucas floor at n = 200 still raises on that context."""
+    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    beta = BetaNumber.from_polynomial([1, -1, -1])
+    ctx = beta._ctx
+    before = (ctx.lo, ctx.hi)
+    oracle = oracle_greedy_fraction(Fraction(3, 10), copy.deepcopy(beta), 700)
+    floor_vector = AlgebraicContext.floor_vector
+    calls = []
+    monkeypatch.setattr(AlgebraicContext, "floor_vector",
+                        lambda *a: calls.append(a) or floor_vector(*a))
+    word = greedy_expansion(Fraction(3, 10), beta, 700)
+    assert list(word.digits) == oracle
+    assert (ctx.lo, ctx.hi) == before and calls == []
+    f_prev, f, _ = _fib_lucas(200)
+    with pytest.raises(UndecidableAtPrecision):
+        ctx.floor_vector((f_prev, f), 1)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, -1, -1], [1, -1, -1, -1], [1, -2, 0, -1, 0, 0, -2], [2, -3, -1],
+    [1, -1, -4, 3, 3]],
+    ids=["golden", "tribonacci", "201001", "2x2-3x-1", "reducible"])
+def test_fixed_point_enclosure_holds_the_value(coeffs):
+    """_fixed_enclose(nums, den, P) holds 2^P times the value, on random
+    vectors with negative, zero and positive entries up to 10^30 and
+    denominators 1 or up to 10^6: the exact interval Horner of a 2^-(P +
+    200)-wide root enclosure lies inside it, and it is at most a few units
+    wider than that interval needs."""
+    ctx = BetaNumber.from_polynomial(coeffs)._ctx
+    rng = random.Random(26)
+    for P in (64, 97, 200, 256, 320):
+        ref = copy.deepcopy(ctx)
+        ref.refine_to(Fraction(1, 2 ** (P + 200)))
+        for _ in range(60):
+            nums = tuple(rng.choice((0, rng.randint(-9, 9),
+                                     rng.randint(-10 ** 30, 10 ** 30)))
+                         for _ in range(ctx.degree))
+            den = rng.choice((1, rng.randint(1, 10 ** 6)))
+            vl, vh = ctx._fixed_enclose(nums, den, P)
+            lo, hi, q = ref.enclose(nums, den)
+            assert vl * q <= lo << P and hi << P <= vh * q, (P, nums, den)
+            slack = max(map(abs, nums)).bit_length() + 3 * ctx.degree + 2
+            assert vh - vl <= 2 ** slack, (P, nums, den)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, -1, -1], [1, -2, 0, -1, 0, 0, -2], [2, -3, -1], [1, -1, -4, 3, 3]],
+    ids=["golden", "201001", "2x2-3x-1", "reducible"])
+def test_beta_bounds_are_floor_and_ceiling(coeffs):
+    """_beta_bounds(P) is (floor(beta 2^P), floor(beta 2^P) + 1), whether
+    bisected, extended from a smaller cached P or shifted down from a
+    larger one, and the shared enclosure stays as it was."""
+    ctx = BetaNumber.from_polynomial(coeffs)._ctx
+    before = (ctx.lo, ctx.hi)
+    ref = copy.deepcopy(ctx)
+    ref.refine_to(Fraction(1, 2 ** 400))
+    for P in (200, 64, 300, 120, 1):
+        bl, bh = ctx._beta_bounds(P)
+        assert math.floor(ref.lo * 2 ** P) == bl == math.floor(ref.hi * 2 ** P)
+        assert bh == bl + 1
+        assert _sign_at(ref.poly_asc, Fraction(bl, 2 ** P)) != 0
+    assert (ctx.lo, ctx.hi) == before
 
 
 @pytest.mark.parametrize("text", ["2(10)", "3(12)", "2(01)", "11(10)",
