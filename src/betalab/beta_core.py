@@ -8,19 +8,19 @@ Sturm chain on integers, and p need not be minimal: a zero test that an
 enclosure cannot settle is decided by a gcd with p, which also shrinks p
 toward beta's minimal polynomial (dynamic evaluation).  All digit
 decisions are exact and run on integers: the greedy state is integer
-numerators over one denominator, a vector in Q[x]/(p).  Dyadic root
-enclosures, exact for a rational root, resolve floors by an interval
-Horner on integer numerators, two products per step, chosen by sign.  A
-comparison that cannot be resolved below the precision cap raises
-UndecidableAtPrecision instead of guessing.
+numerators over one denominator, a vector in Q[x]/(p).  One evaluator
+encloses such a value: a fixed-point Horner at scale 2^P on integer bounds
+of beta * 2^P, which the context bisects for itself, each end rounded
+outward, two products per step, chosen by sign.  A floor doubles P up to
+the precision cap, and a floor or comparison that cannot be resolved there
+raises UndecidableAtPrecision instead of guessing.
 
 Above degree 1, greedy expansions decide their digits in fixed-point
-blocks: the exact state is enclosed once at scale 2^P, P never above the
-cap, on integer bounds of beta * 2^P that the context bisects for itself,
-and each digit is then two products on an outward-rounded integer
-interval.  Between blocks the exact state advances by the block's digits;
-a floor a block leaves undecided goes to the exact step, with its closed
-upper endpoint, gcd test and UndecidableAtPrecision.
+blocks: the exact state is enclosed once, P never above the cap, and each
+digit is then two products on an outward-rounded integer interval.
+Between blocks the exact state advances by the block's digits; a floor a
+block leaves undecided goes to the exact step, with its gcd test and
+UndecidableAtPrecision.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class AlgebraicContext:
 
     def __init__(self, poly_asc: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.poly_asc = poly_asc
-        self._grid = None
         self._fixed = None  # (P, bl, bh): bl <= beta * 2^P <= bh = bl + 1
         self._log2 = None  # m with log2(beta) < m / 2^10
         if len(poly_asc) == 2:
@@ -140,45 +139,22 @@ class AlgebraicContext:
 
     def refine_to(self, width: Fraction) -> None:
         while self.hi - self.lo > width:
-            self._grid = None
             mid = (self.lo + self.hi) / 2
             if (_sign_at(self.poly_asc, mid) > 0) == self._sign_lo:
                 self.lo = mid
             else:
                 self.hi = mid
 
-    def enclose(self, nums: tuple[int, ...], den: int) -> tuple[int, int, int]:
-        """(l, h, q) with sum nums[i] * beta^i / den in [l/q, h/q].
-
-        Interval Horner over [lo, hi] = [a/D, b/D], on integer numerators
-        over the common denominator den * D^(degree-1); (a, b, powers of D)
-        is cached until refine_to moves the enclosure.  Every enclosure the
-        library builds lies above 1, so 0 < a <= b, and the sign of each
-        end of [l, h] picks the one product of [l, h] * [a, b] that bounds
-        it (Moore 1966): two products per step, the same interval as the
-        min and max of all four.  The rule needs only a >= 0, which
-        __init__ checks.
-        """
-        if self._grid is None:
-            D = math.lcm(self.lo.denominator, self.hi.denominator)
-            self._grid = (self.lo.numerator * (D // self.lo.denominator),
-                          self.hi.numerator * (D // self.hi.denominator),
-                          [D ** k for k in range(self.degree)])
-        a, b, powers = self._grid
-        lo = hi = nums[-1]
-        for k in range(1, len(nums)):
-            c = nums[-1 - k] * powers[k]
-            lo, hi = ((lo * a if lo >= 0 else lo * b) + c,
-                      (hi * b if hi >= 0 else hi * a) + c)
-        return lo, hi, den * powers[len(nums) - 1]
-
     def _root_factor(self, nums):
         """gcd(sum nums[i] x^i, p) when beta is its root, so that
         sum nums[i] beta^i = 0; else None.  The zero vector needs no gcd,
-        and neither does an enclosure without 0."""
+        and neither does a value whose 64-bit fixed-point enclosure
+        leaves out 0."""
         if not any(nums):
             return self.poly_asc
-        lo, hi, _ = self.enclose(nums, 1)
+        if len(nums) == 1:  # a nonzero constant, as on a rational base
+            return None
+        lo, hi = self._fixed_enclose(nums, 1, 64)
         if lo > 0 or hi < 0:
             return None
         g = _gcd(nums, self.poly_asc)
@@ -191,7 +167,7 @@ class AlgebraicContext:
         and Duval 1985), so a state built before a True answer is void."""
         g = self._root_factor(nums)
         if g is not None and len(g) < len(self.poly_asc):
-            self.poly_asc, self._grid = g, None
+            self.poly_asc = g
             self._sign_lo = _sign_at(g, self.lo) > 0
         return g is not None
 
@@ -219,7 +195,10 @@ class AlgebraicContext:
     def _fixed_enclose(self, nums, den, P: int) -> tuple[int, int]:
         """(vl, vh) with vl <= 2^P * sum nums[i] beta^i / den <= vh: a
         fixed-point Horner on the bounds of beta * 2^P, each end rounded
-        outward, its product picked by its sign as in enclose."""
+        outward.  The bounds are nonnegative, the enclosure lying in [0,
+        inf), so the sign of each end picks the one product that bounds it
+        (Moore 1966): two products per step.
+        """
         bl, bh = self._beta_bounds(P)
         lo = hi = nums[-1] << P
         for c in reversed(nums[:-1]):
@@ -278,34 +257,31 @@ class AlgebraicContext:
     def floor_vector(self, nums: tuple[int, ...], den: int) -> int:
         """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
 
-        The enclosure is the interval Horner of the root enclosure, evaluated
-        on integers; it is the same rational interval a Fraction evaluation
-        gives, so floors, the closed upper endpoint and the precision cap
-        decide exactly as they would there.
+        The value is enclosed at scale 2^P by _fixed_enclose, P starting at
+        64 bits plus the value's magnitude, from integer bit lengths, and
+        doubling up to the precision cap; the shared root enclosure is never
+        refined.  At the cap, a vector in Q[x]/(p) for a reducible p can
+        equal an integer without being constant, and the gcd decides that;
+        any other undecided floor raises UndecidableAtPrecision.
         """
-        width = None
+        cap = precision_cap()
+        P = min(cap, 64 + max(0, max(map(abs, nums)).bit_length()
+                              - den.bit_length()
+                              + self.degree * math.ceil(self.hi).bit_length()))
         while True:
-            lo, hi, q = self.enclose(nums, den)
-            f_lo, f_hi = lo // q, hi // q
+            vl, vh = self._fixed_enclose(nums, den, P)
+            f_lo, f_hi = vl >> P, vh >> P
             if f_lo == f_hi:
                 return f_lo
-            if f_lo + 1 == f_hi and hi == f_hi * q:
-                # closed upper endpoint touching an integer exactly
-                return f_lo
-            if width is None:
-                cap = precision_cap()
-                width = self.hi - self.lo
-            if width < Fraction(1, 2 ** cap):
-                # a vector in Q[x]/(p) for a reducible p can equal an
-                # integer without being constant: the gcd decides that
-                if f_lo + 1 == f_hi and self._root_factor(
-                        (nums[0] - f_hi * den, *nums[1:])) is not None:
-                    return f_hi
-                raise UndecidableAtPrecision(
-                    f"floor undecided at {cap} bits: value in [{lo / q}, {hi / q}]"
-                )
-            width /= 2 ** 8
-            self.refine_to(width)
+            if P >= cap:
+                break
+            P = min(2 * P, cap)
+        if f_lo + 1 == f_hi and self._root_factor(
+                (nums[0] - f_hi * den, *nums[1:])) is not None:
+            return f_hi
+        raise UndecidableAtPrecision(
+            f"floor undecided at {cap} bits: value in "
+            f"[{Fraction(vl, 1 << P)}, {Fraction(vh, 1 << P)}]")
 
 
 class BetaNumber:
@@ -529,8 +505,8 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
     digits come in fixed-point blocks (AlgebraicContext._block_digits),
     each digit proved by outward-rounded integers; the exact state advances
     between blocks, and a floor a block cannot decide takes the exact step.
-    Blocks never refine the shared root enclosure and, like the exact step,
-    never go past the precision cap.
+    Both enclose on the fixed-point bounds of beta, so neither refines the
+    shared root enclosure or goes past the precision cap.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
@@ -626,7 +602,8 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
 
 def _largest_root_above_one(asc) -> AlgebraicContext:
     """The largest real root > 1 of an integer polynomial (ascending
-    coefficients), as a context on the polynomial's squarefree part p.
+    coefficients), as a context on the squarefree part p of the polynomial
+    with its factor x^k divided out, the root 0 never being beta.
 
     A Sturm chain of p (Sturm 1829; positive contents only, so that its
     signs survive) counts the roots in (1, B], B a power of two above
@@ -636,6 +613,8 @@ def _largest_root_above_one(asc) -> AlgebraicContext:
     the enclosure is narrower only its fraction nearest the midpoint with
     denominator <= c can be the root.
     """
+    while asc[0] == 0 and len(asc) > 2:  # x itself stays, refused below
+        asc = asc[1:]
     p = _squarefree(asc)
     chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:

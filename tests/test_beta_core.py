@@ -18,6 +18,7 @@ from betalab.beta_core import (
     _largest_root_above_one,
     _sign_at,
     _point,
+    _times_beta,
     beta_from_expansion,
     expansion_of_one,
     greedy_expansion,
@@ -162,8 +163,9 @@ def test_greedy_expansion_domain(beta_golden):
 
 
 def test_greedy_expansion_of_zero_is_all_zeros(bench_bases):
-    """The zero state is a constant vector, whose interval Horner enclosure
-    is one point: every floor is 0, decided without refining beta."""
+    """Above degree 1 the zero state's fixed-point enclosure is the one
+    point 0, and on a rational base the exact step is one integer
+    division: every floor is 0, decided without refining beta."""
     for beta in bench_bases.values():
         beta = copy.deepcopy(beta)
         enclosure = (beta._ctx.lo, beta._ctx.hi)
@@ -485,15 +487,19 @@ def test_zero_test_shrinks_the_polynomial():
 
 
 def test_is_zero_needs_the_gcd_to_carry_beta():
-    """r = (x + 2)(10^7 x - 16180340) shares the factor x + 2 with
-    p = (x^2 - x - 1)(x + 2), and its enclosure at 2^-16 holds 0, yet
-    r(phi) != 0: only a gcd that changes sign on the enclosure vanishes
-    at beta."""
+    """r = (x + 2)(10^7 x - 16180340) and s = (x + 2)(F_60 x - F_61) share
+    the factor x + 2 with p = (x^2 - x - 1)(x + 2), yet neither vanishes
+    at phi: only a gcd that changes sign on the enclosure vanishes at beta.
+    s(phi) is about -10^-12, so its 64-bit fixed-point enclosure holds 0
+    and the gcd is reached."""
     beta = BetaNumber.from_polynomial([1, 1, -3, -2])
+    f60, f61, _ = _fib_lucas(61)
     r = (-32360680, 3819660, 10 ** 7)
-    lo, hi, _ = beta._ctx.enclose(r, 1)
-    assert lo < 0 < hi
+    s = (-2 * f61, 2 * f60 - f61, f60)
+    vl, vh = beta._ctx._fixed_enclose(s, 1, 64)
+    assert vl < 0 < vh
     assert not beta._ctx.is_zero(r)
+    assert not beta._ctx.is_zero(s)
     assert beta._ctx.poly_asc == (-2, -3, 1, 1)
 
 
@@ -643,69 +649,29 @@ def test_non_monic_base_matches_fraction_oracle():
 
 
 def test_floor_on_closed_upper_endpoint_needs_no_refinement():
-    # phi in [12/8, 13/8]: 8 * phi has the enclosure [12, 13], whose upper
-    # end is an integer the irrational value cannot reach
+    # phi in [12/8, 13/8]: 8 * phi lies in [12, 13], whose upper end is an
+    # integer the irrational value cannot reach; the floor comes from the
+    # fixed-point bounds of phi, bisected apart from the root enclosure
     ctx = AlgebraicContext((-1, -1, 1), Fraction(3, 2), Fraction(13, 8))
     assert ctx.floor_vector((0, 8), 1) == 12
     assert (ctx.lo, ctx.hi) == (Fraction(3, 2), Fraction(13, 8))
     assert ctx.floor_vector((-1, 8), 1) == 11
 
 
-def four_product_enclose(ctx, nums, den):
-    """The interval Horner that forms all four products [lo, hi] * [a, b]
-    at each step and keeps their min and max, on the same integer
-    numerators over den * D^(len(nums) - 1), [a/D, b/D] the root
-    enclosure.  Also returns the sign patterns of [lo, hi] it met."""
-    D = math.lcm(ctx.lo.denominator, ctx.hi.denominator)
-    a, b = int(ctx.lo * D), int(ctx.hi * D)
+def four_product_enclose(ref, nums, den):
+    """(lo, hi, q) with the value sum nums[i] * beta^i / den in [lo/q,
+    hi/q]: the interval Horner over the root enclosure [a/D, b/D] of the
+    context ref that forms all four products [lo, hi] * [a, b] at each
+    step and keeps their min and max, on integer numerators over
+    q = den * D^(len(nums) - 1)."""
+    D = math.lcm(ref.lo.denominator, ref.hi.denominator)
+    a, b = int(ref.lo * D), int(ref.hi * D)
     lo = hi = nums[-1]
-    patterns = set()
     for k in range(1, len(nums)):
-        patterns.add((lo >= 0, hi >= 0))
         ps = (lo * a, lo * b, hi * a, hi * b)
         c = nums[-1 - k] * D ** k
         lo, hi = min(ps) + c, max(ps) + c
-    return (lo, hi, den * D ** (len(nums) - 1)), patterns
-
-
-@pytest.mark.parametrize("coeffs", [
-    [1, -1, -1],  # golden
-    [1, -1, -1, -1],  # tribonacci
-    [1, -2, 0, -1, 0, 0, -2],  # (201001)
-    [2, -3, -1],  # non-monic
-    [2, -1, -3, -1],  # (x^2 - x - 1)(2x + 1), reducible
-    None,  # golden on [0, 2]: a = 0
-], ids=["golden", "tribonacci", "201001", "2x2-3x-1", "reducible",
-        "golden-from-0"])
-def test_enclose_is_the_four_product_interval(coeffs):
-    """The two sign-chosen products per step give exactly the interval of
-    all four, on random vectors with negative, zero and positive entries,
-    at the starting enclosure and after refining it to 2^-100."""
-    if coeffs is None:
-        ctx = AlgebraicContext((-1, -1, 1), Fraction(0), Fraction(2))
-    else:
-        ctx = BetaNumber.from_polynomial(coeffs)._ctx
-    rng = random.Random(22)
-    patterns = set()
-    for width in (None, Fraction(1, 2 ** 100)):
-        if width is not None:
-            ctx.refine_to(width)
-        for _ in range(300):
-            nums = [rng.choice((0, rng.randint(-9, 9),
-                                rng.randint(-10 ** 30, 10 ** 30)))
-                     for _ in range(ctx.degree)]
-            if rng.random() < 0.3:
-                # the first step's interval holds 0 when |nums[-1]| is
-                # past the inverse enclosure width
-                nums[-2] = -math.floor(nums[-1] * (ctx.lo + ctx.hi) / 2)
-            nums = tuple(nums)
-            den = rng.randint(1, 10 ** 6)
-            expected, seen = four_product_enclose(ctx, nums, den)
-            assert ctx.enclose(nums, den) == expected, (nums, den)
-            patterns |= seen
-    # at degree 2 the one step starts from lo = hi, which cannot straddle 0
-    straddle = {(False, True)} if ctx.degree > 2 else set()
-    assert patterns == {(True, True), (False, False)} | straddle
+    return lo, hi, den * D ** (len(nums) - 1)
 
 
 def test_context_refuses_an_enclosure_below_zero():
@@ -836,6 +802,73 @@ def test_block_leaves_an_integer_floor_to_the_gcd(nums):
     assert _greedy_digits(beta, r, 20) == digits
 
 
+def oracle_floor(ctx, nums, den):
+    """floor(sum nums[i] * beta^i / den) by four_product_enclose on a copy
+    of ctx whose root enclosure narrows by 2^64 until both ends floor
+    alike."""
+    ref = copy.deepcopy(ctx)
+    width = ref.hi - ref.lo
+    while True:
+        lo, hi, q = four_product_enclose(ref, nums, den)
+        if lo // q == hi // q:
+            return lo // q
+        width /= 2 ** 64
+        assert width > Fraction(1, 2 ** 4096), (nums, den)
+        ref.refine_to(width)
+
+
+def sqrt3_floor(ctx, nums, den):
+    """floor((a + b sqrt 3) / den) for beta = sqrt 3, where a and b sum
+    the even- and odd-indexed nums[i] 3^(i // 2): exact on integers, so it
+    decides the integer values that no enclosure decides."""
+    a = sum(c * 3 ** (i // 2) for i, c in enumerate(nums) if i % 2 == 0)
+    b = sum(c * 3 ** (i // 2) for i, c in enumerate(nums) if i % 2)
+    root = math.isqrt(3 * b * b)  # floor(|b| sqrt 3), irrational for b != 0
+    return (a + root if b >= 0 else a - root - 1) // den
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven", "2x2-3x-1",
+                                  "reducible", "21(01)", "simple-1.7"])
+def test_floor_vector_matches_fraction_oracle(monkeypatch, block_bases, name):
+    """floor_vector equals the Fraction oracle's floor on random vectors
+    with negative, zero and positive entries up to 10^30 and denominators
+    1 to 10^6, without calling refine_to or moving the root enclosure.  On
+    (x^2 - 3)(x^2 - x - 1), beta = sqrt 3, where a vector with zero odd
+    entries is an integer, the oracle is sqrt3_floor; there beta times the
+    two vectors for sqrt 3 / 3 of
+    test_block_leaves_an_integer_floor_to_the_gcd is 1 exactly too.  No
+    enclosure decides such a floor, and the gcd at the cap does."""
+    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    ctx = copy.deepcopy(block_bases[name]._ctx)
+    oracle = sqrt3_floor if name == "reducible" else oracle_floor
+    rng = random.Random(27)
+    cases = []
+    for _ in range(200):
+        nums = tuple(rng.choice((0, rng.randint(-9, 9),
+                                 rng.randint(-10 ** 30, 10 ** 30)))
+                     for _ in range(ctx.degree))
+        cases.append((nums, rng.choice((1, rng.randint(1, 10 ** 6)))))
+    if name == "reducible":
+        for nums in ((0, 1, 0, 0), (0, -8, 0, 3)):
+            t, den = _times_beta(ctx.poly_asc, nums, 3)
+            cases.append((tuple(t), den))
+            assert oracle(ctx, *cases[-1]) == 1
+    cases = [(nums, den, oracle(ctx, nums, den)) for nums, den in cases]
+    before = (ctx.lo, ctx.hi)
+    refine_to, root_factor = (AlgebraicContext.refine_to,
+                              AlgebraicContext._root_factor)
+    refines, gcds = [], []
+    monkeypatch.setattr(AlgebraicContext, "refine_to",
+                        lambda *a: refines.append(a) or refine_to(*a))
+    monkeypatch.setattr(AlgebraicContext, "_root_factor",
+                        lambda *a: gcds.append(a) or root_factor(*a))
+    for nums, den, expected in cases:
+        assert ctx.floor_vector(nums, den) == expected, (nums, den)
+    assert (ctx.lo, ctx.hi) == before and refines == []
+    assert bool(gcds) == (name == "reducible")
+
+
 def test_undecidable_figure_expansion_still_raises(monkeypatch, beta_figure):
     """On (201001) the state's numerators grow, and x = 0.123457 meets a
     floor the default cap cannot decide before 10,000 digits: the blocks
@@ -888,7 +921,7 @@ def test_fixed_point_enclosure_holds_the_value(coeffs):
                          for _ in range(ctx.degree))
             den = rng.choice((1, rng.randint(1, 10 ** 6)))
             vl, vh = ctx._fixed_enclose(nums, den, P)
-            lo, hi, q = ref.enclose(nums, den)
+            lo, hi, q = four_product_enclose(ref, nums, den)
             assert vl * q <= lo << P and hi << P <= vh * q, (P, nums, den)
             slack = max(map(abs, nums)).bit_length() + 3 * ctx.degree + 2
             assert vh - vl <= 2 ** slack, (P, nums, den)
@@ -911,6 +944,28 @@ def test_beta_bounds_are_floor_and_ceiling(coeffs):
         assert bh == bl + 1
         assert _sign_at(ref.poly_asc, Fraction(bl, 2 ** P)) != 0
     assert (ctx.lo, ctx.hi) == before
+
+
+def test_factor_x_is_divided_out():
+    """z^(p+q) D(1/z) for 21(01) has the factor z, and so has a polynomial
+    given as x(x^2 - x - 1); the root 0 is never beta, so x goes, and the
+    bases have the cubic's and the golden mean's polynomial, enclosure and
+    digits.  The polynomial x alone has no root above 1."""
+    digits = BetaNumber.from_digit_string("21(01)")
+    cubic = BetaNumber.from_polynomial([1, -2, -2, 2])
+    golden = BetaNumber.from_polynomial([1, -1, -1, 0])
+    assert digits._ctx.poly_asc == cubic._ctx.poly_asc == (2, -2, -2, 1)
+    assert golden._ctx.poly_asc == (-1, -1, 1)
+    for beta, same in ((digits, cubic),
+                       (golden, BetaNumber.from_polynomial([1, -1, -1]))):
+        assert (beta._ctx.lo, beta._ctx.hi) == (same._ctx.lo, same._ctx.hi)
+        assert beta.digits(40) == same.digits(40)
+        for x in (Fraction(0), Fraction(3, 10), Fraction(999999, 10 ** 6)):
+            assert (greedy_expansion(x, beta, 300).digits
+                    == greedy_expansion(x, same, 300).digits)
+    for coeffs in ([1, 0], [1, 0, 0]):
+        with pytest.raises(UsageError, match="no real root above 1"):
+            BetaNumber.from_polynomial(coeffs)
 
 
 @pytest.mark.parametrize("text", ["2(10)", "3(12)", "2(01)", "11(10)",
