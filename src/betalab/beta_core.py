@@ -18,8 +18,9 @@ raises UndecidableAtPrecision instead of guessing.
 Above degree 1, greedy expansions decide their digits in fixed-point
 blocks: the exact state is enclosed once, P never above the cap, and each
 digit is then two products on an outward-rounded integer interval.
-Between blocks the exact state advances by the block's digits; a floor a
-block leaves undecided goes to the exact step, with its gcd test and
+Between blocks the exact state jumps over the whole block at once, by a
+table of lead^m x^m mod p kept for the longest block; a floor a block
+leaves undecided goes to the exact step, with its gcd test and
 UndecidableAtPrecision.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import UndecidableAtPrecision, UsageError
@@ -122,6 +124,7 @@ class AlgebraicContext:
         self.poly_asc = poly_asc
         self._fixed = None  # (P, bl, bh): bl <= beta * 2^P <= bh = bl + 1
         self._log2 = None  # m with log2(beta) < m / 2^10
+        self._powers = None  # (p, columns of lead^m x^m mod p, lead^m)
         if len(poly_asc) == 2:
             self.lo = self.hi = Fraction(-poly_asc[0], poly_asc[1])
             return
@@ -173,18 +176,30 @@ class AlgebraicContext:
 
     def _beta_bounds(self, P: int) -> tuple[int, int]:
         """(bl, bh) with bl <= beta * 2^P <= bh, cached at the largest P
-        asked for, a smaller P shifting them outward.  They are bisected on
-        integers from the enclosure scaled by 2^P, floored and ceiled, so
-        every midpoint lies inside (lo, hi), where the sign of p places it
-        against beta; the shared enclosure is never refined."""
-        if self._fixed is None or self._fixed[0] < P:
+        asked for, a smaller P shifting them outward.  A larger P refines
+        the cached (Q, bl, bh): bisection on integers starts from
+        max(floor(lo 2^P), bl 2^(P-Q)) and min(ceil(hi 2^P), bh 2^(P-Q)),
+        so every midpoint m lies inside (lo, hi), where the sign of the
+        integer 2^(P deg) p(m / 2^P) places it against beta; the shared
+        enclosure is never refined."""
+        fixed = self._fixed
+        if fixed is None or fixed[0] < P:
             one = 1 << P
             l = self.lo.numerator * one // self.lo.denominator
             h = -(-self.hi.numerator * one // self.hi.denominator)
+            if fixed is not None:
+                Q, bl, bh = fixed
+                l, h = max(l, bl << (P - Q)), min(h, bh << (P - Q))
+            coeffs = self.poly_asc[::-1]
             while h - l > 1:
                 m = (l + h) >> 1
-                positive = _sign_at(self.poly_asc, Fraction(m, one)) > 0
-                if positive == self._sign_lo:
+                # 2^(P deg) p(m / 2^P) by shifts: a Fraction, or products
+                # with powers of 2^P, cost two to four times as much
+                acc = shift = 0
+                for c in coeffs:
+                    acc = acc * m + (c << shift)
+                    shift += P
+                if (acc > 0) == self._sign_lo:
                     l = m
                 else:
                     h = m
@@ -232,7 +247,8 @@ class AlgebraicContext:
         + guard keeps it near 2^-64 or less through the block, and P never
         passes the cap.  Of n > k_max digits, the first block takes the
         remainder and the later ones k_max, so the last block, after which
-        the exact state need not advance, is the longest.
+        the exact state need not advance, is the longest.  Between blocks
+        _advance jumps the exact state by the k digits at once.
         """
         k_max, guard = self._block_plan(nums, den)
         if k_max < 1:
@@ -253,6 +269,25 @@ class AlgebraicContext:
             digits.append(d)
             vl, vh = (pl & mask) >> P, ((ph & mask) >> P) + 1
         return digits, k
+
+    def _power_table(self, rows: int):
+        """(columns, leads) for m < rows at least: column i lists coordinate
+        i of W[m] = lead^m x^m mod p, the integer vector that m _times_beta
+        steps give from 1 over 1, and leads lists lead^m, lead being p's
+        leading coefficient.  The table grows on demand and belongs to the
+        current p, so a shrink in is_zero starts a new one."""
+        poly = self.poly_asc
+        if self._powers is None or self._powers[0] is not poly:
+            self._powers = (poly, [[int(i == 0)] for i in range(self.degree)],
+                            [1])
+        _, columns, leads = self._powers
+        row = [c[-1] for c in columns]
+        while len(leads) < rows:
+            row, lead_m = _times_beta(poly, row, leads[-1])
+            for c, a in zip(columns, row):
+                c.append(a)
+            leads.append(lead_m)
+        return columns, leads
 
     def floor_vector(self, nums: tuple[int, ...], den: int) -> int:
         """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
@@ -482,13 +517,25 @@ def _times_beta(poly, nums, den):
     return t, den * lead
 
 
-def _advance(poly, r, digits):
-    """The greedy state after the given digits of r, exact."""
+def _advance(ctx: AlgebraicContext, r, digits):
+    """The greedy state after the k given digits d_1 .. d_k of r = (nums,
+    den), exact, in one jump: beta^k r - sum_i d_i beta^(k-i) is
+
+        nums' = sum_l nums_l W[k+l] / lead^l - den sum_i d_i lead^i W[k-i]
+
+    over den' = den lead^k, the state that k exact steps give.  Each
+    W[k+l] / lead^l = lead^k x^(k+l) mod p is an integer vector, so the
+    first sum is taken over lead^(deg-1) and divided exactly."""
     nums, den = r
-    for d in digits:
-        nums, den = _times_beta(poly, nums, den)
-        nums[0] -= d * den
-    return tuple(nums), den
+    k, deg = len(digits), len(nums)
+    columns, leads = ctx._power_table(k + deg)
+    top = leads[deg - 1]
+    scaled = [a * leads[deg - 1 - l] for l, a in enumerate(nums)]
+    # d_i lead^i for i = k down to 1, against W[0], W[1], ...
+    weighted = list(map(mul, reversed(digits), reversed(leads[1:k + 1])))
+    return (tuple(sum(map(mul, scaled, c[k:k + deg])) // top
+                  - den * sum(map(mul, weighted, c)) for c in columns),
+            den * leads[k])
 
 
 def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
@@ -503,8 +550,8 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
 
     A rational beta takes the exact step per digit.  Above degree 1 the
     digits come in fixed-point blocks (AlgebraicContext._block_digits),
-    each digit proved by outward-rounded integers; the exact state advances
-    between blocks, and a floor a block cannot decide takes the exact step.
+    each digit proved by outward-rounded integers; the exact state jumps
+    over each block, and a floor a block cannot decide takes the exact step.
     Both enclose on the fixed-point bounds of beta, so neither refines the
     shared root enclosure or goes past the precision cap.
     """
@@ -519,7 +566,9 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
 
 def _greedy_digits(beta: BetaNumber, r, n: int) -> list[int]:
     """n greedy digits of the state r: in fixed-point blocks above degree
-    1, with the exact step for each floor a block leaves undecided."""
+    1, the exact state jumping over each block's digits by _advance, with
+    the exact step for each floor a block leaves undecided.  A state past
+    the block guard gives empty blocks, and no jump is taken for them."""
     ctx = beta._ctx
     blocks = ctx.degree > 1
     digits = []
@@ -529,9 +578,10 @@ def _greedy_digits(beta: BetaNumber, r, n: int) -> list[int]:
             digits += block
             if len(digits) == n:
                 break
-            r = _advance(ctx.poly_asc, r, block)
-            if block and len(block) == k:
-                continue
+            if block:
+                r = _advance(ctx, r, block)
+                if len(block) == k:
+                    continue
         d, r = _greedy_step(beta, r)
         digits.append(d)
     return digits

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from betalab.beta_core import (
     AlgebraicContext,
     BetaNumber,
+    _advance,
     _check_self_admissible_ep,
     _greedy_digits,
     _greedy_step,
@@ -800,6 +801,92 @@ def test_block_leaves_an_integer_floor_to_the_gcd(nums):
         digits.append(d)
     assert digits == [1] + [0] * 19
     assert _greedy_digits(beta, r, 20) == digits
+
+
+def per_digit_advance(poly, r, digits):
+    """The greedy state after the given digits of r, one exact step per
+    digit: the oracle for _advance's one jump per block."""
+    nums, den = r
+    for d in digits:
+        nums, den = _times_beta(poly, nums, den)
+        nums[0] -= d * den
+    return tuple(nums), den
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven", "2x2-3x-1",
+                                  "reducible", "21(01)", "simple-1.7"])
+def test_jump_matches_per_digit_advance(monkeypatch, block_bases, name):
+    """One jump by k digits gives the state that k exact steps give, for
+    k = 0, 1, a full block and lengths that extend the table of powers,
+    from states with negative, zero and large numerators and random
+    digits, and from greedy states with their own digits."""
+    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    beta = copy.deepcopy(block_bases[name])
+    ctx = beta._ctx
+    rng = random.Random(28)
+    x = Fraction(rng.randrange(10 ** 6), 10 ** 6)
+    k_max = ctx._block_plan(*_point(beta, x))[0] if ctx.degree > 1 else 300
+    grown = []
+    for k in (0, 1, k_max, 7, k_max + 40, 2 * k_max + 3, 5):
+        nums = tuple(rng.choice((0, rng.randint(-9, 9),
+                                 rng.randint(-10 ** 30, 10 ** 30)))
+                     for _ in range(ctx.degree))
+        r = (nums, rng.choice((1, rng.randint(1, 10 ** 6))))
+        digits = [rng.randint(0, beta.digit_bound) for _ in range(k)]
+        assert _advance(ctx, r, digits) == per_digit_advance(
+            ctx.poly_asc, r, digits), (k, r)
+        grown.append(len(ctx._powers[2]))
+    assert grown == sorted(grown) and grown[-1] >= 2 * k_max + 3
+    r = _point(beta, x)
+    digits = _greedy_digits(copy.deepcopy(beta), r, k_max + 1)
+    assert _advance(ctx, r, digits) == per_digit_advance(
+        ctx.poly_asc, r, digits)
+
+
+def test_jump_follows_a_shrunk_polynomial():
+    """Once is_zero shrinks (x^2 - 3)(x^2 - x - 1) to x^2 - 3, the next
+    jump reads a table of the new p's powers, not the old one."""
+    beta = BetaNumber.from_polynomial([1, -1, -4, 3, 3])
+    ctx = beta._ctx
+    r = ((1, 2, -3, 4), 5)
+    digits = [1, 0, 1, 1, 0, 0, 1] * 20
+    assert _advance(ctx, r, digits) == per_digit_advance(
+        ctx.poly_asc, r, digits)
+    assert ctx._powers[0] == (3, 3, -4, -1, 1)
+    assert ctx.is_zero((-3, 0, 1)) and ctx.poly_asc == (-3, 0, 1)
+    r = ((1, 2), 5)
+    assert _advance(ctx, r, digits) == per_digit_advance(
+        ctx.poly_asc, r, digits)
+    assert ctx._powers[0] == (-3, 0, 1)
+    assert ctx._powers[1][1][:4] == [0, 1, 0, 3]
+
+
+def test_power_table_stays_one_block_long(monkeypatch):
+    """A 10,000-digit golden expansion advances block by block, and the
+    table of powers holds at most the longest block plus the degree plus
+    one rows, however many digits the expansion asks for."""
+    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    beta = BetaNumber.from_polynomial([1, -1, -1])
+    ctx = beta._ctx
+    block_digits = AlgebraicContext._block_digits
+    lengths = []
+
+    def recorded(*args):
+        block, k = block_digits(*args)
+        lengths.append(len(block))
+        return block, k
+
+    monkeypatch.setattr(AlgebraicContext, "_block_digits", recorded)
+    x = Fraction(3, 10)
+    word = greedy_expansion(x, beta, 10_000)
+    assert len(lengths) > 20 and max(lengths) < 1000
+    rows = len(ctx._powers[2])
+    assert rows <= max(lengths) + ctx.degree + 1
+    assert list(word.digits[:700]) == oracle_greedy_fraction(
+        x, copy.deepcopy(beta), 700)
+    greedy_expansion(x, beta, 20_000)
+    assert len(ctx._powers[2]) == rows
 
 
 def oracle_floor(ctx, nums, den):
