@@ -11,21 +11,21 @@ decisions are exact and run on integers: the greedy state is integer
 numerators over one denominator, a vector in Q[x]/(p).  One evaluator
 encloses such a value: a fixed-point Horner at scale 2^P on integer bounds
 of beta * 2^P, which the context bisects for itself, each end rounded
-outward, two products per step, chosen by sign.  A floor doubles P up to
-the precision cap, and a floor or comparison that cannot be resolved there
-raises UndecidableAtPrecision instead of guessing.
+outward, two products per step, chosen by sign.  Floors and blocks take
+P from one guard; a floor doubles P up to the precision cap, and a floor
+or comparison undecided there raises UndecidableAtPrecision.
 
 Above degree 1, greedy expansions decide their digits in fixed-point
 blocks: the exact state is enclosed once, P never above the cap, and each
-digit is then two products on an outward-rounded integer interval.
-Between blocks the exact state jumps over the whole block at once, by a
-table of lead^m x^m mod p kept for the longest block; a floor a block
-leaves undecided goes to the exact step, with its gcd test and
-UndecidableAtPrecision.
+digit is then two products on an outward-rounded integer interval.  The
+exact state jumps over each block at once, by a table of lead^m x^m mod p
+kept for the longest block; a floor a block leaves undecided goes to the
+exact step, with its gcd test, and once no block fits, every digit does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -43,8 +43,13 @@ from .words import (
 DEFAULT_PRECISION_BITS = 256
 
 
+@functools.cache
 def precision_cap() -> int:
-    return int(os.environ.get("BETALAB_PRECISION_BITS", DEFAULT_PRECISION_BITS))
+    """BETALAB_PRECISION_BITS, read and checked once per process."""
+    bits = os.getenv("BETALAB_PRECISION_BITS", str(DEFAULT_PRECISION_BITS))
+    if bits.isdecimal() and int(bits) >= 1:
+        return int(bits)
+    raise UsageError(f"BETALAB_PRECISION_BITS={bits!r} is not an integer >= 1")
 
 
 # --- integer polynomials: ascending coefficients, no trailing zeros --------
@@ -123,18 +128,22 @@ class AlgebraicContext:
     def __init__(self, poly_asc: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.poly_asc = poly_asc
         self._fixed = None  # (P, bl, bh): bl <= beta * 2^P <= bh = bl + 1
-        self._log2 = None  # m with log2(beta) < m / 2^10
         self._powers = None  # (p, columns of lead^m x^m mod p, lead^m)
         if len(poly_asc) == 2:
-            self.lo = self.hi = Fraction(-poly_asc[0], poly_asc[1])
-            return
-        self.lo, self.hi = lo, hi
-        if lo < 0:
+            lo = hi = Fraction(-poly_asc[0], poly_asc[1])
+        elif lo < 0:
             raise UsageError(f"enclosure must lie in [0, inf), got lo = {lo}")
-        s_lo = _sign_at(poly_asc, lo)
-        if s_lo * _sign_at(poly_asc, hi) >= 0:
+        elif _sign_at(poly_asc, lo) * _sign_at(poly_asc, hi) >= 0:
             raise UsageError("enclosure endpoints must straddle the root")
-        self._sign_lo = s_lo > 0
+        self.lo, self.hi = lo, hi
+        self._sign_lo = _sign_at(poly_asc, lo) > 0
+        # log2 beta < _log2 / 2^10: ten squarings of bh / 2^e, rounded up
+        bh = self._beta_bounds(64)[1]
+        e = max(0, bh.bit_length() - 65)
+        bh = -(-bh >> e)
+        for _ in range(10):
+            bh = -(-bh * bh >> 64)
+        self._log2 = (e << 10) + bh.bit_length() - 64
 
     @property
     def degree(self) -> int:
@@ -222,19 +231,11 @@ class AlgebraicContext:
             hi = -((-hi * (bh if hi >= 0 else bl)) >> P) + c
         return lo // den, -(-hi // den)
 
-    def _block_plan(self, nums, den) -> tuple[int, int]:
-        """(k, guard) for a fixed-point block from the state (nums, den):
-        the guard is 64 bits plus the state's magnitude, from integer bit
-        lengths, and k is the largest length with ceil(k log2 beta) + guard
-        <= the precision cap, the upper bound _log2 / 2^10 standing for
-        log2 beta."""
-        if self._log2 is None:
-            bh = self._beta_bounds(64)[1]
-            self._log2 = (bh ** 1024).bit_length() - 64 * 1024
-        guard = 64 + max(0, max(map(abs, nums)).bit_length()
-                         - den.bit_length()
-                         + (self.degree * self._log2 >> 10) + 1)
-        return ((precision_cap() - guard) << 10) // self._log2, guard
+    def _guard(self, nums, den) -> int:
+        """P for a floor's first try, and for a block less ceil(k log2 beta):
+        64 bits plus the value's magnitude, from bit lengths and _log2."""
+        return 64 + max(0, max(map(abs, nums)).bit_length() - den.bit_length()
+                        + (self.degree * self._log2 >> 10) + 1)
 
     def _block_digits(self, nums, den, n: int) -> tuple[list[int], int]:
         """(digits, k): k <= n greedy digits of the state (nums, den), each
@@ -244,13 +245,14 @@ class AlgebraicContext:
         _fixed_enclose on bl <= beta * 2^P <= bh; a digit then costs two
         products: it is (vl * bl) >> 2P, kept only when (vh * bh) >> 2P
         agrees.  The width grows by beta per digit, so P = ceil(k log2 beta)
-        + guard keeps it near 2^-64 or less through the block, and P never
-        passes the cap.  Of n > k_max digits, the first block takes the
-        remainder and the later ones k_max, so the last block, after which
-        the exact state need not advance, is the longest.  Between blocks
-        _advance jumps the exact state by the k digits at once.
+        + _guard keeps it near 2^-64 or less through the block; k_max is the
+        largest k whose P fits the precision cap, 0 when none does.  Of n >
+        k_max digits, the first block takes the remainder and the later ones
+        k_max, so the last block, after which the exact state need not
+        advance, is the longest; _advance jumps the exact state over each.
         """
-        k_max, guard = self._block_plan(nums, den)
+        guard = self._guard(nums, den)
+        k_max = ((precision_cap() - guard) << 10) // self._log2
         if k_max < 1:
             return [], 0
         k = (n - 1) % k_max + 1
@@ -293,16 +295,13 @@ class AlgebraicContext:
         """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
 
         The value is enclosed at scale 2^P by _fixed_enclose, P starting at
-        64 bits plus the value's magnitude, from integer bit lengths, and
-        doubling up to the precision cap; the shared root enclosure is never
-        refined.  At the cap, a vector in Q[x]/(p) for a reducible p can
-        equal an integer without being constant, and the gcd decides that;
-        any other undecided floor raises UndecidableAtPrecision.
+        _guard and doubling up to the precision cap; the shared root
+        enclosure is never refined.  At the cap, a vector in Q[x]/(p) for a
+        reducible p can equal an integer without being constant, and the gcd
+        decides that; any other undecided floor raises UndecidableAtPrecision.
         """
         cap = precision_cap()
-        P = min(cap, 64 + max(0, max(map(abs, nums)).bit_length()
-                              - den.bit_length()
-                              + self.degree * math.ceil(self.hi).bit_length()))
+        P = min(cap, self._guard(nums, den))
         while True:
             vl, vh = self._fixed_enclose(nums, den, P)
             f_lo, f_hi = vl >> P, vh >> P
@@ -567,8 +566,8 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
 def _greedy_digits(beta: BetaNumber, r, n: int) -> list[int]:
     """n greedy digits of the state r: in fixed-point blocks above degree
     1, the exact state jumping over each block's digits by _advance, with
-    the exact step for each floor a block leaves undecided.  A state past
-    the block guard gives empty blocks, and no jump is taken for them."""
+    the exact step for each floor a block leaves undecided, and for every
+    digit once no block fits the cap (k = 0), the state past the guard."""
     ctx = beta._ctx
     blocks = ctx.degree > 1
     digits = []
@@ -582,6 +581,7 @@ def _greedy_digits(beta: BetaNumber, r, n: int) -> list[int]:
                 r = _advance(ctx, r, block)
                 if len(block) == k:
                     continue
+            blocks = k > 0
         d, r = _greedy_step(beta, r)
         digits.append(d)
     return digits

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from betalab.beta_core import (
+    DEFAULT_PRECISION_BITS,
     AlgebraicContext,
     BetaNumber,
     _advance,
@@ -23,12 +24,28 @@ from betalab.beta_core import (
     beta_from_expansion,
     expansion_of_one,
     greedy_expansion,
+    precision_cap,
     simple_beta_approx,
 )
 from betalab.errors import UndecidableAtPrecision, UsageError
 from betalab.words import format_periodic
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def set_cap(monkeypatch, bits=None):
+    """Patch the precision cap, which precision_cap reads from the
+    environment once per process; None stands for the default."""
+    monkeypatch.setattr("betalab.beta_core.precision_cap",
+                        lambda: bits or DEFAULT_PRECISION_BITS)
+
+
+def longest_block(ctx, r, cap=None):
+    """The longest block _block_digits takes from the state r: the largest
+    k with ceil(k log2 beta) + _guard within the cap, _log2 / 2^10
+    standing for log2 beta; below 1 when none fits."""
+    cap = cap or DEFAULT_PRECISION_BITS
+    return ((cap - ctx._guard(*r)) << 10) // ctx._log2
 
 
 def oracle_greedy_fraction(x, beta, n, cap=256):
@@ -700,10 +717,7 @@ def _fib_lucas(n):
 def test_floor_vector_precision_cap(monkeypatch, n, cap, lucas_minus_one):
     # phi^n = F_(n-1) + F_n * phi lies 1/phi^n below the Lucas number L_n
     # (n even), so the floor needs about 1.4 n bits of the root
-    if cap is None:
-        monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
-    else:
-        monkeypatch.setenv("BETALAB_PRECISION_BITS", str(cap))
+    set_cap(monkeypatch, cap)
     ctx = BetaNumber.from_polynomial([1, -1, -1])._ctx
     f_prev, f, lucas = _fib_lucas(n)
     if lucas_minus_one:
@@ -737,17 +751,14 @@ def test_blocks_match_fraction_oracle(monkeypatch, block_bases, name, cap):
     raises UndecidableAtPrecision too.  At 96 bits a block is a few dozen
     digits; at 64 none fits the 64-bit guard, so only the exact step runs.
     """
-    if cap is None:
-        monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
-    else:
-        monkeypatch.setenv("BETALAB_PRECISION_BITS", str(cap))
+    set_cap(monkeypatch, cap)
     beta = block_bases[name]
     rng = random.Random(26)
     for _ in range(2):
         x = Fraction(rng.randrange(10 ** 6), 10 ** 6)
         k = 0
         if not beta.is_rational():
-            k = copy.deepcopy(beta)._ctx._block_plan(*_point(beta, x))[0]
+            k = longest_block(beta._ctx, _point(beta, x), cap)
             assert {None: k > 100, 96: 10 <= k <= 60, 64: k < 1}[cap], k
         for n in sorted({n for n in (1, k - 1, k, k + 1, 700) if n >= 1}):
             try:
@@ -821,12 +832,12 @@ def test_jump_matches_per_digit_advance(monkeypatch, block_bases, name):
     k = 0, 1, a full block and lengths that extend the table of powers,
     from states with negative, zero and large numerators and random
     digits, and from greedy states with their own digits."""
-    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    set_cap(monkeypatch)
     beta = copy.deepcopy(block_bases[name])
     ctx = beta._ctx
     rng = random.Random(28)
     x = Fraction(rng.randrange(10 ** 6), 10 ** 6)
-    k_max = ctx._block_plan(*_point(beta, x))[0] if ctx.degree > 1 else 300
+    k_max = longest_block(ctx, _point(beta, x)) if ctx.degree > 1 else 300
     grown = []
     for k in (0, 1, k_max, 7, k_max + 40, 2 * k_max + 3, 5):
         nums = tuple(rng.choice((0, rng.randint(-9, 9),
@@ -866,7 +877,7 @@ def test_power_table_stays_one_block_long(monkeypatch):
     """A 10,000-digit golden expansion advances block by block, and the
     table of powers holds at most the longest block plus the degree plus
     one rows, however many digits the expansion asks for."""
-    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    set_cap(monkeypatch)
     beta = BetaNumber.from_polynomial([1, -1, -1])
     ctx = beta._ctx
     block_digits = AlgebraicContext._block_digits
@@ -926,7 +937,7 @@ def test_floor_vector_matches_fraction_oracle(monkeypatch, block_bases, name):
     two vectors for sqrt 3 / 3 of
     test_block_leaves_an_integer_floor_to_the_gcd is 1 exactly too.  No
     enclosure decides such a floor, and the gcd at the cap does."""
-    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    set_cap(monkeypatch)
     ctx = copy.deepcopy(block_bases[name]._ctx)
     oracle = sqrt3_floor if name == "reducible" else oracle_floor
     rng = random.Random(27)
@@ -960,17 +971,69 @@ def test_undecidable_figure_expansion_still_raises(monkeypatch, beta_figure):
     """On (201001) the state's numerators grow, and x = 0.123457 meets a
     floor the default cap cannot decide before 10,000 digits: the blocks
     stop below the cap, so the exact step raises as it always did."""
-    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    set_cap(monkeypatch)
     with pytest.raises(UndecidableAtPrecision):
         greedy_expansion(Fraction(123457, 10 ** 6),
                          copy.deepcopy(beta_figure), 10_000)
+
+
+def test_no_block_is_asked_for_once_none_fits(monkeypatch, beta_figure):
+    """The refusal above, with every _block_digits call recorded: blocks
+    run while the state fits the guard, and once one call reports that no
+    block fits (k = 0), the state having outgrown the cap, the expansion
+    asks for no other block, and the exact step still raises."""
+    set_cap(monkeypatch)
+    block_digits = AlgebraicContext._block_digits
+    ks = []
+
+    def recorded(*args):
+        block, k = block_digits(*args)
+        ks.append(k)
+        return block, k
+
+    monkeypatch.setattr(AlgebraicContext, "_block_digits", recorded)
+    with pytest.raises(UndecidableAtPrecision):
+        greedy_expansion(Fraction(123457, 10 ** 6),
+                         copy.deepcopy(beta_figure), 10_000)
+    assert ks[0] > 0 and ks[-1] == 0 and 0 not in ks[:-1], ks[-5:]
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven", "2x2-3x-1",
+                                  "reducible", "21(01)", "simple-1.7",
+                                  "x2-1000x-1"])
+def test_log2_bound_matches_the_power_oracle(block_bases, name):
+    """_log2, from ten squarings of beta's 64-bit upper bound bh over a
+    power of two, each rounded up, equals the bit length of bh^1024 less
+    64 * 1024, so log2 beta < _log2 / 2^10; a fresh context has it from
+    construction."""
+    beta = (BetaNumber.from_polynomial([1, -1000, -1]) if name == "x2-1000x-1"
+            else block_bases[name])
+    ctx = beta._ctx
+    bh = ctx._beta_bounds(64)[1]
+    assert ctx._log2 == (bh ** 1024).bit_length() - 64 * 1024
+    fresh = AlgebraicContext(ctx.poly_asc, *beta.enclosure(Fraction(1, 4)))
+    assert fresh._fixed[0] == 64 and fresh._log2 == ctx._log2
+
+
+def test_precision_cap_is_read_once(monkeypatch):
+    """precision_cap reads BETALAB_PRECISION_BITS the first time only, so a
+    later change of the variable leaves the cap as it was."""
+    precision_cap.cache_clear()
+    monkeypatch.setenv("BETALAB_PRECISION_BITS", "300")
+    try:
+        assert precision_cap() == 300
+        monkeypatch.setenv("BETALAB_PRECISION_BITS", "abc")
+        assert precision_cap() == 300
+    finally:
+        precision_cap.cache_clear()
 
 
 def test_blocks_leave_the_shared_enclosure_untouched(monkeypatch):
     """A 700-digit expansion in blocks neither refines the root enclosure
     nor calls floor_vector, and the cap means the same afterwards: the
     Lucas floor at n = 200 still raises on that context."""
-    monkeypatch.delenv("BETALAB_PRECISION_BITS", raising=False)
+    set_cap(monkeypatch)
     beta = BetaNumber.from_polynomial([1, -1, -1])
     ctx = beta._ctx
     before = (ctx.lo, ctx.hi)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import betalab
 from betalab import errors
+from betalab.beta_core import precision_cap
 from betalab.cli import build_parser, main
 
 
@@ -506,6 +507,23 @@ def test_malformed_beta_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--beta", "x", "--n", "5")
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("bits", ["abc", "", "-5", "1.5", "0"])
+def test_malformed_precision_cap_exits_2(capsys, monkeypatch, bits):
+    """A cap that is not a whole number >= 1 is a usage error naming the
+    variable, not a traceback and not a floor undecided at 0 bits."""
+    monkeypatch.setenv("BETALAB_PRECISION_BITS", bits)
+    precision_cap.cache_clear()  # the cap is read once per process
+    try:
+        code, out, err = run_cli(capsys, "expand", "--beta-poly", "1,-1,-1",
+                                 "--x", "3/10", "--n", "8")
+    finally:
+        precision_cap.cache_clear()
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "BETALAB_PRECISION_BITS" in error["message"], error
 
 
 def test_missing_beta_exits_2(capsys):
