@@ -29,7 +29,8 @@ from functools import cache, partial
 from itertools import chain, islice
 from typing import Hashable, Iterator, Optional, Protocol
 
-from .errors import BudgetExceeded, UsageError
+from .errors import BudgetExceeded
+from .words import check_byte_alphabet
 
 TAIL_WORDS = 4096  # bound on the words in one state's tail list
 EDGE_LABELS = 10 ** 6  # bound on the labels one `edges` call scans
@@ -150,9 +151,7 @@ def _runs(edges_of, paths, m: int, tails: dict):
 def _tail_length(pres: Presentation, n: int) -> int:
     """The tail length m for words of length n; UsageError when the
     alphabet does not fit in a byte."""
-    if pres.alphabet_bound > 255:
-        raise UsageError(f"alphabet {{0..{pres.alphabet_bound}}} does not "
-                         "fit in a byte")
+    check_byte_alphabet(pres.alphabet_bound)
     m, size = 0, pres.alphabet_bound + 1
     while m < n and size ** (m + 1) <= TAIL_WORDS:
         m += 1

@@ -11,9 +11,9 @@ decisions are exact and run on integers: the greedy state is integer
 numerators over one denominator, a vector in Q[x]/(p).  One evaluator
 encloses such a value: a fixed-point Horner at scale 2^P on integer bounds
 of beta * 2^P, which the context bisects for itself, each end rounded
-outward, two products per step, chosen by sign.  Floors and blocks take
-P from one guard; a floor doubles P up to the precision cap, and a floor
-or comparison undecided there raises UndecidableAtPrecision.
+outward, two products per step, chosen by sign.  Beta's bounds are
+bisected once at the cap, and a floor is one enclosure there; a floor or
+comparison undecided at the cap raises UndecidableAtPrecision.
 
 Above degree 1, greedy expansions decide their digits in fixed-point
 blocks: the exact state is enclosed once, P never above the cap, and each
@@ -35,6 +35,7 @@ from typing import Sequence
 from .errors import UndecidableAtPrecision, UsageError
 from .words import (
     SymbolWord,
+    check_byte_alphabet,
     format_periodic,
     parse_digit_string,
     self_admissible,
@@ -137,6 +138,7 @@ class AlgebraicContext:
             raise UsageError("enclosure endpoints must straddle the root")
         self.lo, self.hi = lo, hi
         self._sign_lo = _sign_at(poly_asc, lo) > 0
+        self._beta_bounds(precision_cap())  # once; a P up to the cap shifts
         # log2 beta < _log2 / 2^10: ten squarings of bh / 2^e, rounded up
         bh = self._beta_bounds(64)[1]
         e = max(0, bh.bit_length() - 65)
@@ -184,21 +186,15 @@ class AlgebraicContext:
         return g is not None
 
     def _beta_bounds(self, P: int) -> tuple[int, int]:
-        """(bl, bh) with bl <= beta * 2^P <= bh, cached at the largest P
-        asked for, a smaller P shifting them outward.  A larger P refines
-        the cached (Q, bl, bh): bisection on integers starts from
-        max(floor(lo 2^P), bl 2^(P-Q)) and min(ceil(hi 2^P), bh 2^(P-Q)),
-        so every midpoint m lies inside (lo, hi), where the sign of the
-        integer 2^(P deg) p(m / 2^P) places it against beta; the shared
-        enclosure is never refined."""
-        fixed = self._fixed
-        if fixed is None or fixed[0] < P:
+        """(bl, bh) with bl <= beta * 2^P <= bh: bisected once at the cap as
+        the context is built and shifted outward for a smaller P; a larger P
+        (64 under a smaller cap, or a test's) bisects afresh.  Bisection runs
+        from floor(lo 2^P) to ceil(hi 2^P), so every midpoint m lies in (lo,
+        hi), where the sign of 2^(P deg) p(m / 2^P) places it against beta."""
+        if self._fixed is None or self._fixed[0] < P:
             one = 1 << P
             l = self.lo.numerator * one // self.lo.denominator
             h = -(-self.hi.numerator * one // self.hi.denominator)
-            if fixed is not None:
-                Q, bl, bh = fixed
-                l, h = max(l, bl << (P - Q)), min(h, bh << (P - Q))
             coeffs = self.poly_asc[::-1]
             while h - l > 1:
                 m = (l + h) >> 1
@@ -231,12 +227,6 @@ class AlgebraicContext:
             hi = -((-hi * (bh if hi >= 0 else bl)) >> P) + c
         return lo // den, -(-hi // den)
 
-    def _guard(self, nums, den) -> int:
-        """P for a floor's first try, and for a block less ceil(k log2 beta):
-        64 bits plus the value's magnitude, from bit lengths and _log2."""
-        return 64 + max(0, max(map(abs, nums)).bit_length() - den.bit_length()
-                        + (self.degree * self._log2 >> 10) + 1)
-
     def _block_digits(self, nums, den, n: int) -> tuple[list[int], int]:
         """(digits, k): k <= n greedy digits of the state (nums, den), each
         proved on integers, or fewer when a floor is undecided.
@@ -245,13 +235,15 @@ class AlgebraicContext:
         _fixed_enclose on bl <= beta * 2^P <= bh; a digit then costs two
         products: it is (vl * bl) >> 2P, kept only when (vh * bh) >> 2P
         agrees.  The width grows by beta per digit, so P = ceil(k log2 beta)
-        + _guard keeps it near 2^-64 or less through the block; k_max is the
-        largest k whose P fits the precision cap, 0 when none does.  Of n >
-        k_max digits, the first block takes the remainder and the later ones
-        k_max, so the last block, after which the exact state need not
-        advance, is the longest; _advance jumps the exact state over each.
+        + a guard of 64 bits plus the state's magnitude keeps it near 2^-64
+        or less through the block; k_max is the largest k whose P fits the
+        precision cap, 0 when none does.  Of n > k_max digits, the first
+        block takes the remainder and the later ones k_max, so the last
+        block, after which the exact state need not advance, is the longest;
+        _advance jumps the exact state over each.
         """
-        guard = self._guard(nums, den)
+        guard = 64 + max(0, max(map(abs, nums)).bit_length() - den.bit_length()
+                         + (self.degree * self._log2 >> 10) + 1)
         k_max = ((precision_cap() - guard) << 10) // self._log2
         if k_max < 1:
             return [], 0
@@ -292,30 +284,23 @@ class AlgebraicContext:
         return columns, leads
 
     def floor_vector(self, nums: tuple[int, ...], den: int) -> int:
-        """Exact floor of sum nums[i] * beta^i / den (integers, den > 0).
-
-        The value is enclosed at scale 2^P by _fixed_enclose, P starting at
-        _guard and doubling up to the precision cap; the shared root
-        enclosure is never refined.  At the cap, a vector in Q[x]/(p) for a
+        """Exact floor of sum nums[i] * beta^i / den (integers, den > 0),
+        from one _fixed_enclose at the precision cap, on beta's bounds there;
+        the root enclosure is never refined.  A vector in Q[x]/(p) for a
         reducible p can equal an integer without being constant, and the gcd
         decides that; any other undecided floor raises UndecidableAtPrecision.
         """
         cap = precision_cap()
-        P = min(cap, self._guard(nums, den))
-        while True:
-            vl, vh = self._fixed_enclose(nums, den, P)
-            f_lo, f_hi = vl >> P, vh >> P
-            if f_lo == f_hi:
-                return f_lo
-            if P >= cap:
-                break
-            P = min(2 * P, cap)
+        vl, vh = self._fixed_enclose(nums, den, cap)
+        f_lo, f_hi = vl >> cap, vh >> cap
+        if f_lo == f_hi:
+            return f_lo
         if f_lo + 1 == f_hi and self._root_factor(
                 (nums[0] - f_hi * den, *nums[1:])) is not None:
             return f_hi
         raise UndecidableAtPrecision(
             f"floor undecided at {cap} bits: value in "
-            f"[{Fraction(vl, 1 << P)}, {Fraction(vh, 1 << P)}]")
+            f"[{Fraction(vl, 1 << cap)}, {Fraction(vh, 1 << cap)}]")
 
 
 class BetaNumber:
@@ -539,6 +524,7 @@ def _advance(ctx: AlgebraicContext, r, digits):
 
 def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
     """First n digits of w(beta) (lexicographic supremum / quasi-greedy form)."""
+    check_byte_alphabet(beta.digit_bound)
     if n < 1:
         raise UsageError("n must be >= 1")
     return SymbolWord(beta.digits(n), beta.digit_bound)
@@ -554,6 +540,7 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
     Both enclose on the fixed-point bounds of beta, so neither refines the
     shared root enclosure or goes past the precision cap.
     """
+    check_byte_alphabet(beta.digit_bound)
     if n < 1:
         raise UsageError("n must be >= 1")
     x = Fraction(x)

@@ -24,6 +24,7 @@ from .beta_core import (
     BetaNumber,
     expansion_of_one,
     greedy_expansion,
+    precision_cap,
 )
 from .entropy import (
     CylinderTree,
@@ -642,6 +643,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
+        precision_cap()  # a malformed cap is refused before any command runs
         payload, checks = args.func(args)
         _emit({"schema_version": SCHEMA_VERSION,
                "version": __version__,

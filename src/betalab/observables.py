@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceeded, UsageError
+from .words import check_byte_alphabet
 
 BLOCK_TABLE = 1 << 16  # bound on the entries of a block indicator's table
 
@@ -107,8 +108,7 @@ def block_indicator(block: tuple[int, ...], alphabet_bound: int) -> Observable:
 
 def parse_observable(spec: str, alphabet_bound: int) -> Observable:
     """Parse CLI observable specs: "freq:1", "const:0.5", "block:101"."""
-    if alphabet_bound > 255:  # one entry per digit; words are bytes
-        raise UsageError(f"digit bound {alphabet_bound} exceeds 255")
+    check_byte_alphabet(alphabet_bound)  # one entry per digit
     kind, _, arg = spec.partition(":")
     try:
         if kind == "freq":

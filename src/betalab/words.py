@@ -16,6 +16,12 @@ from typing import Iterable, Iterator
 from .errors import UsageError
 
 
+def check_byte_alphabet(bound: int) -> None:
+    """UsageError unless the alphabet {0..bound} fits in a byte."""
+    if bound > 255:
+        raise UsageError(f"alphabet {{0..{bound}}} does not fit in a byte")
+
+
 def as_word(digits) -> bytes:
     """Any int sequence or SymbolWord as a bytes word (bytes as they are);
     UsageError for a digit outside 0..255."""
@@ -33,9 +39,7 @@ class SymbolWord:
     alphabet_bound: int
 
     def __post_init__(self):
-        if self.alphabet_bound > 255:
-            raise UsageError(f"alphabet {{0..{self.alphabet_bound}}} does "
-                             "not fit in a byte")
+        check_byte_alphabet(self.alphabet_bound)
         digits = as_word(self.digits)
         if digits and max(digits) > self.alphabet_bound:
             raise UsageError(f"digit {max(digits)} outside alphabet "

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import random
@@ -42,10 +43,14 @@ def set_cap(monkeypatch, bits=None):
 
 def longest_block(ctx, r, cap=None):
     """The longest block _block_digits takes from the state r: the largest
-    k with ceil(k log2 beta) + _guard within the cap, _log2 / 2^10
-    standing for log2 beta; below 1 when none fits."""
+    k with ceil(k log2 beta) + guard within the cap, the guard being 64
+    bits plus the state's magnitude and _log2 / 2^10 standing for log2
+    beta; below 1 when none fits."""
     cap = cap or DEFAULT_PRECISION_BITS
-    return ((cap - ctx._guard(*r)) << 10) // ctx._log2
+    nums, den = r
+    guard = 64 + max(0, max(map(abs, nums)).bit_length() - den.bit_length()
+                     + (ctx.degree * ctx._log2 >> 10) + 1)
+    return ((cap - guard) << 10) // ctx._log2
 
 
 def oracle_greedy_fraction(x, beta, n, cap=256):
@@ -925,6 +930,25 @@ def sqrt3_floor(ctx, nums, den):
     return (a + root if b >= 0 else a - root - 1) // den
 
 
+def floor_battery(ctx, name):
+    """(nums, den) pairs for floor_vector: 200 random vectors with
+    negative, zero and positive entries up to 10^30 and denominators 1 to
+    10^6, plus on the reducible base beta times the two vectors for sqrt 3
+    / 3 of test_block_leaves_an_integer_floor_to_the_gcd, 1 exactly."""
+    rng = random.Random(27)
+    cases = []
+    for _ in range(200):
+        nums = tuple(rng.choice((0, rng.randint(-9, 9),
+                                 rng.randint(-10 ** 30, 10 ** 30)))
+                     for _ in range(ctx.degree))
+        cases.append((nums, rng.choice((1, rng.randint(1, 10 ** 6)))))
+    if name == "reducible":
+        for nums in ((0, 1, 0, 0), (0, -8, 0, 3)):
+            t, den = _times_beta(ctx.poly_asc, nums, 3)
+            cases.append((tuple(t), den))
+    return cases
+
+
 @pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
                                   "three_halves", "one_seven", "2x2-3x-1",
                                   "reducible", "21(01)", "simple-1.7"])
@@ -940,19 +964,10 @@ def test_floor_vector_matches_fraction_oracle(monkeypatch, block_bases, name):
     set_cap(monkeypatch)
     ctx = copy.deepcopy(block_bases[name]._ctx)
     oracle = sqrt3_floor if name == "reducible" else oracle_floor
-    rng = random.Random(27)
-    cases = []
-    for _ in range(200):
-        nums = tuple(rng.choice((0, rng.randint(-9, 9),
-                                 rng.randint(-10 ** 30, 10 ** 30)))
-                     for _ in range(ctx.degree))
-        cases.append((nums, rng.choice((1, rng.randint(1, 10 ** 6)))))
+    cases = [(nums, den, oracle(ctx, nums, den))
+             for nums, den in floor_battery(ctx, name)]
     if name == "reducible":
-        for nums in ((0, 1, 0, 0), (0, -8, 0, 3)):
-            t, den = _times_beta(ctx.poly_asc, nums, 3)
-            cases.append((tuple(t), den))
-            assert oracle(ctx, *cases[-1]) == 1
-    cases = [(nums, den, oracle(ctx, nums, den)) for nums, den in cases]
+        assert [c[2] for c in cases[-2:]] == [1, 1]
     before = (ctx.lo, ctx.hi)
     refine_to, root_factor = (AlgebraicContext.refine_to,
                               AlgebraicContext._root_factor)
@@ -1006,14 +1021,68 @@ def test_log2_bound_matches_the_power_oracle(block_bases, name):
     """_log2, from ten squarings of beta's 64-bit upper bound bh over a
     power of two, each rounded up, equals the bit length of bh^1024 less
     64 * 1024, so log2 beta < _log2 / 2^10; a fresh context has it from
-    construction."""
+    construction, with beta's bounds bisected at the cap."""
     beta = (BetaNumber.from_polynomial([1, -1000, -1]) if name == "x2-1000x-1"
             else block_bases[name])
     ctx = beta._ctx
     bh = ctx._beta_bounds(64)[1]
     assert ctx._log2 == (bh ** 1024).bit_length() - 64 * 1024
     fresh = AlgebraicContext(ctx.poly_asc, *beta.enclosure(Fraction(1, 4)))
-    assert fresh._fixed[0] == 64 and fresh._log2 == ctx._log2
+    assert fresh._fixed[0] == precision_cap() and fresh._log2 == ctx._log2
+
+
+@pytest.mark.parametrize("name", ["two", "golden", "tribonacci", "figure",
+                                  "three_halves", "one_seven", "2x2-3x-1",
+                                  "reducible", "21(01)", "simple-1.7"])
+def test_bounds_are_bisected_once_at_the_cap(monkeypatch, block_bases, name):
+    """A fresh context leaves construction with beta's bounds bisected at
+    the cap, and neither a 700-digit expansion nor the floor_vector
+    battery bisects them again: every later P is a shift of them."""
+    set_cap(monkeypatch)
+    ctx = block_bases[name]._ctx
+    beta = BetaNumber(AlgebraicContext(ctx.poly_asc, ctx.lo, ctx.hi))
+    fixed = beta._ctx._fixed
+    assert fixed[0] == DEFAULT_PRECISION_BITS
+    with contextlib.suppress(UndecidableAtPrecision):  # an integer floor
+        greedy_expansion(Fraction(3, 10), beta, 700)
+    for nums, den in floor_battery(beta._ctx, name):
+        beta._ctx.floor_vector(nums, den)
+    assert beta._ctx._fixed is fixed
+
+
+def test_a_decided_floor_is_one_enclosure_at_the_cap(monkeypatch):
+    """phi^100 = F_99 + F_100 phi lies phi^-100 below L_100, so its floor
+    needs about 140 bits: it takes one _fixed_enclose, at the cap, and no
+    try at a smaller P first."""
+    set_cap(monkeypatch)
+    ctx = BetaNumber.from_polynomial([1, -1, -1])._ctx
+    fixed_enclose = AlgebraicContext._fixed_enclose
+    scales = []
+
+    def recorded(self, nums, den, P):
+        scales.append(P)
+        return fixed_enclose(self, nums, den, P)
+
+    monkeypatch.setattr(AlgebraicContext, "_fixed_enclose", recorded)
+    f_prev, f, lucas = _fib_lucas(100)
+    assert ctx.floor_vector((f_prev, f), 1) == lucas - 1
+    assert scales == [DEFAULT_PRECISION_BITS]
+
+
+def test_a_non_byte_alphabet_is_refused_before_any_digit(monkeypatch):
+    """beta = 300.5 has digits up to 300, which no byte holds: both
+    expansions refuse it at once instead of computing the digits first."""
+    beta = BetaNumber.from_decimal("300.5")
+
+    def no_digits(*args):
+        raise AssertionError("a digit was computed")
+
+    monkeypatch.setattr(BetaNumber, "digits", no_digits)
+    monkeypatch.setattr("betalab.beta_core._greedy_digits", no_digits)
+    with pytest.raises(UsageError, match=r"alphabet \{0..300\} does not fit"):
+        expansion_of_one(beta, 200_000)
+    with pytest.raises(UsageError, match=r"alphabet \{0..300\} does not fit"):
+        greedy_expansion(Fraction(1, 3), beta, 200_000)
 
 
 def test_precision_cap_is_read_once(monkeypatch):

@@ -509,15 +509,22 @@ def test_malformed_beta_exits_2(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
-@pytest.mark.parametrize("bits", ["abc", "", "-5", "1.5", "0"])
-def test_malformed_precision_cap_exits_2(capsys, monkeypatch, bits):
+EXPAND_GOLDEN = ("expand", "--beta-poly", "1,-1,-1", "--x", "3/10", "--n", "8")
+
+
+@pytest.mark.parametrize("bits, argv", [
+    *((bits, EXPAND_GOLDEN) for bits in ("abc", "", "-5", "1.5", "0")),
+    ("abc", ("count", "--beta", "2", "--n", "5")),
+    ("abc", ("exotic", "--levels", "2", "--N", "4,6", "--nmax", "14"))],
+    ids=["abc", "", "-5", "1.5", "0", "count", "exotic"])
+def test_malformed_precision_cap_exits_2(capsys, monkeypatch, bits, argv):
     """A cap that is not a whole number >= 1 is a usage error naming the
-    variable, not a traceback and not a floor undecided at 0 bits."""
+    variable, not a traceback and not a floor undecided at 0 bits; every
+    command refuses it, including those that never take a floor."""
     monkeypatch.setenv("BETALAB_PRECISION_BITS", bits)
     precision_cap.cache_clear()  # the cap is read once per process
     try:
-        code, out, err = run_cli(capsys, "expand", "--beta-poly", "1,-1,-1",
-                                 "--x", "3/10", "--n", "8")
+        code, out, err = run_cli(capsys, *argv)
     finally:
         precision_cap.cache_clear()
     assert code == 2 and out == ""
