@@ -16,8 +16,8 @@ length with (b + 1)^m <= TAIL_WORDS, so one state's tail list holds at most
 TAIL_WORDS words.  Enumeration is lazy: a caller that stops early never
 walks the rest and wastes at most one tail list.  `enumerate_words` gives
 the words as a lazy ranked sequence, `Words`: it holds one path count per
-(state, level) and its tail lists, never the words, and a slice starts the
-walk at its first word's rank.
+(state, level) and its tail lists, never the words, and a slice and an
+index are one walk that skips whole subtrees by their counts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cache, partial
 from itertools import chain, islice
 from typing import Hashable, Iterator, Optional, Protocol
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 from .words import check_byte_alphabet
 
 TAIL_WORDS = 4096  # bound on the words in one state's tail list
@@ -111,47 +111,48 @@ def reach(edges_of, initial, depth: int) -> list[list]:
     return levels
 
 
-def _paths(edges_of, start, depth: int, resume=None):
-    """(labels, end state) of every path of depth edges from start, in
-    lexicographic order of the labels (iterative DFS).  Given a resume pair
-    (all but the last label of a path of depth edges, and for each edge an
-    iterator over its siblings that follow it), the walk yields the paths
-    after that one instead."""
-    if resume is not None:
-        word, stack = resume
-    elif depth == 0:
-        yield b"", start
+def _paths(edges_of, start, depth: int, below=None, rank: int = 0):
+    """(labels, end state, rank) of every path of depth edges from start, in
+    lexicographic order of the labels (iterative DFS).  While rank is
+    nonzero, each subtree whose count ``below[j][target]`` (as in `Words`,
+    j edges taken) is at most rank is skipped and its count taken off rank;
+    the first path yielded carries the rank left, the rest carry 0."""
+    if depth == 0:
+        yield b"", start, rank
         return
-    else:
-        word, stack = [], [iter(edges_of(start))]
+    word, stack = [], [iter(edges_of(start))]
     while stack:
         edge = next(stack[-1], None)
         if edge is None:
             stack.pop()
-            if word:
-                word.pop()
+            del word[-1:]  # no label left once start's edges run out
+        elif rank and (skip := below[len(stack)][edge[1]]) <= rank:
+            rank -= skip
         elif len(stack) < depth:
             word.append(edge[0])
             stack.append(iter(edges_of(edge[1])))
         else:
-            yield bytes((*word, edge[0])), edge[1]
+            yield bytes((*word, edge[0])), edge[1], rank
+            rank = 0
 
 
 def _runs(edges_of, paths, m: int, tails: dict):
-    """One lazy run of words per (prefix, end state) of paths: the prefix
-    followed by each tail word of length m of its end state, from the
-    table tails (state -> its tail words), filled as states are met."""
-    for head, state in paths:
+    """One lazy run per (prefix, end state, rank) of paths: the prefix
+    followed by its end state's tail words of length m from the rank-th,
+    taken from tails (state -> tail words), which fills as states are met."""
+    for head, state, rank in paths:
         ends = tails.get(state)
         if ends is None:
-            ends = tails[state] = [w for w, _ in _paths(edges_of, state, m)]
-        yield map(head.__add__, ends)
+            ends = tails[state] = [w for w, _, _ in _paths(edges_of, state, m)]
+        yield map(head.__add__, ends[rank:] if rank else ends)
 
 
 def _tail_length(pres: Presentation, n: int) -> int:
     """The tail length m for words of length n; UsageError when the
-    alphabet does not fit in a byte."""
+    alphabet does not fit in a byte or n is negative."""
     check_byte_alphabet(pres.alphabet_bound)
+    if n < 0:
+        raise UsageError("n must be >= 0")
     m, size = 0, pres.alphabet_bound + 1
     while m < n and size ** (m + 1) <= TAIL_WORDS:
         m += 1
@@ -173,10 +174,11 @@ class Words(Sequence):
     It holds, for each level j and each state reachable by j edges, the
     number of paths of n - j edges from that state (Nijenhuis & Wilf,
     *Combinatorial Algorithms*, 1978): O(states x n) integers, never the
-    words.  ``words[i]`` follows those counts down from the initial state.
-    A slice ranks its first word the same way, down to the prefix of length
-    n - m, and walks on from there as `iter_words` does; the tail lists it
-    builds stay for later slices, at most TAIL_WORDS words per end state.
+    words.  A slice and ``words[i]`` are one walk, `_paths`, which skips
+    each subtree whose count is at most the rank still to go: to depth n
+    for an index, which builds no tail list, and to depth n - m for a
+    slice, whose first tail list starts at the rank left.  Tail lists stay
+    for later slices, at most TAIL_WORDS words per end state.
     Iteration is `iter_words`, and ``==`` compares item by item with any
     sequence.  ``bool`` and indexing read the exact count; past sys.maxsize
     words, ``len`` and a slice that walks that far raise BudgetExceeded.
@@ -204,41 +206,25 @@ class Words(Sequence):
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def _descend(self, i: int, depth: int):
-        """The first depth labels of word i, their sibling iterators as
-        `_paths` resumes them, the state they end in and i's rank among
-        the words through that state."""
-        state, word, stack = self._pres.initial, [], []
-        for below in self._below[1:depth + 1]:
-            siblings = iter(self._edges_of(state))
-            for s, state in siblings:
-                if i < below[state]:
-                    break
-                i -= below[state]
-            word.append(s)
-            stack.append(siblings)
-        return word, stack, state, i
-
     def __getitem__(self, key):
         if isinstance(key, slice):
             r = range(self._size)[key]
             if not r:
                 return []
             step, span = abs(r.step), abs(r[-1] - r[0])
-            word, stack, state, i = self._descend(min(r[0], r[-1]),
-                                                  self._n - self._m)
-            if i + span >= sys.maxsize:
+            if span >= sys.maxsize:
                 raise BudgetExceeded(f"slice walks past {sys.maxsize} words")
-            paths = chain([(bytes(word), state)], _paths(
-                self._edges_of, None, self._n - self._m, (word[:-1], stack)))
+            paths = _paths(self._edges_of, self._pres.initial,
+                           self._n - self._m, self._below, min(r[0], r[-1]))
             runs = chain.from_iterable(
                 _runs(self._edges_of, paths, self._m, self._tails))
-            out = list(islice(runs, i, i + span + 1, step))
+            out = list(islice(runs, 0, span + 1, step))
             return out if r.step > 0 else out[::-1]
         i = operator.index(key)
         if not -self._size <= i < self._size:
             raise IndexError("word index out of range")
-        return bytes(self._descend(i % self._size, self._n)[0])
+        return next(_paths(self._edges_of, self._pres.initial, self._n,
+                           self._below, i % self._size))[0]
 
     def __iter__(self) -> Iterator[bytes]:
         return iter_words(self._pres, self._n)

@@ -255,6 +255,8 @@ def construct_irregular_point(beta, phi: Observable,
     """
     if len(pools) != schedule.levels:
         raise UsageError("one pool per level required")
+    if len(targets) != 2:
+        raise UsageError("exactly two targets are required")
     rng = random.Random(seed)
     selections = [[rng.choice(pool.words)
                    for _ in range(schedule.multiplicities[k])]
@@ -325,9 +327,9 @@ def edp_ball_check(family: Sequence[bytes],
     rows = []
     for center, n in samples:
         prefix = as_word(center[:n])
-        if n > len(family[0]) or len(prefix) < n:
-            raise UsageError(f"ball length {n} exceeds the family words or "
-                             "the centre")
+        if n < 0 or n > len(family[0]) or len(prefix) < n:
+            raise UsageError(f"ball length {n} is negative or exceeds the "
+                             "family words or the centre")
         if n == 0:
             rows.append({"n": 0, "measure": 1.0, "bound": 1.0,
                          "j": None, "l": None, "coarse": False, "pass": True})

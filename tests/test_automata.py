@@ -9,8 +9,8 @@ from itertools import chain, islice, product
 
 import pytest
 
-from betalab.automata import (TAIL_WORDS, Words, edges, enumerate_words,
-                              iter_words, path_counts, read)
+from betalab.automata import (TAIL_WORDS, Words, _tail_length, edges,
+                              enumerate_words, iter_words, path_counts, read)
 from betalab.beta_core import BetaNumber, greedy_expansion
 from betalab.errors import BudgetExceeded, UsageError
 from betalab.exotic import build_nested
@@ -93,8 +93,11 @@ def test_path_count_equals_enumeration(bench_bases, name):
 def test_words_rank_like_the_list(bench_bases, name):
     """Words answers len, indices, slices, == and random.choice as the list
     of its words does: the brute-force list up to n_max, where a slice
-    resumes a prefix walk at most a few edges deep, and the streamed list
-    four symbols further, where it resumes deeper."""
+    skips subtrees at most a few edges deep, and the streamed list four
+    symbols further, where it skips deeper.  On one binary and one ternary
+    presentation, slices also start at the first, a middle and the last
+    word of a prefix's tail list, so the rank left at that prefix is 0,
+    inside the list or at its end."""
     pres = PRESENTATIONS[name](bench_bases)
     n_max = 14 if pres.alphabet_bound == 1 else 10
     counts = [1, *path_counts(pres, n_max + 4)]
@@ -123,6 +126,27 @@ def test_words_rank_like_the_list(bench_bases, name):
             step = rng.choice((None, 1, 1, 2, 3, -1, -2))
             assert words[a:b:step] == expected[a:b:step], (a, b, step)
         assert words[size:] == words[5:5] == words[:-size - 1] == []
+        if name in ("beta-golden", "beta-figure"):
+            cut = n - _tail_length(pres, n)  # the prefix length
+            heads = [i for i in range(size)
+                     if i == 0 or expected[i][:cut] != expected[i - 1][:cut]]
+            for a, b in islice(zip(heads, [*heads[1:], size]), None, None,
+                               max(1, len(heads) // 6)):
+                for i in (a, (a + b) // 2, b - 1):
+                    assert words[i:i + 5] == expected[i:i + 5], (n, i)
+                    assert words[i:i + 9:4] == expected[i:i + 9:4], (n, i)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_negative_length_is_refused(bench_bases, name):
+    """n = -1 once gave the length-1 words; every enumeration refuses it."""
+    pres = PRESENTATIONS[name](bench_bases)
+    for call in (enumerate_words, iter_words):
+        with pytest.raises(UsageError, match="n must be >= 0"):
+            call(pres, -1)
+    for beta in bench_bases.values():
+        with pytest.raises(UsageError, match="n must be >= 0"):
+            enumerate_admissible(beta, -1)
 
 
 def test_iter_words_is_lazy(beta_golden):

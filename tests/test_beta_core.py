@@ -209,6 +209,38 @@ def test_beta_from_expansion_rejects_non_self_admissible():
     assert _check_self_admissible_ep((), (1, 0, 1, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: BetaNumber.from_polynomial([0, 0, 5]),
+                 "polynomial must be non-constant", id="constant-polynomial"),
+    pytest.param(lambda: beta_from_expansion((0, 1)),
+                 "leading digit must be >= 1", id="leading-zero"),
+    pytest.param(lambda: beta_from_expansion((2, -1, 1)),
+                 "digits must be nonnegative", id="negative-digit"),
+    pytest.param(lambda: beta_from_expansion((1, 0, 0)),
+                 r"sequence \(1,0,0,...\) gives beta = 1", id="one-zeros"),
+    pytest.param(lambda: beta_from_expansion((1,), (0,)),
+                 r"sequence \(1,0,0,...\) gives beta = 1",
+                 id="one-zero-period"),
+])
+def test_constructors_refuse(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("padded, plain", [
+    pytest.param(lambda: BetaNumber.from_polynomial([0, 0, 1, -1, -1]),
+                 lambda: BetaNumber.from_polynomial([1, -1, -1]),
+                 id="leading-zero-coefficients"),
+    pytest.param(lambda: beta_from_expansion((1, 1, 0, 0)),
+                 lambda: beta_from_expansion((1, 1)), id="trailing-zeros"),
+])
+def test_constructors_strip_zero_padding(padded, plain):
+    """Zero padding names the same base: the same polynomial and root."""
+    a, b = padded(), plain()
+    assert a._ctx.poly_asc == b._ctx.poly_asc and a.compare(b) == 0
+    assert a.digits(12) == b.digits(12)
+
+
 def oracle_cleared_form(prefix, period):
     """Ascending coefficients of the polynomial written out digit by digit:
     (x^q - 1)(x^p - sum_j a_j x^(p-j)) - sum_i c_i x^(q-i) for a period
@@ -605,6 +637,28 @@ def test_compare_equal_minimal_polynomials_needs_no_refinement():
     assert poly.compare(digits) == 0 and digits.compare(poly) == 0
     for beta in (poly, digits):
         assert beta._ctx.hi - beta._ctx.lo > Fraction(1, 2 ** 100)
+
+
+@pytest.mark.parametrize("n, bits", [(60, 48), (200, 144)])
+def test_compare_refines_until_the_enclosures_separate(monkeypatch, n, bits):
+    """beta(n), the simple base of golden's first n digits, lies about
+    golden^-n below golden: the enclosures overlap at width 2^-32 and are
+    refined by 2^-16 steps until they separate at 2^-bits.  With the cap
+    at 64 bits, 2^-144 is out of reach and the comparison is refused."""
+    golden = BetaNumber.from_polynomial([1, -1, -1])
+    approx = simple_beta_approx(BetaNumber.from_polynomial([1, -1, -1]), n)
+    assert golden.compare(approx) == 1 and approx.compare(golden) == -1
+    for beta in (golden, approx):
+        assert Fraction(1, 2 ** (bits + 16)) < \
+            beta._ctx.hi - beta._ctx.lo <= Fraction(1, 2 ** bits)
+    set_cap(monkeypatch, 64)
+    golden = BetaNumber.from_polynomial([1, -1, -1])
+    approx = simple_beta_approx(BetaNumber.from_polynomial([1, -1, -1]), n)
+    if bits > 64:
+        with pytest.raises(UndecidableAtPrecision, match="undecided at cap"):
+            golden.compare(approx)
+    else:
+        assert golden.compare(approx) == 1
 
 
 def test_non_monic_linear_root_is_rational():

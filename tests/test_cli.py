@@ -192,6 +192,7 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["irregular", "--beta", "2", "--phi", "freq:1", "--alpha", "0.5,0",
      "--levels", "-1"],
     ["exotic", "--nmax", "0"],
+    ["graph", "--beta", "2", "--n", "0"],
     ["bowen", "--tree", "{tmp}/negative_bound.json"],
     ["bowen", "--tree", "{tmp}/digit_off_alphabet.json"],
     # a pool size or Markov order below 1 once gave a report built from

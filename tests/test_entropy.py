@@ -21,6 +21,7 @@ from betalab.entropy import (
     uniform_admissible_sampler,
     window_bad_count,
 )
+from betalab.beta_core import BetaNumber
 from betalab.errors import UsageError
 from betalab.parry import markov_approx
 
@@ -465,6 +466,35 @@ def test_dimension_bounds_sandwich(beta_golden):
     certified = dimension_bounds(0.3, beta_golden, 0.5,
                                  bounded_z_certificate=True)
     assert certified["lower"] == certified["upper"]
+    for z_ratio in (1.0, 2.5):
+        assert dimension_bounds(0.3, beta_golden, z_ratio) == {
+            "lower": 0.0, "upper": 0.3 / beta_golden.log, "flag": "z-ratio>=1"}
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: MistakeFunction("neg", lambda n: -1)(4),
+                 "mistake function neg went negative", id="mistake-negative"),
+    pytest.param(lambda: window_bad_count((0, 1), (1, 0), 0),
+                 "window must be >= 1", id="bad-count-window-0"),
+    pytest.param(lambda: SeparationInstance(()), "empty word set",
+                 id="no-words"),
+    pytest.param(lambda: SeparationInstance(((0, 1), (1,))),
+                 "all words must share one length", id="mixed-lengths"),
+    pytest.param(lambda: SeparationInstance(((0, 1), (1, -1))),
+                 "digits must be nonnegative", id="negative-digit"),
+    pytest.param(lambda: dimension_bounds(-0.1, BetaNumber.from_decimal("2"),
+                                          0.5),
+                 "entropy and z ratio must be nonnegative",
+                 id="negative-entropy"),
+    pytest.param(lambda: dimension_bounds(0.5, BetaNumber.from_decimal("2"),
+                                          -0.5),
+                 "entropy and z ratio must be nonnegative",
+                 id="negative-z-ratio"),
+])
+def test_entropy_refusals(call, message):
+    """Bad library input is refused with a UsageError naming the fault."""
+    with pytest.raises(UsageError, match=message):
+        call()
 
 
 def test_box_dimension_full_spaces(beta_two, beta_golden):
@@ -481,6 +511,17 @@ def test_box_dimension_markov_subtree(beta_golden):
     rep = box_dimension_estimate(tree, beta_golden, [24])
     target = approx.entropy / beta_golden.log
     assert abs(rep["estimate"] - target) < 0.03
+
+
+def test_box_dimension_grows_its_bracket():
+    """Near 1 the cover cost is still >= 1 at s = 2: the bracket grows by
+    half until it crosses, at log 2 / log 1.1 ~ 7.2725 for beta = 1.1, and
+    past s = 64 (log 2 / log 1.001 ~ 693) it refuses."""
+    tree = CylinderTree.full(1, 8)
+    est = box_dimension_estimate(tree, BetaNumber.from_decimal("1.1"), [8])
+    assert abs(est["estimate"] - math.log(2) / math.log(1.1)) < 1e-3
+    with pytest.raises(UsageError, match="cover cost never drops below 1"):
+        box_dimension_estimate(tree, BetaNumber.from_decimal("1.001"), [8])
 
 
 def test_box_dimension_depth_guard(beta_golden):

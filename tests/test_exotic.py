@@ -5,8 +5,9 @@ from itertools import product
 import pytest
 
 from betalab.automata import read
-from betalab.errors import UsageError
+from betalab.errors import BudgetExceeded, UsageError
 from betalab.exotic import (
+    FORBIDDEN_LIST_BUDGET,
     FactorAutomaton,
     build_nested,
     nested_entropy_report,
@@ -115,6 +116,13 @@ def test_build_nested_input_guards():
         build_nested((2,))
     with pytest.raises(UsageError):
         build_nested((6, 4))
+
+
+def test_build_nested_past_the_forbidden_list_budget():
+    """The four length-2 words, each to a power past an eighth of the
+    budget, are more forbidden symbols than FORBIDDEN_LIST_BUDGET."""
+    with pytest.raises(BudgetExceeded, match="forbidden lists exceed budget"):
+        build_nested((3, FORBIDDEN_LIST_BUDGET // 8 + 1))
 
 
 def test_nesting_chain_exhaustive():

@@ -20,7 +20,8 @@ from betalab.irregular import (
     rho,
     validate_schedule,
 )
-from betalab.observables import Observable, digit_frequency, parse_observable
+from betalab.observables import (Observable, block_indicator, digit_frequency,
+                                 parse_observable)
 from betalab.parry import (
     Automaton,
     enumerate_admissible,
@@ -330,6 +331,30 @@ def test_glue_rejects_inadmissible_selection(beta_golden):
         glue_blocks(beta_golden, sch, [[(1, 1, 0, 0)]])
 
 
+def _ball_longer_than_the_words(beta):
+    sch, _, fam = family_fixture(beta)  # words of length 20
+    return edp_ball_check(fam["family"], sch, [2, 2], [(bytes(30), 21)])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda b: _LevelSet(
+        Automaton(b), block_indicator((1, 0, 1), 1), Fraction(1, 2),
+        Fraction(1, 10), 2), "word shorter than observable range 3",
+                 id="level-set-short"),
+    pytest.param(lambda b: glue_blocks(
+        b, validate_schedule((4, 6), (2, 3), (0.5, 0.2)), [[b"\1" * 4] * 2]),
+                 "one selection list per schedule level", id="glue-levels"),
+    pytest.param(lambda b: construct_irregular_point(
+        b, digit_frequency(1, 1), (0.5, 0.0), small_schedule(), []),
+                 "one pool per level required", id="construct-pools"),
+    pytest.param(_ball_longer_than_the_words,
+                 "ball length 21 is negative or exceeds", id="edp-too-long"),
+])
+def test_irregular_refusals(beta_two, call, message):
+    with pytest.raises(UsageError, match=message):
+        call(beta_two)
+
+
 def test_glue_rejects_wrong_shape(beta_two):
     sch = validate_schedule((4,), (2,), (0.5,))
     with pytest.raises(UsageError):
@@ -375,6 +400,16 @@ def test_construct_raises_when_a_residual_exceeds_its_bound(beta_two):
         construct_irregular_point(beta_two, phi, (1.0, 0.0), sch, pools)
 
 
+@pytest.mark.parametrize("targets", [(0.5,), (0.5, 0.5, 0.0)])
+def test_construct_refuses_other_than_two_targets(beta_two, targets):
+    """One target once raised IndexError, and a third was ignored."""
+    sch = validate_schedule((6, 8), (3, 20), (0.3, 0.2))
+    phi = digit_frequency(1, 1)
+    pools = build_word_pools(beta_two, phi, (0.5, 0.5), sch)
+    with pytest.raises(UsageError, match="exactly two targets are required"):
+        construct_irregular_point(beta_two, phi, targets, sch, pools)
+
+
 def test_construct_exact_alternation_full_shift(beta_two):
     # pools {1^n} and {0^n}: averages hit the alternating targets exactly
     # up to boundary truncation
@@ -404,6 +439,13 @@ def test_enumerate_glued_family_counts(beta_two):
     assert fam["count"] == 16
     assert fam["pairwise_distinct"]
     assert abs(fam["entropy_proxy"] - math.log(16) / sch.times[-1]) < 1e-12
+
+
+def test_edp_ball_check_refuses_a_negative_length(beta_two):
+    """n = -3 once gave a passing row with bound 2.0 and l = -1."""
+    sch, _, fam = family_fixture(beta_two)
+    with pytest.raises(UsageError, match="ball length -3 is negative"):
+        edp_ball_check(fam["family"], sch, [2, 2], [(fam["family"][0], -3)])
 
 
 def test_enumerate_glued_family_budget(beta_two):

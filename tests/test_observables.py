@@ -51,6 +51,21 @@ def test_word_shorter_than_range_rejected():
         phi.average_on_word((1, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Observable("r0", 0, {(): 1}),
+                 "observable range must be >= 1", id="range-0"),
+    pytest.param(lambda: Observable("empty", 1, {}),
+                 "observable table is empty", id="empty-table"),
+    pytest.param(lambda: Observable("partial", 1, {(0,): 1})
+                 .average_on_word((0, 1)),
+                 r"observable partial undefined on block \(1,\)",
+                 id="block-off-table"),
+])
+def test_observable_refusals(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
+
+
 def test_block_table_past_the_bound_is_a_resource_error():
     """(b + 1)^r entries past 2^16 raise before the table is built; a
     10^6-entry table took seconds, and 256^4 entries ran out of memory."""
