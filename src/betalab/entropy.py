@@ -41,11 +41,15 @@ class MistakeFunction:
     def __init__(self, name: str, fn: Callable[[int], int]):
         self.name = name
         self._fn = fn
+        self._values: dict[int, int] = {}  # n -> checked g(n)
 
     def __call__(self, n: int) -> int:
-        g = int(self._fn(n))
-        if g < 0:
-            raise UsageError(f"mistake function {self.name} went negative")
+        g = self._values.get(n)
+        if g is None:
+            g = int(self._fn(n))
+            if g < 0:
+                raise UsageError(f"mistake function {self.name} went negative")
+            self._values[n] = g
         return g
 
     @classmethod
@@ -71,28 +75,42 @@ class MistakeFunction:
         raise UsageError(f"unknown mistake function spec {spec!r}")
 
 
-def window_bad_count(x, y, window: int) -> int:
+def window_bad_count(x, y, window: int, limit: Optional[int] = None) -> int:
     """# of j in [0, n) whose length-window look-ahead sees a disagreement;
     the words are any int sequences (bytes, tuples, SymbolWords), read as
-    they are."""
+    they are.
+
+    One left-to-right scan: a disagreement at i, after the last one at i'
+    (i' = -1 at the start), makes the min(window, i - i') positions
+    j in (max(i', i - window), i] bad.  Given a ``limit``, the scan returns
+    as soon as the count passes it, so a result above ``limit`` is only a
+    lower bound; a result at most ``limit`` is exact.
+    """
     if len(x) != len(y):
         raise UsageError(f"{len(x)} vs {len(y)}")
-    n = len(x)
     if window < 1:
         raise UsageError("window must be >= 1")
+    if limit is None:
+        limit = len(x)  # the count never passes n
     bad = 0
-    next_bad = math.inf  # nearest disagreement at or after j, scanned right to left
-    for j in range(n - 1, -1, -1):
-        if x[j] != y[j]:
-            next_bad = j
-        if next_bad - j < window:
-            bad += 1
+    last = -1
+    i = -1  # a counter, not enumerate: the tuple unpack costs more per pair
+    for a, b in zip(x, y):
+        i += 1
+        if a != b:
+            gap = i - last
+            bad += gap if gap < window else window
+            if bad > limit:
+                return bad
+            last = i
     return bad
 
 
 def mistake_ball_contains(x, y, g: MistakeFunction, window: int = 1) -> bool:
-    """y lies in the length-n mistake ball around x."""
-    return window_bad_count(x, y, window) <= g(len(x))
+    """y lies in the length-n mistake ball around x: at most g(n) bad
+    positions, so the count stops once it passes g(n)."""
+    t = g(len(x))
+    return window_bad_count(x, y, window, t) <= t
 
 
 @dataclass
@@ -440,6 +458,8 @@ def bowen_entropy(tree: CylinderTree, n_min: int = 1) -> CoverEntropyReport:
 
 def box_dimension_estimate(tree: CylinderTree, beta, depth_list) -> dict:
     """Transition exponent of the cover cost with d_beta cylinder diameters."""
+    if not depth_list:
+        raise UsageError("depth list must be nonempty")
     log_b = beta.log
     rows = []
     for d in depth_list:

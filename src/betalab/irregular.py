@@ -291,6 +291,9 @@ def enumerate_glued_family(beta, schedule: IrregularSchedule,
     """All glued words over per-slot pool choices; exact product count.
     A pool is a word sequence; its words may be bytes, SymbolWords or int
     sequences, mixed."""
+    if len(pools) != schedule.levels:
+        raise UsageError(f"{len(pools)} pools for {schedule.levels} levels: "
+                         "one pool per level required")
     words_per_level = [tuple(map(as_word, p)) for p in pools]
     sizes = [len(words) for words in words_per_level]
     expected = math.prod(s ** N for s, N in zip(sizes, schedule.multiplicities))

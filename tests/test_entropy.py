@@ -4,6 +4,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betalab.entropy import (
     CylinderTree,
@@ -24,6 +25,7 @@ from betalab.entropy import (
 from betalab.beta_core import BetaNumber
 from betalab.errors import UsageError
 from betalab.parry import markov_approx
+from betalab.words import SymbolWord
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -95,6 +97,121 @@ def test_window_bad_count_matches_oracle():
 def test_window_bad_count_length_mismatch():
     with pytest.raises(UsageError, match="^1 vs 2$"):
         window_bad_count((1,), (1, 0), 1)
+
+
+def _word_pairs(max_digit):
+    """Two digit lists of one length in 0..40, digits up to max_digit."""
+    def pair(n):
+        digits = st.lists(st.integers(0, max_digit), min_size=n, max_size=n)
+        return st.tuples(digits, digits)
+    return st.integers(0, 40).flatmap(pair)
+
+
+def _as_form(form, digits):
+    return {"tuple": tuple, "bytes": bytes,
+            "symbol": lambda d: SymbolWord(d, 255)}[form](digits)
+
+
+_FORMS = st.sampled_from(("tuple", "bytes", "symbol"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_word_pairs(300), st.just(("tuple", "tuple"))),
+                 st.tuples(_word_pairs(255), st.tuples(_FORMS, _FORMS))),
+       st.integers(1, 5))
+def test_window_bad_count_stops_at_the_budget(case, m):
+    """With a budget, the count is at most the budget exactly when the
+    oracle's is, and then it is the oracle's count; digits past a byte
+    are read as tuples, the rest as any mix of word types."""
+    (xd, yd), (fx, fy) = case
+    x, y = _as_form(fx, xd), _as_form(fy, yd)
+    want = oracle_bad_count(xd, yd, m)
+    assert window_bad_count(x, y, m) == want
+    for limit in range(len(xd) + 2):
+        got = window_bad_count(x, y, m, limit)
+        assert (got <= limit) == (want <= limit), limit
+        if got <= limit:
+            assert got == want, limit
+
+
+def test_mistake_ball_edge_is_g_of_n():
+    """n = 9, window 2, g(9) = 4: disagreements at 1 and 3 make exactly
+    g(9) bad positions, and a third at 4 makes g(9) + 1."""
+    g = MistakeFunction.log2()
+    x = (0,) * 9
+    at = (0, 1, 0, 1, 0, 0, 0, 0, 0)
+    over = (0, 1, 0, 1, 1, 0, 0, 0, 0)
+    assert window_bad_count(x, at, 2) == g(9) == 4
+    assert window_bad_count(x, over, 2) == g(9) + 1
+    assert mistake_ball_contains(x, at, g, window=2)
+    assert not mistake_ball_contains(x, over, g, window=2)
+
+
+def test_budget_does_not_skip_the_length_check():
+    """The first digits already pass the budget, and the lengths still
+    decide the error."""
+    with pytest.raises(UsageError, match="^1 vs 2$"):
+        window_bad_count((1,), (0, 0), 1, 0)
+    with pytest.raises(UsageError, match="^1 vs 2$"):
+        mistake_ball_contains((1,), (0, 0), MistakeFunction.zero())
+
+
+def test_ball_counts_match_integer_masks():
+    """The benchmark's check: for 20 seeded centres among the golden
+    12-words, the ball count at window 2 equals the number of words whose
+    integer-mask window bad count is at most g(12)."""
+    n, m = 12, 2
+    words = [w for w in product((0, 1), repeat=n)
+             if all(not (a and b) for a, b in zip(w, w[1:]))]
+    masks = [sum(d << p for p, d in enumerate(w)) for w in words]
+    g = MistakeFunction.log2()
+    rng = random.Random(12)
+    for c in (rng.randrange(len(words)) for _ in range(20)):
+        want = 0
+        for mask in masks:
+            d = masks[c] ^ mask
+            spread = d | (d >> 1)
+            want += bin(spread & ((1 << n) - 1)).count("1") <= g(n)
+        assert sum(mistake_ball_contains(words[c], z, g, window=m)
+                   for z in words) == want
+
+
+def test_mistake_function_computes_each_value_once():
+    calls = []
+
+    def fn(n):
+        calls.append(n)
+        return n // 2
+
+    g = MistakeFunction("half", fn)
+    assert [g(n) for n in (4, 5, 4, 6, 5, 4)] == [2, 2, 2, 3, 2, 2]
+    assert calls == [4, 5, 6]
+
+
+def test_negative_mistake_function_raises_every_time():
+    calls = []
+
+    def fn(n):
+        calls.append(n)
+        return -1
+
+    g = MistakeFunction("neg", fn)
+    for _ in range(2):
+        with pytest.raises(UsageError, match="mistake function neg went negative"):
+            g(4)
+    assert calls == [4, 4]
+
+
+def test_parsed_mistake_functions_keep_their_values():
+    """The values before the cache: zero, a constant and the least e with
+    2^e >= n (0 for n <= 1), for n = -2 .. 2^10, read twice."""
+    expected = {"log": lambda n: next(e for e in range(11) if 2 ** e >= n),
+                "const:3": lambda n: 3, "zero": lambda n: 0}
+    for spec, want in expected.items():
+        g = MistakeFunction.parse(spec)
+        for _ in range(2):
+            assert [g(n) for n in range(-2, 2 ** 10 + 1)] == [
+                want(n) for n in range(-2, 2 ** 10 + 1)], spec
 
 
 def test_mistake_ball_identity_and_threshold():
@@ -478,6 +595,9 @@ def test_dimension_bounds_sandwich(beta_golden):
                  "window must be >= 1", id="bad-count-window-0"),
     pytest.param(lambda: SeparationInstance(()), "empty word set",
                  id="no-words"),
+    pytest.param(lambda: box_dimension_estimate(
+        CylinderTree.full(1, 4), BetaNumber.from_decimal("2"), []),
+                 "depth list must be nonempty", id="box-no-depths"),
     pytest.param(lambda: SeparationInstance(((0, 1), (1,))),
                  "all words must share one length", id="mixed-lengths"),
     pytest.param(lambda: SeparationInstance(((0, 1), (1, -1))),

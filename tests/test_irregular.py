@@ -349,6 +349,10 @@ def _ball_longer_than_the_words(beta):
                  "one pool per level required", id="construct-pools"),
     pytest.param(_ball_longer_than_the_words,
                  "ball length 21 is negative or exceeds", id="edp-too-long"),
+    pytest.param(lambda b: enumerate_glued_family(
+        b, validate_schedule((4, 6), (2, 2), (0.2, 0.1)), [((1, 0, 1, 0),)]),
+                 "^1 pools for 2 levels: one pool per level required$",
+                 id="family-fewer-pools"),
 ])
 def test_irregular_refusals(beta_two, call, message):
     with pytest.raises(UsageError, match=message):
