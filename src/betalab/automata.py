@@ -11,19 +11,20 @@ a (state, symbol) pair is met, so each later digit costs one lookup, not a
 Enumeration yields ``bytes`` words (so b <= 255), which the cyclic garbage
 collector does not track, and shares suffixes: a DFS walks the prefixes of
 length n - m, and each word is its prefix plus one of its end state's tail
-words of length m, from a table built for that call.  m is the largest
-length with (b + 1)^m <= TAIL_WORDS, so one state's tail list holds at most
-TAIL_WORDS words.  Enumeration is lazy: a caller that stops early never
-walks the rest and wastes at most one tail list.  `enumerate_words` gives
-the words as a lazy ranked sequence, `Words`: it holds one path count per
-(state, level) and its tail lists, never the words, and a slice and an
-index are one walk that skips whole subtrees by their counts.
+words of length m.  m is the largest length with (b + 1)^m <= TAIL_WORDS,
+so one state's tail list holds at most TAIL_WORDS words.
+`enumerate_words` gives the words as a lazy ranked sequence, `Words`: it
+holds one path count per (state, level) and its tail lists, never the
+words, and iteration, a slice and an index are one walk that skips whole
+subtrees by their counts, so it never enters a dead end (a state on no
+path of length n) and a caller that stops early never walks the rest.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
+from collections import Counter
 from collections.abc import Sequence
 from functools import cache, partial
 from itertools import chain, islice
@@ -100,23 +101,22 @@ def count(pres: Presentation, n: int) -> int:
     return path_counts(pres, n)[-1] if n > 0 else 1
 
 
-def reach(edges_of, initial, depth: int) -> list[list]:
-    """The states at the ends of paths of j edges from initial, for
-    j = 0..depth, each level in first-seen order; ``edges_of(state)`` gives
-    a state's (label, target) pairs, as `edges` does."""
-    levels = [[initial]]
+def reach(edges_of, initial, depth: int) -> list[set]:
+    """The sets of states at the ends of paths of j edges from initial, for
+    j = 0..depth; ``edges_of(state)`` gives a state's (label, target)
+    pairs, as `edges` does."""
+    levels = [{initial}]
     for _ in range(depth):
-        levels.append(list(dict.fromkeys(
-            t for state in levels[-1] for _, t in edges_of(state))))
+        levels.append({t for state in levels[-1] for _, t in edges_of(state)})
     return levels
 
 
-def _paths(edges_of, start, depth: int, below=None, rank: int = 0):
+def _paths(edges_of, start, depth: int, below, rank: int = 0):
     """(labels, end state, rank) of every path of depth edges from start, in
-    lexicographic order of the labels (iterative DFS).  While rank is
-    nonzero, each subtree whose count ``below[j][target]`` (as in `Words`,
-    j edges taken) is at most rank is skipped and its count taken off rank;
-    the first path yielded carries the rank left, the rest carry 0."""
+    lexicographic order of the labels (iterative DFS).  Each subtree whose
+    count ``below[j][target]`` (as in `Words`, j edges taken) is at most
+    rank is skipped and its count taken off rank, so no subtree of count 0
+    is entered; the first path yielded carries the rank left, the rest 0."""
     if depth == 0:
         yield b"", start, rank
         return
@@ -126,7 +126,7 @@ def _paths(edges_of, start, depth: int, below=None, rank: int = 0):
         if edge is None:
             stack.pop()
             del word[-1:]  # no label left once start's edges run out
-        elif rank and (skip := below[len(stack)][edge[1]]) <= rank:
+        elif (skip := below[len(stack)][edge[1]]) <= rank:
             rank -= skip
         elif len(stack) < depth:
             word.append(edge[0])
@@ -134,17 +134,6 @@ def _paths(edges_of, start, depth: int, below=None, rank: int = 0):
         else:
             yield bytes((*word, edge[0])), edge[1], rank
             rank = 0
-
-
-def _runs(edges_of, paths, m: int, tails: dict):
-    """One lazy run per (prefix, end state, rank) of paths: the prefix
-    followed by its end state's tail words of length m from the rank-th,
-    taken from tails (state -> tail words), which fills as states are met."""
-    for head, state, rank in paths:
-        ends = tails.get(state)
-        if ends is None:
-            ends = tails[state] = [w for w, _, _ in _paths(edges_of, state, m)]
-        yield map(head.__add__, ends[rank:] if rank else ends)
 
 
 def _tail_length(pres: Presentation, n: int) -> int:
@@ -159,14 +148,6 @@ def _tail_length(pres: Presentation, n: int) -> int:
     return m
 
 
-def iter_words(pres: Presentation, n: int) -> Iterator[bytes]:
-    """Words of length n in lexicographic order, lazily, as bytes."""
-    m = _tail_length(pres, n)
-    edges_of = cache(partial(edges, pres))
-    paths = _paths(edges_of, pres.initial, n - m)
-    return chain.from_iterable(_runs(edges_of, paths, m, {}))
-
-
 class Words(Sequence):
     """The words of length n of a presentation in lexicographic order, as a
     lazy ranked sequence of bytes.
@@ -174,29 +155,33 @@ class Words(Sequence):
     It holds, for each level j and each state reachable by j edges, the
     number of paths of n - j edges from that state (Nijenhuis & Wilf,
     *Combinatorial Algorithms*, 1978): O(states x n) integers, never the
-    words.  A slice and ``words[i]`` are one walk, `_paths`, which skips
-    each subtree whose count is at most the rank still to go: to depth n
-    for an index, which builds no tail list, and to depth n - m for a
-    slice, whose first tail list starts at the rank left.  Tail lists stay
-    for later slices, at most TAIL_WORDS words per end state.
-    Iteration is `iter_words`, and ``==`` compares item by item with any
-    sequence.  ``bool`` and indexing read the exact count; past sys.maxsize
-    words, ``len`` and a slice that walks that far raise BudgetExceeded.
+    words.  Iteration, a slice and ``words[i]`` are one walk, `_paths`,
+    which skips each subtree whose count is at most the rank still to go,
+    so every subtree of count 0: to depth n for an index, which builds no
+    tail list, and to depth n - m for a stream, whose first tail list
+    starts at the rank left.  Slices share their tail lists, at most
+    TAIL_WORDS words per end state; an iterator keeps its own.  ``==``
+    compares item by item with any sequence.  ``bool`` and indexing read
+    the exact count; past sys.maxsize words, ``len`` and a slice that
+    walks that far raise BudgetExceeded.
     """
 
     def __init__(self, pres: Presentation, n: int):
-        self._pres, self._n, self._m = pres, n, _tail_length(pres, n)
+        self._pres, self._n = pres, n
         self._edges_of = edges_of = cache(partial(edges, pres))
         self._tails: dict = {}  # filled by slices, shared between them
         levels = reach(edges_of, pres.initial, n)
-        below = dict.fromkeys(levels[-1], 1)
-        self._below = [below]  # [j][state]: paths of n - j edges from state
+        # [j][state]: paths of n - j edges from state, in Counters, which
+        # unlike plain dicts go back to the allocator once the words drop
+        below = Counter(dict.fromkeys(levels[-1], 1))
+        self._below = [below]
         for states in reversed(levels[:-1]):
-            below = {state: sum(below[t] for _, t in edges_of(state))
-                     for state in states}
+            below = Counter({state: sum(below[t] for _, t in edges_of(state))
+                             for state in states})
             self._below.append(below)
         self._below.reverse()
         self._size = below[pres.initial]
+        self._m = _tail_length(pres, n)  # after reach: edges' budget first
 
     def __len__(self) -> int:
         if self._size > sys.maxsize:
@@ -214,11 +199,8 @@ class Words(Sequence):
             step, span = abs(r.step), abs(r[-1] - r[0])
             if span >= sys.maxsize:
                 raise BudgetExceeded(f"slice walks past {sys.maxsize} words")
-            paths = _paths(self._edges_of, self._pres.initial,
-                           self._n - self._m, self._below, min(r[0], r[-1]))
-            runs = chain.from_iterable(
-                _runs(self._edges_of, paths, self._m, self._tails))
-            out = list(islice(runs, 0, span + 1, step))
+            runs = self._runs(min(r[0], r[-1]), self._tails)
+            out = list(islice(chain.from_iterable(runs), 0, span + 1, step))
             return out if r.step > 0 else out[::-1]
         i = operator.index(key)
         if not -self._size <= i < self._size:
@@ -227,7 +209,20 @@ class Words(Sequence):
                            self._below, i % self._size))[0]
 
     def __iter__(self) -> Iterator[bytes]:
-        return iter_words(self._pres, self._n)
+        return chain.from_iterable(self._runs(0, {}))
+
+    def _runs(self, rank: int, tails: dict):
+        """Lazy runs of the words from the rank-th on: each prefix of the
+        walk to depth n - m and its end state's tail words from the rank
+        left, kept in tails (state -> tail words) as states are met."""
+        edges_of, m, below = self._edges_of, self._m, self._below
+        for head, state, rank in _paths(edges_of, self._pres.initial,
+                                        self._n - m, below, rank):
+            ends = tails.get(state)
+            if ends is None:
+                ends = tails[state] = [w for w, _, _ in _paths(
+                    edges_of, state, m, below[-m - 1:])]
+            yield map(head.__add__, ends[rank:] if rank else ends)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -235,7 +230,4 @@ class Words(Sequence):
         return self._size == len(other) and all(map(operator.eq, self, other))
 
 
-def enumerate_words(pres: Presentation, n: int) -> Words:
-    """All words of length n in lexicographic order, as a lazy ranked
-    sequence."""
-    return Words(pres, n)
+enumerate_words = Words  # all words of length n, as a lazy ranked sequence

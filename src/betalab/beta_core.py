@@ -543,7 +543,10 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
     check_byte_alphabet(beta.digit_bound)
     if n < 1:
         raise UsageError("n must be >= 1")
-    x = Fraction(x)
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"x must be a number, got {x!r}") from exc
     if not 0 <= x < 1:
         raise UsageError(f"x must lie in [0, 1), got {x}")
     return SymbolWord(tuple(_greedy_digits(beta, _point(beta, x), n)),

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .automata import iter_words
+from .automata import enumerate_words
 from .beta_core import (
     BetaNumber,
     expansion_of_one,
@@ -438,7 +438,8 @@ def _small_family(args):
     sch = validate_schedule(n, N, d)
     pools = []
     for nk in n:
-        kept = thin_separated(iter_words(Automaton(beta), nk), args.pool_size)
+        kept = thin_separated(enumerate_words(Automaton(beta), nk),
+                              args.pool_size)
         if len(kept) < args.pool_size:
             raise UsageError(f"cannot build pool of {args.pool_size} "
                              f"separated words at length {nk}")

@@ -294,7 +294,9 @@ def katok_entropy_estimate(sampler, g: MistakeFunction, gamma: float,
         raise UsageError("gamma must lie in (0, 1)")
     if not n_list or any(n < 1 for n in n_list):
         raise UsageError("at least one word length, each >= 1, is required")
-    search = max_separated if method == "separated" else min_spanning
+    search = {"separated": max_separated, "spanning": min_spanning}.get(method)
+    if search is None:
+        raise UsageError(f"method must be separated or spanning: {method!r}")
     rows = []
     for n in n_list:
         sample = sorted(sampler(n))

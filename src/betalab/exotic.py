@@ -96,9 +96,14 @@ class NestedShift:
     def levels(self) -> int:
         return len(self.forbidden_sets)
 
+    def _matcher(self, level: int) -> FactorAutomaton:
+        if not 1 <= level <= self.levels:
+            raise UsageError(f"level {level} outside 1..{self.levels}")
+        return self.automata[level - 1]
+
     def enumerate(self, n: int, level: Optional[int] = None):
         lvl = self.levels if level is None else level
-        return automata.enumerate_words(self.automata[lvl - 1], n)
+        return automata.enumerate_words(self._matcher(lvl), n)
 
 
 def build_nested(N_seq: Sequence[int],
@@ -118,7 +123,7 @@ def build_nested(N_seq: Sequence[int],
         # F_k: the N_k-th powers of all level-(k-1) admissible length-k
         # words; patterns stay tuples, like the level-1 runs
         F_k = [tuple(v) * N_seq[k - 1]
-               for v in automata.iter_words(matchers[-1], k)]
+               for v in automata.enumerate_words(matchers[-1], k)]
         cumulative = cumulative + F_k
         if sum(map(len, cumulative)) > FORBIDDEN_LIST_BUDGET:
             raise BudgetExceeded("forbidden lists exceed budget")
@@ -134,7 +139,7 @@ def no_short_periodics(shift: NestedShift, level: int) -> dict:
     A factor of length L occurs in v^inf exactly when it occurs in the
     first L + p - 1 digits, so longest // p + 2 copies of v decide it."""
     rows = []
-    auto = shift.automata[level - 1]
+    auto = shift._matcher(level)
     longest = max(map(len, auto.patterns))
     for p_len in range(1, level + 1):
         for v in product((0, 1), repeat=p_len):
@@ -149,21 +154,19 @@ def single_edit_repair(word, shift: NestedShift, level: int) -> dict:
     """One edit breaking every forbidden factor at the edited position.
 
     Words are binary (`FactorAutomaton.occurrences` refuses other digits),
-    so the edit at p is 1 - word[p].  It works when the edited word has no
-    forbidden occurrence overlapping p and introduces none absent from the
-    input; occurrences elsewhere may remain, as repair is local by design.
+    so the edit at p is 1 - word[p].  It works when no forbidden occurrence
+    in the edited word covers p, and then it adds none: one that misses p
+    is in the input too.  Others may remain, as repair is local by design.
     """
     word = tuple(word)
-    auto = shift.automata[level - 1]
-    before = set(auto.occurrences(word))
-    if not before:
+    auto = shift._matcher(level)
+    if not auto.occurrences(word):
         return {"edit": None, "repaired": word,
                 "working_positions": 0, "already_admissible": True}
     working, first_fix = 0, None
     for pos, d in enumerate(word):
         cand = word[:pos] + (1 - d,) + word[pos + 1:]
-        after = auto.occurrences(cand)
-        if set(after) <= before and not any(a <= pos < b for a, b, _ in after):
+        if not any(a <= pos < b for a, b, _ in auto.occurrences(cand)):
             working += 1
             first_fix = first_fix or (pos, cand)
     if first_fix is None:
@@ -179,6 +182,7 @@ def nested_entropy_report(shift: NestedShift, level: int, n_max: int) -> dict:
     """Exact per-level word counts, growth rates, and inter-level drops."""
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
+    shift._matcher(level)
     levels = list(range(1, level + 1))
     counts = {lvl: automata.path_counts(shift.automata[lvl - 1], n_max)
               for lvl in levels}

@@ -1,14 +1,16 @@
 """Constructive assembly of points with divergent Birkhoff averages.
 
 Per-level word pools are read in lexicographic order from the exact level
-sets {w admissible : |A_n phi(w) - alpha| < delta} and thinned to pairwise
-Hamming distance above a threshold; their words are glued into an
-admissible prefix whose running averages of a chosen observable oscillate
-between two targets on a verified schedule.  Targets and tolerances are
-read as decimal literals, and each window and certificate is decided in Q.
-Gluing follows the repair rule of almost specification: unless beta is an
-integer, each nonterminal block has its last nonzero digit zeroed, and
-then any admissible block may follow it (Pfister & Sullivan 2007).
+sets {w admissible : |A_n phi(w) - alpha| < delta}, presentations whose
+window is a test on the last edge, pruned by the counts of
+`automata.Words`, and thinned to pairwise Hamming distance above a
+threshold; their words are glued into an admissible prefix whose running
+averages of a chosen observable oscillate between two targets on a verified
+schedule.  Targets and tolerances are read as decimal literals, and each
+window and certificate is decided in Q.  Gluing follows the repair rule of
+almost specification: unless beta is an integer, each nonterminal block has
+its last nonzero digit zeroed, and then any admissible block may follow it
+(Pfister & Sullivan 2007).
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, product
 from operator import mul, ne
 from typing import Sequence
 
-from .automata import edges, iter_words, reach
+from .automata import edges, enumerate_words
 from .errors import BudgetExceeded, UsageError
 from .observables import Observable, exact
 from .parry import Automaton, is_admissible, zero_last_nonzero
@@ -97,11 +99,11 @@ SEPARATION_THRESHOLD = 2  # pool words differ in more than this many digits
 class _LevelSet:
     """Length-n words of a presentation whose phi-average is within delta of
     alpha, on product states (position, state, last r-1 digits, partial
-    Birkhoff sum S times phi.den, an integer).  `automata.reach` layers the
-    product states reachable from the initial one, and a backward pass
-    keeps those that can still end inside the strict window
-    |S/(m den) - alpha| < delta, decided once, in Q; so a walk never
-    backtracks."""
+    Birkhoff sum S times phi.den, an integer).  No edge leaves position n,
+    and the last edge into it exists only when S ends strictly inside the
+    window |S/(m den) - alpha| < delta, its integer bounds decided once in
+    Q; states that cannot end inside are dead ends, which the counts of
+    `automata.Words` prune, so a walk never backtracks."""
 
     def __init__(self, pres, phi: Observable, alpha: Fraction,
                  delta: Fraction, n: int):
@@ -110,31 +112,22 @@ class _LevelSet:
             raise UsageError(f"word shorter than observable range {r}")
         self.alphabet_bound = pres.alphabet_bound
         self.initial = (0, pres.initial, (), 0)
-        edges_of = cache(partial(edges, pres))
-
-        @cache
-        def product_edges(state):
-            j, q, tail, total = state
-            out = []
-            for s, t in edges_of(q):
-                block = tail + (s,)
-                out.append((s, (j + 1, t, block[1:],
-                                total + phi.numerator(block))
-                            if len(block) == r else (j + 1, t, block, total)))
-            return out
-
-        levels = reach(product_edges, self.initial, n)
-        centre, radius = alpha * m * phi.den, delta * m * phi.den
-        live = {st: {} for st in levels[-1] if abs(st[3] - centre) < radius}
-        for level in reversed(levels[:-1]):
-            for state in level:
-                kept = {s: t for s, t in product_edges(state) if t in live}
-                if kept:
-                    live[state] = kept
-        self._live = live
+        self._targets = cache(lambda q: dict(edges(pres, q)))
+        self._n, self._r, self._numerator = n, r, phi.numerator
+        c, d = alpha * m * phi.den, delta * m * phi.den  # centre, radius
+        self._lo, self._hi = math.floor(c - d), math.ceil(c + d)
 
     def step(self, state, sym: int):
-        return self._live.get(state, {}).get(sym)
+        j, q, tail, total = state
+        t = self._targets(q).get(sym) if j < self._n else None
+        if t is None:
+            return None
+        block = tail + (sym,)
+        if len(block) == self._r:
+            block, total = block[1:], total + self._numerator(block)
+        if j + 1 == self._n and not self._lo < total < self._hi:
+            return None
+        return j + 1, t, block, total
 
 
 def thin_separated(words, cap: int) -> list:
@@ -167,7 +160,7 @@ def build_word_pools(beta, phi: Observable, targets: Sequence[float],
         delta_k = schedule.tolerances[k - 1]
         alpha = targets[rho(k) - 1]
         level_set = _LevelSet(Automaton(beta), phi, alpha, delta_k, n_k)
-        kept = thin_separated(iter_words(level_set, n_k), pool_cap)
+        kept = thin_separated(enumerate_words(level_set, n_k), pool_cap)
         if not kept:
             raise UsageError(f"no admissible length-{n_k} word within "
                              f"{float(delta_k)} of {float(alpha)} at level {k}")
@@ -234,6 +227,8 @@ def oscillation_bound(phi: Observable, schedule: IrregularSchedule,
     """Ledger-computable residual bound on |A_{t_k} - alpha_{rho(k)}|:
     tolerance + oscillation * (edits + boundary) / n_k + carried-prefix term.
     """
+    if not 1 <= k <= schedule.levels:
+        raise UsageError(f"level {k} outside 1..{schedule.levels}")
     n_k = schedule.block_lengths[k - 1]
     t_prev = schedule.times[k - 2] if k >= 2 else 0
     t_k = schedule.times[k - 1]
@@ -325,6 +320,8 @@ def edp_ball_check(family: Sequence[bytes],
     the block-counting bound (#T_j)^-1 (#S_{j+1})^-l determined by n."""
     if not family:
         raise UsageError("empty family")
+    if len(pool_sizes) != schedule.levels or min(pool_sizes) < 1:
+        raise UsageError(f"one pool size >= 1 per level: {list(pool_sizes)}")
     total = len(family)
     t = schedule.times
     rows = []
@@ -340,15 +337,10 @@ def edp_ball_check(family: Sequence[bytes],
         hits = sum(1 for w in family if as_word(w[:n]) == prefix)
         j = bisect_right(t, n)  # completed levels: t_{j-1} <= n < t_j
         t_j = t[j - 1] if j >= 1 else 0
-        if j >= len(schedule.block_lengths):
-            l = 0
-            s_next = 1
-        else:
-            l = (n - t_j) // schedule.block_lengths[j]
-            s_next = pool_sizes[j]
+        l = (n - t_j) // schedule.block_lengths[j] if j < len(t) else 0
         T_j = math.prod(pool_sizes[i] ** schedule.multiplicities[i]
                         for i in range(j))
-        s_l = s_next ** l if s_next > 0 else 1
+        s_l = pool_sizes[j] ** l if l else 1
         # decided in integers: hits / total <= 1 / (T_j s_l)
         rows.append({"n": n, "measure": hits / total,
                      "bound": (1.0 / T_j) * (1.0 / s_l), "j": j, "l": l,

@@ -71,13 +71,17 @@ def is_admissible(word, beta: BetaNumber) -> bool:
     """Parry's criterion, decided by one read of the labelled graph; word is
     a SymbolWord or any int sequence, read without a copy.
 
-    Raises UsageError for any digit outside {0..b}, wherever it sits.
-    Such a digit has no edge, so the alphabet is checked only when the read
-    fails.
+    Raises UsageError for any digit outside {0..b}, a non-number among
+    them, wherever it sits.  Such a digit has no edge, so the alphabet is
+    checked only when the read fails.
     """
     if automata.read(Automaton(beta), word) is not None:
         return True
-    if min(word) < 0 or max(word) > beta.digit_bound:
+    try:
+        outside = min(word) < 0 or max(word) > beta.digit_bound
+    except TypeError:  # a digit that does not compare with integers
+        outside = True
+    if outside:
         raise UsageError(
             f"word uses digits outside {{0..{beta.digit_bound}}}")
     return False
@@ -212,9 +216,10 @@ def enumerate_admissible(beta: BetaNumber, n: int):
     """All admissible words of length n in lexicographic order, as a lazy
     ranked sequence (`betalab.automata.Words`); BudgetExceeded, before
     enumerating, past 10^6 words."""
-    if n > 0 and _word_counts(beta, n)[-1] > 10 ** 6:
+    words = automata.enumerate_words(Automaton(beta), n)
+    if len(words) > 10 ** 6:
         raise BudgetExceeded("more than 1000000 words")
-    return automata.enumerate_words(Automaton(beta), n)
+    return words
 
 
 def periodic_stream_admissible(beta: BetaNumber, period_digits) -> bool:

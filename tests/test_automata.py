@@ -3,6 +3,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, islice, product
@@ -10,7 +11,7 @@ from itertools import chain, islice, product
 import pytest
 
 from betalab.automata import (TAIL_WORDS, Words, _tail_length, edges,
-                              enumerate_words, iter_words, path_counts, read)
+                              enumerate_words, path_counts, read)
 from betalab.beta_core import BetaNumber, greedy_expansion
 from betalab.errors import BudgetExceeded, UsageError
 from betalab.exotic import build_nested
@@ -83,7 +84,7 @@ def test_path_count_equals_enumeration(bench_bases, name):
         assert len(words) == counts[n - 1]
         assert words == brute_force_words(pres, n)
         assert words == list(map(bytes, oracle_iter_words(pres, n)))
-        streamed = list(iter_words(pres, n))
+        streamed = list(enumerate_words(pres, n))
         assert streamed == words
         assert all(type(w) is bytes and not gc.is_tracked(w)
                    for w in streamed)
@@ -105,7 +106,7 @@ def test_words_rank_like_the_list(bench_bases, name):
     for n in [*range(n_max + 1), n_max + 4]:
         words = enumerate_words(pres, n)
         expected = (brute_force_words(pres, n) if n <= n_max
-                    else list(iter_words(pres, n)))
+                    else list(enumerate_words(pres, n)))
         size = len(expected)
         assert isinstance(words, Words) and len(words) == size == counts[n]
         assert words == expected and expected == words
@@ -141,9 +142,8 @@ def test_words_rank_like_the_list(bench_bases, name):
 def test_negative_length_is_refused(bench_bases, name):
     """n = -1 once gave the length-1 words; every enumeration refuses it."""
     pres = PRESENTATIONS[name](bench_bases)
-    for call in (enumerate_words, iter_words):
-        with pytest.raises(UsageError, match="n must be >= 0"):
-            call(pres, -1)
+    with pytest.raises(UsageError, match="n must be >= 0"):
+        enumerate_words(pres, -1)
     for beta in bench_bases.values():
         with pytest.raises(UsageError, match="n must be >= 0"):
             enumerate_admissible(beta, -1)
@@ -152,10 +152,10 @@ def test_negative_length_is_refused(bench_bases, name):
 def test_iter_words_is_lazy(beta_golden):
     """Golden words of length 60 number F_62 > 4 * 10^12; the first three
     in lexicographic order come without walking the rest."""
-    words = iter_words(Automaton(beta_golden), 60)
+    words = iter(enumerate_words(Automaton(beta_golden), 60))
     assert [next(words) for _ in range(3)] == \
         [bytes(60), bytes(59) + b"\x01", bytes(58) + b"\x01\x00"]
-    assert list(iter_words(Automaton(beta_golden), 0)) == [b""]
+    assert list(enumerate_words(Automaton(beta_golden), 0)) == [b""]
 
 
 def oracle_golden_word(i, n):
@@ -215,7 +215,7 @@ def test_words_wider_than_a_byte_are_refused():
     digits; counting and reading need no bytes and still work."""
     pres = _WideAlphabet()
     with pytest.raises(UsageError):
-        iter_words(pres, 1)
+        enumerate_words(pres, 1)
     with pytest.raises(UsageError):
         enumerate_words(pres, 2)
     assert path_counts(pres, 2) == [257, 257 ** 2]
@@ -253,7 +253,7 @@ def test_iter_words_memory_is_bounded_and_freed(beta_golden):
     auto = Automaton(beta_golden)
 
     def first_words():
-        words = iter_words(auto, 2000)
+        words = iter(enumerate_words(auto, 2000))
         return {len(w) for w in islice(words, 1000)}
     first_words()  # warms the allocator before the measured call
     lengths, peak, left = _traced(first_words)
@@ -278,7 +278,7 @@ def test_words_memory_grows_with_states_times_n(bench_bases):
     assert last == bytes((2, 0, 1, 0, 0, 0) * 3)
     assert peak < 1 << 20, peak
 
-    stream, chunk = iter_words(approx, 14), 1 << 16
+    stream, chunk = iter(enumerate_words(approx, 14)), 1 << 16
 
     def full_pass():
         words = enumerate_words(approx, 14)
@@ -400,5 +400,47 @@ def test_is_admissible_checks_alphabet_after_inadmissible_prefix(
         is_admissible((1, 1, 2), beta_golden)
     with pytest.raises(UsageError, match=r"digits outside \{0\.\.1\}"):
         is_admissible((1, 1, -1), beta_golden)
+    # a digit that is not a number: once a TypeError from the comparison
+    with pytest.raises(UsageError, match=r"digits outside \{0\.\.1\}"):
+        is_admissible(("a",), beta_golden)
     assert is_admissible((1, 0, 1), beta_golden)
     assert not is_admissible((1, 1, 0), beta_golden)
+
+
+class _CountingSteps:
+    """A presentation that counts the step calls on each state of another."""
+
+    def __init__(self, pres):
+        self.initial, self.alphabet_bound = pres.initial, pres.alphabet_bound
+        self.inner, self.calls = pres, Counter()
+
+    def step(self, state, sym):
+        self.calls[state] += 1
+        return self.inner.step(state, sym)
+
+
+def test_words_walk_never_steps_from_a_dead_state(beta_golden):
+    """The level set leaves its dead ends to the counts: at n = 40 many
+    product states have no path into the window, yet a walk over Words
+    (a stream, slices and indices, read with a fresh edge cache) never
+    calls step on one of them, since each subtree of count 0 is skipped
+    also at rank 0."""
+    pres = _CountingSteps(_LevelSet(Automaton(beta_golden),
+                                    digit_frequency(1, 1), Fraction(1, 5),
+                                    Fraction(1, 50), 40))
+    words = enumerate_words(pres, 40)
+    dead = {state for level in words._below
+            for state, count in level.items() if count == 0}
+    assert len(dead) > 100 and dead <= pres.calls.keys()
+    words._edges_of.cache_clear()
+    pres.calls.clear()
+    size = len(words)
+    assert size == 13_884_156
+    head = list(islice(words, 5000))
+    assert words[:5000] == head
+    assert [words[size // 2]] == words[size // 2:size // 2 + 1]
+    assert words[-3:] == [words[i] for i in range(size - 3, size)]
+    assert words[10 ** 6:10 ** 6 + 50:7] == \
+        [words[i] for i in range(10 ** 6, 10 ** 6 + 50, 7)]
+    entered = dead & pres.calls.keys()
+    assert pres.calls and not entered, len(entered)

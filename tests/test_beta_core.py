@@ -183,6 +183,9 @@ def test_greedy_expansion_reconstructs(beta_golden):
 def test_greedy_expansion_domain(beta_golden):
     with pytest.raises(UsageError):
         greedy_expansion(Fraction(3, 2), beta_golden, 8)
+    # not a number: once a ValueError from the Fraction parse
+    with pytest.raises(UsageError, match="x must be a number, got 'abc'"):
+        greedy_expansion("abc", beta_golden, 4)
 
 
 def test_greedy_expansion_of_zero_is_all_zeros(bench_bases):

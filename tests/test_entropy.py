@@ -595,6 +595,12 @@ def test_dimension_bounds_sandwich(beta_golden):
                  "window must be >= 1", id="bad-count-window-0"),
     pytest.param(lambda: SeparationInstance(()), "empty word set",
                  id="no-words"),
+    # a misspelt method once ran the spanning search
+    pytest.param(lambda: katok_entropy_estimate(
+        uniform_admissible_sampler(BetaNumber.from_decimal("2")),
+        MistakeFunction.zero(), 0.1, [4], method="seperated"),
+                 "method must be separated or spanning: 'seperated'",
+                 id="katok-unknown-method"),
     pytest.param(lambda: box_dimension_estimate(
         CylinderTree.full(1, 4), BetaNumber.from_decimal("2"), []),
                  "depth list must be nonempty", id="box-no-depths"),

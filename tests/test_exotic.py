@@ -118,6 +118,23 @@ def test_build_nested_input_guards():
         build_nested((6, 4))
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda shift, k: no_short_periodics(shift, k),
+                 id="periodics"),
+    pytest.param(lambda shift, k: single_edit_repair((1,) * 5, shift, k),
+                 id="repair"),
+    pytest.param(lambda shift, k: nested_entropy_report(shift, k, 5),
+                 id="entropy-report"),
+    pytest.param(lambda shift, k: shift.enumerate(4, k), id="enumerate"),
+])
+@pytest.mark.parametrize("level", [0, 3])
+def test_level_outside_the_shift_is_refused(call, level):
+    """Level 0 once read the last level's matcher and answered vacuously
+    (no rows, no drops); level 3 of two raised IndexError."""
+    with pytest.raises(UsageError, match=rf"^level {level} outside 1\.\.2$"):
+        call(build_nested((4, 6)), level)
+
+
 def test_build_nested_past_the_forbidden_list_budget():
     """The four length-2 words, each to a power past an eighth of the
     budget, are more forbidden symbols than FORBIDDEN_LIST_BUDGET."""

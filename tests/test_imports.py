@@ -65,6 +65,25 @@ def public_definitions(source: str) -> list[str]:
     return out
 
 
+def private_definitions(source: str) -> list[str]:
+    """Private functions and classes at module level, and private methods
+    of any class (a single leading underscore; dunders are the
+    interpreter's), as "name" or "Class.method"."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if private(node.name):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and private(item.name)]
+    return out
+
+
 def referenced_names(source: str) -> set[str]:
     """Every name a module loads or imports, every attribute it reads, and
     each part of a dotted string constant ("Class.method", the form in
@@ -83,12 +102,14 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
-def unused_definitions(defining: dict, using: list) -> list[str]:
-    """Public definitions (module name -> source) that no source in using
-    references by name; the tests are not among the users."""
+def unused_definitions(defining: dict, using: list,
+                       definitions=public_definitions) -> list[str]:
+    """Definitions (public by default; module name -> source) that no
+    source in using references by name; the tests are not among the
+    users."""
     used = set().union(*map(referenced_names, using))
     return [f"{module}.{name}" for module, source in sorted(defining.items())
-            for name in public_definitions(source)
+            for name in definitions(source)
             if name.rpartition(".")[2] not in used]
 
 
@@ -120,6 +141,32 @@ def test_unused_definition_is_found():
               "METHODS = ('Box.traced',)\n")
     assert unused_definitions({"lib": lib}, [lib, caller]) == [
         "lib.orphan", "lib.Box.stale"]
+
+
+def test_every_private_name_has_a_caller():
+    """A private function, class or method that nothing in the library
+    references is dead code: the benchmark and the tests may not reach
+    private names, so only the library counts."""
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_definitions(sources, list(sources.values()),
+                              private_definitions) == []
+
+
+def test_unused_private_definition_is_found():
+    lib = ("def _used():\n    pass\n\n"
+           "def _orphan():\n    pass\n\n"
+           "def public():\n    return _used()\n\n"
+           "class _Hidden:\n"
+           "    def __init__(self):\n        self._walk()\n\n"
+           "    def _walk(self):\n        pass\n\n"
+           "    def _stale(self):\n        pass\n\n"
+           "class Box:\n"
+           "    def _dead(self):\n        pass\n")
+    assert private_definitions(lib) == [
+        "_used", "_orphan", "_Hidden", "_Hidden._walk", "_Hidden._stale",
+        "Box._dead"]
+    assert unused_definitions({"lib": lib}, [lib], private_definitions) == [
+        "lib._orphan", "lib._Hidden", "lib._Hidden._stale", "lib.Box._dead"]
 
 
 def _is_dataclass(decorator) -> bool:

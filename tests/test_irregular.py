@@ -17,6 +17,7 @@ from betalab.irregular import (
     edp_ball_check,
     enumerate_glued_family,
     glue_blocks,
+    oscillation_bound,
     rho,
     validate_schedule,
 )
@@ -166,7 +167,7 @@ def test_level_set_equals_enumerate_then_filter(bench_bases, name, spec):
             inside = {a for a in set(averages) if abs(a - alpha) < delta}
             accepted = [w for w, a in zip(words, averages) if a in inside]
             level_set = _LevelSet(Automaton(beta), phi, alpha, delta, n)
-            assert list(automata.iter_words(level_set, n)) == accepted
+            assert list(automata.enumerate_words(level_set, n)) == accepted
             sch = validate_schedule((n,), (1,), (delta,))
             if accepted:
                 pool = build_word_pools(beta, phi, (alpha, 0), sch)[0]
@@ -197,7 +198,7 @@ def test_empty_level_set_raises_fast(beta_golden):
     for alpha in (0.51, 0.49):  # outside the witness range; no k/40 inside
         level_set = _LevelSet(Automaton(beta_golden), phi, Fraction(alpha),
                               Fraction(1, 200), 40)
-        assert list(automata.iter_words(level_set, 40)) == []
+        assert list(automata.enumerate_words(level_set, 40)) == []
         with pytest.raises(UsageError, match=f"of {alpha} at level 1"):
             build_word_pools(beta_golden, phi, (alpha, 0.0),
                              validate_schedule((40,), (1,), (0.005,)))
@@ -336,6 +337,11 @@ def _ball_longer_than_the_words(beta):
     return edp_ball_check(fam["family"], sch, [2, 2], [(bytes(30), 21)])
 
 
+def _ball_with_pool_sizes(beta, sizes):
+    sch, _, fam = family_fixture(beta)  # two levels
+    return edp_ball_check(fam["family"], sch, sizes, [(fam["family"][0], 6)])
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda b: _LevelSet(
         Automaton(b), block_indicator((1, 0, 1), 1), Fraction(1, 2),
@@ -353,6 +359,20 @@ def _ball_longer_than_the_words(beta):
         b, validate_schedule((4, 6), (2, 2), (0.2, 0.1)), [((1, 0, 1, 0),)]),
                  "^1 pools for 2 levels: one pool per level required$",
                  id="family-fewer-pools"),
+    # k = 0 once read the last level's tolerance, and k = 3 raised IndexError
+    pytest.param(lambda b: oscillation_bound(
+        digit_frequency(1, 1), validate_schedule((4, 6), (2, 3), (0.5, 0.2)),
+        0), r"^level 0 outside 1\.\.2$", id="oscillation-level-0"),
+    pytest.param(lambda b: oscillation_bound(
+        digit_frequency(1, 1), validate_schedule((4, 6), (2, 3), (0.5, 0.2)),
+        3), r"^level 3 outside 1\.\.2$", id="oscillation-level-3"),
+    # one size for two levels once raised IndexError; a zero size passed
+    pytest.param(lambda b: _ball_with_pool_sizes(b, [2]),
+                 r"one pool size >= 1 per level: \[2\]$",
+                 id="edp-fewer-pool-sizes"),
+    pytest.param(lambda b: _ball_with_pool_sizes(b, [2, 0]),
+                 r"one pool size >= 1 per level: \[2, 0\]$",
+                 id="edp-pool-size-0"),
 ])
 def test_irregular_refusals(beta_two, call, message):
     with pytest.raises(UsageError, match=message):
