@@ -67,11 +67,17 @@ def read(pres: Presentation, digits, start=None):
     return state
 
 
+def check_labels(bound: int) -> None:
+    """BudgetExceeded when the alphabet {0..bound} has more than
+    EDGE_LABELS labels to scan."""
+    if bound >= EDGE_LABELS:
+        raise BudgetExceeded(f"more than {EDGE_LABELS} edge labels to scan")
+
+
 def edges(pres: Presentation, state) -> list:
     """(label, target) pairs leaving state, in increasing label order;
     BudgetExceeded when the alphabet has more than EDGE_LABELS labels."""
-    if pres.alphabet_bound >= EDGE_LABELS:
-        raise BudgetExceeded(f"more than {EDGE_LABELS} edge labels to scan")
+    check_labels(pres.alphabet_bound)
     step = pres.step
     out = []
     for s in range(pres.alphabet_bound + 1):

@@ -10,11 +10,14 @@ toward beta's minimal polynomial (dynamic evaluation).  All digit
 decisions are exact and run on integers: the greedy state is integer
 numerators over one denominator, a vector in Q[x]/(p).  One evaluator
 encloses such a value: a fixed-point Horner at scale 2^P on integer bounds
-of beta * 2^P, which the context bisects for itself, each end rounded
-outward, two products per step, chosen by sign.  Beta's bounds are
-bisected once at the cap, and a floor is one enclosure there; a floor or
+of beta * 2^P, each end rounded outward, two products per step, chosen by
+sign.  Beta's bounds are found once at the cap, as the context is built:
+Newton's method on integers guesses them and sign tests of p settle them,
+with bisection behind.  A floor is one enclosure at the cap; a floor or
 comparison undecided at the cap raises UndecidableAtPrecision.
 
+On a rational base p/q the greedy step is N/M -> pN/(qM), floored by one
+integer division, and greedy expansions run it in one loop on integers.
 Above degree 1, greedy expansions decide their digits in fixed-point
 blocks: the exact state is enclosed once, P never above the cap, and each
 digit is then two products on an outward-rounded integer interval.  The
@@ -186,18 +189,32 @@ class AlgebraicContext:
         return g is not None
 
     def _beta_bounds(self, P: int) -> tuple[int, int]:
-        """(bl, bh) with bl <= beta * 2^P <= bh: bisected once at the cap as
-        the context is built and shifted outward for a smaller P; a larger P
-        (64 under a smaller cap, or a test's) bisects afresh.  Bisection runs
-        from floor(lo 2^P) to ceil(hi 2^P), so every midpoint m lies in (lo,
-        hi), where the sign of 2^(P deg) p(m / 2^P) places it against beta."""
+        """(bl, bh) with bl <= beta * 2^P <= bh: found once at the cap as
+        the context is built and shifted outward for a smaller P; a larger
+        P (64 under a smaller cap, or a test's) is found afresh.  The search
+        runs between floor(lo 2^P) and ceil(hi 2^P), so every m it tests
+        lies in (lo, hi), where the sign of 2^(P deg) p(m / 2^P) places it
+        against beta.  Above 64 bits it starts inside the 64-bit bounds and
+        tests _newton's guess and then, at most three times, the next m
+        toward the sign change, which gives bh = bl + 1 when the guess is
+        within two units; bisection closes whatever these tests leave, so
+        the bounds never depend on the guess."""
         if self._fixed is None or self._fixed[0] < P:
             one = 1 << P
             l = self.lo.numerator * one // self.lo.denominator
             h = -(-self.hi.numerator * one // self.hi.denominator)
             coeffs = self.poly_asc[::-1]
+            walk = 0
+            if h - l > 1 and P > 64:
+                bl, bh = self._beta_bounds(64)
+                l, h = max(l, bl << (P - 64)), min(h, bh << (P - 64))
+                m, walk = self._newton(bl, P), 4
             while h - l > 1:
-                m = (l + h) >> 1
+                if walk:
+                    walk -= 1
+                    m = min(max(m, l + 1), h - 1)
+                else:
+                    m = (l + h) >> 1
                 # 2^(P deg) p(m / 2^P) by shifts: a Fraction, or products
                 # with powers of 2^P, cost two to four times as much
                 acc = shift = 0
@@ -205,12 +222,35 @@ class AlgebraicContext:
                     acc = acc * m + (c << shift)
                     shift += P
                 if (acc > 0) == self._sign_lo:
-                    l = m
+                    l, m = m, m + 1
                 else:
-                    h = m
+                    h, m = m, m - 1
             self._fixed = (P, l, h)
         Q, bl, bh = self._fixed
         return bl >> (Q - P), -(-bh >> (Q - P))
+
+    def _newton(self, x: int, P: int) -> int:
+        """A guess at beta * 2^P from x, about beta * 2^64: Newton's step
+        x - p(x) / p'(x) in fixed point, at precisions that double up to
+        P + 32 guard bits (Brent 1976), each half the next plus 16 bits of
+        margin for rounding and the curvature of p.  A step where p' rounds
+        to 0 is skipped."""
+        steps = []
+        k = P + 32
+        while k > 64:
+            steps.append(k)
+            k = (k >> 1) + 16
+        k = 64
+        for step in reversed(steps):
+            x <<= step - k
+            k = step
+            v = d = 0  # p(x) 2^k and p'(x) 2^k, one Horner
+            for c in reversed(self.poly_asc):
+                d = (d * x >> k) + v
+                v = (v * x >> k) + (c << k)
+            if d:
+                x -= (v << k) // d
+        return x >> (k - P)
 
     def _fixed_enclose(self, nums, den, P: int) -> tuple[int, int]:
         """(vl, vh) with vl <= 2^P * sum nums[i] beta^i / den <= vh: a
@@ -478,20 +518,35 @@ def _greedy_step(beta: BetaNumber, r):
     The state is (nums, den), the value sum nums[i] * beta^i / den in
     Q[x]/(poly): multiplying by beta shifts nums up and subtracts the top
     coefficient times the polynomial, and the leading coefficient scales
-    den.  For beta = p/q this is N/M -> pN/(qM), floored by one integer
-    division.
+    den.  For beta = p/q it is one digit of _rational_digits.
     """
     ctx = beta._ctx
-    nums, den = r
     poly = ctx.poly_asc
     if len(poly) == 2:
-        t, den = -poly[0] * nums[0], poly[1] * den
-        d = t // den
-        return d, ((t - d * den,), den)
-    t, den = _times_beta(poly, nums, den)
+        (d,), r = _rational_digits(poly, r, 1)
+        return d, r
+    t, den = _times_beta(poly, *r)
     d = ctx.floor_vector(t, den)
     t[0] -= d * den
     return d, (tuple(t), den)
+
+
+def _rational_digits(poly, r, n: int):
+    """(digits, state): n greedy digits of the state r = ((N,), M) on beta =
+    p/q, the root of poly = (-p, q), and the state after them.  A digit is
+    N/M -> pN/(qM) floored by one integer division, in one loop on integer
+    locals, so it costs no call and no tuple."""
+    p, q = -poly[0], poly[1]
+    (N,), M = r
+    digits = []
+    append = digits.append
+    for _ in range(n):
+        t = p * N
+        M *= q
+        d = t // M
+        N = t - d * M
+        append(d)
+    return digits, ((N,), M)
 
 
 def _times_beta(poly, nums, den):
@@ -533,7 +588,8 @@ def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
 def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
     """Greedy digits of x in [0, 1) under the base-beta partition.
 
-    A rational beta takes the exact step per digit.  Above degree 1 the
+    A rational beta runs the exact step in one loop on integer locals
+    (_rational_digits), each digit one integer division.  Above degree 1 the
     digits come in fixed-point blocks (AlgebraicContext._block_digits),
     each digit proved by outward-rounded integers; the exact state jumps
     over each block, and a floor a block cannot decide takes the exact step.
@@ -549,17 +605,20 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
         raise UsageError(f"x must be a number, got {x!r}") from exc
     if not 0 <= x < 1:
         raise UsageError(f"x must lie in [0, 1), got {x}")
-    return SymbolWord(tuple(_greedy_digits(beta, _point(beta, x), n)),
+    return SymbolWord(_greedy_digits(beta, _point(beta, x), n),
                       beta.digit_bound)
 
 
 def _greedy_digits(beta: BetaNumber, r, n: int) -> list[int]:
-    """n greedy digits of the state r: in fixed-point blocks above degree
-    1, the exact state jumping over each block's digits by _advance, with
-    the exact step for each floor a block leaves undecided, and for every
-    digit once no block fits the cap (k = 0), the state past the guard."""
+    """n greedy digits of the state r: on a rational base one loop of the
+    exact step (_rational_digits); above degree 1 in fixed-point blocks,
+    the exact state jumping over each block's digits by _advance, with the
+    exact step for each floor a block leaves undecided, and for every digit
+    once no block fits the cap (k = 0), the state past the guard."""
     ctx = beta._ctx
-    blocks = ctx.degree > 1
+    if ctx.degree == 1:
+        return _rational_digits(ctx.poly_asc, r, n)[0]
+    blocks = True
     digits = []
     while len(digits) < n:
         if blocks:

@@ -25,7 +25,7 @@ from . import automata
 from .beta_core import BetaNumber, renewal_denominator, simple_beta_approx
 from .errors import BudgetExceeded, UsageError
 from .observables import Observable
-from .words import SymbolWord
+from .words import SymbolWord, check_byte_alphabet
 
 
 class Automaton:
@@ -215,11 +215,24 @@ def markov_approx(beta: BetaNumber, n: int) -> MarkovApprox:
 def enumerate_admissible(beta: BetaNumber, n: int):
     """All admissible words of length n in lexicographic order, as a lazy
     ranked sequence (`betalab.automata.Words`); BudgetExceeded, before
-    enumerating, past 10^6 words."""
-    words = automata.enumerate_words(Automaton(beta), n)
-    if len(words) > 10 ** 6:
-        raise BudgetExceeded("more than 1000000 words")
-    return words
+    enumerating, past 10^6 words.  After the alphabet checks of `Words`,
+    in its order, Renyi's bound beta^n <= #L_n (1957) on the lower end of
+    beta's enclosure, rounded down in 64-bit fixed point, refuses a long n
+    before the counts, which take O(n^2) edge reads while w(beta) has no
+    known periodic form."""
+    automata.check_labels(beta.digit_bound)
+    check_byte_alphabet(beta.digit_bound)
+    lo = beta.enclosure(1)[0]  # the enclosure as it stands, not refined
+    step, power = (lo.numerator << 64) // lo.denominator, 1 << 64
+    for _ in range(n):
+        power = power * step >> 64  # at most lo^k 2^64 after k steps
+        if power > 10 ** 6 << 64:
+            break
+    else:
+        words = automata.enumerate_words(Automaton(beta), n)
+        if len(words) <= 10 ** 6:
+            return words
+    raise BudgetExceeded("more than 1000000 words")
 
 
 def periodic_stream_admissible(beta: BetaNumber, period_digits) -> bool:

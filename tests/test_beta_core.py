@@ -21,6 +21,7 @@ from betalab.beta_core import (
     _largest_root_above_one,
     _sign_at,
     _point,
+    _rational_digits,
     _times_beta,
     beta_from_expansion,
     expansion_of_one,
@@ -710,6 +711,40 @@ def test_greedy_step_matches_fraction_oracle(bench_bases, name, k, n):
     assert list(word.digits) == digits
 
 
+rational_bases = st.one_of(
+    st.integers(2, 255).map(str),
+    st.integers(2, 1000).flatmap(lambda q: st.integers(q + 1, 256 * q - 1).map(
+        lambda p: str(Fraction(p, q)))),
+    st.builds("{}.{:02d}0".format, st.integers(1, 255), st.integers(0, 99)
+              ).filter(lambda b: Fraction(b) > 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=rational_bases,
+       x=st.builds(lambda b, a: Fraction(a % b, b), st.integers(1, 10 ** 9),
+                   st.integers(0, 10 ** 9)),
+       n=st.integers(1, 2000))
+@example(base="2", x=Fraction(0), n=1)
+@example(base="3/2", x=Fraction(0), n=2000)
+@example(base="255.990", x=Fraction(999, 1000), n=1)
+def test_rational_loop_matches_oracle_and_steps(base, x, n):
+    """On rational bases p/q with digits up to 255 (integers, reduced
+    fractions and decimal literals with a trailing zero), the loop gives
+    the Fraction oracle's digits, and the digits and final state of n
+    chained _greedy_step calls."""
+    beta = BetaNumber.from_decimal(base)
+    assert beta.digit_bound <= 255
+    r = _point(beta, x)
+    digits, state = _rational_digits(beta._ctx.poly_asc, r, n)
+    assert list(greedy_expansion(x, beta, n).digits) == digits
+    assert digits == oracle_greedy_fraction(x, beta, n)
+    steps = []
+    for _ in range(n):
+        d, r = _greedy_step(beta, r)
+        steps.append(d)
+    assert (steps, r) == (digits, state)
+
+
 def test_non_monic_base_matches_fraction_oracle():
     # the state denominator grows by the leading coefficient each step; a
     # non-monic beta is no algebraic integer, so w(beta) never repeats
@@ -1220,6 +1255,90 @@ def test_beta_bounds_are_floor_and_ceiling(coeffs):
         assert bh == bl + 1
         assert _sign_at(ref.poly_asc, Fraction(bl, 2 ** P)) != 0
     assert (ctx.lo, ctx.hi) == before
+
+
+def bisected_bounds(ctx, P):
+    """(bl, bh) with bl <= beta 2^P <= bh = bl + 1 by plain bisection from
+    floor(lo 2^P) to ceil(hi 2^P), each midpoint placed against beta by the
+    sign of p there: the search _beta_bounds made before its Newton guess."""
+    l = math.floor(ctx.lo * 2 ** P)
+    h = math.ceil(ctx.hi * 2 ** P)
+    while h - l > 1:
+        m = (l + h) // 2
+        if (_sign_at(ctx.poly_asc, Fraction(m, 2 ** P)) > 0) == ctx._sign_lo:
+            l = m
+        else:
+            h = m
+    return l, h
+
+
+def bounds_battery():
+    """(name, coeffs) of the battery's irrational bases, two with a
+    conjugate 2^-21 and 2^-41 from beta (the second too close for the
+    Newton guess to settle, so the bounds come from bisection), and 40
+    seeded random integer polynomials of degree 2 to 9 with a real root
+    above 1, taken squarefree by the context."""
+    named = [("golden", [1, -1, -1]), ("tribonacci", [1, -1, -1, -1]),
+             ("201001", [1, -2, 0, -1, 0, 0, -2]), ("2x2-3x-1", [2, -3, -1]),
+             ("reducible", [1, -1, -4, 3, 3]),
+             ("x2-1000x-1", [1, -1000, -1]),
+             ("near-2^-21", [10 ** 6, 0, -4 * 10 ** 6 - 1, 0, 4 * 10 ** 6 + 2]),
+             ("near-2^-41", [10 ** 12, 0, -6 * 10 ** 12 - 1, 0,
+                             9 * 10 ** 12 + 3])]
+    rng = random.Random(28)
+    while len(named) < 48:
+        coeffs = [rng.randint(1, 6)] + [rng.randint(-6, 6)
+                                        for _ in range(rng.randint(2, 9))]
+        try:
+            beta = BetaNumber.from_polynomial(coeffs)
+        except UsageError:
+            continue
+        if not beta.is_rational():
+            named.append((f"random-{len(named)}", coeffs))
+    return named
+
+
+@pytest.mark.parametrize("name, coeffs", [
+    pytest.param(name, coeffs, id=name) for name, coeffs in bounds_battery()])
+def test_beta_bounds_equal_full_bisection(name, coeffs):
+    """From the enclosure a polynomial base leaves construction with,
+    _beta_bounds(P) equals plain bisection at P = 1, 64, the cap and 300,
+    each found afresh, and the shared enclosure stays as it was."""
+    ctx = BetaNumber.from_polynomial(coeffs)._ctx
+    before = (ctx.lo, ctx.hi)
+    for P in (1, 64, precision_cap(), 300):
+        ctx._fixed = None
+        assert ctx._beta_bounds(P) == bisected_bounds(ctx, P), P
+    assert (ctx.lo, ctx.hi) == before
+    if name == "near-2^-41":  # the guess is off: bisection decides
+        guess = ctx._newton(ctx._beta_bounds(64)[0], 300)
+        assert abs(guess - ctx._beta_bounds(300)[0]) > 2
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, -1, -1], [1, -1, -1, -1], [1, -2, 0, -1, 0, 0, -2], [2, -3, -1],
+    [1, -1, -4, 3, 3]],
+    ids=["golden", "tribonacci", "201001", "2x2-3x-1", "reducible"])
+def test_newton_guess_settles_and_never_decides(monkeypatch, coeffs):
+    """On the battery the Newton guess lies within two units of floor(beta
+    2^P) from 65 to 4,096 bits, so four sign tests settle the bounds; a
+    guess that is off, by a little or by far past the 64-bit bounds, gives
+    the same bounds, which the sign tests and bisection decide."""
+    ctx = BetaNumber.from_polynomial(coeffs)._ctx
+    bl = ctx._beta_bounds(64)[0]
+    for P in (65, 97, 300, 1024, 4096):
+        floor = ctx._beta_bounds(P)[0]
+        assert abs(ctx._newton(bl, P) - floor) <= 2, P
+    newton = AlgebraicContext._newton
+    for P in (97, 300):
+        ctx._fixed = None
+        expected = ctx._beta_bounds(P)
+        for offset in (-3, 5, 2 ** P, -(2 ** (2 * P))):
+            monkeypatch.setattr(
+                AlgebraicContext, "_newton",
+                lambda self, x, P, offset=offset: newton(self, x, P) + offset)
+            ctx._fixed = None
+            assert ctx._beta_bounds(P) == expected, (P, offset)
 
 
 def test_factor_x_is_divided_out():

@@ -6,6 +6,7 @@ import json
 import math
 import pkgutil
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -478,6 +479,19 @@ def test_alphabet_past_the_edge_scan_exits_3(capsys, argv):
     assert json.loads(err)["error"] == "resource"
 
 
+def test_long_enumeration_is_refused_before_counting(capsys):
+    """Renyi's bound beta^n <= #L_n refuses 1.7^4000 words before the
+    counts, whose O(n^2) edge reads on a base without a periodic w(beta)
+    once took about 10 s to reach the same refusal."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "katok", "--beta", "1.7",
+                             "--n-list", "4000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "resource",
+                               "message": "more than 1000000 words"}
+
+
 def test_count_of_a_large_alphabet_is_exact(capsys):
     """Counting follows Parry's renewal and scans no labels: the integer
     base 10^400 has w = (10^400 - 1)^inf and 10^1200 words of length 3,
@@ -662,6 +676,7 @@ def test_exact_search_past_the_node_budget_exits_3(tmp_path, capsys,
 @pytest.mark.parametrize("argv", [
     ["expand", "--beta", "300", "--x", "1/3", "--n", "4"],
     ["expansion-of-one", "--beta", "300", "--n", "4"],
+    ["katok", "--beta", "300", "--n-list", "4"],
     ["admissible", "--beta", "400", "--word", "[300]"],
     ["admissible", "--beta", "2", "--word", "300,1"],
     ["separated", "--words-file", "{tmp}/wide.txt"],

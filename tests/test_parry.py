@@ -188,6 +188,22 @@ def test_enumerate_admissible_budget(beta_golden):
         enumerate_admissible(beta_golden, 29)
 
 
+def test_budget_holds_every_length_the_count_allows(bench_bases):
+    """Renyi's refusal never comes before the count's: on every base of
+    the bench battery each length whose exact count is at most 10^6
+    enumerates, with that many words, and the first length past it is
+    refused; for beta = 2 those are n = 19 (2^19 words) and n = 20."""
+    for name, beta in bench_bases.items():
+        n = 1
+        while (size := count_admissible(beta, n)) <= 10 ** 6:
+            assert len(enumerate_admissible(beta, n)) == size, (name, n)
+            n += 1
+        with pytest.raises(BudgetExceeded, match="more than 1000000 words"):
+            enumerate_admissible(beta, n)
+        if name == "two":
+            assert n == 20
+
+
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_count_profile_rejects_n_below_1(beta_two, n_max):
     """An empty profile once passed as a non-increasing one."""
