@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from . import automata
@@ -29,8 +28,8 @@ from .parry import (
 from .words import SymbolWord
 
 EXACT_WORDS_BUDGET = 20
-# nodes or candidate covers one exact search may try; a search over at most
-# EXACT_WORDS_BUDGET words tries fewer, so only ``--exact`` can reach it
+# nodes one exact search may try; a search over at most EXACT_WORDS_BUDGET
+# words tries fewer, so only ``--exact`` can reach it
 EXACT_NODE_BUDGET = 2 << EXACT_WORDS_BUDGET
 BISECTION_TOL = 1e-4  # width of the cover-cost transition brackets
 
@@ -77,8 +76,7 @@ class MistakeFunction:
 
 def window_bad_count(x, y, window: int, limit: Optional[int] = None) -> int:
     """# of j in [0, n) whose length-window look-ahead sees a disagreement;
-    the words are any int sequences (bytes, tuples, SymbolWords), read as
-    they are.
+    the words are any int sequences, read as they are.
 
     One left-to-right scan: a disagreement at i, after the last one at i'
     (i' = -1 at the start), makes the min(window, i - i') positions
@@ -241,30 +239,40 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
     if not inst.exact and k > EXACT_WORDS_BUDGET:
         greedy: list[int] = []
         covered = 0
-        while covered != full:
-            best, gain = None, -1
-            for c, m in enumerate(cover_masks):
-                g = (m & ~covered).bit_count()
-                if g > gain:
-                    best, gain = c, g
+        while covered != full:  # the first ball of largest gain
+            best = max(range(k), key=lambda c: (cover_masks[c]
+                                                & ~covered).bit_count())
             greedy.append(best)
             covered |= cover_masks[best]
         witness = [inst.words[i] for i in greedy]
         return SeparationResult(len(witness), witness, False, "upper")
-    # the whole set covers itself, so the search returns by size k
-    tried = 0
-    for size in range(1, k + 1):
-        for combo in combinations(range(k), size):
-            tried += 1
-            if tried > EXACT_NODE_BUDGET:
-                raise BudgetExceeded(
-                    f"exact cover search passed {EXACT_NODE_BUDGET} subsets")
-            m = 0
-            for c in combo:
-                m |= cover_masks[c]
-            if m == full:
-                witness = [inst.words[i] for i in combo]
-                return SeparationResult(size, witness, True, "exact")
+    # branch and bound, depth first: take ball i, then (popped after that
+    # subtree) leave it out.  Covers come in the lexicographic order of their
+    # indices, and only a smaller one replaces the best: the first least wins
+    best_cover = tuple(range(k))  # the whole set covers itself
+    dead = [full] * (k + 1)  # bit z of dead[i]: no ball at index >= i holds z
+    for i in reversed(range(k)):
+        dead[i] = dead[i + 1] & ~cover_masks[i]
+    stack = [(0, (), full)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > EXACT_NODE_BUDGET:
+            raise BudgetExceeded(
+                f"exact search passed {EXACT_NODE_BUDGET} nodes")
+        i, chosen, uncovered = stack.pop()
+        if not uncovered:  # the bound below makes this the new best
+            best_cover = chosen
+            continue
+        if uncovered & dead[i]:
+            continue
+        gain = max((m & uncovered).bit_count() for m in cover_masks[i:])
+        if len(chosen) - (-uncovered.bit_count() // gain) >= len(best_cover):
+            continue
+        stack.append((i + 1, chosen, uncovered))
+        stack.append((i + 1, chosen + (i,), uncovered & ~cover_masks[i]))
+    witness = [inst.words[i] for i in best_cover]
+    return SeparationResult(len(witness), witness, True, "exact")
 
 
 # --- Katok-style finite-scale estimates -----------------------------------
@@ -486,7 +494,7 @@ def cylinder_diameter_bounds(beta, word) -> tuple[float, float]:
     b = beta.value
     lower = b ** -(n + zn)
     upper = b ** -n
-    if tuple(sw.digits) == beta.digits(n):
+    if tuple(sw) == beta.digits(n):
         return lower, lower
     return lower, upper
 

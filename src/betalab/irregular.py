@@ -192,9 +192,9 @@ def _needs_repair(beta) -> bool:
 
 def glue_blocks(beta, schedule: IrregularSchedule,
                 selections: Sequence[Sequence]) -> GluedPoint:
-    """Concatenate pool words (bytes, SymbolWords or int sequences) level
-    by level, each read once by its admissibility check, and repair every
-    nonterminal block unless beta is an integer (`_needs_repair`)."""
+    """Concatenate pool words (any int sequences) level by level, each read
+    once by its admissibility check, and repair every nonterminal block
+    unless beta is an integer (`_needs_repair`)."""
     if len(selections) != schedule.levels:
         raise UsageError("one selection list per schedule level required")
     for k, sel in enumerate(selections, start=1):
@@ -284,8 +284,7 @@ def enumerate_glued_family(beta, schedule: IrregularSchedule,
                            pools: Sequence[Sequence],
                            budget: int = 10 ** 5) -> dict:
     """All glued words over per-slot pool choices; exact product count.
-    A pool is a word sequence; its words may be bytes, SymbolWords or int
-    sequences, mixed."""
+    A pool is a word sequence; its words may be any int sequences, mixed."""
     if len(pools) != schedule.levels:
         raise UsageError(f"{len(pools)} pools for {schedule.levels} levels: "
                          "one pool per level required")

@@ -25,7 +25,7 @@ from . import automata
 from .beta_core import BetaNumber, renewal_denominator, simple_beta_approx
 from .errors import BudgetExceeded, UsageError
 from .observables import Observable
-from .words import SymbolWord, check_byte_alphabet
+from .words import as_word, check_byte_alphabet, format_digits
 
 
 class Automaton:
@@ -69,7 +69,7 @@ class Automaton:
 
 def is_admissible(word, beta: BetaNumber) -> bool:
     """Parry's criterion, decided by one read of the labelled graph; word is
-    a SymbolWord or any int sequence, read without a copy.
+    any int sequence, read without a copy.
 
     Raises UsageError for any digit outside {0..b}, a non-number among
     them, wherever it sits.  Such a digit has no edge, so the alphabet is
@@ -175,11 +175,12 @@ def zero_last_nonzero(word: bytes):
     return word[:i] + b"\0" + word[i + 1:], i
 
 
-def repair_word(word: SymbolWord, beta: BetaNumber) -> SymbolWord:
-    """The one-symbol repair (`zero_last_nonzero`) of an admissible word."""
+def repair_word(word, beta: BetaNumber) -> bytes:
+    """The one-symbol repair (`zero_last_nonzero`) of an admissible word,
+    any int sequence."""
     if not is_admissible(word, beta):
-        raise UsageError(f"word {word} is not admissible")
-    return SymbolWord(zero_last_nonzero(word.digits)[0], word.alphabet_bound)
+        raise UsageError(f"word {format_digits(word)} is not admissible")
+    return zero_last_nonzero(as_word(word))[0]
 
 
 @dataclass
@@ -266,5 +267,4 @@ def periodic_witnesses(beta: BetaNumber, observable: Observable,
     if val_hi == val_lo:  # also when nothing was found: both default to 0
         raise UsageError(
             "all periodic averages coincide up to the searched period")
-    return (SymbolWord(lo, beta.digit_bound), val_lo,
-            SymbolWord(hi, beta.digit_bound), val_hi)
+    return lo, val_lo, hi, val_hi

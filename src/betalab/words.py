@@ -10,8 +10,7 @@ eventually periodic sequence is written "prefix(period)", e.g. "10(10)".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import UsageError
 
@@ -23,48 +22,39 @@ def check_byte_alphabet(bound: int) -> None:
 
 
 def as_word(digits) -> bytes:
-    """Any int sequence or SymbolWord as a bytes word (bytes as they are);
-    UsageError for a digit outside 0..255."""
+    """Any int sequence as a bytes word (bytes as they are); UsageError for
+    a digit outside 0..255."""
     try:
         return bytes(digits)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"word digits must lie in 0..255: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SymbolWord:
-    """A finite digit sequence, stored as bytes, with its alphabet bound."""
+class SymbolWord(bytes):
+    """A bytes word whose digits were checked against the alphabet
+    {0..alphabet_bound}."""
 
-    digits: bytes
-    alphabet_bound: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_byte_alphabet(self.alphabet_bound)
-        digits = as_word(self.digits)
-        if digits and max(digits) > self.alphabet_bound:
-            raise UsageError(f"digit {max(digits)} outside alphabet "
-                             f"{{0..{self.alphabet_bound}}}")
-        object.__setattr__(self, "digits", digits)
+    def __new__(cls, digits, alphabet_bound: int):
+        check_byte_alphabet(alphabet_bound)
+        word = super().__new__(cls, as_word(digits))
+        if word and max(word) > alphabet_bound:
+            raise UsageError(f"digit {max(word)} outside alphabet "
+                             f"{{0..{alphabet_bound}}}")
+        return word
 
-    def __bytes__(self) -> bytes:
-        return self.digits
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-    def __getitem__(self, idx):
-        return self.digits[idx]
+    @property
+    def digits(self) -> bytes:  # as plain bytes
+        return bytes(self)
 
     def __str__(self) -> str:
-        return format_digits(self.digits)
+        return format_digits(self)
 
-    def hamming(self, other: "SymbolWord") -> int:
+    def hamming(self, other) -> int:
         if len(self) != len(other):
             raise UsageError("hamming distance needs equal lengths")
-        return sum(a != b for a, b in zip(self.digits, other.digits))
+        return sum(a != b for a, b in zip(self, other))
 
 
 def self_admissible(digits) -> bool:

@@ -249,13 +249,20 @@ def test_iter_words_memory_is_bounded_and_freed(beta_golden):
     """The first 1,000 golden words of length 2,000 cost a 1,988-deep
     prefix walk and a tail list per end state, not the F_2002 words, and
     dropping the stream frees everything it built without a collector
-    pass."""
+    pass.
+
+    The small lists, dicts and tuples a call frees go to CPython's free
+    lists, which tracemalloc still counts as allocated.  After one warm-up
+    call the measured call left 1,068 bytes when run alone (1,300 after
+    the rest of this file); after three it leaves 308, its result and the
+    (now, peak) tuple, as the free lists are at steady state."""
     auto = Automaton(beta_golden)
 
     def first_words():
         words = iter(enumerate_words(auto, 2000))
         return {len(w) for w in islice(words, 1000)}
-    first_words()  # warms the allocator before the measured call
+    for _ in range(3):
+        first_words()
     lengths, peak, left = _traced(first_words)
     assert lengths == {2000}
     assert peak < 4 * 1024 * 1024, peak

@@ -51,13 +51,19 @@ def oracle_max_separated(words, threshold, m):
     return best
 
 
-def oracle_min_spanning(words, threshold, m):
+def oracle_spanning_witness(words, threshold, m):
+    """The first cover of least size, trying every subset by size and then
+    in the lexicographic order of its indices."""
     for size in range(1, len(words) + 1):
         for combo in combinations(range(len(words)), size):
             if all(any(oracle_bad_count(words[c], words[z], m) <= threshold
                        for c in combo) for z in range(len(words))):
-                return size
+                return [words[c] for c in combo]
     raise AssertionError("unreachable")
+
+
+def oracle_min_spanning(words, threshold, m):
+    return len(oracle_spanning_witness(words, threshold, m))
 
 
 # --- mistake functions and balls ---------------------------------------------
@@ -325,6 +331,34 @@ def test_exact_search_at_every_word_length():
         assert s.exact and r.exact
         assert s.size == oracle_max_separated(words, gval, m)
         assert r.size == oracle_min_spanning(words, gval, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda b: st.lists(
+           st.lists(st.integers(0, b), min_size=4, max_size=4).map(tuple),
+           min_size=1, max_size=11)),
+       st.integers(1, 2), st.integers(1, 3))
+def test_spanning_witness_is_the_first_least_cover(words, m, gval):
+    """The branch and bound answers with the cover that the exhaustive
+    search by size meets first, repeated words included."""
+    inst = SeparationInstance(words, window=m,
+                              g=MistakeFunction.constant(gval))
+    res = min_spanning(inst)
+    assert res.exact and res.bound_direction == "exact"
+    assert res.witness == oracle_spanning_witness(words, gval, m)
+
+
+def test_exact_spanning_prunes_the_subsets(monkeypatch):
+    """All 32 binary words of length 5 at one mistake need 7 balls, a
+    cover that trying the subsets by size meets only after the 1,149,016
+    smaller ones; the branch and bound settles it in 100,000 nodes."""
+    monkeypatch.setattr("betalab.entropy.EXACT_NODE_BUDGET", 100_000)
+    inst = SeparationInstance(all_binary(5), g=MistakeFunction.constant(1),
+                              exact=True)
+    res = min_spanning(inst)
+    assert res.exact and res.size == 7
+    assert all(any(window_bad_count(z, w, 1) <= 1 for w in res.witness)
+               for z in inst.words)
 
 
 def test_zero_mistake_spanning_is_the_distinct_words():

@@ -258,13 +258,15 @@ def test_z_values_match_a_digit_scan(bench_bases):
 
 
 def test_repair_word(beta_golden):
-    repaired = repair_word(SymbolWord((1, 0, 1), 1), beta_golden)
-    assert repaired.digits == b"\x01\x00\x00"
+    for word in (SymbolWord((1, 0, 1), 1), (1, 0, 1), b"\x01\x00\x01"):
+        repaired = repair_word(word, beta_golden)
+        assert type(repaired) is bytes and repaired == b"\x01\x00\x00"
 
 
 def test_repair_rejects_inadmissible(beta_golden):
-    with pytest.raises(UsageError, match="is not admissible"):
-        repair_word(SymbolWord((1, 1, 0), 1), beta_golden)
+    for word in (SymbolWord((1, 1, 0), 1), (1, 1, 0)):
+        with pytest.raises(UsageError, match="word 110 is not admissible"):
+            repair_word(word, beta_golden)
 
 
 def test_repair_universal_concatenation(beta_golden, beta_figure):
@@ -274,9 +276,9 @@ def test_repair_universal_concatenation(beta_golden, beta_figure):
                  for w in enumerate_admissible(beta, n)]
         for n in range(1, max_u + 1):
             for u in enumerate_admissible(beta, n):
-                ru = repair_word(SymbolWord(u, beta.digit_bound), beta)
+                ru = repair_word(u, beta)
                 for v in conts:
-                    assert is_admissible(ru.digits + v, beta), (u, v)
+                    assert is_admissible(ru + v, beta), (u, v)
 
 
 def test_markov_approx_inclusion(beta_golden, beta_figure):
@@ -381,7 +383,8 @@ def test_periodic_witnesses_golden(beta_golden):
     lo_w, lo_v, hi_w, hi_v = periodic_witnesses(beta_golden, phi, 4)
     assert lo_v == 0.0
     assert hi_v == 0.5
-    assert tuple(lo_w) == (0,)
+    assert (lo_w, hi_w) == (b"\x00", b"\x00\x01")
+    assert type(lo_w) is type(hi_w) is bytes
 
 
 def test_periodic_witnesses_degenerate(beta_golden):

@@ -15,9 +15,14 @@ from betalab.words import (
 
 
 def test_symbol_word_basics():
+    """A SymbolWord is a checked bytes word: it compares, hashes, slices
+    and concatenates as bytes, and `digits` is the plain bytes."""
     w = SymbolWord((1, 0, 1), 1)
+    assert isinstance(w, bytes) and w == b"\x01\x00\x01"
     assert w.digits == b"\x01\x00\x01" and type(w.digits) is bytes
-    assert bytes(w) is w.digits
+    assert hash(w) == hash(b"\x01\x00\x01")
+    assert type(w[1:]) is bytes and type(w + w) is bytes
+    assert not hasattr(w, "__dict__")  # nothing stored besides the digits
     assert w == SymbolWord(b"\x01\x00\x01", 1)
     assert len(w) == 3
     assert list(w) == [1, 0, 1]
