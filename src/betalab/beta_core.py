@@ -577,12 +577,12 @@ def _advance(ctx: AlgebraicContext, r, digits):
             den * leads[k])
 
 
-def expansion_of_one(beta: BetaNumber, n: int) -> SymbolWord:
+def expansion_of_one(beta: BetaNumber, n: int) -> bytes:
     """First n digits of w(beta) (lexicographic supremum / quasi-greedy form)."""
     check_byte_alphabet(beta.digit_bound)
     if n < 1:
         raise UsageError("n must be >= 1")
-    return SymbolWord(beta.digits(n), beta.digit_bound)
+    return bytes(beta.digits(n))
 
 
 def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
@@ -605,8 +605,7 @@ def greedy_expansion(x, beta: BetaNumber, n: int) -> SymbolWord:
         raise UsageError(f"x must be a number, got {x!r}") from exc
     if not 0 <= x < 1:
         raise UsageError(f"x must lie in [0, 1), got {x}")
-    return SymbolWord(_greedy_digits(beta, _point(beta, x), n),
-                      beta.digit_bound)
+    return SymbolWord(_greedy_digits(beta, _point(beta, x), n))
 
 
 def _greedy_digits(beta: BetaNumber, r, n: int) -> list[int]:

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from operator import ne
 
 from . import __version__
 from .automata import enumerate_words
@@ -66,7 +67,6 @@ from .parry import (
     z_values,
 )
 from .words import (
-    SymbolWord,
     as_word,
     format_digits,
     format_periodic,
@@ -201,7 +201,7 @@ def cmd_beta_from_digits(args):
 
 def cmd_admissible(args):
     beta = _beta_from_args(args)
-    word = SymbolWord(_parse_word(args.word), beta.digit_bound)
+    word = _parse_word(args.word)
     ok = is_admissible(word, beta)
     return {"word": format_digits(word), "admissible": ok}, []
 
@@ -249,9 +249,9 @@ def cmd_zvalues(args):
 
 def cmd_repair(args):
     beta = _beta_from_args(args)
-    word = SymbolWord(_parse_word(args.word), beta.digit_bound)
+    word = _parse_word(args.word)
     repaired = repair_word(word, beta)
-    cost = word.hamming(repaired)
+    cost = sum(map(ne, word, repaired))
     return ({"word": format_digits(word), "repaired": format_digits(repaired),
              "hamming_cost": cost}, [("hamming-cost-at-most-1", cost <= 1)])
 

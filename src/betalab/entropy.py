@@ -25,7 +25,7 @@ from .parry import (
     is_admissible,
     z_values,
 )
-from .words import SymbolWord
+from .words import format_digits
 
 EXACT_WORDS_BUDGET = 20
 # nodes one exact search may try; a search over at most EXACT_WORDS_BUDGET
@@ -486,15 +486,14 @@ def box_dimension_estimate(tree: CylinderTree, beta, depth_list) -> dict:
 
 def cylinder_diameter_bounds(beta, word) -> tuple[float, float]:
     """[beta^-(n+z_n), beta^-n] in the d_beta metric; exact at w(beta) prefixes."""
-    sw = SymbolWord(word, beta.digit_bound)
-    if not is_admissible(sw, beta):
-        raise UsageError(f"{sw} is not admissible")
-    n = len(sw)
+    if not is_admissible(word, beta):
+        raise UsageError(f"{format_digits(word)} is not admissible")
+    n = len(word)
     zn = z_values(beta, n).z[n - 1]
     b = beta.value
     lower = b ** -(n + zn)
     upper = b ** -n
-    if tuple(sw) == beta.digits(n):
+    if tuple(word) == beta.digits(n):
         return lower, lower
     return lower, upper
 

@@ -246,7 +246,8 @@ def construct_irregular_point(beta, phi: Observable,
     in Q; the rows report them as floats.
 
     Raises UsageError when a residual exceeds its ledger bound
-    or (for distinct targets) consecutive averages fail to separate.
+    or (for distinct targets) there is one level or consecutive averages
+    fail to separate.
     """
     if len(pools) != schedule.levels:
         raise UsageError("one pool per level required")
@@ -275,7 +276,8 @@ def construct_irregular_point(beta, phi: Observable,
     if bad:
         raise UsageError(f"residual exceeds bound at level {bad[0]['level']}")
     if gap > 0 and not oscillates:
-        raise UsageError("consecutive averages fail to separate")
+        raise UsageError("consecutive averages fail to separate" if diffs
+                         else "oscillation needs at least two levels")
     return {"rows": rows, "oscillates": oscillates, "edits": point.edits,
             "point": point}
 

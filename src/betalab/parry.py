@@ -254,17 +254,21 @@ def periodic_stream_admissible(beta: BetaNumber, period_digits) -> bool:
 def periodic_witnesses(beta: BetaNumber, observable: Observable,
                        max_period: int):
     """The first admissible periodic words, by period then lexicographically,
-    whose exact per-period averages realize the extreme gap up to max_period."""
+    whose exact per-period averages realize the extreme gap up to max_period;
+    only the running extremes are kept, not the words scanned."""
     r = observable.range_r  # at least 1
     if max_period < r:
         raise UsageError(f"max_period must be >= {r}, the observable's range")
-    found = [(observable.periodic_average(word), word)
-             for p in range(r, max_period + 1)
-             for word in enumerate_admissible(beta, p)
-             if periodic_stream_admissible(beta, word)]
-    (val_lo, lo), (val_hi, hi) = (f(found, key=lambda x: x[0], default=(0, 0))
-                                  for f in (min, max))
-    if val_hi == val_lo:  # also when nothing was found: both default to 0
+    lo = hi = None  # first (average, word) of least and of greatest average
+    for p in range(r, max_period + 1):
+        for word in enumerate_admissible(beta, p):
+            if periodic_stream_admissible(beta, word):
+                found = (observable.periodic_average(word), word)
+                if lo is None or found[0] < lo[0]:
+                    lo = found
+                if hi is None or found[0] > hi[0]:
+                    hi = found
+    if lo is None or lo[0] == hi[0]:
         raise UsageError(
             "all periodic averages coincide up to the searched period")
-    return lo, val_lo, hi, val_hi
+    return lo[1], lo[0], hi[1], hi[0]

@@ -1,6 +1,6 @@
 """Finite digit sequences over the alphabet {0, ..., b}, held as bytes.
 
-A word is ``bytes``, one digit per byte (so b <= 255): it sorts like the
+A word is ``bytes``, one digit per byte (each at most 255): it sorts like the
 digit tuple, concatenates with ``+`` and is not tracked by the cyclic GC.
 
 Serialization follows the compact digit-string convention: single digits are
@@ -31,25 +31,15 @@ def as_word(digits) -> bytes:
 
 
 class SymbolWord(bytes):
-    """A bytes word whose digits were checked against the alphabet
-    {0..alphabet_bound}."""
+    """The bytes word `greedy_expansion` returns, unchecked: the read that
+    decides a word (`parry.is_admissible`) refuses a digit outside {0..b}.
+    `digits` and `hamming` are what the benchmark in perfbench/ reads."""
 
     __slots__ = ()
-
-    def __new__(cls, digits, alphabet_bound: int):
-        check_byte_alphabet(alphabet_bound)
-        word = super().__new__(cls, as_word(digits))
-        if word and max(word) > alphabet_bound:
-            raise UsageError(f"digit {max(word)} outside alphabet "
-                             f"{{0..{alphabet_bound}}}")
-        return word
 
     @property
     def digits(self) -> bytes:  # as plain bytes
         return bytes(self)
-
-    def __str__(self) -> str:
-        return format_digits(self)
 
     def hamming(self, other) -> int:
         if len(self) != len(other):

@@ -253,6 +253,13 @@ def test_expansion_of_one_without_periodic_form(capsys):
     ["witnesses", "--beta", "2", "--phi", "freq:1", "--max-period", "-1"],
     # a period below the observable's range once searched nothing
     ["witnesses", "--beta", "2", "--phi", "block:101", "--max-period", "2"],
+    # no digit is left once the trailing zeros and a zero period are dropped
+    ["beta-from-digits", "--digits", "()"],
+    ["beta-from-digits", "--digits", "0"],
+    ["beta-from-digits", "--digits", "000(0)"],
+    # one level has no consecutive averages to separate
+    ["irregular", "--beta-poly", "1,-1,-1", "--phi", "freq:1", "--alpha",
+     "0.5,0", "--levels", "1"],
 ])
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     (tmp_path / "not_json.json").write_text("not json")
@@ -277,6 +284,10 @@ def test_malformed_number_exits_2(capsys, tmp_path, argv):
             assert name in message and not message.startswith("N=")
     if "block:101" in argv:
         assert message == "max_period must be >= 3, the observable's range"
+    if argv[0] == "beta-from-digits" and set(argv[2]) <= set("0()"):
+        assert message == "empty digit sequence"
+    if argv[0] == "irregular" and argv[-2:] == ["--levels", "1"]:
+        assert message == "oscillation needs at least two levels"
 
 
 # cheap base argv per subcommand (a key may carry a switch), and its integer
@@ -327,6 +338,55 @@ def test_integer_flag_fuzz_never_raises(data):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert json.loads(out.getvalue())["payload"].get("rows", [None])
+
+
+# one cheap argv for each subcommand that FUZZ_TABLE leaves out
+ONCE_TABLE = {
+    "admissible": ["--beta", "400", "--word", "5"],  # alphabet past a byte
+    "repair": ["--beta-poly", "1,-1,-1", "--word", "101"],
+    "diam": ["--beta", "400", "--word", "5"],
+    "dims": ["--beta", "2", "--entropy", "0.5"],
+    "separated": ["--words-file", "{tmp}/words.txt", "--g", "const:1"],
+    "spanning": ["--words-file", "{tmp}/words.txt", "--g", "const:1"],
+}
+
+
+def test_every_subcommand_runs_once(capsys, tmp_path):
+    """Every subcommand of the parser exits 0 on FUZZ_TABLE's base argv
+    or on its ONCE_TABLE argv; a subcommand with neither fails here."""
+    (tmp_path / "words.txt").write_text("0101\n1010\n0000\n0100\n")
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name in sub.choices:
+        runs = [[*key.split(), *base] for key, (base, _) in FUZZ_TABLE.items()
+                if key.split()[0] == name]
+        if name in ONCE_TABLE:
+            runs.append([name, *(a.format(tmp=tmp_path)
+                                 for a in ONCE_TABLE[name])])
+        assert runs, f"no argv runs {name}"
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+            assert json.loads(out)["subcommand"] == name
+
+
+@pytest.mark.parametrize("argv", [["--beta-poly", "1,-1,-1", "--n", "3"],
+                                  ["--beta", "3/2", "--n", "5"]])
+def test_markov_truncates_to_the_simple_base(capsys, argv):
+    """w(golden) = 1010... and w(3/2) = 10100... both truncate to 101, so
+    beta_n is the root of x^3 - x^2 - 1 in (1, 2), here by bisection."""
+    lo, hi = Fraction(1), Fraction(2)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid ** 3 - mid ** 2 - 1 < 0 else (lo, mid)
+    code, rep = run_json(capsys, "markov", *argv)
+    assert code == 0 and rep["checks"] == [
+        {"name": "beta-n-below-beta", "pass": True}]
+    payload = rep["payload"]
+    assert abs(lo - 1.4655712318767682) < 1e-12
+    assert abs(payload["beta_n"] - lo) < 1e-12
+    assert abs(payload["entropy"] - math.log(lo)) < 1e-12
+    assert payload["gap"] == payload["beta"] - payload["beta_n"] > 0
 
 
 @pytest.mark.parametrize("argv, gap", [

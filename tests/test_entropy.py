@@ -115,7 +115,7 @@ def _word_pairs(max_digit):
 
 def _as_form(form, digits):
     return {"tuple": tuple, "bytes": bytes,
-            "symbol": lambda d: SymbolWord(d, 255)}[form](digits)
+            "symbol": SymbolWord}[form](digits)
 
 
 _FORMS = st.sampled_from(("tuple", "bytes", "symbol"))

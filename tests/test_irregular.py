@@ -510,7 +510,7 @@ def test_family_and_balls_ignore_the_word_type(beta_golden, form):
     pools = [[b"\1\0\1\0\0\1", b"\1\0\0\1\0\1", b"\0\1\0\1\0\1"],
              [b"\1\0\1\0\0\1\0\1", b"\0\1\0\1\0\1\0\1"]]
     convert = {"tuple": lambda i, w: tuple(w), "bytes": lambda i, w: w,
-               "symbol": lambda i, w: SymbolWord(w, 1),
+               "symbol": lambda i, w: SymbolWord(w),
                "mixed": lambda i, w: (tuple, bytes)[i % 2](w)}[form]
     fam = enumerate_glued_family(
         beta_golden, sch,

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -258,13 +260,13 @@ def test_z_values_match_a_digit_scan(bench_bases):
 
 
 def test_repair_word(beta_golden):
-    for word in (SymbolWord((1, 0, 1), 1), (1, 0, 1), b"\x01\x00\x01"):
+    for word in (SymbolWord((1, 0, 1)), (1, 0, 1), b"\x01\x00\x01"):
         repaired = repair_word(word, beta_golden)
         assert type(repaired) is bytes and repaired == b"\x01\x00\x00"
 
 
 def test_repair_rejects_inadmissible(beta_golden):
-    for word in (SymbolWord((1, 1, 0), 1), (1, 1, 0)):
+    for word in (SymbolWord((1, 1, 0)), (1, 1, 0)):
         with pytest.raises(UsageError, match="word 110 is not admissible"):
             repair_word(word, beta_golden)
 
@@ -385,6 +387,23 @@ def test_periodic_witnesses_golden(beta_golden):
     assert hi_v == 0.5
     assert (lo_w, hi_w) == (b"\x00", b"\x00\x01")
     assert type(lo_w) is type(hi_w) is bytes
+
+
+def test_periodic_witnesses_memory_does_not_grow_with_the_words(beta_golden):
+    """Up to period 16 the search scans 6,762 golden words; it keeps only
+    the running extremes, so its peak stays far below the 0.8 MiB that
+    the list of every (average, word) pair took."""
+    phi = digit_frequency(1, 1)
+    periodic_witnesses(beta_golden, phi, 16)  # warm the base's digit cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = periodic_witnesses(beta_golden, phi, 16)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert found == (b"\x00", 0, b"\x00\x01", Fraction(1, 2))
+    assert peak < 256 * 1024, peak
 
 
 def test_periodic_witnesses_degenerate(beta_golden):
