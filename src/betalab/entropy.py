@@ -6,6 +6,9 @@ window [j, j+m), where m = min{k >= 1 : beta^-k <= epsilon}.  Every
 operation here is therefore parameterized by the integer window m, making
 all quantities exactly computable (m = 1 corresponds to any epsilon in
 (1/beta, 1)).
+
+``SeparationInstance.ball`` gives a word's whole mistake ball over a word
+set as one bitset; ``mistake_ball_contains`` is one budgeted pairwise scan.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import automata
@@ -74,52 +78,49 @@ class MistakeFunction:
         raise UsageError(f"unknown mistake function spec {spec!r}")
 
 
-def window_bad_count(x, y, window: int, limit: Optional[int] = None) -> int:
-    """# of j in [0, n) whose length-window look-ahead sees a disagreement;
-    the words are any int sequences, read as they are.
-
-    One left-to-right scan: a disagreement at i, after the last one at i'
-    (i' = -1 at the start), makes the min(window, i - i') positions
-    j in (max(i', i - window), i] bad.  Given a ``limit``, the scan returns
-    as soon as the count passes it, so a result above ``limit`` is only a
-    lower bound; a result at most ``limit`` is exact.
-    """
-    if len(x) != len(y):
-        raise UsageError(f"{len(x)} vs {len(y)}")
+def mistake_ball_contains(x, y, g: MistakeFunction, window: int = 1) -> bool:
+    """y lies in the length-n mistake ball around x: at most g(n) positions
+    j see a disagreement in [j, j + window).  One scan of any two int
+    sequences counts g(n) down: a disagreement at i, after the last one at
+    i' (-1 at the start), makes min(window, i - i') more positions bad."""
+    n = len(x)
+    if len(y) != n:
+        raise UsageError(f"{n} vs {len(y)}")
     if window < 1:
         raise UsageError("window must be >= 1")
-    if limit is None:
-        limit = len(x)  # the count never passes n
-    bad = 0
-    last = -1
-    i = -1  # a counter, not enumerate: the tuple unpack costs more per pair
-    for a, b in zip(x, y):
-        i += 1
-        if a != b:
+    left, last = g(n), -1
+    for i, a in enumerate(x):
+        if a != y[i]:
             gap = i - last
-            bad += gap if gap < window else window
-            if bad > limit:
-                return bad
+            left -= gap if gap < window else window
+            if left < 0:
+                return False
             last = i
-    return bad
+    return True
 
 
-def mistake_ball_contains(x, y, g: MistakeFunction, window: int = 1) -> bool:
-    """y lies in the length-n mistake ball around x: at most g(n) bad
-    positions, so the count stops once it passes g(n)."""
-    t = g(len(x))
-    return window_bad_count(x, y, window, t) <= t
+def _doubling(m: int) -> list[int]:
+    """Shifts s of the steps ``f |= f >> s`` that OR f[j..j + m) into f[j]:
+    spans 1, 2, 4, ..., then one step that overlaps up to m."""
+    steps = [1 << i for i in range(m.bit_length() - 1)]
+    return steps + [m - (1 << len(steps))] if m & (m - 1) else steps
 
 
 @dataclass
 class SeparationInstance:
     """A finite word set with the window and mistake budget to test at.
 
-    Words are int sequences, kept as given.  Each word is encoded once as
-    an integer ``codes[i]`` holding digit p in bits
-    [p*w, (p+1)*w), w the bit length of the largest digit (1 if every digit
-    is 0).  ``bad_count(i, j)`` is the window bad count of words i and j,
-    read from those codes; it is exact for every alphabet.
+    Words are int sequences, kept as given.  ``ball(c)`` is word c's
+    mistake ball over the set as one bitset (bit z for word z), each
+    look-ahead cut at the word's end, by one of two kernels.  Bit sliced:
+    ``columns[p][s]`` is the bitset of the words with digit s at p, and a
+    ball is about n (2 g(n) + log window) operations on k bits.  Packed:
+    ``codes[i]`` holds digit p of word i in bits [p*w, (p+1)*w), w the bit
+    length of the largest digit (at least 1), and a ball is about
+    k (log w + log window) operations on n*w bits.  ``sliced`` is set to
+    the kernel of fewer operations, which is the slices for many short
+    words (they need at most 256 distinct digits).  The codes also key the
+    distinct words.
     """
 
     words: tuple
@@ -128,46 +129,90 @@ class SeparationInstance:
     exact: bool = False  # search exactly above EXACT_WORDS_BUDGET words too
 
     def __post_init__(self):
-        self.words = tuple(self.words)
-        if not self.words:
+        self.words = words = tuple(self.words)
+        if not words:
             raise UsageError("empty word set")
-        n = len(self.words[0])
-        if any(len(w) != n for w in self.words):
+        n, k = len(words[0]), len(words)
+        if any(len(w) != n for w in words):
             raise UsageError("all words must share one length")
         if self.window < 1:
             raise UsageError("window must be >= 1")
-        if min(min(w, default=0) for w in self.words) < 0:
+        self.alphabet = sorted(set().union(*words))
+        if self.alphabet and self.alphabet[0] < 0:
             raise UsageError("digits must be nonnegative")
-        self.threshold = self.g(n)
-        top = max(max(w, default=0) for w in self.words)
-        width = max(top.bit_length(), 1)
-        self.codes = codes = [sum(d << p * width for p, d in enumerate(w))
-                              for w in self.words]
-        low = sum(1 << p * width for p in range(n))
-        folds = range(1, width)
-        spreads = range(width, width * self.window, width)
+        self.threshold = t = self.g(n)
+        width = max(self.alphabet[-1].bit_length() if self.alphabet else 0, 1)
+        bits = {d: format(d, f"0{width}b") for d in self.alphabet}
+        self.codes = [int("".join(map(bits.__getitem__, reversed(w))) or "0",
+                          2) for w in words]  # one pass, linear in n
+        self.full = (1 << k) - 1
+        self._spans = spans = _doubling(min(self.window, n))
+        # bit p*w of the shifted f: a digit differs in [p, p + window)
+        shifts = _doubling(width) + [s * width for s in spans]
+        low = ((1 << n * width) - 1) // ((1 << width) - 1)
 
-        def bad_count(i: int, j: int) -> int:
-            x = codes[i] ^ codes[j]
-            f = x
-            for k in folds:  # bit p*w of f: digits at p differ
-                f |= x >> k
-            s = f
-            for k in spreads:  # bit p*w of s: a difference in [p, p+window)
-                s |= f >> k
-            return (s & low).bit_count()
+        def bad(x: int, y: int) -> int:
+            f = x ^ y
+            for s in shifts:
+                f |= f >> s
+            return (f & low).bit_count()
 
-        self.bad_count = bad_count
+        self._bad = bad
+        # the big-integer operations of one ball by each kernel
+        self.sliced = len(self.alphabet) <= 256 and (
+            n * (2 * t + len(spans) + 2) <= k * (len(shifts) + 3))
+
+    @cached_property
+    def columns(self) -> list[dict]:
+        """Built on first use: column p as bytes, each digit as its rank r,
+        the last word first; r -> b"1", every other rank -> b"0", read in
+        base 2, is the bitset of r's digit."""
+        rank = {s: r for r, s in enumerate(self.alphabet)}
+        ones = [bytes(48 + (q == r) for q in range(256))
+                for r in rank.values()]
+        backwards, columns = self.words[::-1], []
+        for p in range(len(self.words[0])):
+            text = bytes(map(rank.__getitem__, map(itemgetter(p), backwards)))
+            columns.append({self.alphabet[r]: int(text.translate(ones[r]), 2)
+                            for r in set(text)})
+        return columns
+
+    def ball(self, c: int, start: int = 0) -> int:
+        """Bit z, for each z >= start, is set when word z lies in the
+        mistake ball of word c; start < k."""
+        t, full = self.threshold, self.full
+        if t >= len(self.words[0]):
+            return full >> start << start
+        if not self.sliced:
+            bad, x = self._bad, self.codes[c]
+            hits = ["1" if bad(x, y) <= t else "0"
+                    for y in reversed(self.codes[start:])]
+            return int("".join(hits), 2) << start
+        # d[p]: the words that differ from c at p, then (ORed over the
+        # look-ahead) those for which p is bad; over[i]: those with more
+        # than i bad positions so far, a saturating unary counter
+        d = [full ^ col[s] for col, s in zip(self.columns, self.words[c])]
+        for s in self._spans:
+            d[:len(d) - s] = [a | b for a, b in zip(d, d[s:])]
+        over = [0] * (t + 1)
+        for bad in d:
+            for i in range(t, 0, -1):
+                over[i] |= over[i - 1] & bad
+            over[0] |= bad
+        return (full ^ over[t]) >> start << start
 
     @cached_property
     def cover_masks(self) -> list[int]:
-        """Bit z of entry c is set when the mistake ball of word c holds
-        word z; built on first use, from one pass over the pairs."""
-        bad, t, k = self.bad_count, self.threshold, len(self.words)
+        """Entry c is the ball of word c; built on first use.  The packed
+        kernel tests each pair once: z is in c's ball when c is in z's."""
+        k, t = len(self.words), self.threshold
+        if self.sliced or t >= len(self.words[0]):
+            return [self.ball(c) for c in range(k)]
+        bad, codes = self._bad, self.codes
         masks = [1 << i for i in range(k)]
         for i in range(k):
             for j in range(i + 1, k):
-                if bad(i, j) <= t:
+                if bad(codes[i], codes[j]) <= t:
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
         return masks
@@ -194,7 +239,7 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
     if inst.threshold == 0:
         return _distinct_words(inst)
     if inst.exact or k <= EXACT_WORDS_BUDGET:
-        full = (1 << k) - 1
+        full = inst.full
         adj = [full ^ m for m in inst.cover_masks]
         best_mask = 0
         # branch and bound, depth first: take the lowest candidate v, then
@@ -217,14 +262,13 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
             stack.append((cand & adj[v], cur | (1 << v), cur_size + 1))
         witness = [inst.words[i] for i in range(k) if best_mask >> i & 1]
         return SeparationResult(len(witness), witness, True, "exact")
-    bad, t = inst.bad_count, inst.threshold
+    # greedy: the lowest word outside the balls taken so far, then its ball
     chosen: list[int] = []
-    for i in range(k):
-        for j in chosen:
-            if bad(i, j) <= t:
-                break
-        else:
-            chosen.append(i)
+    covered = 0
+    while covered != inst.full:
+        i = (~covered & (covered + 1)).bit_length() - 1
+        chosen.append(i)
+        covered |= inst.ball(i, i)  # every word below i is covered
     witness = [inst.words[i] for i in chosen]
     return SeparationResult(len(witness), witness, False, "lower")
 
@@ -235,7 +279,7 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
         return _distinct_words(inst)
     k = len(inst.words)
     cover_masks = inst.cover_masks
-    full = (1 << k) - 1
+    full = inst.full
     if not inst.exact and k > EXACT_WORDS_BUDGET:
         greedy: list[int] = []
         covered = 0

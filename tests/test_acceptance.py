@@ -27,7 +27,6 @@ from betalab.entropy import (
     max_separated,
     min_spanning,
     uniform_admissible_sampler,
-    window_bad_count,
 )
 from betalab.irregular import (
     build_word_pools,

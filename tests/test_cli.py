@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pkgutil
+import random
 import shlex
 import time
 from fractions import Fraction
@@ -689,6 +690,48 @@ def test_separated_spanning(tmp_path, capsys):
     code, rep = run_json(capsys, "spanning", "--words-file", str(words),
                          "--g", "const:1")
     assert rep["payload"]["size"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["katok", "--beta", "2", "--gamma", "0.1", "--g", "log", "--n-list", "6"],
+    ["separated", "--words-file", "{words}", "--g", "const:2"],
+    ["spanning", "--words-file", "{words}", "--g", "const:2"],
+    ["separated", "--words-file", "{many}", "--g", "log"],
+    ["spanning", "--words-file", "{many}", "--g", "log"],
+])
+def test_huge_window_reports_as_window_n(tmp_path, capsys, argv):
+    """A look-ahead stops at the word's end, so --window 10^9 answers at
+    once with the counts and witnesses of --window n (n = 6), on the exact
+    search and on the greedy one."""
+    (tmp_path / "w.txt").write_text(
+        "010110\n110100\n001011\n111111\n010110\n000100\n")
+    (tmp_path / "m.txt").write_text("".join(
+        f"{i * 37 % 64:06b}\n" for i in range(40)))
+    argv = [a.format(words=tmp_path / "w.txt", many=tmp_path / "m.txt")
+            for a in argv]
+    at_n, huge = (run_json(capsys, *argv, "--window", m)
+                  for m in ("6", "1000000000"))
+    assert at_n[0] == huge[0] == 0
+    assert huge[1]["payload"] == at_n[1]["payload"]
+    if argv[0] == "katok":
+        assert huge[1]["payload"]["rows"][0]["count_g"] == 8
+
+
+@pytest.mark.parametrize("sub", ["separated", "spanning"])
+def test_few_long_words_answer_at_once(tmp_path, capsys, sub):
+    """20 words of length 10^4 at g = const:5000 take the packed pairwise
+    kernel and answer at once, --window 10^9 as --window 10^4."""
+    rng = random.Random(61)
+    (tmp_path / "w.txt").write_text("".join(
+        f"{rng.getrandbits(10_000):010000b}\n" for _ in range(20)))
+    start = time.perf_counter()
+    reports = [run_json(capsys, sub, "--words-file", str(tmp_path / "w.txt"),
+                        "--g", "const:5000", "--window", m)
+               for m in ("10000", "1000000000")]
+    assert time.perf_counter() - start < 10
+    assert reports[0][0] == reports[1][0] == 0
+    assert reports[0][1]["payload"] == reports[1][1]["payload"]
+    assert reports[0][1]["payload"]["exact"]
 
 
 def test_exact_separated_on_many_words(tmp_path, capsys):

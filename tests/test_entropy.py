@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -20,7 +21,6 @@ from betalab.entropy import (
     min_spanning,
     mistake_ball_contains,
     uniform_admissible_sampler,
-    window_bad_count,
 )
 from betalab.beta_core import BetaNumber
 from betalab.errors import UsageError
@@ -39,6 +39,43 @@ def oracle_bad_count(x, y, m):
         if any(x[i] != y[i] for i in range(j, min(j + m, n))):
             bad += 1
     return bad
+
+
+def window_bad_count(x, y, window):
+    """The count oracle_bad_count gives, read in one left-to-right scan: a
+    disagreement at i, after the last one at i' (i' = -1 at the start),
+    makes the min(window, i - i') positions j in (max(i', i - window), i]
+    bad.  mistake_ball_contains budgets this scan."""
+    bad, last = 0, -1
+    for i, (a, b) in enumerate(zip(x, y)):
+        if a != b:
+            bad += min(window, i - last)
+            last = i
+    return bad
+
+
+def pairwise_greedy_separated(words, threshold, m):
+    """First fit: each word, in order, joins when it lies outside the ball
+    of every word taken so far."""
+    chosen = []
+    for z in words:
+        if all(oracle_bad_count(z, w, m) > threshold for w in chosen):
+            chosen.append(z)
+    return chosen
+
+
+def pairwise_greedy_spanning(words, threshold, m):
+    """The first ball of largest gain, until every word is covered."""
+    k = len(words)
+    balls = [{z for z in range(k)
+              if oracle_bad_count(words[c], words[z], m) <= threshold}
+             for c in range(k)]
+    chosen, covered = [], set()
+    while len(covered) < k:
+        best = max(range(k), key=lambda c: len(balls[c] - covered))
+        chosen.append(words[best])
+        covered |= balls[best]
+    return chosen
 
 
 def oracle_max_separated(words, threshold, m):
@@ -97,12 +134,18 @@ def test_window_bad_count_matches_oracle():
         m = rng.randint(1, 4)
         x = tuple(rng.randint(0, 1) for _ in range(n))
         y = tuple(rng.randint(0, 1) for _ in range(n))
-        assert window_bad_count(x, y, m) == oracle_bad_count(x, y, m)
+        want = oracle_bad_count(x, y, m)
+        assert window_bad_count(x, y, m) == want
+        for limit in range(n + 2):
+            assert mistake_ball_contains(
+                x, y, MistakeFunction.constant(limit), window=m) == (
+                    want <= limit)
 
 
 def test_window_bad_count_length_mismatch():
+    """The pairwise ball test refuses words of two lengths."""
     with pytest.raises(UsageError, match="^1 vs 2$"):
-        window_bad_count((1,), (1, 0), 1)
+        mistake_ball_contains((1,), (1, 0), MistakeFunction.zero())
 
 
 def _word_pairs(max_digit):
@@ -126,18 +169,17 @@ _FORMS = st.sampled_from(("tuple", "bytes", "symbol"))
                  st.tuples(_word_pairs(255), st.tuples(_FORMS, _FORMS))),
        st.integers(1, 5))
 def test_window_bad_count_stops_at_the_budget(case, m):
-    """With a budget, the count is at most the budget exactly when the
-    oracle's is, and then it is the oracle's count; digits past a byte
+    """The budgeted scan of mistake_ball_contains answers, at every budget
+    0..n + 1, whether the oracle's count is within it; digits past a byte
     are read as tuples, the rest as any mix of word types."""
     (xd, yd), (fx, fy) = case
     x, y = _as_form(fx, xd), _as_form(fy, yd)
     want = oracle_bad_count(xd, yd, m)
     assert window_bad_count(x, y, m) == want
     for limit in range(len(xd) + 2):
-        got = window_bad_count(x, y, m, limit)
-        assert (got <= limit) == (want <= limit), limit
-        if got <= limit:
-            assert got == want, limit
+        got = mistake_ball_contains(x, y, MistakeFunction.constant(limit),
+                                    window=m)
+        assert got == (want <= limit), limit
 
 
 def test_mistake_ball_edge_is_g_of_n():
@@ -147,19 +189,23 @@ def test_mistake_ball_edge_is_g_of_n():
     x = (0,) * 9
     at = (0, 1, 0, 1, 0, 0, 0, 0, 0)
     over = (0, 1, 0, 1, 1, 0, 0, 0, 0)
-    assert window_bad_count(x, at, 2) == g(9) == 4
-    assert window_bad_count(x, over, 2) == g(9) + 1
+    assert oracle_bad_count(x, at, 2) == g(9) == 4
+    assert oracle_bad_count(x, over, 2) == g(9) + 1
     assert mistake_ball_contains(x, at, g, window=2)
     assert not mistake_ball_contains(x, over, g, window=2)
+    for limit in range(11):
+        gl = MistakeFunction.constant(limit)
+        assert mistake_ball_contains(x, at, gl, window=2) == (limit >= 4)
+        assert mistake_ball_contains(x, over, gl, window=2) == (limit >= 5)
 
 
 def test_budget_does_not_skip_the_length_check():
     """The first digits already pass the budget, and the lengths still
     decide the error."""
     with pytest.raises(UsageError, match="^1 vs 2$"):
-        window_bad_count((1,), (0, 0), 1, 0)
-    with pytest.raises(UsageError, match="^1 vs 2$"):
         mistake_ball_contains((1,), (0, 0), MistakeFunction.zero())
+    with pytest.raises(UsageError, match="^2 vs 1$"):
+        mistake_ball_contains((1, 1), (0,), MistakeFunction.zero())
 
 
 def test_ball_counts_match_integer_masks():
@@ -295,13 +341,137 @@ def test_nonbinary_instances_match_oracle():
                 inst = SeparationInstance(words, window=m,
                                           g=MistakeFunction.constant(gval))
                 for i, j in product(range(len(words)), repeat=2):
-                    assert inst.bad_count(i, j) == oracle_bad_count(
-                        words[i], words[j], m)
+                    assert (inst.ball(i) >> j & 1) == (oracle_bad_count(
+                        words[i], words[j], m) <= gval)
                 s = max_separated(inst)
                 r = min_spanning(inst)
                 assert s.exact and r.exact
                 assert s.size == oracle_max_separated(words, gval, m)
                 assert r.size == oracle_min_spanning(words, gval, m)
+
+
+def _random_instances(seed, count):
+    """Seeded word sets: k = 1 to 9 words (repeats kept) of length 0 to 9,
+    digits up to 1, 2 or 300 (wider than a byte), windows 1-5 or above n,
+    and g zero, const:c (c up to n + 1, so t >= n too) or log."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k = rng.randint(0, 9), rng.randint(1, 9)
+        b = rng.choice((1, 2, 300))
+        words = [tuple(rng.randint(0, b) for _ in range(n))
+                 for _ in range(k)]
+        for _ in range(rng.randint(0, 2)):  # repeated words
+            words.append(rng.choice(words))
+        rng.shuffle(words)
+        m = rng.choice((1, 2, 3, 4, 5, n + 1, n + 7, 10 ** 9))
+        g = rng.choice((MistakeFunction.zero(), MistakeFunction.log2(),
+                        MistakeFunction.constant(rng.randint(0, n + 1))))
+        yield words, m, g
+
+
+def _kernels(words, **kw):
+    """One instance per kernel: as its shape picks, bit sliced, packed."""
+    for sliced in (None, True, False):
+        inst = SeparationInstance(words, **kw)
+        if sliced is not None:
+            inst.sliced = sliced
+        yield inst
+
+
+def test_ball_matches_oracle():
+    """On either kernel, bit z >= start of ball(c, start) is set exactly
+    when the oracle's bad count of words c and z is at most g(n), and
+    cover_masks holds one ball per word."""
+    for words, m, g in _random_instances(31, 400):
+        t = g(len(words[0]))
+        balls = [sum(1 << z for z, y in enumerate(words)
+                     if oracle_bad_count(x, y, m) <= t) for x in words]
+        for inst in _kernels(words, window=m, g=g):
+            for c, want in enumerate(balls):
+                for start in range(len(words)):
+                    assert inst.ball(c, start) == want >> start << start, (
+                        words, m, g.name, inst.sliced, c, start)
+            assert inst.cover_masks == balls
+    assert SeparationInstance([(3, 1)], g=MistakeFunction.zero()).ball(0) == 1
+
+
+def test_greedy_witnesses_match_the_pairwise_greedy():
+    """Past the exact budget the ball greedies answer, on either kernel,
+    with the witnesses of a greedy that tests one pair at a time."""
+    rng = random.Random(43)
+    for words, m, g in _random_instances(47, 60):
+        words = words + [tuple(rng.randint(0, 2) for _ in words[0])
+                         for _ in range(22)]
+        t = g(len(words[0]))
+        if t == 0:
+            continue  # the distinct words, checked elsewhere
+        want_sep = pairwise_greedy_separated(words, t, m)
+        want_span = pairwise_greedy_spanning(words, t, m)
+        for inst in _kernels(words, window=m, g=g):
+            sep, span = max_separated(inst), min_spanning(inst)
+            assert not sep.exact and not span.exact
+            assert sep.witness == want_sep
+            assert span.witness == want_span
+
+
+def test_a_huge_window_reads_as_window_n():
+    """A look-ahead stops at position n, so on either kernel a window of
+    10^9 gives the masks, counts and witnesses of window n, and answers at
+    once."""
+    rng = random.Random(53)
+    for n, k in ((6, 12), (6, 40), (9, 30)):
+        words = [tuple(rng.randint(0, 2) for _ in range(n))
+                 for _ in range(k)]
+        for g in (MistakeFunction.constant(2), MistakeFunction.log2()):
+            for at_n, huge in zip(_kernels(words, window=n, g=g),
+                                  _kernels(words, window=10 ** 9, g=g)):
+                assert huge.cover_masks == at_n.cover_masks
+                for search in (max_separated, min_spanning):
+                    assert search(huge) == search(at_n)
+    sampler = uniform_admissible_sampler(BetaNumber.from_decimal("2"))
+    for method in ("separated", "spanning"):
+        at_n, huge = (katok_entropy_estimate(
+            sampler, MistakeFunction.log2(), 0.1, [6], window=m,
+            method=method) for m in (6, 10 ** 9))
+        assert huge == at_n
+
+
+def test_the_kernel_follows_the_shape():
+    """Many short words take the bit-sliced kernel; few long words, a large
+    g(n) or more than 256 distinct digits take the packed one."""
+    kept = list(product((0, 1), repeat=14))[1638:]  # Katok's kept 14-words
+    for k, g, sliced in ((len(kept), MistakeFunction.log2(), True),
+                         (100, MistakeFunction.log2(), True),
+                         (100, MistakeFunction.constant(12), False),
+                         (20, MistakeFunction.log2(), False)):
+        assert SeparationInstance(kept[:k], g=g).sliced == sliced, (k, g.name)
+    wide = [(d, 0) for d in range(300)] * 20
+    assert not SeparationInstance(wide, g=MistakeFunction.constant(1)).sliced
+
+
+@pytest.mark.parametrize("n, g", [(10_000, MistakeFunction.constant(5000)),
+                                  (100_000, MistakeFunction.log2())])
+def test_few_long_words_answer_at_once(n, g):
+    """20 words of length 10^4 at g = const:5000, or 10^5 at g = log, are
+    a few hundred pair tests on the packed codes (the bit-sliced counter
+    would take about n g(n) steps a ball); a window of 10^9 costs no more
+    than window 1.  The answers match a first-fit scan by
+    mistake_ball_contains."""
+    rng = random.Random(59)
+    words = [bytes(rng.getrandbits(1) for _ in range(n)) for _ in range(20)]
+    words += words[:3]  # 23 words: past the exact budget, so greedy
+    for m in (1, 10 ** 9):
+        start = time.perf_counter()
+        inst = SeparationInstance(words, window=m, g=g)
+        sep, span = max_separated(inst), min_spanning(inst)
+        assert time.perf_counter() - start < 5
+        assert not inst.sliced
+    chosen = []
+    for z in words:
+        if not any(mistake_ball_contains(w, z, g, window=m) for w in chosen):
+            chosen.append(z)
+    assert sep.witness == chosen
+    assert len(span.witness) <= len(chosen)
 
 
 def test_nonbinary_greedy_is_separated_and_maximal():
@@ -625,7 +795,8 @@ def test_dimension_bounds_sandwich(beta_golden):
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: MistakeFunction("neg", lambda n: -1)(4),
                  "mistake function neg went negative", id="mistake-negative"),
-    pytest.param(lambda: window_bad_count((0, 1), (1, 0), 0),
+    pytest.param(lambda: mistake_ball_contains(
+        (0, 1), (1, 0), MistakeFunction.zero(), window=0),
                  "window must be >= 1", id="bad-count-window-0"),
     pytest.param(lambda: SeparationInstance(()), "empty word set",
                  id="no-words"),
