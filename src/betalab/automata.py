@@ -102,11 +102,6 @@ def path_counts(pres: Presentation, n_max: int) -> list[int]:
     return totals
 
 
-def count(pres: Presentation, n: int) -> int:
-    """Exact number of words of length n."""
-    return path_counts(pres, n)[-1] if n > 0 else 1
-
-
 def reach(edges_of, initial, depth: int) -> list[set]:
     """The sets of states at the ends of paths of j edges from initial, for
     j = 0..depth; ``edges_of(state)`` gives a state's (label, target)

@@ -438,20 +438,28 @@ class BetaNumber:
 
     # -- expansion of 1 ----------------------------------------------------
 
+    def digit(self, i: int) -> int:
+        """The i-th digit of w(beta), the quasi-greedy expansion of 1,
+        counted from 1.  The one place the stored expansion grows: by greedy
+        steps until its periodic form is known, and from that form after."""
+        if i < 1:
+            raise UsageError(f"digit index must be >= 1, got {i}")
+        w = self._w
+        while len(w) < i:
+            if self._w_periodic is None:
+                self._step_w()
+            else:
+                pre, per = self._w_periodic
+                j = len(w) - len(pre)
+                w.append(pre[j] if j < 0 else per[j % len(per)])
+        return w[i - 1]
+
     def digits(self, n: int) -> tuple[int, ...]:
-        """First n digits of w(beta), the quasi-greedy expansion of 1."""
+        """First n digits of w(beta)."""
         if n < 0:
             raise UsageError("n must be >= 0")
-        while len(self._w) < n:
-            if self._w_periodic is not None:
-                pre, per = self._w_periodic
-                i = len(self._w)
-                if i < len(pre):
-                    self._w.append(pre[i])
-                else:
-                    self._w.append(per[(i - len(pre)) % len(per)])
-            else:
-                self._step_w()
+        if n:
+            self.digit(n)
         return tuple(self._w[:n])
 
     def periodic_form(self):
@@ -478,7 +486,6 @@ class BetaNumber:
             period = tuple(self._w) + (digit - 1,)
             self._w_periodic = (tuple(), period)
             self._w.append(period[-1])
-            self._orbit = None
             return
         self._w.append(digit)
         self._orbit = r_new

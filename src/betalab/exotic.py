@@ -83,7 +83,7 @@ class FactorAutomaton:
         return out
 
     def count_words(self, n: int) -> int:
-        return automata.count(self, n)
+        return automata.path_counts(self, n)[-1] if n > 0 else 1
 
 
 @dataclass

@@ -68,7 +68,6 @@ class Observable:
         by zipping r shifted slices; the discarded tail is accounted for in
         callers' boundary terms.
         """
-        digits = tuple(digits)
         r = self.range_r
         if len(digits) < r:
             raise UsageError(f"word shorter than observable range {r}")

@@ -44,11 +44,6 @@ class Automaton:
         self.beta = beta
         self.alphabet_bound = beta.digit_bound
 
-    def digit_at(self, i: int) -> int:
-        if len(self.beta._w) < i:
-            self.beta.digits(i)
-        return self.beta._w[i - 1]
-
     def canon(self, i: int) -> int:
         pf = self.beta.periodic_form()
         if pf is None:
@@ -59,7 +54,7 @@ class Automaton:
         return p + ((i - p - 1) % q) + 1
 
     def step(self, state: int, symbol: int) -> Optional[int]:
-        w = self.digit_at(state)
+        w = self.beta.digit(state)
         if symbol == w:
             return self.canon(state + 1)
         if 0 <= symbol < w:
@@ -137,23 +132,17 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     ends at vertex 1): the specification gap is M + 1 (Bertrand-Mathis)."""
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    # extend digits until a nonzero exists at or after n_max; the budget
-    # reaches the zero run of w(beta) for beta >= 1.0005 (15,205 zeros)
-    need = n_max
+    # the first nonzero digit at or after n_max; the budget reaches the
+    # zero run of w(beta) for beta >= 1.0005 (15,205 zeros)
     cap = max(4 * n_max, n_max + (1 << 14))
-    while True:
-        digits = beta.digits(need)
-        if any(d != 0 for d in digits[n_max - 1:]):
-            break
-        if need >= cap:
-            raise BudgetExceeded(
-                f"no nonzero digit found up to {cap}; gap too long for window")
-        need = min(2 * need, cap)
-    z, nxt = [0] * n_max, None
-    for n in range(len(digits), 0, -1):  # nxt: next nonzero position >= n
-        nxt = n if digits[n - 1] else nxt
-        if n <= n_max:
-            z[n - 1] = nxt - n
+    nxt = next((i for i in range(n_max, cap + 1) if beta.digit(i)), None)
+    if nxt is None:
+        raise BudgetExceeded(
+            f"no nonzero digit found up to {cap}; gap too long for window")
+    z = [0] * n_max
+    for n in range(n_max, 0, -1):  # nxt: next nonzero position >= n
+        nxt = n if beta.digit(n) else nxt
+        z[n - 1] = nxt - n
     # the first n attaining sup z_n / n: max keeps the first of equal keys
     argmax = max(range(1, n_max + 1), key=lambda n: Fraction(z[n - 1], n))
     ratio_sup = Fraction(z[argmax - 1], argmax)

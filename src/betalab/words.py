@@ -10,6 +10,7 @@ eventually periodic sequence is written "prefix(period)", e.g. "10(10)".
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .errors import UsageError
@@ -88,26 +89,13 @@ def parse_digit_string(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def parse_digits(text: str) -> tuple[int, ...]:
-    """Digits of a plain digit string ("201", "[10]3"); commas and spaces
-    between digits are skipped."""
-    digits = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "[":
-            j = text.find("]", i)
-            if j < 0 or not text[i + 1:j].isdecimal():
-                raise UsageError(f"malformed bracketed digit in {text!r}")
-            digits.append(int(text[i + 1:j]))
-            i = j + 1
-        elif c.isdecimal():
-            digits.append(int(c))
-            i += 1
-        elif c in ", ":
-            i += 1
-        else:
-            raise UsageError(f"bad character {c!r} in digit string")
-    return tuple(digits)
+    """Digits of a plain digit string ("201", "[10]3"): single decimal
+    digits and bracketed numbers, with commas and spaces between them
+    skipped."""
+    if not re.fullmatch(r"(?:\[\d+\]|\d|[, ])*", text):
+        raise UsageError(f"malformed digit string {text!r}")
+    return tuple(int(big or small)
+                 for big, small in re.findall(r"\[(\d+)\]|(\d)", text))
 
 
 def format_digits(digits: Iterable[int]) -> str:

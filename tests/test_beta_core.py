@@ -140,6 +140,30 @@ def test_digits_rejects_negative_length():
         beta.digits(-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BetaNumber.from_digit_string("21(01)"),
+    lambda: BetaNumber.from_digit_string("(201001)"),
+    lambda: BetaNumber.from_polynomial([1, -1, -1]),
+    lambda: BetaNumber.from_decimal("2"),
+    lambda: BetaNumber.from_decimal("1.7"),
+], ids=["21(01)", "(201001)", "golden", "two", "1.7"])
+def test_digit_matches_digits(make):
+    """digit(i) is the i-th of digits(n), read first digit by digit on a
+    fresh base (a digit-string base knows its periodic form before any
+    digit exists, so the preperiod is read from it), then sliced."""
+    beta, n = make(), 40
+    by_digit = [beta.digit(i) for i in range(1, n + 1)]
+    assert by_digit == list(beta.digits(n)) == list(make().digits(n))
+    for i in (1, n // 2, n):
+        assert beta.digit(i) == beta.digits(n)[i - 1]
+
+
+def test_digit_rejects_index_below_one(beta_golden):
+    for i in (0, -1):
+        with pytest.raises(UsageError):
+            beta_golden.digit(i)
+
+
 def test_tribonacci_digits(beta_tribonacci):
     assert beta_tribonacci.digits(6) == (1, 1, 0, 1, 1, 0)
     assert abs(beta_tribonacci.value - 1.8392867552141612) < 1e-12

@@ -11,6 +11,7 @@ from betalab.words import (
     format_digits,
     format_periodic,
     parse_digit_string,
+    parse_digits,
     self_admissible,
 )
 
@@ -104,6 +105,17 @@ def test_parse_digit_string_rejects_garbage():
     for text in ("1(2", "[1", "1[x]", "[]", "\u00b2", ""):
         with pytest.raises(UsageError):
             parse_digit_string(text)
+
+
+def test_parse_digits_grammar():
+    """Single decimal digits and bracketed numbers, with commas and spaces
+    between them; any Unicode decimal digit reads as its value."""
+    assert parse_digits("2, 0 1") == (2, 0, 1)
+    assert parse_digits("[10] 3") == (10, 3)
+    assert parse_digits("\u0663") == (3,)
+    for text in ("[1 0]", "1]", "[1", "1[x]", "[]", "\u00b2"):
+        with pytest.raises(UsageError, match="malformed digit string"):
+            parse_digits(text)
 
 
 def test_format_round_trip():
