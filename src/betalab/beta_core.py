@@ -701,6 +701,11 @@ def beta_from_expansion(prefix, period=()) -> BetaNumber:
     # z^(p+q) D(1/z) vanishes at beta, its one root above 1 (Parry 1960)
     beta = BetaNumber(_largest_root_above_one(
         renewal_denominator(prefix, period)[::-1]), source="digit-sequence")
+    # w(beta)'s minimal form: the shortest period, then the shortest preperiod
+    period = next(period[:q] for q in range(1, len(period) + 1)
+                  if period[:q] * (len(period) // q) == period)
+    while prefix and prefix[-1] == period[-1]:
+        prefix, period = prefix[:-1], period[-1:] + period[:-1]
     beta._w_periodic = (prefix, period)
     return beta
 

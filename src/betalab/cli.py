@@ -280,7 +280,7 @@ def cmd_separation(args):
     with _open(args.words_file) as fh:
         words = [_parse_word(line) for line in fh if line.strip()]
     g = MistakeFunction.parse(args.g)
-    inst = SeparationInstance(tuple(words), window=args.window, g=g,
+    inst = SeparationInstance(words, window=args.window, g=g,
                               exact=args.exact)
     search = max_separated if args.subcommand == "separated" else min_spanning
     res = search(inst)
@@ -358,11 +358,15 @@ def cmd_boxdim(args):
 
 
 def _schedule_from_args(args):
-    if args.n_list and args.N_list and args.delta_list:
-        return validate_schedule(_parse_list(args.n_list, int),
-                                 _parse_list(args.N_list, int),
-                                 _parse_list(args.delta_list, float))
-    return _compact_schedule(args.levels)
+    lists = (args.n_list, args.N_list, args.delta_list)
+    if lists.count(None) == 3:
+        return _compact_schedule(args.levels)
+    if None in lists:
+        raise UsageError("--n-list, --N-list and --delta-list go together: "
+                         "give all three or none")
+    return validate_schedule(_parse_list(args.n_list, int),
+                             _parse_list(args.N_list, int),
+                             _parse_list(args.delta_list, float))
 
 
 def _compact_schedule(levels: int):

@@ -7,8 +7,8 @@ operation here is therefore parameterized by the integer window m, making
 all quantities exactly computable (m = 1 corresponds to any epsilon in
 (1/beta, 1)).
 
-``SeparationInstance.ball`` gives a word's whole mistake ball over a word
-set as one bitset; ``mistake_ball_contains`` is one budgeted pairwise scan.
+``SeparationInstance.ball`` is a word's whole mistake ball over a set of
+``bytes`` words, one bitset; ``mistake_ball_contains`` is a budgeted pair scan.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .parry import (
     is_admissible,
     z_values,
 )
-from .words import format_digits
+from .words import as_word, format_digits
 
 EXACT_WORDS_BUDGET = 20
 # nodes one exact search may try; a search over at most EXACT_WORDS_BUDGET
@@ -110,17 +110,16 @@ def _doubling(m: int) -> list[int]:
 class SeparationInstance:
     """A finite word set with the window and mistake budget to test at.
 
-    Words are int sequences, kept as given.  ``ball(c)`` is word c's
-    mistake ball over the set as one bitset (bit z for word z), each
-    look-ahead cut at the word's end, by one of two kernels.  Bit sliced:
-    ``columns[p][s]`` is the bitset of the words with digit s at p, and a
-    ball is about n (2 g(n) + log window) operations on k bits.  Packed:
-    ``codes[i]`` holds digit p of word i in bits [p*w, (p+1)*w), w the bit
-    length of the largest digit (at least 1), and a ball is about
-    k (log w + log window) operations on n*w bits.  ``sliced`` is set to
-    the kernel of fewer operations, which is the slices for many short
-    words (they need at most 256 distinct digits).  The codes also key the
-    distinct words.
+    Words are read once, as ``bytes`` (`words.as_word`).  ``ball(c)`` is
+    word c's mistake ball over the set as one bitset (bit z for word z),
+    each look-ahead cut at the word's end, by one of two kernels, each
+    with its own table, built on first use.  Bit sliced: ``columns[p][s]``
+    is the bitset of the words with digit s at p, and a ball is about
+    n (2 g(n) + log window) operations on k bits.  Packed: ``codes[i]``
+    holds digit p of word i in bits [p*w, (p+1)*w), w the bit length of
+    the largest digit (at least 1), and a ball is about k (log w + log
+    window) operations on n*w bits.  ``sliced`` is set to the kernel of
+    fewer operations, which is the slices for many short words.
     """
 
     words: tuple
@@ -129,7 +128,7 @@ class SeparationInstance:
     exact: bool = False  # search exactly above EXACT_WORDS_BUDGET words too
 
     def __post_init__(self):
-        self.words = words = tuple(self.words)
+        self.words = words = tuple(map(as_word, self.words))
         if not words:
             raise UsageError("empty word set")
         n, k = len(words[0]), len(words)
@@ -137,14 +136,9 @@ class SeparationInstance:
             raise UsageError("all words must share one length")
         if self.window < 1:
             raise UsageError("window must be >= 1")
-        self.alphabet = sorted(set().union(*words))
-        if self.alphabet and self.alphabet[0] < 0:
-            raise UsageError("digits must be nonnegative")
         self.threshold = t = self.g(n)
-        width = max(self.alphabet[-1].bit_length() if self.alphabet else 0, 1)
-        bits = {d: format(d, f"0{width}b") for d in self.alphabet}
-        self.codes = [int("".join(map(bits.__getitem__, reversed(w))) or "0",
-                          2) for w in words]  # one pass, linear in n
+        top = max(map(max, words)) if n else 0  # the largest digit
+        self._width = width = max(top.bit_length(), 1)
         self.full = (1 << k) - 1
         self._spans = spans = _doubling(min(self.window, n))
         # bit p*w of the shifted f: a digit differs in [p, p + window)
@@ -159,23 +153,25 @@ class SeparationInstance:
 
         self._bad = bad
         # the big-integer operations of one ball by each kernel
-        self.sliced = len(self.alphabet) <= 256 and (
-            n * (2 * t + len(spans) + 2) <= k * (len(shifts) + 3))
+        self.sliced = n * (2 * t + len(spans) + 2) <= k * (len(shifts) + 3)
 
     @cached_property
     def columns(self) -> list[dict]:
-        """Built on first use: column p as bytes, each digit as its rank r,
-        the last word first; r -> b"1", every other rank -> b"0", read in
-        base 2, is the bitset of r's digit."""
-        rank = {s: r for r, s in enumerate(self.alphabet)}
-        ones = [bytes(48 + (q == r) for q in range(256))
-                for r in rank.values()]
+        """Column p as bytes, the last word first: digit s -> b"1", every
+        other digit -> b"0", read in base 2, is the bitset of s at p."""
         backwards, columns = self.words[::-1], []
         for p in range(len(self.words[0])):
-            text = bytes(map(rank.__getitem__, map(itemgetter(p), backwards)))
-            columns.append({self.alphabet[r]: int(text.translate(ones[r]), 2)
-                            for r in set(text)})
+            text = bytes(map(itemgetter(p), backwards))
+            columns.append({s: int(text.translate(
+                b"0" * s + b"1" + b"0" * (255 - s)), 2) for s in set(text)})
         return columns
+
+    @cached_property
+    def codes(self) -> list[int]:
+        """Word i as one integer, digit p in bits [p*w, (p+1)*w)."""
+        bits = [format(d, f"0{self._width}b") for d in range(256)]
+        return [int("".join(map(bits.__getitem__, reversed(x))) or "0", 2)
+                for x in self.words]
 
     def ball(self, c: int, start: int = 0) -> int:
         """Bit z, for each z >= start, is set when word z lies in the
@@ -222,15 +218,18 @@ class SeparationInstance:
 class SeparationResult:
     size: int
     witness: list
-    exact: bool
     bound_direction: str  # "exact", "lower" (packing) or "upper" (cover)
+
+    @property
+    def exact(self) -> bool:
+        return self.bound_direction == "exact"
 
 
 def _distinct_words(inst: SeparationInstance) -> SeparationResult:
     """Both answers at g(n) = 0, where a ball holds only copies of its centre:
-    the distinct words (equal codes), in first-occurrence order."""
-    witness = list(dict(zip(inst.codes, inst.words)).values())
-    return SeparationResult(len(witness), witness, True, "exact")
+    the distinct words, in first-occurrence order."""
+    witness = list(dict.fromkeys(inst.words))
+    return SeparationResult(len(witness), witness, "exact")
 
 
 def max_separated(inst: SeparationInstance) -> SeparationResult:
@@ -261,7 +260,7 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
             stack.append((cand & ~(1 << v), cur, cur_size))
             stack.append((cand & adj[v], cur | (1 << v), cur_size + 1))
         witness = [inst.words[i] for i in range(k) if best_mask >> i & 1]
-        return SeparationResult(len(witness), witness, True, "exact")
+        return SeparationResult(len(witness), witness, "exact")
     # greedy: the lowest word outside the balls taken so far, then its ball
     chosen: list[int] = []
     covered = 0
@@ -270,7 +269,7 @@ def max_separated(inst: SeparationInstance) -> SeparationResult:
         chosen.append(i)
         covered |= inst.ball(i, i)  # every word below i is covered
     witness = [inst.words[i] for i in chosen]
-    return SeparationResult(len(witness), witness, False, "lower")
+    return SeparationResult(len(witness), witness, "lower")
 
 
 def min_spanning(inst: SeparationInstance) -> SeparationResult:
@@ -289,7 +288,7 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
             greedy.append(best)
             covered |= cover_masks[best]
         witness = [inst.words[i] for i in greedy]
-        return SeparationResult(len(witness), witness, False, "upper")
+        return SeparationResult(len(witness), witness, "upper")
     # branch and bound, depth first: take ball i, then (popped after that
     # subtree) leave it out.  Covers come in the lexicographic order of their
     # indices, and only a smaller one replaces the best: the first least wins
@@ -316,7 +315,7 @@ def min_spanning(inst: SeparationInstance) -> SeparationResult:
         stack.append((i + 1, chosen, uncovered))
         stack.append((i + 1, chosen + (i,), uncovered & ~cover_masks[i]))
     witness = [inst.words[i] for i in best_cover]
-    return SeparationResult(len(witness), witness, True, "exact")
+    return SeparationResult(len(witness), witness, "exact")
 
 
 # --- Katok-style finite-scale estimates -----------------------------------

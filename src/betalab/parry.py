@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, groupby
+from itertools import compress
 from operator import mul
 from typing import Optional
 
@@ -127,9 +127,10 @@ class ZReport:
 def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     """z_n, the distance from n to the next nonzero digit of w(beta) at or
     after n, over 1..n_max, with the ratio summaries.  Given w(beta)'s
-    periodic form, with M its longest zero run over the preperiod and two
-    periods, u 0^(M+1) v is admissible for all admissible u and v (0^(M+1)
-    ends at vertex 1): the specification gap is M + 1 (Bertrand-Mathis)."""
+    periodic form (p, q), the specification gap (Bertrand-Mathis) is exact:
+    the least g with u 0^g v admissible for all admissible u and v.  Every
+    admissible v is read from vertex 1 of the graph, so g is the most zeros
+    that any vertex 1..p+q needs to reach vertex 1: 0 on an integer base."""
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     # the first nonzero digit at or after n_max; the budget reaches the
@@ -148,8 +149,12 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     ratio_sup = Fraction(z[argmax - 1], argmax)
     gap, form = None, beta.periodic_form()
     if form is not None:
-        gap = 1 + max((len(list(run)) for d, run in
-                       groupby(form[0] + 2 * form[1]) if d == 0), default=0)
+        step, gap = Automaton(beta).step, 0
+        for state in range(2, len(form[0]) + len(form[1]) + 1):
+            zeros = 0
+            while state != 1:
+                state, zeros = step(state, 0), zeros + 1
+            gap = max(gap, zeros)
     return ZReport(z=z, ratio_sup=ratio_sup, ratio_argmax=argmax,
                    max_z=max(z), gap=gap, window=n_max)
 

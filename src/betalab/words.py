@@ -24,7 +24,9 @@ def check_byte_alphabet(bound: int) -> None:
 
 def as_word(digits) -> bytes:
     """Any int sequence as a bytes word (bytes as they are); UsageError for
-    a digit outside 0..255."""
+    a digit outside 0..255, and for an int, which bytes() reads as zeros."""
+    if isinstance(digits, int):
+        raise UsageError("a word is a digit sequence, not an int")
     try:
         return bytes(digits)
     except (TypeError, ValueError) as exc:

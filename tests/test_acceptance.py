@@ -210,7 +210,7 @@ def test_criterion_6_katok_g_insensitivity(beta_two):
     res = max_separated(SeparationInstance(tuple(kept), window=1, g=g))
     assert res.size == len(res.witness) == row["count_g"]
     assert row["exact_g"] is False and res.exact is False
-    assert set(res.witness) <= set(kept)
+    assert set(res.witness) <= set(map(bytes, kept))
     code = [_mask(w) for w in res.witness]
     assert all((a ^ b).bit_count() > r for a, b in combinations(code, 2))
     assert all(any((_mask(w) ^ c).bit_count() <= r for c in code)

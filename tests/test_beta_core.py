@@ -296,7 +296,8 @@ def test_beta_from_expansion_matches_the_cleared_form():
     """Seeded random self-admissible (prefix, period) pairs over {0..3},
     finite and periodic: the base has the polynomial and enclosure of the
     cleared form's largest root, and w(beta) is the quasi-greedy form of
-    the digits."""
+    the digits, held in its minimal form: the least period, then the least
+    preperiod, found here by trying every pair."""
     rng = random.Random(1994)
     kinds = {"finite": 0, "periodic": 0}
     while min(kinds.values()) < 120:
@@ -317,9 +318,14 @@ def test_beta_from_expansion_matches_the_cleared_form():
         assert (beta._ctx.poly_asc, beta._ctx.lo, beta._ctx.hi) == \
             (oracle._ctx.poly_asc, oracle._ctx.lo, oracle._ctx.hi), \
             (prefix, period)
-        assert beta.periodic_form() == (
-            (prefix, period) if period
-            else ((), prefix[:-1] + (prefix[-1] - 1,)))
+        form = ((prefix, period) if period
+                else ((), prefix[:-1] + (prefix[-1] - 1,)))
+        n = 3 * len(form[0] + form[1])
+        digits = (form[0] + form[1] * n)[:n]
+        q, p = min((q, p) for q in range(1, len(form[1]) + 1)
+                   for p in range(len(form[0]) + 1)
+                   if all(digits[i] == digits[i + q] for i in range(p, n - q)))
+        assert beta.periodic_form() == (digits[:p], digits[p:p + q])
 
 
 def oracle_self_admissible_loop(prefix, period):

@@ -151,11 +151,12 @@ def test_expansion_of_one_periodic_form(capsys):
                          "201001", "--n", "12")
     assert code == 0
     assert rep["payload"]["periodic_form"] == "(201000)"
-    # commas and spaces between digits are skipped
+    # commas and spaces between digits are skipped; 20(10) is read in its
+    # minimal form 2(01)
     code, rep = run_json(capsys, "expansion-of-one", "--beta-digits",
                          "2,0(1 0)", "--n", "6")
     assert code == 0
-    assert rep["payload"]["periodic_form"] == "20(10)"
+    assert rep["payload"]["periodic_form"] == "2(01)"
 
 
 def test_expansion_of_one_without_periodic_form(capsys):
@@ -392,16 +393,28 @@ def test_markov_truncates_to_the_simple_base(capsys, argv):
 
 @pytest.mark.parametrize("argv, gap", [
     (["--beta-digits", "(201001)"], 3),
-    (["--beta-digits", "(10000000)", "--n", "4"], 8),
+    (["--beta-digits", "(10000000)", "--n", "4"], 7),
     (["--beta", "3/2"], None),
 ])
 def test_zvalues_specification_gap(capsys, argv, gap):
-    """The gap is M + 1 for the longest zero run M of a periodic w(beta),
-    whatever the window, and null (undecided) otherwise."""
+    """The gap is the most zeros a vertex of the graph needs to reach
+    vertex 1 once w(beta) is known to be periodic, whatever the window,
+    and null (undecided) otherwise."""
     code, rep = run_json(capsys, "zvalues", *argv)
     assert code == 0
     assert rep["payload"]["specification_gap"] == gap
     assert "specification_flag" not in rep["payload"]
+
+
+def test_a_non_minimal_expansion_reads_in_its_minimal_form(capsys):
+    """(1010), (10) and 1(01) are one w(beta): `expansion-of-one` prints
+    its minimal form (10), and `zvalues` reports one gap, 1."""
+    for digits in ("(1010)", "(10)", "1(01)"):
+        code, rep = run_json(capsys, "expansion-of-one", "--beta-digits",
+                             digits, "--n", "6")
+        assert code == 0 and rep["payload"]["periodic_form"] == "(10)"
+        code, rep = run_json(capsys, "zvalues", "--beta-digits", digits)
+        assert code == 0 and rep["payload"]["specification_gap"] == 1
 
 
 NUMBER_TEXT = st.one_of(
@@ -878,6 +891,29 @@ def test_schedule_and_pools(capsys):
     assert all(r["size"] > 0 for r in rep["payload"]["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--n-list", "4,8"],
+    ["schedule", "--N-list", "2,4"],
+    ["schedule", "--delta-list", "0.1,0.05"],
+    ["schedule", "--n-list", "8,10", "--N-list", "2,4"],
+    ["schedule", "--n-list", "8,10", "--delta-list", "0.1,0.05"],
+    ["schedule", "--N-list", "2,4", "--delta-list", "0.1,0.05"],
+    ["pools", "--beta", "2", "--phi", "freq:1", "--alpha", "0.5,0",
+     "--n-list", "8,10", "--N-list", "2,4"],
+    ["irregular", "--beta", "2", "--phi", "freq:1", "--alpha", "0.5,0",
+     "--delta-list", "0.1,0.05"],
+])
+def test_a_partial_schedule_is_refused(capsys, argv):
+    """One or two of the three schedule lists once fell back to the
+    compact schedule: `schedule --n-list 4,8` reported block lengths
+    [8, 12, 16] and exited 0."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert all(flag in message
+               for flag in ("--n-list", "--N-list", "--delta-list"))
+
+
 def test_compact_schedule_multiplicities_are_integer_ceilings(capsys):
     """N_1 = 5 and N_k = max(1, ceil(t (k + 1) / 3)), t the time after
     level k - 1, in exact integers: a float ceiling printed the last
@@ -918,7 +954,7 @@ def test_zvalues_and_repair(capsys):
                          "--n", "8")
     assert code == 0
     assert rep["payload"]["z"] == [0, 1] * 4
-    assert rep["payload"]["specification_gap"] == 2
+    assert rep["payload"]["specification_gap"] == 1
     code, rep = run_json(capsys, "repair", "--beta-poly", "1,-1,-1",
                          "--word", "101")
     assert rep["payload"]["repaired"] == "100"

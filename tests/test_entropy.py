@@ -352,12 +352,12 @@ def test_nonbinary_instances_match_oracle():
 
 def _random_instances(seed, count):
     """Seeded word sets: k = 1 to 9 words (repeats kept) of length 0 to 9,
-    digits up to 1, 2 or 300 (wider than a byte), windows 1-5 or above n,
-    and g zero, const:c (c up to n + 1, so t >= n too) or log."""
+    digits up to 1, 2 or 255 (the widest a byte holds), windows 1-5 or
+    above n, and g zero, const:c (c up to n + 1, so t >= n too) or log."""
     rng = random.Random(seed)
     for _ in range(count):
         n, k = rng.randint(0, 9), rng.randint(1, 9)
-        b = rng.choice((1, 2, 300))
+        b = rng.choice((1, 2, 255))
         words = [tuple(rng.randint(0, b) for _ in range(n))
                  for _ in range(k)]
         for _ in range(rng.randint(0, 2)):  # repeated words
@@ -410,8 +410,8 @@ def test_greedy_witnesses_match_the_pairwise_greedy():
         for inst in _kernels(words, window=m, g=g):
             sep, span = max_separated(inst), min_spanning(inst)
             assert not sep.exact and not span.exact
-            assert sep.witness == want_sep
-            assert span.witness == want_span
+            assert sep.witness == list(map(bytes, want_sep))
+            assert span.witness == list(map(bytes, want_span))
 
 
 def test_a_huge_window_reads_as_window_n():
@@ -437,16 +437,54 @@ def test_a_huge_window_reads_as_window_n():
 
 
 def test_the_kernel_follows_the_shape():
-    """Many short words take the bit-sliced kernel; few long words, a large
-    g(n) or more than 256 distinct digits take the packed one."""
+    """Many short words take the bit-sliced kernel; few long words or a
+    large g(n) take the packed one.  Any digit a byte holds is sliced, and
+    a digit past a byte is refused."""
     kept = list(product((0, 1), repeat=14))[1638:]  # Katok's kept 14-words
     for k, g, sliced in ((len(kept), MistakeFunction.log2(), True),
                          (100, MistakeFunction.log2(), True),
                          (100, MistakeFunction.constant(12), False),
                          (20, MistakeFunction.log2(), False)):
         assert SeparationInstance(kept[:k], g=g).sliced == sliced, (k, g.name)
-    wide = [(d, 0) for d in range(300)] * 20
-    assert not SeparationInstance(wide, g=MistakeFunction.constant(1)).sliced
+    wide = [(d, 0) for d in range(256)] * 20
+    assert SeparationInstance(wide, g=MistakeFunction.constant(1)).sliced
+    with pytest.raises(UsageError, match="0..255"):
+        SeparationInstance([(d, 0) for d in range(300)] * 20,
+                           g=MistakeFunction.constant(1))
+
+
+def test_each_kernel_builds_only_its_own_table():
+    """A bit-sliced instance never packs a word into codes, and a packed
+    one never builds the columns, whichever search runs."""
+    kept = list(product((0, 1), repeat=14))[1638:]  # Katok's kept 14-words
+    inst = SeparationInstance(kept, g=MistakeFunction.log2())
+    assert inst.sliced
+    max_separated(inst)
+    min_spanning(inst)
+    assert len(inst.cover_masks) == len(kept) == 14746
+    assert "codes" not in vars(inst)
+    rng = random.Random(61)
+    for k in (10, 23):  # the exact searches, then the greedy ones
+        words = [bytes(rng.getrandbits(1) for _ in range(200))
+                 for _ in range(k)]
+        inst = SeparationInstance(words, g=MistakeFunction.constant(50))
+        assert not inst.sliced
+        max_separated(inst)
+        min_spanning(inst)
+        assert len(inst.cover_masks) == k
+        assert "columns" not in vars(inst)
+
+
+def test_a_tuple_word_and_its_bytes_copy_are_one_word():
+    """Words are read as bytes, so a tuple and its bytes copy are one
+    word: one ball, and one entry among the distinct words."""
+    words = [(0, 1, 2), b"\0\1\2", (2, 1, 0)]
+    for g in (MistakeFunction.zero(), MistakeFunction.constant(1)):
+        inst = SeparationInstance(words, g=g)
+        assert inst.words == (b"\0\1\2", b"\0\1\2", b"\2\1\0")
+        assert inst.ball(0) == inst.ball(1) == 0b011
+        for search in (max_separated, min_spanning):
+            assert search(inst).witness == [b"\0\1\2", b"\2\1\0"]
 
 
 @pytest.mark.parametrize("n, g", [(10_000, MistakeFunction.constant(5000)),
@@ -515,7 +553,8 @@ def test_spanning_witness_is_the_first_least_cover(words, m, gval):
                               g=MistakeFunction.constant(gval))
     res = min_spanning(inst)
     assert res.exact and res.bound_direction == "exact"
-    assert res.witness == oracle_spanning_witness(words, gval, m)
+    assert res.witness == list(map(bytes, oracle_spanning_witness(
+        words, gval, m)))
 
 
 def test_exact_spanning_prunes_the_subsets(monkeypatch):
@@ -538,7 +577,7 @@ def test_zero_mistake_spanning_is_the_distinct_words():
     inst = SeparationInstance(words[::-1] + words, g=MistakeFunction.zero())
     res = min_spanning(inst)
     assert res.exact and res.bound_direction == "exact"
-    assert res.size == 32 and res.witness == list(words[::-1])
+    assert res.size == 32 and res.witness == list(map(bytes, words[::-1]))
 
 
 @pytest.mark.parametrize("window", [0, -1])
@@ -812,7 +851,11 @@ def test_dimension_bounds_sandwich(beta_golden):
     pytest.param(lambda: SeparationInstance(((0, 1), (1,))),
                  "all words must share one length", id="mixed-lengths"),
     pytest.param(lambda: SeparationInstance(((0, 1), (1, -1))),
-                 "digits must be nonnegative", id="negative-digit"),
+                 "word digits must lie in 0..255", id="negative-digit"),
+    pytest.param(lambda: SeparationInstance(((0, 1), (1, 256))),
+                 "word digits must lie in 0..255", id="digit-256"),
+    pytest.param(lambda: SeparationInstance((3, 3)),
+                 "a word is a digit sequence, not an int", id="int-word"),
     pytest.param(lambda: dimension_bounds(-0.1, BetaNumber.from_decimal("2"),
                                           0.5),
                  "entropy and z ratio must be nonnegative",

@@ -42,6 +42,8 @@ def test_words_wider_than_a_byte_are_usage_errors():
     for bad in ((256,), (1, -1), [0, 300]):
         with pytest.raises(UsageError, match=r"must lie in 0\.\.255"):
             as_word(bad)
+    with pytest.raises(UsageError, match="not an int"):
+        as_word(3)  # bytes(3) would be three zero digits
     word = b"\x00\x01"
     assert as_word(word) is word
     assert as_word((0, 1)) == as_word(SymbolWord((0, 1))) == word
