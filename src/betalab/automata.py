@@ -10,11 +10,16 @@ a (state, symbol) pair is met, so each later digit costs one lookup, not a
 ``step`` call.  Counting and enumeration cache each visited state's edges.
 Enumeration yields ``bytes`` words (so b <= 255), which the cyclic garbage
 collector does not track, and shares suffixes: a DFS walks the prefixes of
-length n - m, and each word is its prefix plus one of its end state's tail
-words of length m.  m is the largest length with (b + 1)^m <= TAIL_WORDS,
-so one state's tail list holds at most TAIL_WORDS words.
+length n - m, and each prefix with its end state's tail words of length m
+is one run of words.  A state's tail words are kept as one block, joined by
+the separator byte b + 1, which no word holds, so a run is built at C speed
+by one ``replace`` that puts the prefix after every separator and one
+``split``.  m is the largest length with (b + 1)^m <= TAIL_WORDS and
+(b + 1)^m (n + 1) <= RUN_BYTES, so a tail block holds at most TAIL_WORDS
+words and a run of more than one word at most RUN_BYTES bytes; at m = 0,
+as when b = 255 leaves no separator byte, a run is its prefix alone.
 `enumerate_words` gives the words as a lazy ranked sequence, `Words`: it
-holds one path count per (state, level) and its tail lists, never the
+holds one path count per (state, level) and its tail blocks, never the
 words, and iteration, a slice and an index are one walk that skips whole
 subtrees by their counts, so it never enters a dead end (a state on no
 path of length n) and a caller that stops early never walks the rest.
@@ -27,13 +32,14 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import chain
 from typing import Hashable, Iterator, Optional, Protocol
 
 from .errors import BudgetExceeded, UsageError
 from .words import check_byte_alphabet
 
-TAIL_WORDS = 4096  # bound on the words in one state's tail list
+TAIL_WORDS = 4096  # bound on the words in one state's tail block
+RUN_BYTES = 1 << 20  # bound on the bytes of one run of words
 EDGE_LABELS = 10 ** 6  # bound on the labels one `edges` call scans
 
 
@@ -117,9 +123,11 @@ def _paths(edges_of, start, depth: int, below, rank: int = 0):
     lexicographic order of the labels (iterative DFS).  Each subtree whose
     count ``below[j][target]`` (as in `Words`, j edges taken) is at most
     rank is skipped and its count taken off rank, so no subtree of count 0
-    is entered; the first path yielded carries the rank left, the rest 0."""
+    is entered, also at depth 0; the first path yielded carries the rank
+    left, the rest 0."""
     if depth == 0:
-        yield b"", start, rank
+        if below[0][start] > rank:
+            yield b"", start, rank
         return
     word, stack = [], [iter(edges_of(start))]
     while stack:
@@ -138,13 +146,15 @@ def _paths(edges_of, start, depth: int, below, rank: int = 0):
 
 
 def _tail_length(pres: Presentation, n: int) -> int:
-    """The tail length m for words of length n; UsageError when the
-    alphabet does not fit in a byte or n is negative."""
+    """The tail length m for words of length n, 0 when b = 255 leaves no
+    separator byte; UsageError when the alphabet does not fit in a byte or
+    n is negative."""
     check_byte_alphabet(pres.alphabet_bound)
     if n < 0:
         raise UsageError("n must be >= 0")
     m, size = 0, pres.alphabet_bound + 1
-    while m < n and size ** (m + 1) <= TAIL_WORDS:
+    while (m < n and size < 256 and size ** (m + 1) <= TAIL_WORDS
+           and size ** (m + 1) * (n + 1) <= RUN_BYTES):
         m += 1
     return m
 
@@ -159,12 +169,16 @@ class Words(Sequence):
     words.  Iteration, a slice and ``words[i]`` are one walk, `_paths`,
     which skips each subtree whose count is at most the rank still to go,
     so every subtree of count 0: to depth n for an index, which builds no
-    tail list, and to depth n - m for a stream, whose first tail list
-    starts at the rank left.  Slices share their tail lists, at most
-    TAIL_WORDS words per end state; an iterator keeps its own.  ``==``
-    compares item by item with any sequence.  ``bool`` and indexing read
-    the exact count; past sys.maxsize words, ``len`` and a slice that
-    walks that far raise BudgetExceeded.
+    tail block, and to depth n - m for a stream, which builds one run of
+    words per prefix.  A run is the prefix followed by each tail word of
+    its end state, from a tail block (the tail words joined by the
+    separator byte b + 1) by one ``replace`` and one ``split``, and holds
+    at most RUN_BYTES bytes or one word; the first run starts at the rank
+    left, a slice of the block.  A slice fills a list of its own length
+    run by run, and slices share their tail blocks, one per end state; an
+    iterator keeps its own.  ``==`` compares item by item with any
+    sequence.  ``bool`` and indexing read the exact count; past sys.maxsize
+    words, ``len`` and a slice that walks that far raise BudgetExceeded.
     """
 
     def __init__(self, pres: Presentation, n: int):
@@ -200,8 +214,20 @@ class Words(Sequence):
             step, span = abs(r.step), abs(r[-1] - r[0])
             if span >= sys.maxsize:
                 raise BudgetExceeded(f"slice walks past {sys.maxsize} words")
-            runs = self._runs(min(r[0], r[-1]), self._tails)
-            out = list(islice(chain.from_iterable(runs), 0, span + 1, step))
+            # out is filled in place: grown between the runs' temporary
+            # blocks it fragmented the heap (about 3 MB more peak RSS over
+            # 65,536-word slices); pos: its words so far; skip: the next
+            # word to take in a run; left: the words of the slice's range
+            # from that run's first word on
+            out, pos, skip, left = [None] * len(r), 0, 0, span + 1
+            for run in self._runs(min(r[0], r[-1]), self._tails):
+                part = run[skip:left:step]
+                out[pos:pos + len(part)] = part
+                pos += len(part)
+                left -= len(run)
+                if left <= 0:
+                    break
+                skip = (skip - len(run)) % step
             return out if r.step > 0 else out[::-1]
         i = operator.index(key)
         if not -self._size <= i < self._size:
@@ -213,17 +239,24 @@ class Words(Sequence):
         return chain.from_iterable(self._runs(0, {}))
 
     def _runs(self, rank: int, tails: dict):
-        """Lazy runs of the words from the rank-th on: each prefix of the
-        walk to depth n - m and its end state's tail words from the rank
-        left, kept in tails (state -> tail words) as states are met."""
+        """Lazy runs of the words from the rank-th on, one sequence per
+        prefix of the walk to depth n - m: the prefix before each of its
+        end state's tail words, from the rank left, with the tail blocks
+        kept in tails (state -> block) as states are met."""
         edges_of, m, below = self._edges_of, self._m, self._below
+        sep = bytes((self._pres.alphabet_bound + 1,)) if m else None
         for head, state, rank in _paths(edges_of, self._pres.initial,
                                         self._n - m, below, rank):
-            ends = tails.get(state)
-            if ends is None:
-                ends = tails[state] = [w for w, _, _ in _paths(
-                    edges_of, state, m, below[-m - 1:])]
-            yield map(head.__add__, ends[rank:] if rank else ends)
+            if not m:
+                yield (head,)
+                continue
+            block = tails.get(state)
+            if block is None:
+                block = tails[state] = sep.join(w for w, _, _ in _paths(
+                    edges_of, state, m, below[-m - 1:]))
+            if rank:
+                block = block[rank * (m + 1):]
+            yield (head + block.replace(sep, sep + head)).split(sep)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from operator import ne
 
 from . import __version__
@@ -510,7 +511,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on first use; parsing reads it
+    and changes nothing on it."""
     p = _Parser(
         prog="betalab",
         description="beta-shift expansions, admissibility, entropy "

@@ -85,17 +85,23 @@ def is_admissible(word, beta: BetaNumber) -> bool:
 def _word_counts(beta: BetaNumber, n_max: int) -> list[int]:
     """#L_1 .. #L_n_max as the coefficients of N/D, D the
     `renewal_denominator` of w(beta) and N = 1 + .. + z^(q-1): c_n =
-    [n < q] - sum_j D_j c_{n-j} over D's nonzero terms.  While no periodic
-    form is known, the first n_max digits stand for w(beta) with
-    q = n_max + 1, which is Parry's renewal #L_n = 1 + sum_i w_i #L_{n-i}."""
+    [n < q] - sum_j D_j c_{n-j} over D's nonzero terms, where the terms
+    with D_j = -1 are summed without a product and only the others are
+    multiplied; on a base whose digits are 0 and 1 that is every term.
+    While no periodic form is known, the first n_max digits stand for
+    w(beta) with q = n_max + 1, which is Parry's renewal
+    #L_n = 1 + sum_i w_i #L_{n-i}."""
     digits = beta.digits(n_max)
     prefix, period = beta.periodic_form() or (digits, ())
     neg_d = [-x for x in renewal_denominator(prefix, period)[1:]]
     q = len(period) or n_max + 1
-    coef = [x for x in neg_d if x]
+    unit = [x == 1 for x in neg_d]
+    other = [x not in (0, 1) for x in neg_d]
+    coef = list(compress(neg_d, other))
     c = [1]
     for n in range(1, n_max + 1):
-        c.append((n < q) + sum(map(mul, coef, compress(reversed(c), neg_d))))
+        c.append((n < q) + sum(compress(reversed(c), unit))
+                 + sum(map(mul, coef, compress(reversed(c), other))))
     return c[1:]
 
 
@@ -130,7 +136,9 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     periodic form (p, q), the specification gap (Bertrand-Mathis) is exact:
     the least g with u 0^g v admissible for all admissible u and v.  Every
     admissible v is read from vertex 1 of the graph, so g is the most zeros
-    that any vertex 1..p+q needs to reach vertex 1: 0 on an integer base."""
+    that any vertex 1..p+q needs to reach vertex 1: 0 on an integer base.
+    Each vertex's count is kept as the walk meets it, so the gap costs one
+    step per vertex."""
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     # the first nonzero digit at or after n_max; the budget reaches the
@@ -149,12 +157,15 @@ def z_values(beta: BetaNumber, n_max: int) -> ZReport:
     ratio_sup = Fraction(z[argmax - 1], argmax)
     gap, form = None, beta.periodic_form()
     if form is not None:
-        step, gap = Automaton(beta).step, 0
+        step, need = Automaton(beta).step, {1: 0}  # vertex -> zeros to 1
         for state in range(2, len(form[0]) + len(form[1]) + 1):
-            zeros = 0
-            while state != 1:
-                state, zeros = step(state, 0), zeros + 1
-            gap = max(gap, zeros)
+            path = []
+            while state not in need:
+                path.append(state)
+                state = step(state, 0)
+            for before in reversed(path):
+                need[before], state = need[state] + 1, before
+        gap = max(need.values())
     return ZReport(z=z, ratio_sup=ratio_sup, ratio_argmax=argmax,
                    max_z=max(z), gap=gap, window=n_max)
 

@@ -10,8 +10,8 @@ from itertools import chain, islice, product
 
 import pytest
 
-from betalab.automata import (TAIL_WORDS, Words, _tail_length, edges,
-                              enumerate_words, path_counts, read)
+from betalab.automata import (RUN_BYTES, TAIL_WORDS, Words, _tail_length,
+                              edges, enumerate_words, path_counts, read)
 from betalab.beta_core import BetaNumber, greedy_expansion
 from betalab.errors import BudgetExceeded, UsageError
 from betalab.exotic import build_nested
@@ -220,6 +220,66 @@ def test_words_wider_than_a_byte_are_refused():
         enumerate_words(pres, 2)
     assert path_counts(pres, 2) == [257, 257 ** 2]
     assert read(pres, (256, 300)) is None and read(pres, (256, 0)) == 0
+
+
+def test_words_at_b_255_have_no_separator_byte():
+    """At b = 255 no byte is left to separate the tail words of a run, so
+    the tail length is 0 and a run is its prefix alone: the 65,408 words of
+    length 2 on 255.5 slice, iterate and index as brute force does."""
+    pres = Automaton(BetaNumber.from_decimal("255.5"))
+    assert pres.alphabet_bound == 255 and _tail_length(pres, 2) == 0
+    words, expected = enumerate_words(pres, 2), brute_force_words(pres, 2)
+    assert len(words) == len(expected) == 65_408
+    assert list(words) == words[:] == expected
+    for a, b, step in ((None, None, -7), (300, 40_000, 3), (-9, None, 2),
+                       (65_407, 5, -4096)):
+        assert words[a:b:step] == expected[a:b:step], (a, b, step)
+    for i in random.Random(255).sample(range(-65_408, 65_408), 50):
+        assert words[i] == expected[i], i
+
+
+class _DeadEnd:
+    """One edge, labelled 0, into a state with no edges: one word of
+    length 1 and none longer."""
+
+    initial = 0
+    alphabet_bound = 1
+
+    def step(self, state, sym):
+        return 1 if state == 0 and sym == 0 else None
+
+
+def test_an_empty_word_set_yields_no_word():
+    """At n <= m the prefix walk has depth 0 and its one prefix is the
+    empty word; when no word of length n exists that prefix has no tail
+    words, so neither a stream nor a slice gives it."""
+    pres = _DeadEnd()
+    assert list(enumerate_words(pres, 1)) == enumerate_words(pres, 1)[:] \
+        == [b"\0"]
+    for n in (2, 3, 20):
+        words = enumerate_words(pres, n)
+        assert _tail_length(pres, n) == min(n, 12)
+        assert not words and len(words) == 0
+        assert list(words) == words[:] == words[::-1] == words[5:] == []
+        with pytest.raises(IndexError):
+            words[0]
+
+
+def test_a_run_of_long_words_stays_bounded():
+    """A run of more than one word holds at most RUN_BYTES bytes, so the
+    tail length drops for long words: on beta = 2 it is 12 at n = 18 and
+    100, 6 at n = 10,000 and 0, one word a run, from n = 2^20 on.  The
+    first of the 2^10,000 words then costs what the counts do, about
+    11.3 MiB, not a 4,096-word run of 41 MB."""
+    pres = Automaton(BetaNumber.from_decimal("2"))
+    for n, m in ((18, 12), (100, 12), (10_000, 6), (RUN_BYTES, 0)):
+        assert _tail_length(pres, n) == m, n
+        assert 2 ** m <= TAIL_WORDS and (not m or 2 ** m * (n + 1)
+                                         <= RUN_BYTES)
+    first, peak, _ = _traced(
+        lambda: next(iter(enumerate_words(pres, 10_000))))
+    assert first == bytes(10_000)
+    assert peak < 16 << 20, peak
 
 
 def _traced(fn):

@@ -3,13 +3,15 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from betalab.automata import enumerate_words, path_counts, read
-from betalab.beta_core import BetaNumber, _check_self_admissible_ep
+from betalab.beta_core import (BetaNumber, _check_self_admissible_ep,
+                               renewal_denominator)
 from betalab.errors import BudgetExceeded, UsageError
 from betalab.observables import constant, digit_frequency
 from betalab.parry import (
@@ -150,6 +152,37 @@ def test_word_counts_at_larger_n(bench_bases):
         assert beta.periodic_form() is None
 
 
+def oracle_word_counts(beta, n_max):
+    """`_word_counts` as it was before its -1 terms of D were summed
+    without a product: one product for every nonzero term."""
+    digits = beta.digits(n_max)
+    prefix, period = beta.periodic_form() or (digits, ())
+    neg_d = [-x for x in renewal_denominator(prefix, period)[1:]]
+    q = len(period) or n_max + 1
+    coef = [x for x in neg_d if x]
+    c = [1]
+    for n in range(1, n_max + 1):
+        c.append((n < q) + sum(map(mul, coef, compress(reversed(c), neg_d))))
+    return c[1:]
+
+
+def test_word_counts_equal_the_multiply_every_term_renewal(renewal_bases):
+    """Against the renewal that multiplies every term, up to n = 300: on
+    the bench bases, on 5/2 and 1000.5, whose digits go above 1, and on
+    preperiodic digit strings, whose D has -1, +1 and +-2 terms."""
+    bases = {**renewal_bases,
+             "5/2": BetaNumber.from_decimal("5/2"),
+             "1000.5": BetaNumber.from_decimal("1000.5")}
+    terms = set()
+    for name, beta in bases.items():
+        for n in (1, 2, 7, 300):
+            assert _word_counts(beta, n) == oracle_word_counts(beta, n), \
+                (name, n)
+        terms.update(renewal_denominator(
+            *(beta.periodic_form() or (beta.digits(300), ()))))
+    assert {-1000, -2, -1, 1, 2} <= terms
+
+
 def test_word_counts_equal_the_lex_criterion(renewal_bases):
     """Brute force: the words that pass the lex oracle, grown one digit at
     a time from the admissible words one shorter (the language is closed
@@ -288,6 +321,18 @@ def test_specification_gap_does_not_depend_on_the_window(bench_bases):
     for name in ("three_halves", "one_seven"):
         rep = z_values(bench_bases[name], 32)
         assert rep.gap is None and rep.max_z >= 1
+
+
+def test_specification_gap_walk_is_linear():
+    """The gap walk keeps the zeros each vertex needs, so (1 0^2000), with
+    2,001 vertices and gap 2,000, answers in under 0.1 s; stepping every
+    vertex's zeros one at a time took about 0.6 s.  The base's build is
+    not timed."""
+    beta = BetaNumber.from_digit_string("(1" + "0" * 2000 + ")")
+    started = time.perf_counter()
+    gap = z_values(beta, 8).gap
+    assert time.perf_counter() - started < 0.1
+    assert gap == 2000
 
 
 def test_z_values_match_a_digit_scan(bench_bases):
